@@ -712,38 +712,51 @@ impl<'a> ClusterNet<'a> {
         });
     }
 
-    /// Fills a flat bit-row matrix — `words_per_row` packed `u64`s per
-    /// vertex (see [`cgc_net::bits`]) — sharded over the runtime's plan:
-    /// `fill(v, row)` runs once per vertex with `row` zeroed, writing the
-    /// vertex's own disjoint word range. The palette matrices of the
-    /// fallback and list-coloring round loops are built through this
-    /// (row-mass-weighted plan: the fill walks each vertex's CSR row, so
+    /// Fills a flat row-major matrix of `row_len` elements per vertex,
+    /// sharded over the runtime's plan: `fill(v, row)` runs once per
+    /// vertex with `row` set to `T::default()`, writing the vertex's own
+    /// disjoint range. The palette bit-rows of the fallback and
+    /// list-coloring round loops ([`Self::par_vertex_fill_words`]) and the
+    /// fingerprint matrices of `cgc_sketch` are built through this
+    /// (row-mass-weighted plan: those fills walk each vertex's CSR row, so
     /// a hub must not pin one shard). Like the other oracle-view maps,
     /// nothing is charged. `out` is cleared and resized; warm calls with
     /// sufficient capacity never allocate.
+    pub fn par_vertex_fill_rows<T: Copy + Default + Send>(
+        &self,
+        row_len: usize,
+        out: &mut Vec<T>,
+        fill: impl Fn(VertexId, &mut [T]) + Sync,
+    ) {
+        let n = self.g.n_vertices();
+        out.clear();
+        out.resize(n * row_len, T::default());
+        if row_len == 0 {
+            return;
+        }
+        let base = SendPtr::new(out.as_mut_ptr());
+        for_each_shard(self.pool.as_deref(), self.plan.n_shards(), &|s| {
+            for v in self.plan.range(s) {
+                // SAFETY: rows are disjoint element ranges of the `n ·
+                // row_len` buffer and shard `s` owns exactly the vertices
+                // of `plan.range(s)`.
+                let row =
+                    unsafe { std::slice::from_raw_parts_mut(base.get().add(v * row_len), row_len) };
+                fill(v, row);
+            }
+        });
+    }
+
+    /// [`Self::par_vertex_fill_rows`] for a flat bit-row matrix:
+    /// `words_per_row` packed `u64`s per vertex (see [`cgc_net::bits`]),
+    /// each row zeroed before `fill` marks it.
     pub fn par_vertex_fill_words(
         &self,
         words_per_row: usize,
         out: &mut Vec<u64>,
         fill: impl Fn(VertexId, &mut [u64]) + Sync,
     ) {
-        let n = self.g.n_vertices();
-        out.clear();
-        out.resize(n * words_per_row, 0);
-        if words_per_row == 0 {
-            return;
-        }
-        let base = SendPtr::new(out.as_mut_ptr());
-        for_each_shard(self.pool.as_deref(), self.plan.n_shards(), &|s| {
-            for v in self.plan.range(s) {
-                // SAFETY: rows are disjoint word ranges and shard `s` owns
-                // exactly the vertices of `plan.range(s)`.
-                let row = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(v * words_per_row), words_per_row)
-                };
-                fill(v, row);
-            }
-        });
+        self.par_vertex_fill_rows(words_per_row, out, fill);
     }
 
     /// The naive link-counting "degree" (counts parallel links): what a

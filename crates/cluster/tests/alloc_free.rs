@@ -5,35 +5,31 @@
 //! perform **zero heap allocations per round** — under the sequential
 //! config *and* under a parallel config dispatching on the persistent
 //! [`WorkerPool`], where warm rounds additionally **spawn no threads**
-//! (pool workers are created once and parked between rounds).
+//! (pool workers are created once and parked between rounds). Warm
+//! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
+//! call by design, must spawn no threads either.
 //!
-//! A counting global allocator tallies every allocation; each test warms
+//! A counting global allocator tallies every allocation; each case warms
 //! the buffers once, snapshots the counter, runs many rounds, and asserts
 //! the counter did not move. Note the allocation counter alone already
 //! rules out per-round spawning (`std::thread::spawn` allocates); the
 //! pool's spawn counter pins it explicitly.
+//!
+//! Every assertion compares a **process-global** counter across a
+//! measured window, so this binary has no test harness (`harness = false`
+//! in the manifest): `main` runs the cases one after another on the main
+//! thread, and no sibling test thread can allocate inside a window.
 
 use cgc_cluster::{
     palette_sweep_waves, ClusterGraph, ClusterNet, NeighborLists, PaletteSweep, ParallelConfig,
     WaveSchedule, WorkerPool,
 };
-use cgc_net::CommGraph;
+use cgc_net::{CommGraph, SeedStream};
+use cgc_sketch::{
+    approx_count_neighbors, approx_weighted_count, CountingParams, FingerprintMatrix,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: every assertion below compares a
-/// **process-global** counter (allocations, pool spawns) across a measured
-/// window, and the default test harness runs sibling tests concurrently on
-/// multicore machines — a sibling's warm-up allocating mid-window would
-/// fail the assert spuriously.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 struct CountingAlloc;
 
@@ -83,9 +79,7 @@ fn instance() -> ClusterGraph {
     ClusterGraph::build(comm, (0..24).map(|m| m / 3).collect()).unwrap()
 }
 
-#[test]
 fn neighbor_fold_into_is_allocation_free_when_warm() {
-    let _serial = serial();
     let h = instance();
     let mut net = ClusterNet::new(&h, 64);
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
@@ -121,9 +115,7 @@ fn neighbor_fold_into_is_allocation_free_when_warm() {
     assert_eq!(out, warm, "results stay identical across reused rounds");
 }
 
-#[test]
 fn typed_fold_wrappers_are_allocation_free_when_warm() {
-    let _serial = serial();
     let h = instance();
     let mut net = ClusterNet::new(&h, 64);
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
@@ -144,9 +136,7 @@ fn typed_fold_wrappers_are_allocation_free_when_warm() {
     );
 }
 
-#[test]
 fn neighbor_collect_into_is_allocation_free_when_warm() {
-    let _serial = serial();
     let h = instance();
     let mut net = ClusterNet::new(&h, 64);
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
@@ -166,9 +156,7 @@ fn neighbor_collect_into_is_allocation_free_when_warm() {
     }
 }
 
-#[test]
 fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
-    let _serial = serial();
     let h = instance();
     // An explicitly parallel runtime: dispatches ride the process-global
     // persistent worker pool.
@@ -231,9 +219,7 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     assert_eq!(degs, seq.exact_degrees());
 }
 
-#[test]
 fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
-    let _serial = serial();
     let h = instance();
     // Force intra-row segmentation (threshold 0) so the warm rounds run
     // the segmented fold/collect paths, not the row-granular ones.
@@ -303,9 +289,7 @@ fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
     assert_eq!(out, seq_out);
 }
 
-#[test]
 fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
-    let _serial = serial();
     let h = instance();
     let n = h.n_vertices();
     let q = h.max_degree() + 1;
@@ -386,9 +370,7 @@ fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
     assert_eq!(out.reuse_slacks, seq.reuse_slacks);
 }
 
-#[test]
 fn exact_degrees_into_and_full_rounds_are_allocation_free_when_warm() {
-    let _serial = serial();
     let h = instance();
     let mut net = ClusterNet::new(&h, 64);
     let mut degs: Vec<usize> = Vec::new();
@@ -402,4 +384,104 @@ fn exact_degrees_into_and_full_rounds_are_allocation_free_when_warm() {
         net.charge_full_rounds(1000, 16);
     }
     assert_eq!(allocations() - before, 0, "warm metering must not allocate");
+}
+
+fn warm_fingerprint_rounds_spawn_no_threads() {
+    let h = instance();
+    let n = h.n_vertices();
+    let params = CountingParams {
+        xi: 0.25,
+        t_factor: 1.0,
+        min_trials: 96,
+    };
+    let seeds = SeedStream::new(17);
+    let k_u: Vec<u64> = (0..n as u64).map(|v| v % 3).collect();
+    // Every pass of the engine: sampling, gather, metering and estimates
+    // (through the counting primitives) and the per-edge union estimates.
+    let round = |net: &mut ClusterNet<'_>| {
+        let counts = approx_count_neighbors(net, &params, &seeds, 0, |v, u| (v ^ u) & 1 == 0);
+        let weighted = approx_weighted_count(net, 64, &seeds, 1, &k_u, 1, |_, u| u % 3 != 0);
+        let own = FingerprintMatrix::sample(net, 64, &seeds, 2);
+        let unions = own
+            .gather(net, |_, _| true)
+            .edge_union_estimates(net, |u, _| u % 2 == 0);
+        (counts, weighted, unions, net.meter.report())
+    };
+    let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(2));
+    assert!(
+        net.worker_pool().is_some(),
+        "parallel config must acquire the persistent pool"
+    );
+    let warm = round(&mut net);
+
+    let spawned_before = WorkerPool::total_threads_spawned();
+    let scoped_before = cgc_cluster::total_scoped_threads_spawned();
+    let mut last = warm.clone();
+    for _ in 0..50 {
+        last = round(&mut net);
+    }
+    assert_eq!(
+        WorkerPool::total_threads_spawned(),
+        spawned_before,
+        "warm fingerprint rounds must not spawn pool threads"
+    );
+    assert_eq!(
+        cgc_cluster::total_scoped_threads_spawned(),
+        scoped_before,
+        "warm fingerprint rounds must not fall back to scoped-thread dispatch"
+    );
+    assert_eq!(last.0, warm.0, "results stay identical across rounds");
+    assert_eq!(last.2, warm.2);
+
+    // And the pooled rounds match a sequential runtime's bit for bit.
+    let mut seq = ClusterNet::new(&h, 64);
+    assert_eq!(round(&mut seq), warm);
+}
+
+/// Runs every case in order on the main thread and reports in the test
+/// harness's format.
+fn main() {
+    let cases: [(&str, fn()); 8] = [
+        (
+            "neighbor_fold_into_is_allocation_free_when_warm",
+            neighbor_fold_into_is_allocation_free_when_warm,
+        ),
+        (
+            "typed_fold_wrappers_are_allocation_free_when_warm",
+            typed_fold_wrappers_are_allocation_free_when_warm,
+        ),
+        (
+            "neighbor_collect_into_is_allocation_free_when_warm",
+            neighbor_collect_into_is_allocation_free_when_warm,
+        ),
+        (
+            "pooled_rounds_are_allocation_free_and_spawn_no_threads",
+            pooled_rounds_are_allocation_free_and_spawn_no_threads,
+        ),
+        (
+            "segmented_rounds_are_allocation_free_and_spawn_no_threads",
+            segmented_rounds_are_allocation_free_and_spawn_no_threads,
+        ),
+        (
+            "palette_query_waves_are_allocation_free_and_spawn_no_threads",
+            palette_query_waves_are_allocation_free_and_spawn_no_threads,
+        ),
+        (
+            "exact_degrees_into_and_full_rounds_are_allocation_free_when_warm",
+            exact_degrees_into_and_full_rounds_are_allocation_free_when_warm,
+        ),
+        (
+            "warm_fingerprint_rounds_spawn_no_threads",
+            warm_fingerprint_rounds_spawn_no_threads,
+        ),
+    ];
+    println!("\nrunning {} tests", cases.len());
+    for (name, case) in cases {
+        case();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; 0 filtered out\n",
+        cases.len()
+    );
 }

@@ -14,30 +14,37 @@ pub type Color = usize;
 
 /// A partial coloring of the vertices of `H`.
 ///
-/// Alongside the per-vertex assignment it maintains a packed **occupancy
-/// mask** (bit `v` set ⇔ `v` colored, see [`cgc_cluster::bits`]), so
-/// "who is still uncolored?" questions — `is_total`, `n_colored`, the
-/// round loops' eligibility sets — are answered word-wise instead of by
-/// `O(n)` `Option` scans.
+/// The assignment is one `u32` per vertex ([`UNCOLORED`] = `⊥`): 4 bytes
+/// a vertex for every coloring a session, server or outcome retains.
+/// Alongside it the struct maintains a packed **occupancy mask** (bit `v`
+/// set ⇔ `v` colored, see [`cgc_cluster::bits`]), so "who is still
+/// uncolored?" questions — `is_total`, `n_colored`, the round loops'
+/// eligibility sets — are answered word-wise instead of by `O(n)` scans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
-    colors: Vec<Option<Color>>,
-    /// Packed occupancy: bit `v` set ⇔ `colors[v].is_some()` (invariant
-    /// maintained by every mutator).
+    /// `colors[v]` is `v`'s color, or [`UNCOLORED`].
+    colors: Vec<u32>,
+    /// Packed occupancy: bit `v` set ⇔ `colors[v] != UNCOLORED`
+    /// (invariant maintained by every mutator).
     occupied: Vec<u64>,
     q: usize,
 }
+
+/// The stored color of an uncolored vertex.
+const UNCOLORED: u32 = u32::MAX;
 
 impl Coloring {
     /// An all-uncolored coloring with `q` colors on `n` vertices.
     ///
     /// # Panics
     ///
-    /// Panics if `q == 0`.
+    /// Panics if `q == 0` or `q > u32::MAX` (colors are stored as `u32`
+    /// below the [`UNCOLORED`] sentinel).
     pub fn new(n: usize, q: usize) -> Self {
         assert!(q > 0, "need at least one color");
+        assert!(q <= UNCOLORED as usize, "q = {q} exceeds the u32 colors");
         Coloring {
-            colors: vec![None; n],
+            colors: vec![UNCOLORED; n],
             occupied: vec![0; bits::words_for(n)],
             q,
         }
@@ -61,14 +68,8 @@ impl Coloring {
     /// The color of `v`, if any.
     #[inline]
     pub fn get(&self, v: VertexId) -> Option<Color> {
-        self.colors[v]
-    }
-
-    /// The raw per-vertex assignment slice (index `v` = color of `v`) —
-    /// the read-only view the wave-scheduled palette sweeps consume.
-    #[inline]
-    pub fn colors(&self) -> &[Option<Color>] {
-        &self.colors
+        let c = self.colors[v];
+        (c != UNCOLORED).then_some(c as Color)
     }
 
     /// The packed occupancy mask (bit `v` set ⇔ `v` colored): the round
@@ -81,7 +82,7 @@ impl Coloring {
     /// Whether `v` is colored.
     #[inline]
     pub fn is_colored(&self, v: VertexId) -> bool {
-        self.colors[v].is_some()
+        self.colors[v] != UNCOLORED
     }
 
     /// Colors `v` with `c`.
@@ -92,8 +93,8 @@ impl Coloring {
     /// [`Coloring::recolor`] for the §7 donation step).
     pub fn set(&mut self, v: VertexId, c: Color) {
         assert!(c < self.q, "color {c} out of range [{}]", self.q);
-        assert!(self.colors[v].is_none(), "vertex {v} already colored");
-        self.colors[v] = Some(c);
+        assert!(!self.is_colored(v), "vertex {v} already colored");
+        self.colors[v] = c as u32;
         bits::set_bit(&mut self.occupied, v);
     }
 
@@ -104,13 +105,13 @@ impl Coloring {
     /// Panics if `c >= q`.
     pub fn recolor(&mut self, v: VertexId, c: Color) {
         assert!(c < self.q, "color {c} out of range [{}]", self.q);
-        self.colors[v] = Some(c);
+        self.colors[v] = c as u32;
         bits::set_bit(&mut self.occupied, v);
     }
 
     /// Uncolors `v` (used when a stage cancels its coloring, §4.3).
     pub fn clear(&mut self, v: VertexId) {
-        self.colors[v] = None;
+        self.colors[v] = UNCOLORED;
         bits::clear_bit(&mut self.occupied, v);
     }
 
@@ -122,7 +123,7 @@ impl Coloring {
     /// All uncolored vertices.
     pub fn uncolored(&self) -> Vec<VertexId> {
         (0..self.colors.len())
-            .filter(|&v| self.colors[v].is_none())
+            .filter(|&v| !self.is_colored(v))
             .collect()
     }
 
@@ -137,17 +138,20 @@ impl Coloring {
     /// one found. Use [`Coloring::conflicts`] when the offending edges
     /// themselves are needed (diagnostics).
     pub fn has_conflict(&self, g: &ClusterGraph) -> bool {
-        g.h_edges()
-            .any(|(u, v)| matches!((self.colors[u], self.colors[v]), (Some(a), Some(b)) if a == b))
+        g.h_edges().any(|(u, v)| self.same_color(u, v))
     }
 
     /// All monochromatic edges.
     pub fn conflicts(&self, g: &ClusterGraph) -> Vec<(VertexId, VertexId)> {
         g.h_edges()
-            .filter(
-                |&(u, v)| matches!((self.colors[u], self.colors[v]), (Some(a), Some(b)) if a == b),
-            )
+            .filter(|&(u, v)| self.same_color(u, v))
             .collect()
+    }
+
+    /// Whether `u` and `v` are both colored, with the same color.
+    #[inline]
+    fn same_color(&self, u: VertexId, v: VertexId) -> bool {
+        self.colors[u] == self.colors[v] && self.is_colored(u)
     }
 
     /// Whether every vertex is colored (popcount, not an `Option` scan).
@@ -167,7 +171,7 @@ impl Coloring {
     ) -> &'s mut PaletteBits {
         let bits = scratch.bits(self.q);
         for &u in g.neighbors(v) {
-            if let Some(c) = self.colors[u] {
+            if let Some(c) = self.get(u) {
                 bits.mark(c);
             }
         }
@@ -212,7 +216,7 @@ impl Coloring {
     pub fn uncolored_degree(&self, g: &ClusterGraph, v: VertexId) -> usize {
         g.neighbors(v)
             .iter()
-            .filter(|&&u| self.colors[u].is_none())
+            .filter(|&&u| !self.is_colored(u))
             .count()
     }
 
@@ -242,7 +246,7 @@ impl Coloring {
         let bits = scratch.bits(self.q);
         let mut colored = 0usize;
         for &u in g.neighbors(v) {
-            if let Some(c) = self.colors[u] {
+            if let Some(c) = self.get(u) {
                 colored += 1;
                 bits.mark(c);
             }
@@ -380,6 +384,22 @@ mod tests {
             );
         }
         assert_eq!(c.reuse_slack(&g, 0), 1, "two leaves share color 2");
+    }
+
+    #[test]
+    fn u32_storage_keeps_get_set_and_equality() {
+        let q = u32::MAX as usize;
+        let mut a = Coloring::new(3, q);
+        a.set(0, q - 1);
+        a.set(2, 0);
+        assert_eq!(a.get(0), Some(q - 1), "largest color stays a color");
+        assert_eq!((a.get(1), a.is_colored(1)), (None, false));
+        let mut b = Coloring::new(3, q);
+        b.set(2, 0);
+        assert_ne!(a, b);
+        b.set(0, q - 1);
+        assert_eq!(a, b);
+        assert_eq!(std::mem::size_of_val(a.colors.as_slice()), 3 * 4);
     }
 
     #[test]

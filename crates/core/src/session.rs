@@ -476,11 +476,12 @@ impl Session {
             .as_ref()
             .filter(|c| c.is_total() && c.len() == self.graph.n_vertices())?;
         let schedule = ColorSchedule::build(&self.graph, coloring, &self.parallel);
+        let colors: Vec<Option<usize>> = (0..coloring.len()).map(|v| coloring.get(v)).collect();
         let start = Instant::now();
         let mut sweep = PaletteSweep::new();
         let wave_stats = palette_sweep_waves(
             &self.graph,
-            coloring.colors(),
+            &colors,
             coloring.q(),
             schedule.waves().offsets(),
             schedule.waves().items(),

@@ -11,7 +11,7 @@
 
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;
-use cgc_sketch::{encoded_bits, neighborhood_fingerprints, CountingParams};
+use cgc_sketch::{neighborhood_fingerprints, CountingParams, NeighborhoodFingerprints};
 use std::collections::BTreeMap;
 
 /// Parameters for the buddy computation.
@@ -49,38 +49,30 @@ pub fn buddy_edges(
 
     // Degree estimates d̂(v) ∈ (1 ± ξ'/2) deg(v).
     let t = params.counting.trials(net.g.n_vertices());
-    let fps = neighborhood_fingerprints(net, t, &seeds.child(1), 0, |_, _| true);
-    let deg_est: Vec<f64> = fps.agg.iter().map(|f| f.estimate()).collect();
+    let NeighborhoodFingerprints {
+        agg, response_bits, ..
+    } = neighborhood_fingerprints(net, t, &seeds.child(1), 0, |_, _| true);
 
     // Low-degree vertices answer No on all incident edges.
-    let low: Vec<bool> = deg_est
-        .iter()
-        .map(|&d| d < (1.0 - 1.5 * xi_p) * delta)
+    let low: Vec<bool> = agg
+        .estimates(net)
+        .into_iter()
+        .map(|d| d < (1.0 - 1.5 * xi_p) * delta)
         .collect();
 
     // Joint neighborhoods: the two link machines exchange their clusters'
     // aggregated fingerprints and merge. One link round with compressed
-    // fingerprints.
-    let link_bits = fps
-        .agg
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    net.charge_link_round(link_bits);
+    // fingerprints — the aggregates the round's converge-cast carried.
+    net.charge_link_round(response_bits);
 
-    let mut out = BTreeMap::new();
-    for (u, v) in net.g.h_edges() {
-        if low[u] || low[v] {
-            out.insert((u, v), false);
-            continue;
-        }
-        let joint = fps.agg[u].merged(&fps.agg[v]).estimate();
-        // Friendly edges have |N(u) ∪ N(v)| ≤ (1 + 1.5ξ')Δ (proof of
-        // Lemma 5.8); larger unions mean small intersections.
-        out.insert((u, v), joint <= (1.0 + 1.5 * xi_p) * delta);
-    }
-    out
+    // Friendly edges have |N(u) ∪ N(v)| ≤ (1 + 1.5ξ')Δ (proof of
+    // Lemma 5.8); larger unions mean small intersections.
+    let unions = agg.edge_union_estimates(net, |u, v| !(low[u] || low[v]));
+    net.g
+        .h_edges()
+        .zip(unions)
+        .map(|(e, joint)| (e, joint.is_some_and(|j| j <= (1.0 + 1.5 * xi_p) * delta)))
+        .collect()
 }
 
 /// Exact friendliness oracle: `|N(u) ∩ N(v)| ≥ (1 − ξ)Δ`.

@@ -7,8 +7,7 @@
 //! Lemma 5.6 for every (partial) aggregate. The estimate follows from
 //! Lemma 5.2 with accuracy `(1 ± ξ)` in `O(ξ^{-2})` rounds.
 
-use crate::encode::encoded_bits;
-use crate::fingerprint::Fingerprint;
+use crate::matrix::FingerprintMatrix;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;
 
@@ -48,9 +47,11 @@ impl CountingParams {
 #[derive(Debug, Clone)]
 pub struct NeighborhoodFingerprints {
     /// Each vertex's own sample vector (fingerprint of `{v}`).
-    pub own: Vec<Fingerprint>,
+    pub own: FingerprintMatrix,
     /// Each vertex's aggregate over predicate-satisfying neighbors.
-    pub agg: Vec<Fingerprint>,
+    pub agg: FingerprintMatrix,
+    /// The largest encoded `agg` row: the charged response size.
+    pub response_bits: u64,
 }
 
 /// Aggregates fingerprints over predicate-filtered neighborhoods.
@@ -64,40 +65,31 @@ pub fn neighborhood_fingerprints(
     t: usize,
     seeds: &SeedStream,
     salt: u64,
-    mut pred: impl FnMut(VertexId, VertexId) -> bool,
+    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> NeighborhoodFingerprints {
-    let n = net.g.n_vertices();
-    let own: Vec<Fingerprint> = (0..n)
-        .map(|v| Fingerprint::sample(&mut seeds.rng_for(v as u64, salt), t))
-        .collect();
+    let own = FingerprintMatrix::sample(net, t, seeds, salt);
+    aggregate(net, own, pred)
+}
 
-    let mut agg: Vec<Fingerprint> = (0..n).map(|_| Fingerprint::empty(t)).collect();
-    for (u, v) in net.g.h_edges() {
-        if pred(v, u) {
-            agg[v].merge(&own[u]);
-        }
-        if pred(u, v) {
-            agg[u].merge(&own[v]);
-        }
+/// Gathers `own` over predicate-filtered neighborhoods and charges the
+/// round with the actual compressed sizes: the query is a single
+/// element's vector, the converge-cast carries partial aggregates.
+fn aggregate(
+    net: &mut ClusterNet<'_>,
+    own: FingerprintMatrix,
+    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
+) -> NeighborhoodFingerprints {
+    let agg = own.gather(net, pred);
+    let query_bits = own.max_encoded_bits(net);
+    let response_bits = agg.max_encoded_bits(net);
+    net.charge_broadcast(query_bits);
+    net.charge_link_round(query_bits);
+    net.charge_converge(response_bits);
+    NeighborhoodFingerprints {
+        own,
+        agg,
+        response_bits,
     }
-
-    // Charge with the actual compressed sizes: the query is a single
-    // element's vector, the converge-cast carries partial aggregates.
-    let qbits = own
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    let rbits = agg
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    net.charge_broadcast(qbits);
-    net.charge_link_round(qbits);
-    net.charge_converge(rbits);
-
-    NeighborhoodFingerprints { own, agg }
 }
 
 /// Lemma 9.4 weighted counting: every vertex estimates
@@ -117,49 +109,14 @@ pub fn approx_weighted_count(
     salt: u64,
     k_u: &[u64],
     b: u32,
-    mut gate: impl FnMut(VertexId, VertexId) -> bool,
+    gate: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Vec<f64> {
-    let n = net.g.n_vertices();
-    assert_eq!(k_u.len(), n, "one weight numerator per vertex");
-    // Duplicated sample vectors: max of k_u independent vectors. Each
-    // coordinate max of k geometrics is sampled directly by iterating —
-    // k_u is at most 2^b which the caller keeps polynomial.
-    let own: Vec<Fingerprint> = (0..n)
-        .map(|v| {
-            let mut rng = seeds.rng_for(v as u64, salt ^ 0x9B4);
-            let mut acc = Fingerprint::empty(t);
-            for _ in 0..k_u[v].min(1 << 16) {
-                acc.merge(&Fingerprint::sample(&mut rng, t));
-            }
-            acc
-        })
-        .collect();
-
-    let mut agg: Vec<Fingerprint> = (0..n).map(|_| Fingerprint::empty(t)).collect();
-    for (u, v) in net.g.h_edges() {
-        if gate(v, u) {
-            agg[v].merge(&own[u]);
-        }
-        if gate(u, v) {
-            agg[u].merge(&own[v]);
-        }
-    }
-    let qbits = own
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    let rbits = agg
-        .iter()
-        .map(|f| encoded_bits(f.maxima()))
-        .max()
-        .unwrap_or(0);
-    net.charge_broadcast(qbits);
-    net.charge_link_round(qbits);
-    net.charge_converge(rbits);
-
+    // Each coordinate max of k geometrics is sampled directly by
+    // iterating — k_u is at most 2^b which the caller keeps polynomial.
+    let own = FingerprintMatrix::sample_weighted(net, t, seeds, salt ^ 0x9B4, k_u);
+    let agg = aggregate(net, own, gate).agg;
     let scale = 2f64.powi(b as i32);
-    agg.iter().map(|f| f.estimate() / scale).collect()
+    agg.estimates(net).into_iter().map(|e| e / scale).collect()
 }
 
 /// Lemma 5.7: every vertex estimates the number of neighbors satisfying
@@ -169,11 +126,11 @@ pub fn approx_count_neighbors(
     params: &CountingParams,
     seeds: &SeedStream,
     salt: u64,
-    pred: impl FnMut(VertexId, VertexId) -> bool,
+    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Vec<f64> {
     let t = params.trials(net.g.n_vertices());
-    let fps = neighborhood_fingerprints(net, t, seeds, salt, pred);
-    fps.agg.iter().map(Fingerprint::estimate).collect()
+    let agg = neighborhood_fingerprints(net, t, seeds, salt, pred).agg;
+    agg.estimates(net)
 }
 
 #[cfg(test)]

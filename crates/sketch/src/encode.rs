@@ -7,6 +7,7 @@
 //! bits total. Empty trials ([`crate::fingerprint::EMPTY`]) are encoded as
 //! value `−1` relative to the baseline like any other deviation.
 
+use crate::fingerprint::Maximum;
 #[cfg(test)]
 use crate::fingerprint::EMPTY;
 
@@ -69,19 +70,26 @@ impl BitBuf {
 
 /// Chooses the baseline minimizing the total encoded size: the median of
 /// the (non-empty-adjusted) values is within 1 of optimal for this cost;
-/// we search a small window around it to get the exact minimum.
-fn best_baseline(maxima: &[i16]) -> i16 {
+/// we search a small window around it to get the exact minimum. `sorted`
+/// is scratch for the sorted copy.
+fn best_baseline<T: Maximum>(maxima: &[T], sorted: &mut Vec<T>) -> i32 {
     if maxima.is_empty() {
         return 0;
     }
-    let mut sorted: Vec<i16> = maxima.to_vec();
+    sorted.clear();
+    sorted.extend_from_slice(maxima);
     sorted.sort_unstable();
-    let median = sorted[sorted.len() / 2];
-    let cost = |k: i16| -> u64 { maxima.iter().map(|&y| u64::from(y.abs_diff(k)) + 2).sum() };
+    let median = sorted[sorted.len() / 2].value();
+    let cost = |k: i32| -> u64 {
+        maxima
+            .iter()
+            .map(|&y| u64::from(y.value().abs_diff(k)) + 2)
+            .sum()
+    };
     let mut best = median;
     let mut best_cost = cost(median);
-    for delta in -2i16..=2 {
-        let k = median.saturating_add(delta);
+    for delta in -2i32..=2 {
+        let k = median + delta;
         let c = cost(k);
         if c < best_cost {
             best = k;
@@ -91,26 +99,34 @@ fn best_baseline(maxima: &[i16]) -> i16 {
     best
 }
 
-/// Encoded size in bits of a maxima vector, without materializing the
-/// buffer (used for bandwidth charging).
-pub fn encoded_bits(maxima: &[i16]) -> u64 {
-    let k = best_baseline(maxima);
+/// Encoded size in bits of a maxima vector — a [`crate::Fingerprint`]'s
+/// `i16` maxima or a [`crate::FingerprintMatrix`] row, with identical
+/// results for the same values — without materializing the buffer (used
+/// for bandwidth charging).
+pub fn encoded_bits<T: Maximum>(maxima: &[T]) -> u64 {
+    encoded_bits_with(maxima, &mut Vec::new())
+}
+
+/// [`encoded_bits`] with caller-owned scratch for the baseline's sorted
+/// copy, so a pass over many rows sorts into one buffer.
+pub(crate) fn encoded_bits_with<T: Maximum>(maxima: &[T], sorted: &mut Vec<T>) -> u64 {
+    let k = best_baseline(maxima, sorted);
     HEADER_BITS
         + maxima
             .iter()
-            .map(|&y| u64::from(y.abs_diff(k)) + 2)
+            .map(|&y| u64::from(y.value().abs_diff(k)) + 2)
             .sum::<u64>()
 }
 
 /// Encodes a maxima vector under the Lemma 5.6 scheme.
 pub fn encode_maxima(maxima: &[i16]) -> BitBuf {
-    let k = best_baseline(maxima);
+    let k = best_baseline(maxima, &mut Vec::new());
     let mut buf = BitBuf::new();
     // Header: sign bit + 12-bit magnitude of the baseline.
     buf.push(k < 0);
     buf.push_bits(u64::from(k.unsigned_abs()), HEADER_BITS - 1);
     for &y in maxima {
-        let d = i32::from(y) - i32::from(k);
+        let d = i32::from(y) - k;
         buf.push(d < 0); // sign
         for _ in 0..d.unsigned_abs() {
             buf.push(true); // unary magnitude
@@ -195,6 +211,19 @@ mod tests {
     }
 
     #[test]
+    fn byte_rows_meter_like_wide_maxima() {
+        for seed in 0..4u64 {
+            let wide = maxima_of(200, 256, seed);
+            let bytes: Vec<u8> = wide.iter().map(|&y| (y + 1) as u8).collect();
+            assert_eq!(encoded_bits(&bytes), encoded_bits(&wide));
+        }
+        assert_eq!(
+            encoded_bits(&[0u8, 4, 0, 1]),
+            encoded_bits(&[EMPTY, 3, EMPTY, 0])
+        );
+    }
+
+    #[test]
     fn roundtrip_with_empty_trials() {
         let m = vec![EMPTY, 3, EMPTY, 0, 7];
         let buf = encode_maxima(&m);
@@ -227,7 +256,7 @@ mod tests {
     #[test]
     fn baseline_is_near_log_d() {
         let m = maxima_of(1024, 512, 3);
-        let k = best_baseline(&m);
+        let k = best_baseline(&m, &mut Vec::new());
         // log2(1024) = 10; Lemma 5.2 puts K* within 2 of it.
         assert!((8..=13).contains(&k), "baseline {k}");
     }

@@ -6,28 +6,33 @@
 //! `d̂ = ln(Z_{K*}/t) / ln(1 − 2^{-K*})`. Then `|d − d̂| ≤ ξ d` with
 //! probability `1 − 6 exp(−ξ² t / 200)`.
 
+use crate::fingerprint::Maximum;
+#[cfg(test)]
 use crate::fingerprint::EMPTY;
 
 /// Threshold numerator/denominator from Lemma 5.2: `Z_{K*} ≥ (27/40) t`.
 const THRESH_NUM: usize = 27;
 const THRESH_DEN: usize = 40;
 
-/// Estimates the number of elements contributing to the maxima vector.
+/// Estimates the number of elements contributing to the maxima vector —
+/// a [`crate::Fingerprint`]'s `i16` maxima or a
+/// [`crate::FingerprintMatrix`] row, with identical results for the same
+/// values.
 ///
-/// Returns `0.0` for an all-[`EMPTY`] vector (no contributions). The
-/// estimate is clamped below at 1 when any contribution exists.
-pub fn estimate_count(maxima: &[i16]) -> f64 {
+/// Returns `0.0` for an all-empty vector (no contributions). The estimate
+/// is clamped below at 1 when any contribution exists.
+pub fn estimate_count<T: Maximum>(maxima: &[T]) -> f64 {
     let t = maxima.len();
-    if t == 0 || maxima.iter().all(|&m| m == EMPTY) {
+    if t == 0 || maxima.iter().all(|&m| m.value() == -1) {
         return 0.0;
     }
     // Z_k is nondecreasing in k; find K*.
-    let max_y = maxima.iter().copied().max().unwrap_or(0).max(0) as i32;
+    let max_y = maxima.iter().copied().max().map_or(0, T::value).max(0);
     let threshold = (THRESH_NUM * t).div_ceil(THRESH_DEN);
     let mut kstar: i32 = -1;
     let mut z_kstar = 0usize;
     for k in 0..=(max_y + 2) {
-        let z = maxima.iter().filter(|&&y| i32::from(y) < k).count();
+        let z = maxima.iter().filter(|&&y| y.value() < k).count();
         if z >= threshold {
             kstar = k;
             z_kstar = z;
@@ -62,8 +67,21 @@ mod tests {
 
     #[test]
     fn empty_estimates_zero() {
-        assert_eq!(estimate_count(&[]), 0.0);
+        assert_eq!(estimate_count::<i16>(&[]), 0.0);
         assert_eq!(estimate_count(&[EMPTY, EMPTY]), 0.0);
+        assert_eq!(estimate_count(&[0u8, 0]), 0.0);
+    }
+
+    #[test]
+    fn byte_rows_estimate_like_wide_maxima() {
+        for (d, seed) in [(1usize, 20u64), (30, 21), (700, 22)] {
+            let wide = maxima_of(d, 512, seed);
+            let bytes: Vec<u8> = wide.iter().map(|&y| (y + 1) as u8).collect();
+            assert_eq!(
+                estimate_count(&bytes).to_bits(),
+                estimate_count(&wide).to_bits()
+            );
+        }
     }
 
     #[test]

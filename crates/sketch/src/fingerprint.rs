@@ -12,6 +12,33 @@ use rand::Rng;
 /// Sentinel for "maximum over the empty set".
 pub const EMPTY: i16 = -1;
 
+/// An element of a maxima vector: a geometric maximum `y ≥ 0`, or the
+/// empty-set sentinel, which reads as `y = −1`.
+///
+/// Two layouts implement it: the `i16` maxima of a [`Fingerprint`]
+/// (stored as `y`, [`EMPTY`] = −1) and the `u8` rows of a
+/// [`crate::FingerprintMatrix`] (stored as `y + 1`, 0 = empty). Both
+/// store values in the order of the values they stand for, so the
+/// estimator and the encoder are one implementation over either.
+pub trait Maximum: Copy + Ord {
+    /// The value `y` this element stands for (`−1` when empty).
+    fn value(self) -> i32;
+}
+
+impl Maximum for i16 {
+    #[inline]
+    fn value(self) -> i32 {
+        i32::from(self)
+    }
+}
+
+impl Maximum for u8 {
+    #[inline]
+    fn value(self) -> i32 {
+        i32::from(self) - 1
+    }
+}
+
 /// A fingerprint: `t` maxima of geometric variables (λ = 1/2 by default).
 ///
 /// `maxima[i] == EMPTY` means no element has contributed to trial `i` yet.
@@ -117,6 +144,15 @@ impl Fingerprint {
 mod tests {
     use super::*;
     use cgc_net::SeedStream;
+
+    #[test]
+    fn both_layouts_store_values_in_order() {
+        for y in -1..=i16::try_from(crate::geometric::GEOMETRIC_CAP).unwrap() {
+            let byte = u8::try_from(y + 1).unwrap();
+            assert_eq!((y.value(), byte.value()), (i32::from(y), i32::from(y)));
+        }
+        assert_eq!((EMPTY.value(), 0u8.value()), (-1, -1), "empty reads as -1");
+    }
 
     #[test]
     fn merge_is_pointwise_max() {

@@ -13,19 +13,24 @@
 //! * have a unique maximum with probability ≥ 2/3, located at a uniformly
 //!   random element (Lemmas 5.3–5.4), which §6 exploits to find anti-edges.
 //!
-//! [`counting`] packages this into the Lemma 5.7 approximate neighborhood
-//! counting primitive on a [`cgc_cluster::ClusterNet`].
+//! [`matrix`] is the engine that runs fingerprint rounds on a
+//! [`cgc_cluster::ClusterNet`]: one flat byte matrix per role, each step a
+//! sharded pass on the runtime's worker pool. [`counting`] packages it into
+//! the Lemma 5.7 approximate neighborhood counting primitive.
 
 pub mod counting;
 pub mod encode;
 pub mod estimate;
 pub mod fingerprint;
 pub mod geometric;
+pub mod matrix;
 
 pub use counting::{
     approx_count_neighbors, approx_weighted_count, neighborhood_fingerprints, CountingParams,
+    NeighborhoodFingerprints,
 };
 pub use encode::{decode_maxima, encode_maxima, encoded_bits};
 pub use estimate::estimate_count;
-pub use fingerprint::Fingerprint;
+pub use fingerprint::{Fingerprint, Maximum};
 pub use geometric::sample_geometric;
+pub use matrix::FingerprintMatrix;
