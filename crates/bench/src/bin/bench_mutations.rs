@@ -72,7 +72,7 @@ fn main() {
         .expect("base spec parses");
 
     let template = warm_session(&base, parallel);
-    let m = template.graph().comm().edges().len();
+    let m = template.graph().comm().n_links();
     eprintln!(
         "mutations: base {base}, m={m} G-edges, threads={}",
         parallel.threads()
@@ -97,7 +97,7 @@ fn main() {
         assert_eq!(out.coloring.q(), session.graph().max_degree() + 1);
 
         // --- full rebuild: from-scratch build + full driver run --------
-        let mutated_edges = session.graph().comm().edges().to_vec();
+        let mutated_edges: Vec<_> = session.graph().comm().edges().collect();
         let n_machines = session.graph().comm().n_machines();
         let assignment = session.graph().assignment().to_vec();
         let rb_start = Instant::now();

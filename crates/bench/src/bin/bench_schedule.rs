@@ -78,7 +78,7 @@ fn main() {
     // The scheduling coloring and its wave shape (thread-independent:
     // the warm run is deterministic, the schedule canonical).
     let warm = warm_session(&base, 1);
-    let m = warm.graph().comm().edges().len();
+    let m = warm.graph().comm().n_links();
     let schedule = ColorSchedule::build(
         warm.graph(),
         warm.coloring().expect("warm session is colored"),

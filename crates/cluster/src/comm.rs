@@ -168,7 +168,7 @@ impl<'a> ClusterNet<'a> {
             g,
             meter: CostMeter::new(budget_bits),
             total_tree_edges,
-            n_links: g.links().len() as u64,
+            n_links: g.n_links() as u64,
             scratch: RoundScratch::default(),
             plan: g.shard_plan(&par),
             seg: g.segmented_plan(&par),
@@ -365,8 +365,8 @@ impl<'a> ClusterNet<'a> {
     /// Each vertex's fold walks its CSR adjacency row in ascending neighbor
     /// order with the accumulator in a register, shard-parallel across the
     /// runtime's [`ShardPlan`] into disjoint output slices. The contribution
-    /// order per vertex equals the flat edge-table sweep's (neighbors below
-    /// `v` ascending, then above), so results are bit-identical to the
+    /// order per vertex equals the sequential `H`-edge sweep's (neighbors
+    /// below `v` ascending, then above), so results are bit-identical to the
     /// historical sequential path at any thread count — even for
     /// non-commutative folds.
     ///
@@ -394,19 +394,22 @@ impl<'a> ClusterNet<'a> {
         self.charge_converge(response_bits);
 
         if self.plan.n_shards() <= 1 {
-            // Sequential: one sweep of the flat edge table (half the gather
-            // traffic of the row walk, and the historical reference
-            // semantics). For each vertex, contributions arrive from
-            // neighbors below it in ascending order, then neighbors above
-            // it in ascending order — i.e. ascending neighbor order.
+            // Sequential: one sweep of the H-edges, the upper halves of
+            // the CSR rows (half the gather traffic of the row walk, and
+            // the historical reference semantics). For each vertex,
+            // contributions arrive from neighbors below it in ascending
+            // order, then neighbors above it in ascending order — i.e.
+            // ascending neighbor order.
             out.clear();
             out.extend((0..self.g.n_vertices()).map(&init));
-            for &(u, v) in self.g.h_edge_slice() {
-                if let Some(c) = edge(v, u, &queries[v], &queries[u]) {
-                    fold(&mut out[v], c);
-                }
-                if let Some(c) = edge(u, v, &queries[u], &queries[v]) {
-                    fold(&mut out[u], c);
+            for u in 0..self.g.n_vertices() {
+                for &v in self.g.upper_neighbors(u) {
+                    if let Some(c) = edge(v, u, &queries[v], &queries[u]) {
+                        fold(&mut out[v], c);
+                    }
+                    if let Some(c) = edge(u, v, &queries[u], &queries[v]) {
+                        fold(&mut out[u], c);
+                    }
                 }
             }
         } else {
@@ -764,12 +767,9 @@ impl<'a> ClusterNet<'a> {
     /// dedication. Overestimates [`Self::exact_degrees`] (Figure 1).
     pub fn naive_link_degrees(&mut self) -> Vec<usize> {
         self.charge_converge(self.id_bits());
-        let mut deg = vec![0usize; self.g.n_vertices()];
-        for &(_, _, cu, cv) in self.g.links() {
-            deg[cu] += 1;
-            deg[cv] += 1;
-        }
-        deg
+        (0..self.g.n_vertices())
+            .map(|v| self.g.incident_links(v))
+            .collect()
     }
 }
 
@@ -781,7 +781,7 @@ mod tests {
     fn multi_link() -> ClusterGraph {
         let comm = CommGraph::from_edges(
             6,
-            &[
+            [
                 (0, 1),
                 (1, 2),
                 (0, 2),

@@ -114,12 +114,8 @@ pub fn execute_link_exchange(g: &ClusterGraph, msg_bits: u64) -> ExecTrace {
     // The communication graph is simple, so every inter-cluster link is a
     // distinct machine pair: each carries exactly one message per
     // direction, 2 · msg_bits — no per-link tally needed.
-    let max_link = if g.links().is_empty() {
-        0
-    } else {
-        2 * msg_bits
-    };
-    let messages = 2 * g.links().len() as u64;
+    let max_link = if g.n_links() == 0 { 0 } else { 2 * msg_bits };
+    let messages = 2 * g.n_links() as u64;
     ExecTrace {
         rounds: 1,
         max_link_bits_per_round: max_link,

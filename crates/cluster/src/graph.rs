@@ -3,10 +3,15 @@
 //! Builds, from a communication network and a machine→cluster assignment:
 //! the clusters, a BFS support tree per cluster (leader = smallest machine
 //! id, matching the paper's "assume each cluster elected a leader"), the
-//! dilation `d`, the deduplicated adjacency of `H`, and the inter-cluster
-//! link table with multiplicities. The link table is what makes the paper's
+//! dilation `d`, the deduplicated adjacency of `H`, and each `H`-edge's
+//! link multiplicity. The multiplicities are what make the paper's
 //! Figure 1 phenomenon observable: two clusters can be joined by many links
 //! yet contribute a single edge of `H`.
+//!
+//! Each adjacency is stored once. The inter-cluster links are read off the
+//! communication CSR, the `H`-edges `(u, v)` with `u < v` are the upper
+//! halves of `H`'s CSR rows, and the support trees share one flat layout
+//! of member offsets, members, parents and heights.
 
 use crate::par::{
     for_each_shard, map_reduce_on, merge_sorted_runs, patch_csr_rows, run_waves, ParallelConfig,
@@ -18,23 +23,30 @@ use std::time::Instant;
 /// Identifier of a node of the cluster graph `H` (a cluster of machines).
 pub type VertexId = usize;
 
-/// A BFS tree spanning one cluster in the communication graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupportTree {
-    /// The cluster's leader (root of the tree).
-    pub leader: MachineId,
-    /// Machines of the cluster, sorted.
-    pub machines: Vec<MachineId>,
-    /// Parent of each machine in the tree (`None` for the leader), indexed
-    /// positionally in parallel with `machines`.
-    pub parent: Vec<Option<MachineId>>,
-    /// Depth of each machine, positionally parallel with `machines`.
-    pub depth: Vec<usize>,
+/// A BFS tree spanning one cluster in the communication graph: a view of
+/// the graph's flat tree layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SupportTree<'a> {
+    /// Machines of the cluster, sorted; the first is the leader (root).
+    pub machines: &'a [MachineId],
+    /// Tree parent of each machine, positionally parallel with
+    /// `machines`; the leader is its own parent.
+    pub parents: &'a [MachineId],
     /// Height of the tree (max depth).
     pub height: usize,
 }
 
-impl SupportTree {
+impl SupportTree<'_> {
+    /// The cluster's leader (root of the tree).
+    pub fn leader(&self) -> MachineId {
+        self.machines[0]
+    }
+
+    /// Parent of `machines[i]` (`None` for the leader).
+    pub fn parent(&self, i: usize) -> Option<MachineId> {
+        (i != 0).then(|| self.parents[i])
+    }
+
     /// Number of machines spanned.
     pub fn size(&self) -> usize {
         self.machines.len()
@@ -54,7 +66,7 @@ pub struct BuildTimings {
     /// Support-tree phase: per-cluster BFS (sharded by cluster id).
     pub tree_secs: f64,
     /// Link phase: inter-cluster link collection plus each shard's local
-    /// pair sort/dedup (sharded by `G`-edge ranges).
+    /// pair sort/dedup (sharded by `G`-row mass).
     pub link_secs: f64,
     /// Sort/assembly phase: fixed-order k-way merge of the shard pair
     /// lists, CSR assembly, and the sharded per-row adjacency sorts.
@@ -124,28 +136,30 @@ impl RepairStats {
 
 /// The cluster graph `H` over a communication network `G`.
 ///
-/// Equality is full structural equality over every derived table — the
+/// Equality is full structural equality over every stored table — the
 /// differential suites use it to pin the sharded build to the serial one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterGraph {
     comm: CommGraph,
     /// machine → cluster id.
     assignment: Vec<VertexId>,
-    support: Vec<SupportTree>,
+    /// Support trees, flat: cluster `c`'s machines are
+    /// `members[member_offsets[c]..member_offsets[c + 1]]`, ascending,
+    /// with their tree parents at the same positions of `parents` and the
+    /// tree's height at `heights[c]`.
+    member_offsets: Vec<usize>,
+    members: Vec<MachineId>,
+    parents: Vec<MachineId>,
+    heights: Vec<usize>,
     /// CSR adjacency of `H` (deduplicated, sorted).
     h_offsets: Vec<usize>,
     h_adj: Vec<VertexId>,
-    /// Inter-cluster links `(machine_u, machine_v, cluster_u, cluster_v)`
-    /// with `cluster_u < cluster_v`.
-    links: Vec<(MachineId, MachineId, VertexId, VertexId)>,
-    /// Deduplicated `H`-edges `(u, v)` with `u < v`, sorted — rows of the
-    /// same lower endpoint are contiguous (CSR-aligned via `edge_offsets`).
-    edges: Vec<(VertexId, VertexId)>,
-    /// Multiplicity column parallel to `edges` (parallel `G`-links per edge).
-    edge_mult: Vec<u32>,
-    /// `edges[edge_offsets[u]..edge_offsets[u + 1]]` are the edges whose
-    /// lower endpoint is `u`, sorted by upper endpoint.
+    /// `H`-edges are numbered row by row over the upper halves of the
+    /// CSR rows: row `u`'s neighbors above `u` are edges
+    /// `edge_offsets[u]..edge_offsets[u + 1]`.
     edge_offsets: Vec<usize>,
+    /// Parallel `G`-links realizing each `H`-edge, by edge number.
+    edge_mult: Vec<u32>,
     dilation: usize,
     max_degree: usize,
 }
@@ -171,7 +185,7 @@ impl ClusterGraph {
     /// process-global [`WorkerPool`], so repeated builds reuse the same
     /// parked workers as the aggregation rounds). The three heavy phases
     /// shard independently: support-tree BFS by cluster id (each worker
-    /// with its own subset scratch), link collection by `G`-edge ranges
+    /// with its own subset scratch), link collection by `G`-row mass
     /// (shard-local sort/dedup, fixed-order k-way merge), and the per-row
     /// adjacency sorts by `H`-row mass. Every derived table is
     /// **byte-identical** to the sequential build at any thread count
@@ -229,14 +243,17 @@ impl ClusterGraph {
         // into it, which is the best a row-granular split can do here.
         let tree_start = Instant::now();
         let tree_plan = ShardPlan::from_prefix(&member_offsets, par.threads());
-        let support = map_reduce_on(
+        let (parents, heights) = map_reduce_on(
             &tree_plan,
             pool,
             |range| build_support_trees(&comm, &member_offsets, &member_ids, range),
-            |acc: &mut Result<Vec<SupportTree>, NetError>, part| {
-                if let Ok(trees) = acc {
+            |acc: &mut Result<(Vec<MachineId>, Vec<usize>), NetError>, part| {
+                if let Ok((parents, heights)) = acc {
                     match part {
-                        Ok(more) => trees.extend(more),
+                        Ok((more_parents, more_heights)) => {
+                            parents.extend(more_parents);
+                            heights.extend(more_heights);
+                        }
                         Err(e) => *acc = Err(e),
                     }
                 }
@@ -244,31 +261,24 @@ impl ClusterGraph {
         )?;
         let tree_secs = tree_start.elapsed().as_secs_f64();
 
-        // ---- Phase 2: inter-cluster links, sharded by G-edge ranges ----
-        // Each shard walks its contiguous edge range in order (so the
-        // concatenated link table equals the sequential sweep's) and
-        // sorts/dedups its own pairs locally. The split is over `G`-edge
-        // *entries*, not clusters, so a hub cluster's links already spread
-        // across shards — this phase is hub-proof by construction and
-        // needs no segmented plan.
+        // ---- Phase 2: inter-cluster links, sharded by G-row mass ----
+        // Each shard walks the upper halves of its contiguous machine
+        // rows and sorts/dedups its own cluster pairs locally.
         let link_start = Instant::now();
-        let link_plan = ShardPlan::even(comm.edges().len(), par.threads());
-        let parts: Vec<LinkShard> = map_reduce_on(
+        let (comm_offsets, _) = comm.adjacency_csr();
+        let link_plan = ShardPlan::from_prefix(comm_offsets, par.threads());
+        let pair_lists: Vec<Vec<((VertexId, VertexId), u32)>> = map_reduce_on(
             &link_plan,
             pool,
             |range| {
-                let mut links = Vec::new();
                 let mut raw: Vec<(VertexId, VertexId)> = Vec::new();
-                for &(a, b) in &comm.edges()[range] {
-                    let (ca, cb) = (assignment[a], assignment[b]);
-                    if ca != cb {
-                        let (lo, hi, mlo, mhi) = if ca < cb {
-                            (ca, cb, a, b)
-                        } else {
-                            (cb, ca, b, a)
-                        };
-                        links.push((mlo, mhi, lo, hi));
-                        raw.push((lo, hi));
+                for a in range {
+                    let ca = assignment[a];
+                    for &b in comm.upper_neighbors(a) {
+                        let cb = assignment[b];
+                        if ca != cb {
+                            raw.push((ca.min(cb), ca.max(cb)));
+                        }
                     }
                 }
                 raw.sort_unstable();
@@ -279,34 +289,20 @@ impl ClusterGraph {
                         _ => pairs.push((p, 1)),
                     }
                 }
-                vec![LinkShard { links, pairs }]
+                vec![pairs]
             },
-            |acc: &mut Vec<LinkShard>, part| acc.extend(part),
+            |acc: &mut Vec<_>, part| acc.extend(part),
         );
         let link_secs = link_start.elapsed().as_secs_f64();
 
         // ---- Phase 3: deterministic merge + CSR assembly ----
         let sort_start = Instant::now();
-        let mut links = Vec::with_capacity(parts.iter().map(|p| p.links.len()).sum());
-        let mut pair_lists = Vec::with_capacity(parts.len());
-        for part in parts {
-            links.extend(part.links);
-            pair_lists.push(part.pairs);
-        }
         // Fixed-order k-way merge of the sorted, deduped shard pair lists:
         // the sorted multiset union is unique, so `edges`/`edge_mult` equal
-        // the sequential sort+dedup byte for byte.
+        // the sequential sort+dedup byte for byte. `edges` is sorted, so
+        // its order is the row-by-row numbering of the upper halves.
         let (edges, edge_mult) = cgc_net::kway_merge_counted(pair_lists);
-
-        // CSR row bounds over the lower endpoint (edges are sorted, so rows
-        // are contiguous and sorted by upper endpoint).
-        let mut edge_offsets = vec![0usize; k + 1];
-        for &(u, _) in &edges {
-            edge_offsets[u + 1] += 1;
-        }
-        for i in 0..k {
-            edge_offsets[i + 1] += edge_offsets[i];
-        }
+        let edge_offsets = row_offsets(k, edges.iter().map(|&(u, _)| u));
 
         let mut deg = vec![0usize; k];
         for &(u, v) in &edges {
@@ -326,7 +322,7 @@ impl ClusterGraph {
             h_adj[cursor[v]] = u;
             cursor[v] += 1;
         }
-        // CSR rows are sorted because the edge table is sorted for the `u`
+        // CSR rows are sorted because the edge list is sorted for the `u`
         // side; the `v` side needs a sort. A fully sorted row is unique,
         // making the result independent of the split. With a hub row
         // heavier than the segmentation threshold, the row's *fragments*
@@ -405,7 +401,7 @@ impl ClusterGraph {
         }
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
-        let dilation = support.iter().map(|t| t.height).max().unwrap_or(0).max(1);
+        let dilation = heights.iter().copied().max().unwrap_or(0).max(1);
         let max_degree = deg.iter().copied().max().unwrap_or(0);
         let timings = BuildTimings {
             tree_secs,
@@ -418,13 +414,14 @@ impl ClusterGraph {
             ClusterGraph {
                 comm,
                 assignment,
-                support,
+                member_offsets,
+                members: member_ids,
+                parents,
+                heights,
                 h_offsets,
                 h_adj,
-                links,
-                edges,
-                edge_mult,
                 edge_offsets,
+                edge_mult,
                 dilation,
                 max_degree,
             },
@@ -442,14 +439,14 @@ impl ClusterGraph {
         self.apply_delta_with(batch, &ParallelConfig::serial())
     }
 
-    /// Propagates a `G`-edge delta batch through every derived table
+    /// Propagates a `G`-edge delta batch through every stored table
     /// incrementally: the communication CSR patches via
     /// [`CommGraph::apply_delta_with`], support trees rebuild **only** for
     /// dirty clusters (those whose intra-cluster edges changed — an
     /// inter-cluster change cannot alter a subset BFS because a sorted CSR
-    /// row's intra-cluster subsequence is unchanged), the link table and
-    /// the `H`-edge/multiplicity columns merge linearly with the effective
-    /// change, and the `H` adjacency re-merges only touched rows. The
+    /// row's intra-cluster subsequence is unchanged), the multiplicity
+    /// column merges linearly with the effective change, and the `H`
+    /// adjacency re-merges only touched rows. The
     /// result is byte-identical ([`PartialEq`]) to
     /// [`Self::build_with`] on the mutated edge set at any thread count.
     ///
@@ -539,7 +536,7 @@ impl ClusterGraph {
         // cluster id) is reported — exactly the full build's error, since
         // an unchanged cluster cannot newly fail; the scheduled path
         // reports the minimum over all failures, which is the same id.
-        let (rebuilt, repair) = match waves.filter(|ws| ws.n_items() == self.support.len()) {
+        let (rebuilt, repair) = match waves.filter(|ws| ws.n_items() == self.n_vertices()) {
             Some(ws) if !dirty.is_empty() => {
                 self.repair_dirty_scheduled(&new_comm, &dirty, ws, par)?
             }
@@ -548,37 +545,7 @@ impl ClusterGraph {
                 RepairStats::default(),
             ),
         };
-        // Stage 3: link-table patch. Old links are in `comm.edges()` order,
-        // i.e. sorted by their canonical machine pair, so they merge
-        // linearly with the effective inter-cluster change.
-        let link_for = |(a, b): (MachineId, MachineId)| {
-            let (ca, cb) = (assignment[a], assignment[b]);
-            if ca < cb {
-                (a, b, ca, cb)
-            } else {
-                (b, a, cb, ca)
-            }
-        };
-        let mut links = Vec::with_capacity(self.links.len() + inter_ins.len() - inter_del.len());
-        {
-            let (mut ii, mut di) = (0usize, 0usize);
-            for &l in &self.links {
-                let key = (l.0.min(l.1), l.0.max(l.1));
-                while ii < inter_ins.len() && inter_ins[ii] < key {
-                    links.push(link_for(inter_ins[ii]));
-                    ii += 1;
-                }
-                if di < inter_del.len() && inter_del[di] == key {
-                    di += 1;
-                    continue;
-                }
-                links.push(l);
-            }
-            for &e in &inter_ins[ii..] {
-                links.push(link_for(e));
-            }
-        }
-        // Stage 4: per-H-edge multiplicity deltas (net-zero entries drop).
+        // Stage 3: per-H-edge multiplicity deltas (net-zero entries drop).
         let mut pair_delta: Vec<((VertexId, VertexId), i64)> =
             Vec::with_capacity(inter_ins.len() + inter_del.len());
         for &(a, b) in &inter_ins {
@@ -598,26 +565,27 @@ impl ClusterGraph {
             }
         }
         agg.retain(|&(_, d)| d != 0);
-        // Stage 5: patch the sorted edge/multiplicity columns, recording
-        // which H-edges appeared (multiplicity 0 → >0) and vanished
-        // (→ 0).
+        // Stage 4: merge the sorted H-edges and their multiplicities with
+        // the deltas, recording which H-edges appeared (multiplicity
+        // 0 → >0) and vanished (→ 0), and the new lower endpoint of each
+        // surviving edge for the row numbering.
         let mut h_inserted: Vec<(VertexId, VertexId)> = Vec::new();
         let mut h_removed: Vec<(VertexId, VertexId)> = Vec::new();
         let mut h_mult_changed = 0usize;
-        let mut edges = Vec::with_capacity(self.edges.len() + agg.len());
-        let mut edge_mult = Vec::with_capacity(self.edges.len() + agg.len());
+        let mut edge_mult = Vec::with_capacity(self.edge_mult.len() + agg.len());
+        let mut lower = Vec::with_capacity(self.edge_mult.len() + agg.len());
         {
             let mut pi = 0usize;
-            for (i, &e) in self.edges.iter().enumerate() {
+            for (e, &m) in self.h_edges().zip(&self.edge_mult) {
                 while pi < agg.len() && agg[pi].0 < e {
                     let (p, d) = agg[pi];
                     debug_assert!(d > 0, "negative multiplicity delta on absent H-edge");
-                    edges.push(p);
+                    lower.push(p.0);
                     edge_mult.push(d as u32);
                     h_inserted.push(p);
                     pi += 1;
                 }
-                let m = self.edge_mult[i] as i64;
+                let m = i64::from(m);
                 if pi < agg.len() && agg[pi].0 == e {
                     let m2 = m + agg[pi].1;
                     pi += 1;
@@ -627,29 +595,23 @@ impl ClusterGraph {
                         continue;
                     }
                     h_mult_changed += 1;
-                    edges.push(e);
+                    lower.push(e.0);
                     edge_mult.push(m2 as u32);
                 } else {
-                    edges.push(e);
+                    lower.push(e.0);
                     edge_mult.push(m as u32);
                 }
             }
             for &(p, d) in &agg[pi..] {
                 debug_assert!(d > 0, "negative multiplicity delta on absent H-edge");
-                edges.push(p);
+                lower.push(p.0);
                 edge_mult.push(d as u32);
                 h_inserted.push(p);
             }
         }
-        // Stage 6: CSR patches and recomputed scalars, then commit.
-        let k = self.support.len();
-        let mut edge_offsets = vec![0usize; k + 1];
-        for &(u, _) in &edges {
-            edge_offsets[u + 1] += 1;
-        }
-        for i in 0..k {
-            edge_offsets[i + 1] += edge_offsets[i];
-        }
+        // Stage 5: CSR patches and recomputed scalars, then commit.
+        let k = self.n_vertices();
+        let edge_offsets = row_offsets(k, lower.into_iter());
         let mut ins_pairs = Vec::with_capacity(2 * h_inserted.len());
         for &(u, v) in &h_inserted {
             ins_pairs.push((u, v));
@@ -665,26 +627,17 @@ impl ClusterGraph {
         let (h_offsets, h_adj) =
             patch_csr_rows(&self.h_offsets, &self.h_adj, &ins_pairs, &del_pairs, par);
         self.comm = new_comm;
-        for (c, t) in rebuilt {
-            self.support[c] = t;
+        for (c, tree) in rebuilt {
+            let range = self.member_offsets[c]..self.member_offsets[c + 1];
+            self.parents[range].copy_from_slice(&tree.parents);
+            self.heights[c] = tree.height;
         }
-        self.links = links;
-        self.edges = edges;
         self.edge_mult = edge_mult;
         self.edge_offsets = edge_offsets;
         self.h_offsets = h_offsets;
         self.h_adj = h_adj;
-        self.dilation = self
-            .support
-            .iter()
-            .map(|t| t.height)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        self.max_degree = (0..k)
-            .map(|v| self.h_offsets[v + 1] - self.h_offsets[v])
-            .max()
-            .unwrap_or(0);
+        self.dilation = self.heights.iter().copied().max().unwrap_or(0).max(1);
+        self.max_degree = (0..k).map(|v| self.degree(v)).max().unwrap_or(0);
         Ok((
             DeltaReport {
                 effect,
@@ -704,12 +657,17 @@ impl ClusterGraph {
         &self,
         new_comm: &CommGraph,
         dirty: &[VertexId],
-    ) -> Result<Vec<(VertexId, SupportTree)>, NetError> {
-        let mut rebuilt: Vec<(VertexId, SupportTree)> = Vec::with_capacity(dirty.len());
+    ) -> Result<Vec<(VertexId, BuiltTree)>, NetError> {
+        let mut rebuilt: Vec<(VertexId, BuiltTree)> = Vec::with_capacity(dirty.len());
         let mut in_subset = vec![false; new_comm.n_machines()];
         let mut scratch = BfsScratch::new();
         for &c in dirty {
-            match self.repair_one(new_comm, c, &mut in_subset, &mut scratch) {
+            match build_tree(
+                new_comm,
+                self.support(c).machines,
+                &mut in_subset,
+                &mut scratch,
+            ) {
                 Some(t) => rebuilt.push((c, t)),
                 None => return Err(NetError::DisconnectedCluster { cluster: c }),
             }
@@ -730,7 +688,7 @@ impl ClusterGraph {
         dirty: &[VertexId],
         ws: &WaveSchedule,
         par: &ParallelConfig,
-    ) -> Result<(Vec<(VertexId, SupportTree)>, RepairStats), NetError> {
+    ) -> Result<(Vec<(VertexId, BuiltTree)>, RepairStats), NetError> {
         // Dirty-only wave CSR via a stable counting sort: `dirty` is
         // ascending, so ids stay ascending within each wave.
         let n_waves = ws.n_waves();
@@ -748,7 +706,7 @@ impl ClusterGraph {
             items[next[w]] = c;
             next[w] += 1;
         }
-        let mut slots: Vec<Option<SupportTree>> = vec![None; dirty.len()];
+        let mut slots: Vec<Option<BuiltTree>> = vec![None; dirty.len()];
         let pool = WorkerPool::global(par.threads());
         let stats = {
             let base = SendPtr::new(slots.as_mut_ptr());
@@ -761,7 +719,8 @@ impl ClusterGraph {
                     let mut in_subset = vec![false; new_comm.n_machines()];
                     let mut scratch = BfsScratch::new();
                     for (i, &c) in slice.iter().enumerate() {
-                        let tree = self.repair_one(new_comm, c, &mut in_subset, &mut scratch);
+                        let machines = self.support(c).machines;
+                        let tree = build_tree(new_comm, machines, &mut in_subset, &mut scratch);
                         // SAFETY: slot `base_idx + i` is owned by exactly
                         // this item of this shard's slice.
                         unsafe { *base.get().add(base_idx + i) = tree };
@@ -769,7 +728,7 @@ impl ClusterGraph {
                 },
             )
         };
-        let mut rebuilt: Vec<(VertexId, SupportTree)> = Vec::with_capacity(dirty.len());
+        let mut rebuilt: Vec<(VertexId, BuiltTree)> = Vec::with_capacity(dirty.len());
         let mut failed: Option<VertexId> = None;
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
@@ -790,52 +749,6 @@ impl ClusterGraph {
         ))
     }
 
-    /// Rebuilds one cluster's support tree against `new_comm`, or `None`
-    /// when the cluster's induced subgraph is disconnected. `in_subset`
-    /// and `scratch` are caller-owned reusable buffers, left clean on
-    /// return.
-    fn repair_one(
-        &self,
-        new_comm: &CommGraph,
-        c: VertexId,
-        in_subset: &mut [bool],
-        scratch: &mut BfsScratch,
-    ) -> Option<SupportTree> {
-        let ms = &self.support[c].machines;
-        for &m in ms {
-            in_subset[m] = true;
-        }
-        let leader = ms[0];
-        new_comm.bfs_tree_within_scratch(leader, in_subset, scratch);
-        let mut parent = Vec::with_capacity(ms.len());
-        let mut depth = Vec::with_capacity(ms.len());
-        let mut height = 0usize;
-        let mut ok = true;
-        for &m in ms {
-            if scratch.depth(m) == usize::MAX {
-                ok = false;
-                break;
-            }
-            parent.push(scratch.parent(m));
-            depth.push(scratch.depth(m));
-            height = height.max(scratch.depth(m));
-        }
-        scratch.reset(ms);
-        for &m in ms {
-            in_subset[m] = false;
-        }
-        if !ok {
-            return None;
-        }
-        Some(SupportTree {
-            leader,
-            machines: ms.clone(),
-            parent,
-            depth,
-            height,
-        })
-    }
-
     /// The CONGEST special case: every machine is its own cluster
     /// (`H = G`, dilation 1).
     ///
@@ -853,38 +766,31 @@ impl ClusterGraph {
         &self.comm
     }
 
-    /// Approximate heap footprint in bytes of the built instance — the
-    /// communication network, assignment, support trees, `H` adjacency and
-    /// the link/edge tables (element counts × element sizes; capacity
-    /// slack and allocator overhead are ignored, so the figure is
-    /// deterministic for a given instance). This is the weight a graph
-    /// cache's byte budget charges per entry.
+    /// Heap footprint in bytes of the built instance: every allocation
+    /// the graph owns — the communication network, the assignment, the
+    /// flat support trees, the `H` adjacency and the per-edge tables —
+    /// counted as element counts × element sizes. That is exactly what a
+    /// [`Clone`] allocates (capacity slack and allocator overhead are
+    /// ignored, so the figure is deterministic for a given instance). This
+    /// is the weight a graph cache's byte budget charges per entry.
     pub fn approx_heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        let trees: usize = self
-            .support
-            .iter()
-            .map(|t| {
-                size_of_val(&t.machines[..])
-                    + size_of_val(&t.parent[..])
-                    + size_of_val(&t.depth[..])
-            })
-            .sum();
         self.comm.approx_heap_bytes()
             + size_of_val(&self.assignment[..])
-            + trees
+            + size_of_val(&self.member_offsets[..])
+            + size_of_val(&self.members[..])
+            + size_of_val(&self.parents[..])
+            + size_of_val(&self.heights[..])
             + size_of_val(&self.h_offsets[..])
             + size_of_val(&self.h_adj[..])
-            + size_of_val(&self.links[..])
-            + size_of_val(&self.edges[..])
-            + size_of_val(&self.edge_mult[..])
             + size_of_val(&self.edge_offsets[..])
+            + size_of_val(&self.edge_mult[..])
     }
 
     /// Number of nodes of `H`.
     #[inline]
     pub fn n_vertices(&self) -> usize {
-        self.support.len()
+        self.heights.len()
     }
 
     /// Number of machines of `G`.
@@ -908,8 +814,13 @@ impl ClusterGraph {
 
     /// The support tree of vertex `v`.
     #[inline]
-    pub fn support(&self, v: VertexId) -> &SupportTree {
-        &self.support[v]
+    pub fn support(&self, v: VertexId) -> SupportTree<'_> {
+        let range = self.member_offsets[v]..self.member_offsets[v + 1];
+        SupportTree {
+            machines: &self.members[range.clone()],
+            parents: &self.parents[range],
+            height: self.heights[v],
+        }
     }
 
     /// Maximum support-tree height over all clusters (the paper's `d`,
@@ -923,6 +834,14 @@ impl ClusterGraph {
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         &self.h_adj[self.h_offsets[v]..self.h_offsets[v + 1]]
+    }
+
+    /// The neighbors of `v` above `v`, sorted: the tail of its CSR row,
+    /// holding `H`-edges `edge_offsets[v]..edge_offsets[v + 1]`.
+    #[inline]
+    pub fn upper_neighbors(&self, v: VertexId) -> &[VertexId] {
+        let end = self.h_offsets[v + 1];
+        &self.h_adj[end - (self.edge_offsets[v + 1] - self.edge_offsets[v])..end]
     }
 
     /// Degree of `v` in `H` (distinct neighboring clusters).
@@ -945,8 +864,8 @@ impl ClusterGraph {
     /// Number of parallel `G`-links realizing the `H`-edge `{u, v}`
     /// (0 when not adjacent). Figure 1's multi-link phenomenon.
     ///
-    /// Resolved by a binary search over the CSR row of the lower endpoint
-    /// in the flat edge table — `O(log deg)` with no pointer chasing.
+    /// Resolved by a binary search over the upper half of the lower
+    /// endpoint's CSR row — `O(log deg)` with no pointer chasing.
     pub fn link_multiplicity(&self, u: VertexId, v: VertexId) -> usize {
         // Out-of-range ids are simply non-edges (the seed's map lookup
         // semantics), never an index panic; u < v implies only the larger
@@ -954,44 +873,71 @@ impl ClusterGraph {
         if u == v || u.max(v) >= self.n_vertices() {
             return 0;
         }
-        let key = (u.min(v), u.max(v));
-        let row = &self.edges[self.edge_offsets[key.0]..self.edge_offsets[key.0 + 1]];
-        match row.binary_search(&key) {
-            Ok(i) => self.edge_mult[self.edge_offsets[key.0] + i] as usize,
+        let (lo, hi) = (u.min(v), u.max(v));
+        match self.upper_neighbors(lo).binary_search(&hi) {
+            Ok(i) => self.edge_mult[self.edge_offsets[lo] + i] as usize,
             Err(_) => 0,
         }
     }
 
     /// Number of inter-cluster links incident to cluster `v` — the naive
     /// "degree" a cluster would compute by counting links (§1.1), which can
-    /// grossly overestimate [`Self::degree`].
+    /// grossly overestimate [`Self::degree`]. Read off the communication
+    /// rows of `v`'s machines.
     pub fn incident_links(&self, v: VertexId) -> usize {
-        self.links
+        self.support(v)
+            .machines
             .iter()
-            .filter(|&&(_, _, cu, cv)| cu == v || cv == v)
-            .count()
+            .map(|&m| {
+                let row = self.comm.neighbors(m);
+                row.iter().filter(|&&w| self.assignment[w] != v).count()
+            })
+            .sum()
     }
 
-    /// All inter-cluster links `(machine_u, machine_v, cluster_u, cluster_v)`.
-    #[inline]
-    pub fn links(&self) -> &[(MachineId, MachineId, VertexId, VertexId)] {
-        &self.links
+    /// All inter-cluster links `(machine_u, machine_v, cluster_u,
+    /// cluster_v)` with `cluster_u < cluster_v`, in the order of the
+    /// canonical machine pairs — read off the communication CSR.
+    pub fn links(&self) -> impl Iterator<Item = (MachineId, MachineId, VertexId, VertexId)> + '_ {
+        self.comm.edges().filter_map(|(a, b)| {
+            let (ca, cb) = (self.assignment[a], self.assignment[b]);
+            match ca.cmp(&cb) {
+                std::cmp::Ordering::Less => Some((a, b, ca, cb)),
+                std::cmp::Ordering::Greater => Some((b, a, cb, ca)),
+                std::cmp::Ordering::Equal => None,
+            }
+        })
+    }
+
+    /// Number of inter-cluster links: the sum of the `H`-edge
+    /// multiplicities.
+    pub fn n_links(&self) -> usize {
+        self.edge_mult.iter().map(|&m| m as usize).sum()
     }
 
     /// Iterates over the deduplicated edges of `H` with `u < v`, in
-    /// lexicographic order — a plain slice walk over the flat edge table.
+    /// lexicographic order (edge number order) — the upper halves of the
+    /// CSR rows.
     pub fn h_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.edges.iter().copied()
+        self.h_edges_in(0..self.n_h_edges())
     }
 
-    /// The flat edge table itself: deduplicated `(u, v)` pairs with
-    /// `u < v`, sorted lexicographically.
-    #[inline]
-    pub fn h_edge_slice(&self) -> &[(VertexId, VertexId)] {
-        &self.edges
+    /// The `H`-edges numbered `range`, in order (see [`Self::h_edges`]):
+    /// the walk starts at the row holding edge `range.start`, so a shard
+    /// of edge numbers costs its own length.
+    pub fn h_edges_in(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        let first = self.edge_offsets.partition_point(|&o| o <= range.start) - 1;
+        let skip = range.start - self.edge_offsets[first];
+        (first..self.n_vertices())
+            .flat_map(move |u| self.upper_neighbors(u).iter().map(move |&v| (u, v)))
+            .skip(skip)
+            .take(range.len())
     }
 
-    /// Multiplicity column parallel to [`Self::h_edge_slice`].
+    /// Multiplicity per `H`-edge, in [`Self::h_edges`] order.
     #[inline]
     pub fn h_edge_multiplicities(&self) -> &[u32] {
         &self.edge_mult
@@ -1007,7 +953,7 @@ impl ClusterGraph {
 
     /// Number of edges of `H`.
     pub fn n_h_edges(&self) -> usize {
-        self.edges.len()
+        self.edge_mult.len()
     }
 
     /// Plans executor shards over the vertices of `H` under `cfg` —
@@ -1028,70 +974,87 @@ impl ClusterGraph {
     }
 }
 
-/// One link-collection shard's output: links in edge order, pairs sorted
-/// and deduplicated with local multiplicities.
-struct LinkShard {
-    links: Vec<(MachineId, MachineId, VertexId, VertexId)>,
-    pairs: Vec<((VertexId, VertexId), u32)>,
+/// Row offsets for `k` rows from the row of each entry, in row order.
+fn row_offsets(k: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut offsets = vec![0usize; k + 1];
+    for r in rows {
+        offsets[r + 1] += 1;
+    }
+    for i in 0..k {
+        offsets[i + 1] += offsets[i];
+    }
+    offsets
+}
+
+/// One cluster's tree parents, positionally parallel with its members,
+/// and its height.
+#[derive(Debug, Clone)]
+struct BuiltTree {
+    parents: Vec<MachineId>,
+    height: usize,
+}
+
+/// BFS from the smallest of `machines` (sorted ascending) inside them:
+/// the tree, or `None` when they do not induce a connected subgraph.
+/// `in_subset` and `scratch` are caller-owned reusable buffers, touched
+/// only at `machines` and left clean on return, so a cluster costs
+/// `O(size + internal edges)` instead of `O(n_machines)`.
+fn build_tree(
+    comm: &CommGraph,
+    machines: &[MachineId],
+    in_subset: &mut [bool],
+    scratch: &mut BfsScratch,
+) -> Option<BuiltTree> {
+    for &m in machines {
+        in_subset[m] = true;
+    }
+    let leader = machines[0];
+    comm.bfs_tree_within_scratch(leader, in_subset, scratch);
+    let mut parents = Vec::with_capacity(machines.len());
+    let mut height = 0usize;
+    let mut ok = true;
+    for &m in machines {
+        if scratch.depth(m) == usize::MAX {
+            ok = false;
+            break;
+        }
+        parents.push(scratch.parent(m).unwrap_or(leader));
+        height = height.max(scratch.depth(m));
+    }
+    // Reset only this cluster's entries (the BFS touched no others).
+    scratch.reset(machines);
+    for &m in machines {
+        in_subset[m] = false;
+    }
+    ok.then_some(BuiltTree { parents, height })
 }
 
 /// Builds the support trees of clusters `range` — one shard of the tree
-/// phase. The worker owns its subset mask and [`BfsScratch`], touching
-/// only member entries per cluster so a cluster costs
-/// `O(size + internal edges)` instead of the `O(n_machines)` the old
-/// per-cluster map allocations paid. Stops at the first failing cluster,
-/// which — with shards merged in ascending cluster order — reproduces the
-/// sequential error exactly.
+/// phase: their parents (concatenated in member order) and heights. The
+/// worker owns its subset mask and [`BfsScratch`]. Stops at the first
+/// failing cluster, which — with shards merged in ascending cluster
+/// order — reproduces the sequential error exactly.
 fn build_support_trees(
     comm: &CommGraph,
     member_offsets: &[usize],
     member_ids: &[MachineId],
     range: std::ops::Range<usize>,
-) -> Result<Vec<SupportTree>, NetError> {
+) -> Result<(Vec<MachineId>, Vec<usize>), NetError> {
     let mut in_subset = vec![false; comm.n_machines()];
     let mut scratch = BfsScratch::new();
-    let mut out = Vec::with_capacity(range.len());
+    let mut parents = Vec::with_capacity(member_offsets[range.end] - member_offsets[range.start]);
+    let mut heights = Vec::with_capacity(range.len());
     for c in range {
         let ms = &member_ids[member_offsets[c]..member_offsets[c + 1]];
+        let disconnected = NetError::DisconnectedCluster { cluster: c };
         if ms.is_empty() {
-            return Err(NetError::DisconnectedCluster { cluster: c });
+            return Err(disconnected);
         }
-        for &m in ms {
-            in_subset[m] = true;
-        }
-        // BFS from the smallest member (members are sorted ascending).
-        let leader = ms[0];
-        comm.bfs_tree_within_scratch(leader, &in_subset, &mut scratch);
-        let mut parent = Vec::with_capacity(ms.len());
-        let mut depth = Vec::with_capacity(ms.len());
-        let mut height = 0usize;
-        let mut ok = true;
-        for &m in ms {
-            if scratch.depth(m) == usize::MAX {
-                ok = false;
-                break;
-            }
-            parent.push(scratch.parent(m));
-            depth.push(scratch.depth(m));
-            height = height.max(scratch.depth(m));
-        }
-        // Reset only this cluster's entries (the BFS touched no others).
-        scratch.reset(ms);
-        for &m in ms {
-            in_subset[m] = false;
-        }
-        if !ok {
-            return Err(NetError::DisconnectedCluster { cluster: c });
-        }
-        out.push(SupportTree {
-            leader,
-            machines: ms.to_vec(),
-            parent,
-            depth,
-            height,
-        });
+        let tree = build_tree(comm, ms, &mut in_subset, &mut scratch).ok_or(disconnected)?;
+        parents.extend(tree.parents);
+        heights.push(tree.height);
     }
-    Ok(out)
+    Ok((parents, heights))
 }
 
 #[cfg(test)]
@@ -1104,7 +1067,7 @@ mod tests {
         // Links (0,3), (1,4), (2,5) all join the same pair of clusters.
         let comm = CommGraph::from_edges(
             6,
-            &[
+            [
                 (0, 1),
                 (1, 2),
                 (0, 2),
@@ -1174,7 +1137,11 @@ mod tests {
         let comm = CommGraph::path(5);
         let h = ClusterGraph::build(comm, vec![0; 5]).unwrap();
         let t = h.support(0);
-        assert_eq!(t.leader, 0);
+        assert_eq!(t.leader(), 0);
+        assert_eq!(
+            (t.parent(0), t.parent(1), t.parent(4)),
+            (None, Some(0), Some(3))
+        );
         assert_eq!(t.size(), 5);
         assert_eq!(t.height, 4);
         assert_eq!(h.dilation(), 4);
@@ -1257,7 +1224,7 @@ mod tests {
     fn scheduled_repair_reports_smallest_disconnection() {
         // Two path clusters, one link; deleting the first edge of each
         // path disconnects both clusters at once.
-        let comm = CommGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]).unwrap();
+        let comm = CommGraph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]).unwrap();
         let g0 = ClusterGraph::build(comm, vec![0, 0, 0, 1, 1, 1]).unwrap();
         let ws = WaveSchedule::from_class_ids(&[0, 1], 2, &ParallelConfig::serial());
         let batch = DeltaBatch::new(6, &[], &[(0, 1), (3, 4)]).unwrap();

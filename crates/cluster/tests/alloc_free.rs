@@ -9,9 +9,11 @@
 //! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
 //! call by design, must spawn no threads either.
 //!
-//! A counting global allocator tallies every allocation; each case warms
-//! the buffers once, snapshots the counter, runs many rounds, and asserts
-//! the counter did not move. Note the allocation counter alone already
+//! A counting global allocator tallies every allocation and its bytes;
+//! each case warms the buffers once, snapshots the counter, runs many
+//! rounds, and asserts the counter did not move. One more case pins the
+//! graph's byte accounting: cloning a `ClusterGraph` allocates exactly
+//! `approx_heap_bytes()` bytes. Note the allocation counter alone already
 //! rules out per-round spawning (`std::thread::spawn` allocates); the
 //! pool's spawn counter pins it explicitly.
 //!
@@ -34,10 +36,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -47,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,6 +61,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// A graph with both multi-link edges and non-trivial support trees.
@@ -438,10 +447,37 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
     assert_eq!(round(&mut seq), warm);
 }
 
+/// A clone allocates exactly `approx_heap_bytes()` bytes — the byte
+/// budget of the serve cache charges what an entry holds — on the four
+/// hot specs of the serve-mixed benchmark workload and the solve-sparse
+/// one. The gnp hot spec's clone stays within 400,000 bytes in at most
+/// 16 allocations.
+fn graph_clones_allocate_exactly_their_heap_bytes() {
+    const SPECS: [&str; 5] = [
+        "gnp:n=800,p=0.02,seed=1,layout=star3",
+        "powerlaw:n=800,beta=2.5,avg=16,seed=2,layout=star3",
+        "cabal:c=6,k=50,anti=3,ext=4,seed=3,layout=star3",
+        "mixture:c=6,k=50,anti=0.04,ext=3,bg=500,bgp=0.03,seed=4,layout=star3",
+        "gnp:n=2000,p=0.008,seed=3,layout=star3",
+    ];
+    for spec in SPECS {
+        let g = spec.parse::<cgc_graphs::WorkloadSpec>().unwrap().build();
+        let (allocs, bytes) = (allocations(), allocated_bytes());
+        let copy = g.clone();
+        let (allocs, bytes) = (allocations() - allocs, allocated_bytes() - bytes);
+        assert_eq!(bytes, g.approx_heap_bytes() as u64, "{spec}: clone bytes");
+        assert!(allocs <= 16, "{spec}: {allocs} allocations per clone");
+        if spec.starts_with("gnp:n=800") {
+            assert!(bytes <= 400_000, "{spec}: {bytes} bytes per clone");
+        }
+        assert!(copy == g);
+    }
+}
+
 /// Runs every case in order on the main thread and reports in the test
 /// harness's format.
 fn main() {
-    let cases: [(&str, fn()); 8] = [
+    let cases: [(&str, fn()); 9] = [
         (
             "neighbor_fold_into_is_allocation_free_when_warm",
             neighbor_fold_into_is_allocation_free_when_warm,
@@ -473,6 +509,10 @@ fn main() {
         (
             "warm_fingerprint_rounds_spawn_no_threads",
             warm_fingerprint_rounds_spawn_no_threads,
+        ),
+        (
+            "graph_clones_allocate_exactly_their_heap_bytes",
+            graph_clones_allocate_exactly_their_heap_bytes,
         ),
     ];
     println!("\nrunning {} tests", cases.len());

@@ -53,7 +53,7 @@ fn reference_multiplicity(
     assignment: &[VertexId],
 ) -> BTreeMap<(VertexId, VertexId), usize> {
     let mut multiplicity = BTreeMap::new();
-    for &(a, b) in comm.edges() {
+    for (a, b) in comm.edges() {
         let (ca, cb) = (assignment[a], assignment[b]);
         if ca != cb {
             *multiplicity.entry((ca.min(cb), ca.max(cb))).or_insert(0) += 1;

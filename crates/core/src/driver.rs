@@ -459,13 +459,15 @@ mod tests {
     #[test]
     fn trivial_graphs() {
         // Single vertex, no edges.
-        let g = ClusterGraph::singletons(CommGraph::from_edges(1, &[]).unwrap());
+        let g =
+            ClusterGraph::singletons(CommGraph::from_edges(1, [] as [(usize, usize); 0]).unwrap());
         assert_good(&g, 15);
         // Edgeless graph.
-        let g = ClusterGraph::singletons(CommGraph::from_edges(5, &[]).unwrap());
+        let g =
+            ClusterGraph::singletons(CommGraph::from_edges(5, [] as [(usize, usize); 0]).unwrap());
         assert_good(&g, 16);
         // Single edge.
-        let g = ClusterGraph::singletons(CommGraph::from_edges(2, &[(0, 1)]).unwrap());
+        let g = ClusterGraph::singletons(CommGraph::from_edges(2, [(0, 1)]).unwrap());
         assert_good(&g, 17);
     }
 

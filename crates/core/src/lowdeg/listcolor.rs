@@ -146,7 +146,7 @@ mod tests {
     fn disjoint_components_finish_in_parallel() {
         // Two disjoint triangles: same rounds as one.
         let g = ClusterGraph::singletons(
-            CommGraph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap(),
+            CommGraph::from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap(),
         );
         let mut coloring = Coloring::new(6, 3);
         let mut net = ClusterNet::with_log_budget(&g, 32);

@@ -159,7 +159,7 @@ mod tests {
         // A 4-cycle: the anti-edge (0,2) has candidates {1,3}; the
         // anti-edge (1,3) has {0,2} — but endpoints can't relay for
         // themselves AND each candidate of (0,2) is an endpoint of (1,3).
-        let comm = cgc_net::CommGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let comm = cgc_net::CommGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let g = cgc_cluster::ClusterGraph::singletons(comm);
         let mut net = ClusterNet::with_log_budget(&g, 32);
         let anti = vec![(0, 2), (1, 3)];

@@ -284,7 +284,7 @@ mod tests {
 
     fn two_triangles() -> ClusterGraph {
         let comm =
-            CommGraph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+            CommGraph::from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
                 .unwrap();
         ClusterGraph::singletons(comm)
     }

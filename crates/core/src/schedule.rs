@@ -83,17 +83,17 @@ impl ColorSchedule {
         if graph.n_vertices() != self.waves.n_items() {
             return false;
         }
-        let edges = graph.h_edge_slice();
-        let par = ParallelConfig::with_threads(available_for(edges.len()));
-        let plan = ShardPlan::even(edges.len(), par.threads());
+        let m = graph.n_h_edges();
+        let par = ParallelConfig::with_threads(available_for(m));
+        let plan = ShardPlan::even(m, par.threads());
         let pool = WorkerPool::global(par.threads());
         map_reduce_on(
             &plan,
             pool.as_deref(),
             |range| {
-                edges[range]
-                    .iter()
-                    .all(|&(u, v)| self.waves.wave_of(u) != self.waves.wave_of(v))
+                graph
+                    .h_edges_in(range)
+                    .all(|(u, v)| self.waves.wave_of(u) != self.waves.wave_of(v))
             },
             |acc, part| *acc &= part,
         )
@@ -162,7 +162,7 @@ mod tests {
     fn colored_instance() -> (ClusterGraph, Coloring) {
         let comm = CommGraph::from_edges(
             8,
-            &[
+            [
                 (0, 1),
                 (1, 2),
                 (2, 3),

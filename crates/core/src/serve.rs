@@ -757,8 +757,6 @@ mod tests {
         let deletes: Vec<_> = g
             .comm()
             .edges()
-            .iter()
-            .copied()
             .filter(|&(a, b)| g.cluster_of(a) != g.cluster_of(b))
             .step_by(4)
             .collect();

@@ -691,8 +691,6 @@ mod tests {
         let deletes: Vec<_> = g
             .comm()
             .edges()
-            .iter()
-            .copied()
             .filter(|&(a, b)| g.cluster_of(a) != g.cluster_of(b))
             .step_by(5)
             .collect();

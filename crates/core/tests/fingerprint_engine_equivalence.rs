@@ -8,22 +8,83 @@
 //! (hub rows), mixture (planted cliques) and contraction (irregular
 //! clusters); threads {1, 2, 4, 8} plus `CGC_THREADS`; predicates: all
 //! neighbors, id parity, and "outside my clique".
+//!
+//! The reference meters and estimates with test-local copies of the
+//! sort-based encoder (median plus a ±2 baseline window) and the
+//! `Z_k`-rescan estimator, so the library's histogram kernels are checked
+//! against the algorithms they replaced, not against themselves.
 
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, VertexId};
 use cgc_decomp::{acd_oracle, buddy_edges, AlmostCliqueDecomp, BuddyParams};
 use cgc_graphs::WorkloadSpec;
 use cgc_net::{CostReport, SeedStream};
 use cgc_sketch::{
-    approx_count_neighbors, approx_weighted_count, neighborhood_fingerprints, CountingParams,
-    Fingerprint,
+    approx_count_neighbors, approx_weighted_count, encoded_bits, estimate_count,
+    neighborhood_fingerprints, CountingParams, Fingerprint, FingerprintMatrix,
 };
 use std::collections::BTreeMap;
 
 /// The sketch code before the engine: one `Fingerprint` per vertex and
-/// role, aggregated by a scatter over `h_edges()` on the calling thread.
+/// role, aggregated by a scatter over `h_edges()` on the calling thread,
+/// metered by sorting and estimated by rescanning.
 mod reference {
     use super::*;
-    use cgc_sketch::encoded_bits;
+
+    /// Lemma 5.6 size: the sorted copy's median, improved within a ±2
+    /// window if any baseline there is strictly cheaper.
+    pub fn encoded_bits(maxima: &[i16]) -> u64 {
+        let cost = |k: i32| -> u64 {
+            maxima
+                .iter()
+                .map(|&y| u64::from(i32::from(y).abs_diff(k)) + 2)
+                .sum()
+        };
+        let k = if maxima.is_empty() {
+            0
+        } else {
+            let mut sorted = maxima.to_vec();
+            sorted.sort_unstable();
+            let median = i32::from(sorted[sorted.len() / 2]);
+            let mut best = median;
+            let mut best_cost = cost(median);
+            for delta in -2i32..=2 {
+                let c = cost(median + delta);
+                if c < best_cost {
+                    best = median + delta;
+                    best_cost = c;
+                }
+            }
+            best
+        };
+        13 + cost(k)
+    }
+
+    /// Lemma 5.2: `Z_k` recounted over all `t` maxima for each candidate
+    /// `k` until it reaches `⌈27t/40⌉`.
+    pub fn estimate_count(maxima: &[i16]) -> f64 {
+        let t = maxima.len();
+        if t == 0 || maxima.iter().all(|&m| m == -1) {
+            return 0.0;
+        }
+        let max_y = i32::from(*maxima.iter().max().unwrap()).max(0);
+        let threshold = (27 * t).div_ceil(40);
+        let mut kstar: i32 = -1;
+        let mut z_kstar = 0usize;
+        for k in 0..=(max_y + 2) {
+            let z = maxima.iter().filter(|&&y| i32::from(y) < k).count();
+            if z >= threshold {
+                kstar = k;
+                z_kstar = z;
+                break;
+            }
+        }
+        if kstar <= 0 {
+            return f64::from(1u32 << max_y.clamp(0, 30));
+        }
+        let frac = z_kstar as f64 / t as f64;
+        let est = frac.ln() / (1.0 - 2f64.powi(-kstar)).ln();
+        est.max(1.0)
+    }
 
     pub struct Fingerprints {
         pub own: Vec<Fingerprint>,
@@ -96,7 +157,10 @@ mod reference {
             .collect();
         let fps = scatter_and_charge(net, t, own, gate);
         let scale = 2f64.powi(b as i32);
-        fps.agg.iter().map(|f| f.estimate() / scale).collect()
+        fps.agg
+            .iter()
+            .map(|f| estimate_count(f.maxima()) / scale)
+            .collect()
     }
 
     pub fn approx_count_neighbors(
@@ -108,7 +172,7 @@ mod reference {
     ) -> Vec<f64> {
         let t = params.trials(net.g.n_vertices());
         let fps = neighborhood_fingerprints(net, t, seeds, salt, pred);
-        fps.agg.iter().map(Fingerprint::estimate).collect()
+        fps.agg.iter().map(|f| estimate_count(f.maxima())).collect()
     }
 
     pub fn buddy_edges(
@@ -120,7 +184,7 @@ mod reference {
         let xi_p = params.xi / 3.0;
         let t = params.counting.trials(net.g.n_vertices());
         let fps = neighborhood_fingerprints(net, t, &seeds.child(1), 0, |_, _| true);
-        let deg_est: Vec<f64> = fps.agg.iter().map(|f| f.estimate()).collect();
+        let deg_est: Vec<f64> = fps.agg.iter().map(|f| estimate_count(f.maxima())).collect();
         let low: Vec<bool> = deg_est
             .iter()
             .map(|&d| d < (1.0 - 1.5 * xi_p) * delta)
@@ -138,7 +202,7 @@ mod reference {
                 out.insert((u, v), false);
                 continue;
             }
-            let joint = fps.agg[u].merged(&fps.agg[v]).estimate();
+            let joint = estimate_count(fps.agg[u].merged(&fps.agg[v]).maxima());
             out.insert((u, v), joint <= (1.0 + 1.5 * xi_p) * delta);
         }
         out
@@ -284,4 +348,105 @@ fn buddy_edges_match_reference() {
         answers[0] > 0 && answers[1] > 0,
         "both answers: {answers:?}"
     );
+}
+
+/// The maxima of `d` sampled elements over `t` trials.
+fn maxima_of(d: u64, t: usize, seed: u64) -> Vec<i16> {
+    let s = SeedStream::new(seed);
+    let mut acc = Fingerprint::empty(t);
+    for id in 0..d {
+        acc.merge(&Fingerprint::sample(&mut s.rng_for(id, 0), t));
+    }
+    acc.maxima().to_vec()
+}
+
+/// The library's `encoded_bits` and `estimate_count`, on `i16` maxima
+/// and on the same values as stored bytes, equal the sort and rescan
+/// reference: on every vector of length 1 to 5 over values around the
+/// edges of the range, and on sampled fingerprints of many sizes and
+/// trial counts.
+#[test]
+fn kernels_match_sort_and_rescan_reference() {
+    let check = |m: &[i16]| {
+        let bytes: Vec<u8> = m.iter().map(|&y| (y + 1) as u8).collect();
+        let (bits, est) = (reference::encoded_bits(m), reference::estimate_count(m));
+        assert_eq!(encoded_bits(m), bits, "{m:?}: i16 bits");
+        assert_eq!(encoded_bits(&bytes), bits, "{m:?}: u8 bits");
+        assert_eq!(
+            estimate_count(m).to_bits(),
+            est.to_bits(),
+            "{m:?}: i16 estimate"
+        );
+        assert_eq!(
+            estimate_count(&bytes).to_bits(),
+            est.to_bits(),
+            "{m:?}: u8 estimate"
+        );
+    };
+    const VALUES: [i16; 7] = [-1, 0, 1, 2, 4, 192, 254];
+    let mut checked = 0;
+    for t in 1..=5u32 {
+        for code in 0..VALUES.len().pow(t) {
+            let mut rest = code;
+            let m: Vec<i16> = (0..t)
+                .map(|_| {
+                    let y = VALUES[rest % VALUES.len()];
+                    rest /= VALUES.len();
+                    y
+                })
+                .collect();
+            check(&m);
+            checked += 1;
+        }
+    }
+    for (i, &d) in [0u64, 1, 2, 5, 31, 300].iter().enumerate() {
+        for (j, &t) in [1usize, 2, 3, 4, 7, 64, 257, 1000].iter().enumerate() {
+            for seed in 0..3u64 {
+                check(&maxima_of(d, t, 100 * i as u64 + 10 * j as u64 + seed));
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 19_000);
+}
+
+/// The matrix passes — metering, one-pass metering and estimates, and
+/// per-edge union estimates — equal the reference applied to each row.
+#[test]
+fn matrix_passes_match_sort_and_rescan_reference() {
+    for spec in INSTANCES {
+        let g = spec.parse::<WorkloadSpec>().unwrap().build();
+        let t = COUNTING.trials(g.n_vertices());
+        let seeds = SeedStream::new(14);
+        for threads in thread_counts() {
+            let net = engine_net(&g, threads);
+            let own = FingerprintMatrix::sample(&net, t, &seeds, 4);
+            let agg = own.gather(&net, |_, u| u % 3 != 0);
+            let rows: Vec<Fingerprint> = (0..g.n_vertices()).map(|v| agg.fingerprint(v)).collect();
+            let bits = rows
+                .iter()
+                .map(|f| reference::encoded_bits(f.maxima()))
+                .max();
+            let estimates: Vec<u64> = rows
+                .iter()
+                .map(|f| reference::estimate_count(f.maxima()).to_bits())
+                .collect();
+            let ctx = format!("{spec} threads={threads}");
+            assert_eq!(Some(agg.max_encoded_bits(&net)), bits, "{ctx}: meter");
+            let (got_bits, got_estimates) = agg.meter_and_estimate(&net);
+            assert_eq!(Some(got_bits), bits, "{ctx}: one-pass meter");
+            assert_eq!(f64_bits(&got_estimates), estimates, "{ctx}: estimates");
+            let unions = agg.edge_union_estimates(&net, |u, v| (u + v) % 4 != 0);
+            assert_eq!(unions.len(), g.n_h_edges(), "{ctx}");
+            for ((u, v), got) in g.h_edges().zip(unions) {
+                let want = ((u + v) % 4 != 0)
+                    .then(|| reference::estimate_count(rows[u].merged(&rows[v]).maxima()));
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{ctx}: ({u}, {v})"
+                );
+            }
+        }
+    }
 }

@@ -429,7 +429,8 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_all_sparse() {
-        let g = ClusterGraph::singletons(CommGraph::from_edges(5, &[]).unwrap());
+        let g =
+            ClusterGraph::singletons(CommGraph::from_edges(5, [] as [(usize, usize); 0]).unwrap());
         let acd = acd_oracle(&g, 0.1);
         assert_eq!(acd.n_cliques(), 0);
         assert_eq!(acd.sparse_vertices().len(), 5);

@@ -50,12 +50,14 @@ pub fn buddy_edges(
     // Degree estimates d̂(v) ∈ (1 ± ξ'/2) deg(v).
     let t = params.counting.trials(net.g.n_vertices());
     let NeighborhoodFingerprints {
-        agg, response_bits, ..
+        agg,
+        response_bits,
+        estimates,
+        ..
     } = neighborhood_fingerprints(net, t, &seeds.child(1), 0, |_, _| true);
 
     // Low-degree vertices answer No on all incident edges.
-    let low: Vec<bool> = agg
-        .estimates(net)
+    let low: Vec<bool> = estimates
         .into_iter()
         .map(|d| d < (1.0 - 1.5 * xi_p) * delta)
         .collect();

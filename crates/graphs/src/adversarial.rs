@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn links_attach_at_ends_only() {
         let g = bottleneck_instance(4, 8);
-        for &(mu, mv, cu, cv) in g.links() {
+        for (mu, mv, cu, cv) in g.links() {
             assert!(cu < cv);
             assert_eq!(mu % 8, 7, "lower cluster uses right end");
             assert_eq!(mv % 8, 0, "higher cluster uses left end");

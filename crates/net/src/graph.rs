@@ -2,22 +2,25 @@
 //!
 //! Machines are indexed `0..n`; links are undirected, simple edges stored in
 //! CSR adjacency form for cache-friendly traversal. The cluster layer builds
-//! support trees and inter-cluster link tables on top of this graph.
+//! support trees and reads inter-cluster links off this graph.
 
 use crate::delta::{DeltaBatch, DeltaEffect};
 use crate::error::NetError;
 use crate::par::{
     for_each_shard, kway_merge_dedup, map_reduce_on, ParallelConfig, SendPtr, ShardPlan, WorkerPool,
 };
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// Identifier of a machine (a vertex of the communication network `G`).
 pub type MachineId = usize;
 
-/// An undirected simple communication network.
+/// An undirected simple communication network, stored once as a CSR
+/// adjacency with sorted rows; the canonical edge list is derived from it
+/// ([`Self::edges`]).
 ///
-/// Equality is structural (machine count + canonical edge list), so the
-/// cluster layer's differential suites can compare whole built instances.
+/// Equality is structural (machine count + CSR), so the cluster layer's
+/// differential suites can compare whole built instances.
 ///
 /// # Example
 ///
@@ -31,25 +34,30 @@ pub type MachineId = usize;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommGraph {
     n: usize,
-    /// CSR offsets: `adj[offsets[v]..offsets[v+1]]` are the neighbors of `v`.
+    /// CSR offsets: `adj[offsets[v]..offsets[v+1]]` are the neighbors of
+    /// `v`, ascending.
     offsets: Vec<usize>,
     adj: Vec<MachineId>,
-    /// Canonical edge list with `u < v`.
-    edges: Vec<(MachineId, MachineId)>,
 }
 
 impl CommGraph {
     /// Builds a graph on `n` machines from an undirected edge list.
     ///
-    /// Duplicate edges are collapsed; orientation is normalized.
+    /// Duplicate edges are collapsed; orientation is normalized. `edges`
+    /// is a slice of pairs or an iterator of them, such as another graph's
+    /// [`Self::edges`].
     ///
     /// # Errors
     ///
     /// Returns [`NetError::MachineOutOfRange`] if an endpoint is `>= n`,
     /// [`NetError::SelfLoop`] on a `(u, u)` edge and [`NetError::EmptyGraph`]
     /// when `n == 0`.
-    pub fn from_edges(n: usize, edges: &[(MachineId, MachineId)]) -> Result<Self, NetError> {
-        Self::from_edges_with(n, edges, &ParallelConfig::serial())
+    pub fn from_edges<E: Borrow<(MachineId, MachineId)>>(
+        n: usize,
+        edges: impl IntoIterator<Item = E>,
+    ) -> Result<Self, NetError> {
+        let edges: Vec<(MachineId, MachineId)> = edges.into_iter().map(|e| *e.borrow()).collect();
+        Self::from_edges_with(n, &edges, &ParallelConfig::serial())
     }
 
     /// [`Self::from_edges`] with validation, orientation normalization,
@@ -154,7 +162,7 @@ impl CommGraph {
         // Phase 2: deterministic fixed-order k-way merge — the unique
         // sorted dedup of the union, independent of the partition.
         let canon = kway_merge_dedup(sorted_runs);
-        Ok(Self::from_canonical_edges(n, canon, par, pool))
+        Ok(Self::from_canonical_edges(n, &canon, par, pool))
     }
 
     /// CSR assembly from the canonical (sorted, deduplicated, `u < v`)
@@ -165,7 +173,7 @@ impl CommGraph {
     /// end.
     fn from_canonical_edges(
         n: usize,
-        canon: Vec<(usize, usize)>,
+        canon: &[(usize, usize)],
         par: &ParallelConfig,
         pool: Option<&WorkerPool>,
     ) -> Self {
@@ -174,7 +182,7 @@ impl CommGraph {
         let shards = plan.n_shards();
         if shards <= 1 {
             let mut deg = vec![0usize; n];
-            for &(u, v) in &canon {
+            for &(u, v) in canon {
                 deg[u] += 1;
                 deg[v] += 1;
             }
@@ -185,28 +193,22 @@ impl CommGraph {
             }
             let mut adj = vec![0usize; offsets[n]];
             let mut cursor = offsets[..n].to_vec();
-            for &(u, v) in &canon {
+            for &(u, v) in canon {
                 adj[cursor[u]] = v;
                 cursor[u] += 1;
                 adj[cursor[v]] = u;
                 cursor[v] += 1;
             }
-            return CommGraph {
-                n,
-                offsets,
-                adj,
-                edges: canon,
-            };
+            return CommGraph { n, offsets, adj };
         }
         // Per-shard incidence histograms (how many entries shard `s`
         // appends to each row), collected in shard order.
-        let canon_ref = &canon;
         let hists: Vec<Vec<u32>> = map_reduce_on(
             &plan,
             pool,
             |range| {
                 let mut h = vec![0u32; n];
-                for &(u, v) in &canon_ref[range] {
+                for &(u, v) in &canon[range] {
                     h[u] += 1;
                     h[v] += 1;
                 }
@@ -245,7 +247,7 @@ impl CommGraph {
                 // every other shard's (each position belongs to exactly one
                 // shard's count window in its row).
                 let cur = unsafe { &mut *cur_base.get().add(s) };
-                for &(u, v) in &canon_ref[plan.range(s)] {
+                for &(u, v) in &canon[plan.range(s)] {
                     unsafe {
                         *adj_base.get().add(cur[u]) = v;
                         cur[u] += 1;
@@ -255,12 +257,7 @@ impl CommGraph {
                 }
             });
         }
-        CommGraph {
-            n,
-            offsets,
-            adj,
-            edges: canon,
-        }
+        CommGraph { n, offsets, adj }
     }
 
     /// Applies an edge delta batch in place, serially. See
@@ -344,34 +341,14 @@ impl CommGraph {
         Ok((next, effect))
     }
 
-    /// Rebuilds the canonical edge list and CSR for `(E \ deleted) ∪
-    /// inserted`, given the *effective* sets (sorted, canonical, inserts
-    /// disjoint from `E`, deletes a subset of `E`). Rows are filled in a
-    /// sharded pass balanced by new-row mass; a CSR row is ascending (all
-    /// lower neighbors then all higher, each sorted), so patching a
-    /// touched row is one linear sorted merge and the output is exactly
-    /// what [`Self::from_canonical_edges`] would produce.
+    /// Rebuilds the CSR for `(E \ deleted) ∪ inserted`, given the
+    /// *effective* sets (sorted, canonical, inserts disjoint from `E`,
+    /// deletes a subset of `E`). Rows are filled in a sharded pass
+    /// balanced by new-row mass; a CSR row is ascending (all lower
+    /// neighbors then all higher, each sorted), so patching a touched row
+    /// is one linear sorted merge and the output is exactly what
+    /// [`Self::from_canonical_edges`] would produce.
     fn patched(&self, effect: &DeltaEffect, par: &ParallelConfig) -> Self {
-        let n = self.n;
-        // New canonical edge list: linear three-pointer merge. Effective
-        // inserts are disjoint from E, so strict `<` interleaves them.
-        let mut edges =
-            Vec::with_capacity(self.edges.len() + effect.inserted.len() - effect.deleted.len());
-        {
-            let (mut ii, mut di) = (0usize, 0usize);
-            for &e in &self.edges {
-                while ii < effect.inserted.len() && effect.inserted[ii] < e {
-                    edges.push(effect.inserted[ii]);
-                    ii += 1;
-                }
-                if di < effect.deleted.len() && effect.deleted[di] == e {
-                    di += 1;
-                    continue;
-                }
-                edges.push(e);
-            }
-            edges.extend_from_slice(&effect.inserted[ii..]);
-        }
         // Directed patch pairs grouped by row: (row, neighbor) for both
         // endpoints of every changed edge, sorted so each row's additions
         // and removals are contiguous ascending runs.
@@ -390,10 +367,9 @@ impl CommGraph {
         let (offsets, adj) =
             crate::par::patch_csr_rows(&self.offsets, &self.adj, &ins_pairs, &del_pairs, par);
         CommGraph {
-            n,
+            n: self.n,
             offsets,
             adj,
-            edges,
         }
     }
 
@@ -405,9 +381,8 @@ impl CommGraph {
     /// Panics if `n == 0`.
     pub fn path(n: usize) -> Self {
         assert!(n > 0, "path needs at least one machine");
-        let edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * edges.len());
+        let mut adj = Vec::with_capacity(2 * (n - 1));
         offsets.push(0);
         for v in 0..n {
             if v > 0 {
@@ -418,12 +393,7 @@ impl CommGraph {
             }
             offsets.push(adj.len());
         }
-        CommGraph {
-            n,
-            offsets,
-            adj,
-            edges,
-        }
+        CommGraph { n, offsets, adj }
     }
 
     /// A star with center `0` and leaves `1..n` — CSR built directly.
@@ -433,9 +403,8 @@ impl CommGraph {
     /// Panics if `n == 0`.
     pub fn star(n: usize) -> Self {
         assert!(n > 0, "star needs at least one machine");
-        let edges: Vec<_> = (1..n).map(|i| (0, i)).collect();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * edges.len());
+        let mut adj = Vec::with_capacity(2 * (n - 1));
         offsets.push(0);
         adj.extend(1..n);
         offsets.push(adj.len());
@@ -443,12 +412,7 @@ impl CommGraph {
             adj.push(0);
             offsets.push(adj.len());
         }
-        CommGraph {
-            n,
-            offsets,
-            adj,
-            edges,
-        }
+        CommGraph { n, offsets, adj }
     }
 
     /// The complete graph on `n` machines — CSR built directly.
@@ -458,12 +422,6 @@ impl CommGraph {
     /// Panics if `n == 0`.
     pub fn complete(n: usize) -> Self {
         assert!(n > 0, "complete graph needs at least one machine");
-        let mut edges = Vec::with_capacity(n * (n - 1) / 2);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                edges.push((u, v));
-            }
-        }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut adj = Vec::with_capacity(n * (n - 1));
         offsets.push(0);
@@ -471,12 +429,7 @@ impl CommGraph {
             adj.extend((0..n).filter(|&w| w != v));
             offsets.push(adj.len());
         }
-        CommGraph {
-            n,
-            offsets,
-            adj,
-            edges,
-        }
+        CommGraph { n, offsets, adj }
     }
 
     /// Number of machines.
@@ -488,7 +441,7 @@ impl CommGraph {
     /// Number of links.
     #[inline]
     pub fn n_links(&self) -> usize {
-        self.edges.len()
+        self.adj.len() / 2
     }
 
     /// Approximate heap footprint in bytes (element counts × element
@@ -496,9 +449,7 @@ impl CommGraph {
     /// figure is deterministic for a given graph). Used by cache byte
     /// budgets.
     pub fn approx_heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.offsets[..])
-            + std::mem::size_of_val(&self.adj[..])
-            + std::mem::size_of_val(&self.edges[..])
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.adj[..])
     }
 
     /// Degree of machine `v`.
@@ -521,10 +472,24 @@ impl CommGraph {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Canonicalized (`u < v`) edge list.
+    /// The neighbors of `u` above `u`: the tail of its sorted CSR row.
     #[inline]
-    pub fn edges(&self) -> &[(MachineId, MachineId)] {
-        &self.edges
+    pub fn upper_neighbors(&self, u: MachineId) -> &[MachineId] {
+        let row = self.neighbors(u);
+        &row[row.partition_point(|&w| w < u)..]
+    }
+
+    /// The canonical (`u < v`) edges, sorted: the upper halves of the CSR
+    /// rows in row order.
+    pub fn edges(&self) -> impl Iterator<Item = (MachineId, MachineId)> + '_ {
+        (0..self.n).flat_map(move |u| self.upper_neighbors(u).iter().map(move |&v| (u, v)))
+    }
+
+    /// The CSR adjacency itself: `(offsets, targets)` with the neighbors of
+    /// `v` at `targets[offsets[v]..offsets[v + 1]]`, ascending.
+    #[inline]
+    pub fn adjacency_csr(&self) -> (&[usize], &[MachineId]) {
+        (&self.offsets, &self.adj)
     }
 
     /// Whether the link `{u, v}` exists (binary search in CSR row).
@@ -679,9 +644,9 @@ mod tests {
 
     #[test]
     fn from_edges_dedups_and_normalizes() {
-        let g = CommGraph::from_edges(3, &[(0, 1), (1, 0), (2, 1)]).unwrap();
+        let g = CommGraph::from_edges(3, [(0, 1), (1, 0), (2, 1)]).unwrap();
         assert_eq!(g.n_links(), 2);
-        assert_eq!(g.edges(), &[(0, 1), (1, 2)]);
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1), (1, 2)]);
         assert!(g.has_link(1, 0));
         assert!(!g.has_link(0, 2));
     }
@@ -689,15 +654,15 @@ mod tests {
     #[test]
     fn rejects_bad_edges() {
         assert!(matches!(
-            CommGraph::from_edges(2, &[(0, 2)]),
+            CommGraph::from_edges(2, [(0, 2)]),
             Err(NetError::MachineOutOfRange { machine: 2, n: 2 })
         ));
         assert!(matches!(
-            CommGraph::from_edges(2, &[(1, 1)]),
+            CommGraph::from_edges(2, [(1, 1)]),
             Err(NetError::SelfLoop { machine: 1 })
         ));
         assert!(matches!(
-            CommGraph::from_edges(0, &[]),
+            CommGraph::from_edges(0, [] as [(usize, usize); 0]),
             Err(NetError::EmptyGraph)
         ));
     }
@@ -740,13 +705,13 @@ mod tests {
 
     #[test]
     fn disconnected_graph_detected() {
-        let g = CommGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let g = CommGraph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert!(!g.is_connected());
     }
 
     #[test]
     fn single_machine_graph() {
-        let g = CommGraph::from_edges(1, &[]).unwrap();
+        let g = CommGraph::from_edges(1, [] as [(usize, usize); 0]).unwrap();
         assert!(g.is_connected());
         assert_eq!(g.n_links(), 0);
         assert_eq!(g.degree(0), 0);
@@ -885,7 +850,7 @@ mod tests {
         assert_eq!(effect.deleted, vec![(3, 4)]);
         assert_eq!(
             g,
-            CommGraph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap()
+            CommGraph::from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap()
         );
     }
 
@@ -921,10 +886,13 @@ mod tests {
         let wipe = DeltaBatch::new(4, &[], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         g.apply_delta(&wipe).unwrap();
         assert_eq!(g.n_links(), 0);
-        assert_eq!(g, CommGraph::from_edges(4, &[]).unwrap());
+        assert_eq!(
+            g,
+            CommGraph::from_edges(4, [] as [(usize, usize); 0]).unwrap()
+        );
         let refill = DeltaBatch::new(4, &[(0, 3), (1, 3)], &[]).unwrap();
         g.apply_delta(&refill).unwrap();
-        assert_eq!(g, CommGraph::from_edges(4, &[(0, 3), (1, 3)]).unwrap());
+        assert_eq!(g, CommGraph::from_edges(4, [(0, 3), (1, 3)]).unwrap());
     }
 
     #[test]

@@ -1443,7 +1443,7 @@ pub fn map_reduce_on<T: Send>(
 /// Equal items across lists sum their counts; the output is the unique
 /// sorted dedup of the union, independent of how the items were
 /// partitioned — the deterministic reduction behind the sharded
-/// `ClusterGraph::build` link table and [`crate::CommGraph`]'s sharded
+/// `ClusterGraph::build` multiplicities and [`crate::CommGraph`]'s sharded
 /// edge ingest.
 pub fn kway_merge_counted<T: Ord + Copy>(lists: Vec<Vec<(T, u32)>>) -> (Vec<T>, Vec<u32>) {
     if lists.len() == 1 {

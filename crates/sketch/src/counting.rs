@@ -52,6 +52,8 @@ pub struct NeighborhoodFingerprints {
     pub agg: FingerprintMatrix,
     /// The largest encoded `agg` row: the charged response size.
     pub response_bits: u64,
+    /// The Lemma 5.2 estimate of each `agg` row.
+    pub estimates: Vec<f64>,
 }
 
 /// Aggregates fingerprints over predicate-filtered neighborhoods.
@@ -73,7 +75,8 @@ pub fn neighborhood_fingerprints(
 
 /// Gathers `own` over predicate-filtered neighborhoods and charges the
 /// round with the actual compressed sizes: the query is a single
-/// element's vector, the converge-cast carries partial aggregates.
+/// element's vector, the converge-cast carries partial aggregates. The
+/// pass that meters the aggregates also estimates them.
 fn aggregate(
     net: &mut ClusterNet<'_>,
     own: FingerprintMatrix,
@@ -81,7 +84,7 @@ fn aggregate(
 ) -> NeighborhoodFingerprints {
     let agg = own.gather(net, pred);
     let query_bits = own.max_encoded_bits(net);
-    let response_bits = agg.max_encoded_bits(net);
+    let (response_bits, estimates) = agg.meter_and_estimate(net);
     net.charge_broadcast(query_bits);
     net.charge_link_round(query_bits);
     net.charge_converge(response_bits);
@@ -89,6 +92,7 @@ fn aggregate(
         own,
         agg,
         response_bits,
+        estimates,
     }
 }
 
@@ -114,9 +118,9 @@ pub fn approx_weighted_count(
     // Each coordinate max of k geometrics is sampled directly by
     // iterating — k_u is at most 2^b which the caller keeps polynomial.
     let own = FingerprintMatrix::sample_weighted(net, t, seeds, salt ^ 0x9B4, k_u);
-    let agg = aggregate(net, own, gate).agg;
+    let estimates = aggregate(net, own, gate).estimates;
     let scale = 2f64.powi(b as i32);
-    agg.estimates(net).into_iter().map(|e| e / scale).collect()
+    estimates.into_iter().map(|e| e / scale).collect()
 }
 
 /// Lemma 5.7: every vertex estimates the number of neighbors satisfying
@@ -129,8 +133,7 @@ pub fn approx_count_neighbors(
     pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Vec<f64> {
     let t = params.trials(net.g.n_vertices());
-    let agg = neighborhood_fingerprints(net, t, seeds, salt, pred).agg;
-    agg.estimates(net)
+    neighborhood_fingerprints(net, t, seeds, salt, pred).estimates
 }
 
 #[cfg(test)]

@@ -10,10 +10,7 @@
 use crate::fingerprint::Maximum;
 #[cfg(test)]
 use crate::fingerprint::EMPTY;
-
-/// Bits used for the baseline header (`k ≤ 2^12` covers any maximum the
-/// capped sampler can produce, with sign).
-const HEADER_BITS: u64 = 13;
+use crate::histogram::{Histogram, HEADER_BITS};
 
 /// A growable bit buffer (LSB-first within bytes).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,59 +65,26 @@ impl BitBuf {
     }
 }
 
-/// Chooses the baseline minimizing the total encoded size: the median of
-/// the (non-empty-adjusted) values is within 1 of optimal for this cost;
-/// we search a small window around it to get the exact minimum. `sorted`
-/// is scratch for the sorted copy.
-fn best_baseline<T: Maximum>(maxima: &[T], sorted: &mut Vec<T>) -> i32 {
-    if maxima.is_empty() {
-        return 0;
-    }
-    sorted.clear();
-    sorted.extend_from_slice(maxima);
-    sorted.sort_unstable();
-    let median = sorted[sorted.len() / 2].value();
-    let cost = |k: i32| -> u64 {
-        maxima
-            .iter()
-            .map(|&y| u64::from(y.value().abs_diff(k)) + 2)
-            .sum()
-    };
-    let mut best = median;
-    let mut best_cost = cost(median);
-    for delta in -2i32..=2 {
-        let k = median + delta;
-        let c = cost(k);
-        if c < best_cost {
-            best = k;
-            best_cost = c;
-        }
-    }
-    best
-}
-
 /// Encoded size in bits of a maxima vector — a [`crate::Fingerprint`]'s
 /// `i16` maxima or a [`crate::FingerprintMatrix`] row, with identical
 /// results for the same values — without materializing the buffer (used
-/// for bandwidth charging).
+/// for bandwidth charging). The baseline is the median, which minimizes
+/// the total size; both come from the vector's value histogram.
+///
+/// # Panics
+///
+/// Panics on an `i16` maximum outside `−1..=254`.
 pub fn encoded_bits<T: Maximum>(maxima: &[T]) -> u64 {
-    encoded_bits_with(maxima, &mut Vec::new())
-}
-
-/// [`encoded_bits`] with caller-owned scratch for the baseline's sorted
-/// copy, so a pass over many rows sorts into one buffer.
-pub(crate) fn encoded_bits_with<T: Maximum>(maxima: &[T], sorted: &mut Vec<T>) -> u64 {
-    let k = best_baseline(maxima, sorted);
-    HEADER_BITS
-        + maxima
-            .iter()
-            .map(|&y| u64::from(y.value().abs_diff(k)) + 2)
-            .sum::<u64>()
+    Histogram::of(maxima).encoded_bits()
 }
 
 /// Encodes a maxima vector under the Lemma 5.6 scheme.
+///
+/// # Panics
+///
+/// Panics on a maximum outside `−1..=254`.
 pub fn encode_maxima(maxima: &[i16]) -> BitBuf {
-    let k = best_baseline(maxima, &mut Vec::new());
+    let k = Histogram::of(maxima).baseline();
     let mut buf = BitBuf::new();
     // Header: sign bit + 12-bit magnitude of the baseline.
     buf.push(k < 0);
@@ -256,7 +220,7 @@ mod tests {
     #[test]
     fn baseline_is_near_log_d() {
         let m = maxima_of(1024, 512, 3);
-        let k = best_baseline(&m, &mut Vec::new());
+        let k = Histogram::of(&m).baseline();
         // log2(1024) = 10; Lemma 5.2 puts K* within 2 of it.
         assert!((8..=13).contains(&k), "baseline {k}");
     }

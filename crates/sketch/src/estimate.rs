@@ -9,45 +9,21 @@
 use crate::fingerprint::Maximum;
 #[cfg(test)]
 use crate::fingerprint::EMPTY;
-
-/// Threshold numerator/denominator from Lemma 5.2: `Z_{K*} ≥ (27/40) t`.
-const THRESH_NUM: usize = 27;
-const THRESH_DEN: usize = 40;
+use crate::histogram::Histogram;
 
 /// Estimates the number of elements contributing to the maxima vector —
 /// a [`crate::Fingerprint`]'s `i16` maxima or a
 /// [`crate::FingerprintMatrix`] row, with identical results for the same
-/// values.
+/// values. `Z_k` is a prefix sum of the vector's value histogram.
 ///
 /// Returns `0.0` for an all-empty vector (no contributions). The estimate
 /// is clamped below at 1 when any contribution exists.
+///
+/// # Panics
+///
+/// Panics on an `i16` maximum outside `−1..=254`.
 pub fn estimate_count<T: Maximum>(maxima: &[T]) -> f64 {
-    let t = maxima.len();
-    if t == 0 || maxima.iter().all(|&m| m.value() == -1) {
-        return 0.0;
-    }
-    // Z_k is nondecreasing in k; find K*.
-    let max_y = maxima.iter().copied().max().map_or(0, T::value).max(0);
-    let threshold = (THRESH_NUM * t).div_ceil(THRESH_DEN);
-    let mut kstar: i32 = -1;
-    let mut z_kstar = 0usize;
-    for k in 0..=(max_y + 2) {
-        let z = maxima.iter().filter(|&&y| y.value() < k).count();
-        if z >= threshold {
-            kstar = k;
-            z_kstar = z;
-            break;
-        }
-    }
-    if kstar <= 0 {
-        // Degenerate: fewer than threshold trials below even k = max+2;
-        // can only happen for tiny t. Fall back to 2^max heuristic.
-        return f64::from(1u32 << max_y.clamp(0, 30));
-    }
-    let frac = z_kstar as f64 / t as f64;
-    let denom = (1.0 - 2f64.powi(-kstar)).ln();
-    let est = frac.ln() / denom;
-    est.max(1.0)
+    Histogram::of(maxima).estimate()
 }
 
 #[cfg(test)]

@@ -17,25 +17,33 @@ pub const EMPTY: i16 = -1;
 ///
 /// Two layouts implement it: the `i16` maxima of a [`Fingerprint`]
 /// (stored as `y`, [`EMPTY`] = −1) and the `u8` rows of a
-/// [`crate::FingerprintMatrix`] (stored as `y + 1`, 0 = empty). Both
-/// store values in the order of the values they stand for, so the
-/// estimator and the encoder are one implementation over either.
-pub trait Maximum: Copy + Ord {
-    /// The value `y` this element stands for (`−1` when empty).
-    fn value(self) -> i32;
+/// [`crate::FingerprintMatrix`] (stored as `y + 1`, 0 = empty). Both map
+/// to the same histogram bin, so the estimator and the encoder are one
+/// implementation over either.
+pub trait Maximum: Copy {
+    /// The histogram bin `y + 1` (0 when empty).
+    ///
+    /// # Panics
+    ///
+    /// An `i16` outside `−1..=254` has no bin and panics.
+    fn bin(self) -> u8;
 }
 
 impl Maximum for i16 {
     #[inline]
-    fn value(self) -> i32 {
-        i32::from(self)
+    fn bin(self) -> u8 {
+        assert!(
+            (-1..=254).contains(&self),
+            "maximum {self} is outside -1..=254"
+        );
+        (self + 1) as u8
     }
 }
 
 impl Maximum for u8 {
     #[inline]
-    fn value(self) -> i32 {
-        i32::from(self) - 1
+    fn bin(self) -> u8 {
+        self
     }
 }
 
@@ -79,7 +87,14 @@ impl Fingerprint {
     }
 
     /// Builds from raw maxima (used by decoders and tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a maximum is outside `−1..=254` (see [`Maximum::bin`]).
     pub fn from_maxima(maxima: Vec<i16>) -> Self {
+        for &y in &maxima {
+            y.bin();
+        }
         Fingerprint { maxima }
     }
 
@@ -146,12 +161,24 @@ mod tests {
     use cgc_net::SeedStream;
 
     #[test]
-    fn both_layouts_store_values_in_order() {
+    fn both_layouts_share_bins() {
         for y in -1..=i16::try_from(crate::geometric::GEOMETRIC_CAP).unwrap() {
             let byte = u8::try_from(y + 1).unwrap();
-            assert_eq!((y.value(), byte.value()), (i32::from(y), i32::from(y)));
+            assert_eq!(y.bin(), byte.bin());
         }
-        assert_eq!((EMPTY.value(), 0u8.value()), (-1, -1), "empty reads as -1");
+        assert_eq!((EMPTY.bin(), 254i16.bin(), 255u8.bin()), (0, 255, 255));
+    }
+
+    #[test]
+    #[should_panic(expected = "maximum 255 is outside -1..=254")]
+    fn out_of_range_maximum_panics() {
+        Fingerprint::from_maxima(vec![3, 255]);
+    }
+
+    #[test]
+    #[should_panic(expected = "maximum -2 is outside -1..=254")]
+    fn out_of_range_maximum_panics_in_the_estimator() {
+        crate::estimate_count(&[4i16, -2]);
     }
 
     #[test]

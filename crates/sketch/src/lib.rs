@@ -23,6 +23,7 @@ pub mod encode;
 pub mod estimate;
 pub mod fingerprint;
 pub mod geometric;
+mod histogram;
 pub mod matrix;
 
 pub use counting::{

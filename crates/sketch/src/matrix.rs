@@ -16,10 +16,14 @@
 //!   of the rows of `v`'s neighbors `u` with `pred(v, u)`, one walk of
 //!   `v`'s CSR row;
 //! * [`FingerprintMatrix::max_encoded_bits`] and
-//!   [`FingerprintMatrix::estimates`] — per-row metering and Lemma 5.2
-//!   estimates;
+//!   [`FingerprintMatrix::meter_and_estimate`] — per-row metering, alone
+//!   or with the Lemma 5.2 estimates from the same pass;
 //! * [`FingerprintMatrix::edge_union_estimates`] — per-`H`-edge estimates
-//!   of the union of two rows, with one scratch row per shard.
+//!   of the union of two rows.
+//!
+//! Metering and estimates read a row through one 256-bin value histogram
+//! (the crate's `histogram` module); a union folds `max(row u, row v)`
+//! straight into its histogram.
 //!
 //! Every pass writes disjoint rows (or takes an order-free max), and each
 //! row is a pure function of its vertex, the seeds and the graph, so the
@@ -27,10 +31,9 @@
 //! count and to the `Fingerprint` code they replace. No matrix or scratch
 //! row outlives the call that made it.
 
-use crate::encode::encoded_bits_with;
-use crate::estimate::estimate_count;
 use crate::fingerprint::Fingerprint;
 use crate::geometric::sample_geometric;
+use crate::histogram::Histogram;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::par::{fill_sharded, map_reduce_on, ShardPlan};
 use cgc_net::SeedStream;
@@ -169,9 +172,8 @@ impl FingerprintMatrix {
             net.shard_plan(),
             net.worker_pool(),
             |range| {
-                let mut sorted = Vec::with_capacity(self.trials);
                 range
-                    .map(|v| encoded_bits_with(self.row(v), &mut sorted))
+                    .map(|v| Histogram::of(self.row(v)).encoded_bits())
                     .max()
                     .unwrap_or(0)
             },
@@ -179,33 +181,35 @@ impl FingerprintMatrix {
         )
     }
 
-    /// The Lemma 5.2 estimate of every row.
-    pub fn estimates(&self, net: &ClusterNet<'_>) -> Vec<f64> {
+    /// [`Self::max_encoded_bits`] and the Lemma 5.2 estimate of every
+    /// row, from one histogram per row.
+    pub fn meter_and_estimate(&self, net: &ClusterNet<'_>) -> (u64, Vec<f64>) {
         self.assert_one_row_per_vertex(net);
-        net.par_vertex_map(|v| estimate_count(self.row(v)))
+        let summaries = net.par_vertex_map(|v| {
+            let h = Histogram::of(self.row(v));
+            (h.encoded_bits(), h.estimate())
+        });
+        let bits = summaries.iter().map(|s| s.0).max().unwrap_or(0);
+        (bits, summaries.into_iter().map(|s| s.1).collect())
     }
 
     /// For every `H`-edge `(u, v)` of `net.g.h_edges()`, in that order,
     /// the Lemma 5.2 estimate of the union of rows `u` and `v` when
-    /// `want(u, v)`, else `None`. The edges shard evenly over the pool;
-    /// each shard merges into one scratch row.
+    /// `want(u, v)`, else `None`. The edges shard evenly over the pool.
     pub fn edge_union_estimates(
         &self,
         net: &ClusterNet<'_>,
         want: impl Fn(VertexId, VertexId) -> bool + Sync,
     ) -> Vec<Option<f64>> {
         self.assert_one_row_per_vertex(net);
-        let edges = net.g.h_edge_slice();
-        let plan = ShardPlan::even(edges.len(), net.parallel().threads());
+        let plan = ShardPlan::even(net.g.n_h_edges(), net.parallel().threads());
         let mut out = Vec::new();
         fill_sharded(&mut out, &plan, net.worker_pool(), |start, slots| {
-            let mut union = vec![0u8; self.trials];
-            for (slot, &(u, v)) in slots.iter_mut().zip(&edges[start..]) {
-                slot.write(want(u, v).then(|| {
-                    union.copy_from_slice(self.row(u));
-                    max_into(&mut union, self.row(v));
-                    estimate_count(&union)
-                }));
+            let edges = net.g.h_edges_in(start..start + slots.len());
+            for (slot, (u, v)) in slots.iter_mut().zip(edges) {
+                slot.write(
+                    want(u, v).then(|| Histogram::of_union(self.row(u), self.row(v)).estimate()),
+                );
             }
         });
         out
@@ -216,6 +220,7 @@ impl FingerprintMatrix {
 mod tests {
     use super::*;
     use crate::encode::encoded_bits;
+    use crate::estimate::estimate_count;
     use cgc_cluster::{ClusterGraph, ParallelConfig};
     use cgc_net::CommGraph;
 
@@ -255,7 +260,7 @@ mod tests {
         let agg = own.gather(&serial, |_, u| u % 2 == 0);
         let reference = (
             agg.max_encoded_bits(&serial),
-            agg.estimates(&serial),
+            agg.meter_and_estimate(&serial),
             agg.edge_union_estimates(&serial, |u, _| u % 5 != 0),
         );
         for threads in [2usize, 3, 8] {
@@ -265,7 +270,7 @@ mod tests {
             assert_eq!((&own_p, &agg_p), (&own, &agg), "threads={threads}");
             let got = (
                 agg_p.max_encoded_bits(&net),
-                agg_p.estimates(&net),
+                agg_p.meter_and_estimate(&net),
                 agg_p.edge_union_estimates(&net, |u, _| u % 5 != 0),
             );
             assert_eq!(got, reference, "threads={threads}");
@@ -281,6 +286,11 @@ mod tests {
         let fps: Vec<Fingerprint> = (0..30).map(|v| agg.fingerprint(v)).collect();
         let bits = fps.iter().map(|f| encoded_bits(f.maxima())).max();
         assert_eq!(agg.max_encoded_bits(&net), bits.unwrap());
+        let estimates: Vec<f64> = fps.iter().map(Fingerprint::estimate).collect();
+        assert_eq!(agg.meter_and_estimate(&net), (bits.unwrap(), estimates));
+        for (v, fp) in fps.iter().enumerate() {
+            assert_eq!(estimate_count(agg.row(v)), fp.estimate(), "row {v}");
+        }
         let unions = agg.edge_union_estimates(&net, |u, _| u != 0);
         for ((u, v), got) in g.h_edges().zip(unions) {
             let want = (u != 0).then(|| fps[u].merged(&fps[v]).estimate());
@@ -295,6 +305,6 @@ mod tests {
         let m = FingerprintMatrix::sample_weighted(&net, 16, &SeedStream::new(6), 0, &[0; 6]);
         assert!((0..6).all(|v| m.row(v).iter().all(|&y| y == 0)));
         assert_eq!(m.n_rows(), 6);
-        assert!(m.estimates(&net).iter().all(|&e| e == 0.0));
+        assert!(m.meter_and_estimate(&net).1.iter().all(|&e| e == 0.0));
     }
 }
