@@ -252,6 +252,7 @@ mod tests {
 
     #[test]
     fn sharded_construction_matches_serial() {
+        let _serial = crate::par::pool_test_lock();
         let ins: Vec<_> = (0..200).map(|i| (i % 40, (i * 7 + 1) % 40)).collect();
         let del: Vec<_> = (0..100).map(|i| (i % 37, (i * 11 + 2) % 37)).collect();
         let ins: Vec<_> = ins.into_iter().filter(|(u, v)| u != v).collect();
@@ -269,6 +270,7 @@ mod tests {
 
     #[test]
     fn sharded_error_is_earliest_in_input_order() {
+        let _serial = crate::par::pool_test_lock();
         let mut ins: Vec<_> = (0..300).map(|i| (i % 50, (i * 3 + 1) % 50)).collect();
         ins.retain(|(u, v)| u != v);
         ins[20] = (7, 7); // earliest bad edge

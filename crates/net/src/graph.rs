@@ -765,6 +765,7 @@ mod tests {
 
     #[test]
     fn sharded_ingest_is_thread_count_independent() {
+        let _serial = crate::par::pool_test_lock();
         let edges = soup(120, 900, 7);
         let reference = CommGraph::from_edges_with(120, &edges, &ParallelConfig::serial()).unwrap();
         for threads in [2, 4, 8] {
@@ -777,6 +778,7 @@ mod tests {
 
     #[test]
     fn edge_runs_equal_their_concatenation() {
+        let _serial = crate::par::pool_test_lock();
         let edges = soup(60, 500, 13);
         let reference = CommGraph::from_edges(60, &edges).unwrap();
         for cut in [1usize, 3, 7] {
@@ -822,6 +824,7 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_from_edges_on_mutated_set() {
+        let _serial = crate::par::pool_test_lock();
         let (base, ins, dels) = churn_split(80, 700, 11);
         let reference_edges: Vec<_> = {
             let mut e: Vec<_> = base.iter().copied().filter(|x| !dels.contains(x)).collect();
@@ -897,6 +900,7 @@ mod tests {
 
     #[test]
     fn sharded_ingest_reports_the_earliest_error() {
+        let _serial = crate::par::pool_test_lock();
         // Two bad edges; the earliest in input order must win at every
         // thread count (shard-order merge), exactly like the serial sweep.
         let mut edges = soup(40, 300, 3);

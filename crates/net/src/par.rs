@@ -880,6 +880,19 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Serializes this crate's tests that create pools or reach the global
+/// pool cache — [`WorkerPool::global`] directly, or any `_with` entry point
+/// (`CommGraph::from_edges_with`, `DeltaBatch::new_with`,
+/// `WaveSchedule::from_class_ids`, ...) at more than one thread. `cargo
+/// test` runs sibling tests concurrently in one process, and the
+/// process-global spawn counter and pool cache assertions are only
+/// meaningful when no sibling spawns or grows a pool mid-window.
+#[cfg(test)]
+pub(crate) fn pool_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static POOL_TEST_LOCK: Mutex<()> = Mutex::new(());
+    lock_ignore_poison(&POOL_TEST_LOCK)
+}
+
 /// A persistent pool of parked worker threads driven by an epoch counter
 /// (see the [module docs](self)). One dispatch runs a borrowed job once
 /// per *shard slot*: the calling thread takes slot 0, worker `w` takes
@@ -1837,16 +1850,6 @@ pub fn run_waves(
 mod tests {
     use super::*;
 
-    /// Serializes the tests that create pools (or dispatch on the global
-    /// one): `cargo test` runs sibling tests concurrently in one process,
-    /// and the process-global spawn counter / pool cache assertions below
-    /// are only meaningful when no sibling spawns workers mid-window.
-    static POOL_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn pool_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        lock_ignore_poison(&POOL_TEST_LOCK)
-    }
-
     /// CSR degree offsets of a path on `n` vertices (degrees 1, 2, …, 2, 1)
     /// — the stand-in topology the plan tests cut up.
     fn path_offsets(n: usize) -> Vec<usize> {
@@ -2507,6 +2510,7 @@ mod tests {
     /// counts, against a serial stable counting sort.
     #[test]
     fn wave_schedule_is_canonical_and_thread_invariant() {
+        let _serial = pool_test_lock();
         let n = 257;
         let n_classes = 7;
         let class_of: Vec<usize> = (0..n).map(|v| (v * 31 + 5) % n_classes).collect();
@@ -2543,6 +2547,7 @@ mod tests {
     /// barrier), with correct absolute base indices and stats.
     #[test]
     fn run_waves_covers_items_with_wave_barrier() {
+        let _serial = pool_test_lock();
         let n = 101;
         let n_classes = 5;
         let class_of: Vec<usize> = (0..n).map(|v| v % n_classes).collect();

@@ -105,6 +105,45 @@ mod tests {
         assert_ne!(a.random::<u64>(), b.random::<u64>());
     }
 
+    /// The first draws of two streams, recorded with the one-block-at-a-time
+    /// ChaCha8 refill: every stream consumer's output depends on them.
+    #[test]
+    fn keystream_is_pinned() {
+        use rand::Rng;
+        let pins = [
+            (
+                SeedStream::new(0).rng_for(0, 0),
+                [
+                    0x21e7_cdc9_5391_71ba,
+                    0x0c5b_e415_e0d5_25a3,
+                    0xbe0e_74b5_2802_2af5,
+                    0x8fc2_a860_da2d_b203,
+                    0x5aca_0801_4124_c8ef,
+                    0x1222_af6e_1b87_13aa,
+                    0x5f6b_15f3_3584_fce4,
+                    0xaf76_7bf9_915b_2990,
+                ],
+            ),
+            (
+                SeedStream::new(7).rng_for(3, 11),
+                [
+                    0x1c3b_1aa8_681a_6fa7,
+                    0x6bf9_a410_ddad_0c8b,
+                    0x8688_543c_8113_e607,
+                    0x4b48_102b_ee21_6d23,
+                    0x185d_eb7b_abdb_8408,
+                    0x626a_d905_7068_9cef,
+                    0x06f8_b058_2797_23e5,
+                    0x50ce_f8da_c028_ac0e,
+                ],
+            ),
+        ];
+        for (mut rng, want) in pins {
+            let got: Vec<u64> = (0..want.len()).map(|_| rng.next_u64()).collect();
+            assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn uniformity_smoke() {
         // Not a statistical test, just a sanity check that derived streams
