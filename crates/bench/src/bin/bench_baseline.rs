@@ -6,13 +6,10 @@
 //! aggregation primitives sequential *and* shard-parallel at several
 //! thread counts (parallel rounds dispatch on the persistent
 //! [`WorkerPool`] — no per-round thread spawns), the end-to-end coloring
-//! pipeline through the unified [`Session`] API, a skewed-degree
-//! (Chung–Lu power-law) fold workload, and a **hub-skew** section
-//! measuring per-shard entry-mass imbalance on a one-hub star instance
-//! under row-granular vs intra-row segmented shard plans — all on
-//! `n ≥ 50_000` instances, all addressed by [`WorkloadSpec`] strings (or
-//! explicit hub specs) and emitted through the shared `cgc-bench/v1`
-//! JSON schema.
+//! pipeline through the unified [`Session`] API, and a skewed-degree
+//! (Chung–Lu power-law) fold workload — all on `n ≥ 50_000` instances,
+//! all addressed by [`WorkloadSpec`] strings and emitted through the
+//! shared `cgc-bench/v1` JSON schema.
 //!
 //! Usage: `cargo run --release -p cgc_bench --bin bench_baseline [out.json]`
 //!
@@ -29,12 +26,9 @@
 //! bench loudly rather than producing a fast-but-wrong baseline.
 
 use cgc_bench::{bench_report, write_json, Json};
-use cgc_cluster::{
-    available_threads, ClusterGraph, ClusterNet, ParallelConfig, SegmentedPlan, ShardPlan,
-    WorkerPool,
-};
+use cgc_cluster::{available_threads, ClusterGraph, ClusterNet, ParallelConfig, WorkerPool};
 use cgc_core::{coloring_stats, Session, SessionBuilder};
-use cgc_graphs::{realize_network, realize_with, HSpec, Layout, WorkloadSpec};
+use cgc_graphs::{realize_network, Layout, WorkloadSpec};
 use std::time::Instant;
 
 const DEFAULT_N: usize = 50_000;
@@ -79,7 +73,6 @@ fn time_folds(
     let mut degs: Vec<usize> = Vec::new();
     fold_round(&mut net, queries, &mut out, &mut degs); // warm-up sizes buffers
     let spawned_warm = WorkerPool::total_threads_spawned();
-    let scoped_warm = cgc_cluster::total_scoped_threads_spawned();
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
@@ -89,19 +82,11 @@ fn time_folds(
         best = best.min(start.elapsed().as_secs_f64());
     }
     // Warm rounds dispatch on the parked pool: a moving pool counter means
-    // per-round pool creation, and a moving scoped counter means the
-    // dispatch silently fell back to one-shot `thread::scope` spawning
-    // (which the pool counter alone cannot see).
+    // per-round pool creation.
     assert_eq!(
         WorkerPool::total_threads_spawned(),
         spawned_warm,
         "timed rounds must not spawn pool threads (threads={})",
-        par.threads()
-    );
-    assert_eq!(
-        cgc_cluster::total_scoped_threads_spawned(),
-        scoped_warm,
-        "timed rounds must not fall back to scoped threads (threads={})",
         par.threads()
     );
     (
@@ -110,49 +95,6 @@ fn time_folds(
         degs,
         net.meter.report(),
     )
-}
-
-/// Times warm monoid-fold rounds through the segmentation-capable path
-/// ([`ClusterNet::neighbor_fold_into_merging`] — segmented when the net
-/// holds a [`SegmentedPlan`], row-granular otherwise); returns
-/// `(ms_per_round, outputs, meter_report)` for identity checks.
-fn time_hub_folds(
-    h: &ClusterGraph,
-    par: ParallelConfig,
-    queries: &[u64],
-) -> (f64, Vec<u64>, cgc_net::CostReport) {
-    let mut net = ClusterNet::with_parallel(h, 32, par);
-    let mut out: Vec<u64> = Vec::new();
-    let round = |net: &mut ClusterNet<'_>, out: &mut Vec<u64>| {
-        net.neighbor_fold_into_merging(
-            16,
-            16,
-            queries,
-            |_, _, _, qu| Some(*qu),
-            |_| 0u64,
-            |a, c| *a = (*a).max(c),
-            |a, b| *a = (*a).max(b),
-            out,
-        );
-    };
-    round(&mut net, &mut out); // warm-up sizes buffers
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..FOLD_ROUNDS {
-            round(&mut net, &mut out);
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best * 1e3 / f64::from(FOLD_ROUNDS), out, net.meter.report())
-}
-
-/// Max/mean per-shard **entry mass** (the work metric of a row-walking
-/// fold) over `masses`.
-fn imbalance(masses: &[usize]) -> f64 {
-    let total: usize = masses.iter().sum();
-    let mean = total as f64 / masses.len() as f64;
-    masses.iter().copied().max().unwrap_or(0) as f64 / mean
 }
 
 fn main() {
@@ -361,63 +303,6 @@ fn main() {
         pl.max_degree()
     );
 
-    // --- hub skew: intra-row segmentation on a one-hub star instance ---
-    // The adversarial case for row-granular sharding: vertex 0's row holds
-    // half of all CSR entries, so no row-boundary plan can get the 4-shard
-    // max/mean entry-mass ratio under 2.0. Segmented plans cut inside the
-    // hub row and flatten it; the fold outputs and CostMeter totals must
-    // stay byte-identical to the serial walk throughout.
-    let star_h = HSpec::new(n, (1..n).map(|v| (0, v)).collect());
-    let star_g = realize_with(
-        &star_h,
-        Layout::Star(3),
-        2,
-        11,
-        &ParallelConfig::max_parallel(),
-    );
-    assert_eq!(
-        star_g,
-        realize_with(&star_h, Layout::Star(3), 2, 11, &ParallelConfig::serial()),
-        "sharded star realization diverged from serial"
-    );
-    let hub_shards = 4usize;
-    let (star_offsets, _) = star_g.adjacency_csr();
-    let row_plan = ShardPlan::from_prefix(star_offsets, hub_shards);
-    let row_masses: Vec<usize> = (0..row_plan.n_shards())
-        .map(|s| {
-            let r = row_plan.range(s);
-            star_offsets[r.end] - star_offsets[r.start]
-        })
-        .collect();
-    let seg_plan = SegmentedPlan::from_prefix(star_offsets, hub_shards);
-    let seg_masses: Vec<usize> = (0..seg_plan.n_segments())
-        .map(|s| seg_plan.cut(s + 1).1 - seg_plan.cut(s).1)
-        .collect();
-    let (row_ratio, seg_ratio) = (imbalance(&row_masses), imbalance(&seg_masses));
-    assert!(
-        seg_ratio < 1.5,
-        "segmented max/mean entry mass {seg_ratio:.3} must be < 1.5 at {hub_shards} shards"
-    );
-    let star_queries: Vec<u64> = (0..star_g.n_vertices() as u64).collect();
-    let (hub_seq_ms, hub_out, hub_report) =
-        time_hub_folds(&star_g, ParallelConfig::serial(), &star_queries);
-    let row_par = ParallelConfig::with_threads(best_threads).with_segment_threshold(u16::MAX);
-    let (hub_row_ms, hub_row_out, hub_row_report) = time_hub_folds(&star_g, row_par, &star_queries);
-    let seg_par = ParallelConfig::with_threads(best_threads).with_segment_threshold(0);
-    let (hub_seg_ms, hub_seg_out, hub_seg_report) = time_hub_folds(&star_g, seg_par, &star_queries);
-    assert_eq!(hub_row_out, hub_out, "row-granular hub fold diverged");
-    assert_eq!(hub_seg_out, hub_out, "segmented hub fold diverged");
-    assert_eq!(
-        hub_row_report, hub_report,
-        "row-granular hub meter diverged"
-    );
-    assert_eq!(hub_seg_report, hub_report, "segmented hub meter diverged");
-    eprintln!(
-        "hub skew (star n={n}): entry-mass max/mean @{hub_shards} shards {row_ratio:.3} -> {seg_ratio:.3}; \
-         fold seq {hub_seq_ms:.4} / row {hub_row_ms:.4} / seg {hub_seg_ms:.4} ms/round"
-    );
-    drop(star_g);
-
     // --- end-to-end through the Session API: sequential vs parallel ---
     let out_seq = session.run(42);
     assert!(out_seq.run.coloring.is_total(), "baseline must be total");
@@ -504,25 +389,6 @@ fn main() {
                     ("sequential_ms_per_round", Json::from(pl_seq_ms)),
                     ("parallel_ms_per_round", Json::from(pl_par_ms)),
                     ("parallel_threads", Json::from(best_threads)),
-                ]),
-            ),
-            (
-                "hub_skew",
-                Json::obj(vec![
-                    (
-                        "workload",
-                        Json::from(format!("star-hub:n={n},layout=star3,links=2")),
-                    ),
-                    ("shards", Json::from(hub_shards)),
-                    ("work_metric", Json::from("per-shard CSR entry mass")),
-                    ("row_granular_max_over_mean", Json::from(row_ratio)),
-                    ("segmented_max_over_mean", Json::from(seg_ratio)),
-                    ("segmented_below_1_5", Json::from(true)),
-                    ("sequential_ms_per_round", Json::from(hub_seq_ms)),
-                    ("row_granular_ms_per_round", Json::from(hub_row_ms)),
-                    ("segmented_ms_per_round", Json::from(hub_seg_ms)),
-                    ("parallel_threads", Json::from(best_threads)),
-                    ("bit_identical_to_sequential", Json::from(true)),
                 ]),
             ),
             (

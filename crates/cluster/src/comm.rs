@@ -46,8 +46,8 @@
 
 use crate::graph::{ClusterGraph, VertexId};
 use crate::par::{
-    fill_segmented_with_offsets, fill_sharded, fill_sharded_with_offsets, fold_rows_segmented,
-    for_each_shard, ParallelConfig, SegmentedPlan, SendPtr, ShardPlan, WorkerPool,
+    fill_sharded, fill_sharded_with_offsets, for_each_shard, ParallelConfig, SendPtr, ShardPlan,
+    WorkerPool,
 };
 use cgc_net::CostMeter;
 use std::sync::Arc;
@@ -126,19 +126,13 @@ pub struct ClusterNet<'a> {
     scratch: RoundScratch,
     par: ParallelConfig,
     plan: ShardPlan,
-    /// The intra-row segmented plan, present only when the topology has a
-    /// hub row heavier than the config's segmentation threshold (see
-    /// [`SegmentedPlan::plan_csr`]). The monoid fold wrappers and
-    /// `neighbor_collect` route through it when present, so one power-law
-    /// hub no longer serializes a whole shard.
-    seg: Option<SegmentedPlan>,
     /// Even per-vertex plan for the O(1)-per-vertex primitives
     /// (`exact_degrees`), where entry mass is the wrong balance measure.
     even_plan: ShardPlan,
     /// The persistent dispatch pool for `threads > 1` configs, acquired
     /// from the process-global cache ([`WorkerPool::global`]) so every
     /// runtime — and every round of every run — reuses the same parked
-    /// workers instead of spawning scoped threads per round.
+    /// workers instead of spawning threads per round.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -171,7 +165,6 @@ impl<'a> ClusterNet<'a> {
             n_links: g.n_links() as u64,
             scratch: RoundScratch::default(),
             plan: g.shard_plan(&par),
-            seg: g.segmented_plan(&par),
             even_plan: ShardPlan::even(g.n_vertices(), par.threads()),
             pool: WorkerPool::global(par.threads()),
             par,
@@ -208,7 +201,6 @@ impl<'a> ClusterNet<'a> {
             return;
         }
         self.plan = self.g.shard_plan(&par);
-        self.seg = self.g.segmented_plan(&par);
         self.even_plan = ShardPlan::even(self.g.n_vertices(), par.threads());
         self.pool = WorkerPool::global(par.threads());
         self.par = par;
@@ -231,13 +223,6 @@ impl<'a> ClusterNet<'a> {
     #[inline]
     pub fn shard_plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// The active intra-row segmented plan, when the topology's hub rows
-    /// triggered segmentation (see [`SegmentedPlan::plan_csr`]).
-    #[inline]
-    pub fn segmented_plan(&self) -> Option<&SegmentedPlan> {
-        self.seg.as_ref()
     }
 
     /// `ceil(log2(x + 1))` — bits to address one of `x` values.
@@ -435,69 +420,6 @@ impl<'a> ClusterNet<'a> {
         }
     }
 
-    /// [`Self::neighbor_fold_into`] for **monoid** folds — `init` is the
-    /// combine identity and `merge` continues a fold split at any point
-    /// (`merge(a, fold(init(v), es)) == fold(a, es)`). That extra law is
-    /// what lets the round route through the runtime's [`SegmentedPlan`]
-    /// when the topology has a hub row: each segment folds its fragments
-    /// of the row independently, and the fragments merge in ascending
-    /// segment order, so outputs and meter charges are bit-identical to
-    /// the serial walk while no shard carries more than its entry share.
-    /// Without a segmented plan (balanced topologies, serial configs) this
-    /// is exactly `neighbor_fold_into`.
-    ///
-    /// The typed wrappers ([`Self::neighbor_fold_flags`] and friends) all
-    /// route through here — their folds are monoids (OR, +, |) — so the
-    /// driver's trial stages are hub-proof automatically. Non-monoid folds
-    /// must stay on [`Self::neighbor_fold_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn neighbor_fold_into_merging<Q: Sync, C, R: Send>(
-        &mut self,
-        query_bits: u64,
-        response_bits: u64,
-        queries: &[Q],
-        edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<C> + Sync,
-        init: impl Fn(VertexId) -> R + Sync,
-        fold: impl Fn(&mut R, C) + Sync,
-        merge: impl FnMut(&mut R, R),
-        out: &mut Vec<R>,
-    ) {
-        if self.seg.is_none() {
-            self.neighbor_fold_into(query_bits, response_bits, queries, edge, init, fold, out);
-            return;
-        }
-        assert_eq!(
-            queries.len(),
-            self.g.n_vertices(),
-            "one query per vertex required"
-        );
-        self.charge_broadcast(query_bits);
-        self.charge_link_round(query_bits);
-        self.charge_converge(response_bits);
-        let seg = self.seg.as_ref().expect("checked above");
-        let (offsets, adj) = self.g.adjacency_csr();
-        fold_rows_segmented(
-            out,
-            seg,
-            self.pool.as_deref(),
-            offsets,
-            init,
-            |v, es, acc| {
-                let qv = &queries[v];
-                for &u in &adj[es] {
-                    if let Some(c) = edge(v, u, qv, &queries[u]) {
-                        fold(acc, c);
-                    }
-                }
-            },
-            merge,
-        );
-    }
-
     /// Any-hit fold: `flags[v]` is true iff some distinct neighbor `u`
     /// satisfies `edge(v, u, ..)`. The returned slice borrows the runtime's
     /// [`RoundScratch`]; copy it out if it must survive the next round.
@@ -509,14 +431,13 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> bool + Sync,
     ) -> &[bool] {
         let mut buf = std::mem::take(&mut self.scratch.flags);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
             |v, u, qv, qu| edge(v, u, qv, qu).then_some(()),
             |_| false,
             |acc, ()| *acc = true,
-            |acc, b| *acc = *acc || b,
             &mut buf,
         );
         self.scratch.flags = buf;
@@ -533,14 +454,13 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<usize> + Sync,
     ) -> &[usize] {
         let mut buf = std::mem::take(&mut self.scratch.counts);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
             edge,
             |_| 0usize,
             |acc, c| *acc += c,
-            |acc, b| *acc += b,
             &mut buf,
         );
         self.scratch.counts = buf;
@@ -557,14 +477,13 @@ impl<'a> ClusterNet<'a> {
         edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<u64> + Sync,
     ) -> &[u64] {
         let mut buf = std::mem::take(&mut self.scratch.words);
-        self.neighbor_fold_into_merging(
+        self.neighbor_fold_into(
             query_bits,
             response_bits,
             queries,
             edge,
             |_| 0u64,
             |acc, c| *acc |= c,
-            |acc, b| *acc |= b,
             &mut buf,
         );
         self.scratch.words = buf;
@@ -621,29 +540,10 @@ impl<'a> ClusterNet<'a> {
         self.charge_converge(query_bits.saturating_mul(max_deg.max(1)));
 
         let (offsets, adj) = self.g.adjacency_csr();
-        // Offsets copy and arena fill are sharded together in one scope:
-        // shard `s` copies its own vertices' row starts and fills its own
-        // rows' entries — the last O(n) sequential passes of the warm
-        // round, removed without an extra spawn cycle. Entry `e` of the
-        // output arena is a pure function of adjacency slot `e`, so when a
-        // hub row triggered segmentation its entries can be written by
-        // several segments, bit-identically to the row-granular fill.
-        if let Some(seg) = &self.seg {
-            fill_segmented_with_offsets(
-                &mut out.offsets,
-                &mut out.data,
-                seg,
-                self.pool.as_deref(),
-                offsets,
-                |es: std::ops::Range<usize>, slot: &mut [std::mem::MaybeUninit<_>]| {
-                    for (i, cell) in slot.iter_mut().enumerate() {
-                        let u = adj[es.start + i];
-                        cell.write((u, queries[u].clone()));
-                    }
-                },
-            );
-            return;
-        }
+        // Offsets copy and arena fill are sharded together in one
+        // dispatch: shard `s` copies its own vertices' row starts and
+        // fills its own rows' entries — the last O(n) sequential passes of
+        // the warm round, removed without an extra dispatch cycle.
         fill_sharded_with_offsets(
             &mut out.offsets,
             &mut out.data,

@@ -14,8 +14,8 @@
 //! of member offsets, members, parents and heights.
 
 use crate::par::{
-    for_each_shard, map_reduce_on, merge_sorted_runs, patch_csr_rows, run_waves, ParallelConfig,
-    SegmentedPlan, SendPtr, ShardPlan, WaveSchedule, WorkerPool,
+    map_reduce_on, patch_csr_rows, run_waves, ParallelConfig, SendPtr, ShardPlan, WaveSchedule,
+    WorkerPool,
 };
 use cgc_net::{BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
 use std::time::Instant;
@@ -68,8 +68,9 @@ pub struct BuildTimings {
     /// Link phase: inter-cluster link collection plus each shard's local
     /// pair sort/dedup (sharded by `G`-row mass).
     pub link_secs: f64,
-    /// Sort/assembly phase: fixed-order k-way merge of the shard pair
-    /// lists, CSR assembly, and the sharded per-row adjacency sorts.
+    /// Merge/assembly phase: fixed-order k-way merge of the shard pair
+    /// lists and the `H` CSR fill (the sorted merge fills every row
+    /// already sorted, so no per-row sort runs).
     pub sort_secs: f64,
     /// End-to-end build time.
     pub total_secs: f64,
@@ -183,14 +184,14 @@ impl ClusterGraph {
 
     /// [`Self::build`] sharded over `par`'s threads (dispatched on the
     /// process-global [`WorkerPool`], so repeated builds reuse the same
-    /// parked workers as the aggregation rounds). The three heavy phases
+    /// parked workers as the aggregation rounds). The two heavy phases
     /// shard independently: support-tree BFS by cluster id (each worker
-    /// with its own subset scratch), link collection by `G`-row mass
-    /// (shard-local sort/dedup, fixed-order k-way merge), and the per-row
-    /// adjacency sorts by `H`-row mass. Every derived table is
-    /// **byte-identical** to the sequential build at any thread count
-    /// (`tests/build_equivalence.rs` pins this), including which error is
-    /// reported on invalid input.
+    /// with its own subset scratch) and link collection by `G`-row mass
+    /// (shard-local sort/dedup). A fixed-order k-way merge of the shard
+    /// pair lists then fills `H`'s CSR serially, every row already sorted.
+    /// Every derived table is **byte-identical** to the sequential build
+    /// at any thread count (`tests/build_equivalence.rs` pins this),
+    /// including which error is reported on invalid input.
     pub fn build_with(
         comm: CommGraph,
         assignment: Vec<VertexId>,
@@ -237,10 +238,10 @@ impl ClusterGraph {
         // Shards are contiguous ascending cluster ranges merged in shard
         // order, so the first error (by cluster id) wins exactly as in the
         // sequential walk. A cluster's BFS is an indivisible unit (the
-        // traversal is one sequential frontier), so this phase cannot
-        // segment inside a row; `from_prefix`'s retargeting keeps the
-        // clusters *after* a giant one evenly spread instead of collapsing
-        // into it, which is the best a row-granular split can do here.
+        // traversal is one sequential frontier); `from_prefix`'s
+        // retargeting keeps the clusters *after* a giant one evenly spread
+        // instead of collapsing into it, which is the best a row-granular
+        // split can do here.
         let tree_start = Instant::now();
         let tree_plan = ShardPlan::from_prefix(&member_offsets, par.threads());
         let (parents, heights) = map_reduce_on(
@@ -314,6 +315,10 @@ impl ClusterGraph {
         for d in &deg {
             h_offsets.push(h_offsets.last().unwrap() + d);
         }
+        // `edges` is sorted by `(u, v)`, so row `x` receives its lower
+        // neighbors first (from the rows `u < x`, ascending) and then its
+        // upper neighbors (from row `x`, ascending): every row comes out
+        // sorted and needs no per-row sort.
         let mut h_adj = vec![0usize; h_offsets[k]];
         let mut cursor = h_offsets[..k].to_vec();
         for &(u, v) in &edges {
@@ -321,83 +326,6 @@ impl ClusterGraph {
             cursor[u] += 1;
             h_adj[cursor[v]] = u;
             cursor[v] += 1;
-        }
-        // CSR rows are sorted because the edge list is sorted for the `u`
-        // side; the `v` side needs a sort. A fully sorted row is unique,
-        // making the result independent of the split. With a hub row
-        // heavier than the segmentation threshold, the row's *fragments*
-        // sort in parallel under a `SegmentedPlan` and a serial pass merges
-        // each split row's sorted runs in ascending segment order;
-        // otherwise rows are disjoint slices sharded by row mass.
-        match SegmentedPlan::plan_csr(&h_offsets, par) {
-            Some(seg) => {
-                {
-                    let base = SendPtr::new(h_adj.as_mut_ptr());
-                    let h_offsets = &h_offsets;
-                    let seg = &seg;
-                    for_each_shard(pool, seg.n_segments(), &|s| {
-                        let (r0, e0) = seg.cut(s);
-                        let (_, e1) = seg.cut(s + 1);
-                        let mut r = r0;
-                        let mut lo = e0;
-                        while lo < e1 {
-                            let hi = h_offsets[r + 1].min(e1);
-                            if hi > lo {
-                                // SAFETY: segment entry ranges are disjoint
-                                // sub-slices of `h_adj`.
-                                let frag = unsafe {
-                                    std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo)
-                                };
-                                frag.sort_unstable();
-                            }
-                            lo = h_offsets[r + 1];
-                            r += 1;
-                        }
-                    });
-                }
-                // Merge each split row's sorted fragments (distinct
-                // neighbor ids, so the merged row equals the full sort).
-                let mut scratch: Vec<VertexId> = Vec::new();
-                let mut bounds: Vec<usize> = Vec::new();
-                let segs = seg.n_segments();
-                let mut s = 1;
-                while s < segs {
-                    let (r, e) = seg.cut(s);
-                    if e <= h_offsets[r] {
-                        s += 1;
-                        continue;
-                    }
-                    let (lo, hi) = (h_offsets[r], h_offsets[r + 1]);
-                    bounds.clear();
-                    bounds.push(0);
-                    while s < segs {
-                        let (r2, e2) = seg.cut(s);
-                        if r2 == r && e2 > lo {
-                            bounds.push(e2 - lo);
-                            s += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    bounds.push(hi - lo);
-                    merge_sorted_runs(&mut h_adj[lo..hi], &bounds, &mut scratch);
-                }
-            }
-            None => {
-                let row_plan = ShardPlan::from_prefix(&h_offsets, par.threads());
-                let base = SendPtr::new(h_adj.as_mut_ptr());
-                let h_offsets = &h_offsets;
-                for_each_shard(pool, row_plan.n_shards(), &|s| {
-                    for c in row_plan.range(s) {
-                        let (lo, hi) = (h_offsets[c], h_offsets[c + 1]);
-                        // SAFETY: rows of this shard's clusters are disjoint
-                        // sub-slices of `h_adj`.
-                        let row =
-                            unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-                        row.sort_unstable();
-                    }
-                });
-            }
         }
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
@@ -957,20 +885,11 @@ impl ClusterGraph {
     }
 
     /// Plans executor shards over the vertices of `H` under `cfg` —
-    /// [`ShardPlan::plan_csr`] over the deduplicated `H`-adjacency, so
-    /// `BalancedEdges` cuts by degree mass. A pure function of
-    /// `(topology, cfg)`, reproducible across runs.
+    /// [`ShardPlan::from_prefix`] over the deduplicated `H`-adjacency, so
+    /// shards cut by degree mass. A pure function of `(topology, cfg)`,
+    /// reproducible across runs.
     pub fn shard_plan(&self, cfg: &ParallelConfig) -> ShardPlan {
-        ShardPlan::plan_csr(&self.h_offsets, cfg)
-    }
-
-    /// The intra-row [`SegmentedPlan`] over `H`'s deduplicated adjacency
-    /// under `cfg` — `Some` only when a hub row exceeds the config's
-    /// segmentation threshold, `None` when row-granular shards already
-    /// balance (see [`SegmentedPlan::plan_csr`]). Like
-    /// [`Self::shard_plan`], a pure function of `(topology, cfg)`.
-    pub fn segmented_plan(&self, cfg: &ParallelConfig) -> Option<SegmentedPlan> {
-        SegmentedPlan::plan_csr(&self.h_offsets, cfg)
+        ShardPlan::from_prefix(&self.h_offsets, cfg.threads())
     }
 }
 

@@ -56,8 +56,7 @@ pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
 pub use palette::{palette_sweep_waves, PaletteSweep};
 pub use par::{
-    available_threads, fill_segmented_with_offsets, fold_rows_segmented, map_reduce_on,
-    map_reduce_sharded, merge_sorted_runs, run_waves, total_scoped_threads_spawned, ParallelConfig,
-    SegmentedPlan, ShardPlan, ShardStrategy, WaveSchedule, WaveStats, WorkerPool,
+    available_threads, map_reduce_on, run_waves, ParallelConfig, ShardPlan, WaveSchedule,
+    WaveStats, WorkerPool,
 };
 pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

@@ -9,7 +9,7 @@
 //! `cgc_cluster::…` import keeps working through this re-export.
 //!
 //! The one cluster-specific piece is planning from a built topology:
-//! [`crate::ClusterGraph::shard_plan`] wraps [`ShardPlan::plan_csr`] over
-//! the `H`-adjacency CSR.
+//! [`crate::ClusterGraph::shard_plan`] wraps [`ShardPlan::from_prefix`]
+//! over the `H`-adjacency CSR.
 
 pub use cgc_net::par::*;

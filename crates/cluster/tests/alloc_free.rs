@@ -196,7 +196,6 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     let warm = out.clone();
 
     let spawned_before = WorkerPool::total_threads_spawned();
-    let scoped_before = cgc_cluster::total_scoped_threads_spawned();
     let allocs_before = allocations();
     for _ in 0..100 {
         fold(&mut net, &mut out);
@@ -213,11 +212,6 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
         spawned_before,
         "warm pooled rounds must not spawn threads"
     );
-    assert_eq!(
-        cgc_cluster::total_scoped_threads_spawned(),
-        scoped_before,
-        "warm pooled rounds must not fall back to scoped-thread dispatch"
-    );
     assert_eq!(out, warm, "pooled results stay identical across rounds");
 
     // And the pooled results match a sequential runtime's bit for bit.
@@ -226,76 +220,6 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     fold(&mut seq, &mut seq_out);
     assert_eq!(out, seq_out);
     assert_eq!(degs, seq.exact_degrees());
-}
-
-fn segmented_rounds_are_allocation_free_and_spawn_no_threads() {
-    let h = instance();
-    // Force intra-row segmentation (threshold 0) so the warm rounds run
-    // the segmented fold/collect paths, not the row-granular ones.
-    let par = ParallelConfig::with_threads(2).with_segment_threshold(0);
-    let mut net = ClusterNet::with_parallel(&h, 64, par);
-    assert!(
-        net.segmented_plan().is_some(),
-        "threshold 0 must force a segmented plan"
-    );
-    let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
-    let mut out: Vec<u64> = Vec::new();
-    let mut lists: NeighborLists<u64> = NeighborLists::new();
-    let fold = |net: &mut ClusterNet<'_>, out: &mut Vec<u64>| {
-        net.neighbor_fold_into_merging(
-            16,
-            16,
-            &queries,
-            |_, _, _, qu| Some(*qu),
-            |_| 0u64,
-            |a, c| *a = (*a).max(c),
-            |a, b| *a = (*a).max(b),
-            out,
-        );
-    };
-    fold(&mut net, &mut out);
-    net.neighbor_fold_flags(8, 1, &queries, |_, _, _, qu| *qu > 3);
-    net.neighbor_collect_into(16, &queries, &mut lists);
-    let warm = out.clone();
-
-    let spawned_before = WorkerPool::total_threads_spawned();
-    let scoped_before = cgc_cluster::total_scoped_threads_spawned();
-    let allocs_before = allocations();
-    for _ in 0..100 {
-        fold(&mut net, &mut out);
-        net.neighbor_fold_flags(8, 1, &queries, |_, _, _, qu| *qu > 3);
-        net.neighbor_collect_into(16, &queries, &mut lists);
-    }
-    assert_eq!(
-        allocations() - allocs_before,
-        0,
-        "warm segmented rounds must not allocate"
-    );
-    assert_eq!(
-        WorkerPool::total_threads_spawned(),
-        spawned_before,
-        "warm segmented rounds must not spawn threads"
-    );
-    assert_eq!(
-        cgc_cluster::total_scoped_threads_spawned(),
-        scoped_before,
-        "warm segmented rounds must not fall back to scoped-thread dispatch"
-    );
-    assert_eq!(out, warm, "segmented results stay identical across rounds");
-
-    // And the segmented results match a sequential runtime's bit for bit.
-    let mut seq = ClusterNet::new(&h, 64);
-    let mut seq_out: Vec<u64> = Vec::new();
-    seq.neighbor_fold_into(
-        16,
-        16,
-        &queries,
-        |_, _, _, qu| Some(*qu),
-        |_| 0u64,
-        |a, c| *a = (*a).max(c),
-        &mut seq_out,
-    );
-    assert_eq!(out, seq_out);
 }
 
 fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
@@ -331,7 +255,6 @@ fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
     let warm = out.clone();
 
     let spawned_before = WorkerPool::total_threads_spawned();
-    let scoped_before = cgc_cluster::total_scoped_threads_spawned();
     let allocs_before = allocations();
     for _ in 0..100 {
         palette_sweep_waves(
@@ -353,11 +276,6 @@ fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
         WorkerPool::total_threads_spawned(),
         spawned_before,
         "warm palette-query waves must not spawn threads"
-    );
-    assert_eq!(
-        cgc_cluster::total_scoped_threads_spawned(),
-        scoped_before,
-        "warm palette-query waves must not fall back to scoped-thread dispatch"
     );
     assert_eq!(out.free_counts, warm.free_counts);
     assert_eq!(out.uncolored_degrees, warm.uncolored_degrees);
@@ -424,7 +342,6 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
     let warm = round(&mut net);
 
     let spawned_before = WorkerPool::total_threads_spawned();
-    let scoped_before = cgc_cluster::total_scoped_threads_spawned();
     let mut last = warm.clone();
     for _ in 0..50 {
         last = round(&mut net);
@@ -433,11 +350,6 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
         WorkerPool::total_threads_spawned(),
         spawned_before,
         "warm fingerprint rounds must not spawn pool threads"
-    );
-    assert_eq!(
-        cgc_cluster::total_scoped_threads_spawned(),
-        scoped_before,
-        "warm fingerprint rounds must not fall back to scoped-thread dispatch"
     );
     assert_eq!(last.0, warm.0, "results stay identical across rounds");
     assert_eq!(last.2, warm.2);
@@ -477,7 +389,7 @@ fn graph_clones_allocate_exactly_their_heap_bytes() {
 /// Runs every case in order on the main thread and reports in the test
 /// harness's format.
 fn main() {
-    let cases: [(&str, fn()); 9] = [
+    let cases: [(&str, fn()); 8] = [
         (
             "neighbor_fold_into_is_allocation_free_when_warm",
             neighbor_fold_into_is_allocation_free_when_warm,
@@ -493,10 +405,6 @@ fn main() {
         (
             "pooled_rounds_are_allocation_free_and_spawn_no_threads",
             pooled_rounds_are_allocation_free_and_spawn_no_threads,
-        ),
-        (
-            "segmented_rounds_are_allocation_free_and_spawn_no_threads",
-            segmented_rounds_are_allocation_free_and_spawn_no_threads,
         ),
         (
             "palette_query_waves_are_allocation_free_and_spawn_no_threads",

@@ -1,9 +1,10 @@
 //! `ClusterGraph` stores each adjacency once and derives the rest: links
 //! from the communication CSR, `H`-edges from the upper halves of `H`'s
 //! CSR rows, support trees from one flat layout. This property suite
-//! checks every derived view — `links()`, `h_edges()`,
-//! `h_edge_multiplicities()`, `link_multiplicity`, `incident_links`,
-//! `support(v)` and `comm().edges()` — against a reference built from
+//! checks the CSR rows themselves (`neighbors(v)`, sorted) and every
+//! derived view — `links()`, `h_edges()`, `h_edge_multiplicities()`,
+//! `link_multiplicity`, `incident_links`, `support(v)` and
+//! `comm().edges()` — against a reference built from
 //! scratch from the machine edge list and the assignment, on gnp and
 //! power-law instances (singleton, star and path clusters, one to three
 //! links per `H`-edge) and contraction instances, before and after random
@@ -28,6 +29,8 @@ struct Reference {
     h_edges: Vec<Edge>,
     mult: Vec<u32>,
     incident: Vec<usize>,
+    /// Each cluster's distinct neighbor clusters, ascending.
+    neighbors: Vec<Vec<usize>>,
     trees: Vec<Tree>,
 }
 
@@ -52,6 +55,14 @@ impl Reference {
             *counts.entry((cu, cv)).or_default() += 1;
             incident[cu] += 1;
             incident[cv] += 1;
+        }
+        let mut neighbors = vec![Vec::new(); k];
+        for &(cu, cv) in counts.keys() {
+            neighbors[cu].push(cv);
+            neighbors[cv].push(cu);
+        }
+        for row in &mut neighbors {
+            row.sort_unstable();
         }
         let mut adj = vec![Vec::new(); n_machines];
         for &(a, b) in edges {
@@ -89,6 +100,7 @@ impl Reference {
             h_edges: counts.keys().copied().collect(),
             mult: counts.values().copied().collect(),
             incident,
+            neighbors,
             trees,
         }
     }
@@ -137,6 +149,12 @@ fn check_views(g: &ClusterGraph, edges: &BTreeSet<Edge>, ctx: &str) -> Result<()
         }
     }
     for v in 0..k {
+        prop_assert!(
+            g.neighbors(v) == &r.neighbors[v][..],
+            "{}: neighbors({})",
+            ctx,
+            v
+        );
         prop_assert!(
             g.incident_links(v) == r.incident[v],
             "{}: incident_links({})",

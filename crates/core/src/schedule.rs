@@ -69,7 +69,7 @@ impl ColorSchedule {
             q: coloring.q(),
         };
         assert!(
-            schedule.verify_disjoint(graph),
+            schedule.verify_disjoint(graph, par),
             "schedule classes must be pairwise H-disjoint (improper coloring?)"
         );
         schedule
@@ -77,14 +77,13 @@ impl ColorSchedule {
 
     /// Whether every `H`-edge joins two distinct classes — the invariant
     /// that makes one wave safe to run in parallel. Sharded over the edge
-    /// table; public so consumers (the example, the property suite) can
-    /// re-check after further mutations.
-    pub fn verify_disjoint(&self, graph: &ClusterGraph) -> bool {
+    /// table under `par`; public so consumers (the example, the property
+    /// suite) can re-check after further mutations.
+    pub fn verify_disjoint(&self, graph: &ClusterGraph, par: &ParallelConfig) -> bool {
         if graph.n_vertices() != self.waves.n_items() {
             return false;
         }
         let m = graph.n_h_edges();
-        let par = ParallelConfig::with_threads(available_for(m));
         let plan = ShardPlan::even(m, par.threads());
         let pool = WorkerPool::global(par.threads());
         map_reduce_on(
@@ -143,17 +142,6 @@ impl ColorSchedule {
     }
 }
 
-/// Thread count for the internal disjointness scan: scale with the edge
-/// count so tiny instances stay inline (the scan must not cost more than
-/// it checks).
-fn available_for(n_edges: usize) -> usize {
-    if n_edges < 4096 {
-        1
-    } else {
-        cgc_cluster::available_threads()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +176,7 @@ mod tests {
     fn classes_partition_vertices_and_are_disjoint() {
         let (g, c) = colored_instance();
         let s = ColorSchedule::build(&g, &c, &ParallelConfig::serial());
-        assert!(s.verify_disjoint(&g));
+        assert!(s.verify_disjoint(&g, &ParallelConfig::serial()));
         assert_eq!(s.n_classes(), c.q());
         let mut seen = vec![false; g.n_vertices()];
         for cls in 0..s.n_classes() {

@@ -193,15 +193,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the hub-segmentation threshold (percent of the even
-    /// per-shard entry mass a single CSR row must exceed before the
-    /// executor switches to intra-row segmented plans; default 100,
-    /// `CGC_SEG_THRESHOLD`-honoring, 0 forces segmentation on).
-    pub fn segment_threshold(mut self, pct: u16) -> Self {
-        self.parallel = self.parallel.with_segment_threshold(pct);
-        self
-    }
-
     /// Uses the exact-oracle ACD instead of the fingerprint ACD.
     pub fn oracle_acd(mut self, oracle: bool) -> Self {
         self.oracle_acd = oracle;

@@ -1,15 +1,12 @@
-//! Hub-proof segmentation differential suite: intra-row segmented plans
-//! must be a pure wall-clock knob. On hub-heavy instances — a Chung–Lu
-//! power law at β = 2.1, a star-layout realization, and a synthetic
-//! one-hub star spec — the full pipeline (instance build, driver run,
-//! cost report) must be **byte-identical** between the segmented executor
-//! (`segment_threshold = 0` forces intra-row cuts on) and the
-//! row-granular executor, at every swept thread count. And segmentation
-//! must actually fix the imbalance: on the one-hub instance the per-shard
-//! entry mass at 4 shards is near-flat under [`SegmentedPlan`] while the
-//! row-granular plan is pinned by the hub row.
+//! Thread-invariance on hub-heavy instances: a Chung–Lu power law at
+//! β = 2.1 and a synthetic one-hub star spec, both realized in a star
+//! layout. One hub row holds a large share of the CSR entries, so the
+//! row-granular shard plans are at their most lopsided here. The full
+//! pipeline (instance build, driver run, cost report) and the metered
+//! fold rounds must still be **byte-identical** to the serial executor at
+//! every swept thread count.
 
-use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, ShardPlan, VertexId};
+use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, VertexId};
 use cgc_core::{color_cluster_graph_with, DriverOptions, Params, RunResult};
 use cgc_graphs::{power_law_spec, realize_with, HSpec, Layout, PowerLawConfig};
 
@@ -52,33 +49,30 @@ fn run(g: &ClusterGraph, seed: u64, par: ParallelConfig) -> RunResult {
     )
 }
 
-/// Instance construction: the segmented build (forced via threshold 0)
-/// must reproduce the serial build full-struct, including CSR layout,
-/// support trees and link tables, at every thread count.
+/// Instance construction: the sharded build must reproduce the serial
+/// build full-struct, including CSR layout, support trees and link
+/// tables, at every thread count.
 #[test]
-fn segmented_build_is_byte_identical_to_serial() {
+fn hub_build_is_byte_identical_to_serial() {
     for (label, h) in [
         ("one-hub", one_hub_spec(260)),
         ("powerlaw-2.1", power_law_hub_spec()),
     ] {
         let reference = build(&h, 9, &ParallelConfig::serial());
         for threads in [1usize, 2, 4, 8] {
-            for pct in [0u16, 100] {
-                let par = ParallelConfig::with_threads(threads).with_segment_threshold(pct);
-                let got = build(&h, 9, &par);
-                assert_eq!(
-                    got, reference,
-                    "{label}: build drifted at threads={threads} pct={pct}"
-                );
-            }
+            let got = build(&h, 9, &ParallelConfig::with_threads(threads));
+            assert_eq!(
+                got, reference,
+                "{label}: build drifted at threads={threads}"
+            );
         }
     }
 }
 
-/// Full driver runs: coloring vector and cost report must match between
-/// segmented and row-granular executors at threads {1, 2, 4, 8}.
+/// Full driver runs: coloring vector and cost report must match the
+/// serial run at threads {1, 2, 4, 8}.
 #[test]
-fn segmented_runs_match_row_granular_runs() {
+fn hub_runs_are_thread_count_invariant() {
     for (label, h) in [
         ("one-hub", one_hub_spec(260)),
         ("powerlaw-2.1", power_law_hub_spec()),
@@ -90,71 +84,24 @@ fn segmented_runs_match_row_granular_runs() {
             "{label}: reference run must color properly"
         );
         for threads in [1usize, 2, 4, 8] {
-            for pct in [0u16, 100] {
-                let par = ParallelConfig::with_threads(threads).with_segment_threshold(pct);
-                let got = run(&g, 1234, par);
-                assert_eq!(
-                    got.coloring, reference.coloring,
-                    "{label}: coloring drifted at threads={threads} pct={pct}"
-                );
-                assert_eq!(
-                    got.report, reference.report,
-                    "{label}: cost report drifted at threads={threads} pct={pct}"
-                );
-            }
+            let got = run(&g, 1234, ParallelConfig::with_threads(threads));
+            assert_eq!(
+                got.coloring, reference.coloring,
+                "{label}: coloring drifted at threads={threads}"
+            );
+            assert_eq!(
+                got.report, reference.report,
+                "{label}: cost report drifted at threads={threads}"
+            );
         }
     }
 }
 
-/// The point of the whole exercise: on the one-hub instance, per-shard
-/// entry mass at 4 shards is near-flat under segmentation (< 1.5
-/// max/mean) where the row-granular plan is pinned by the hub row.
-#[test]
-fn segmentation_flattens_the_hub_imbalance() {
-    let h = one_hub_spec(50_000 / 3);
-    let g = build(&h, 9, &ParallelConfig::serial());
-    let (offsets, _) = g.adjacency_csr();
-    let entries = offsets[offsets.len() - 1];
-
-    let entry_mass = |lo: usize, hi: usize| offsets[hi] - offsets[lo];
-    let shards = 4usize;
-    let mean = entries as f64 / shards as f64;
-
-    // Row granularity cannot split the hub row.
-    let row_plan = ShardPlan::from_prefix(offsets, shards);
-    let row_max = (0..row_plan.n_shards())
-        .map(|s| {
-            let r = row_plan.range(s);
-            entry_mass(r.start, r.end)
-        })
-        .max()
-        .unwrap() as f64;
-
-    // Segmented cuts land inside the hub row and flatten the masses.
-    let par = ParallelConfig::with_threads(shards).with_segment_threshold(0);
-    let seg = g.segmented_plan(&par).expect("threshold 0 forces the plan");
-    let seg_max = (0..seg.n_segments())
-        .map(|s| seg.cut(s + 1).1 - seg.cut(s).1)
-        .max()
-        .unwrap() as f64;
-
-    assert!(
-        seg_max / mean < 1.5,
-        "segmented max/mean {:.3} must be < 1.5 (row-granular was {:.3})",
-        seg_max / mean,
-        row_max / mean
-    );
-    assert!(
-        seg_max <= row_max,
-        "segmentation must never be more imbalanced than row granularity"
-    );
-}
-
 /// The metered aggregation rounds themselves (the driver's hot path) are
-/// bit-identical between segmented and row-granular dispatch, including
-/// `CostMeter` totals — checked directly on the typed fold wrappers.
+/// bit-identical to the serial runtime, including `CostMeter` totals —
+/// checked directly on the typed fold wrappers.
 #[test]
-fn segmented_folds_and_meter_match_row_granular() {
+fn hub_folds_and_meter_are_thread_count_invariant() {
     let h = one_hub_spec(400);
     let g = build(&h, 9, &ParallelConfig::serial());
     let queries: Vec<u64> = (0..g.n_vertices() as u64).map(|v| v * 7 + 3).collect();
@@ -182,11 +129,8 @@ fn segmented_folds_and_meter_match_row_granular() {
         };
 
     let reference = fold_all(ParallelConfig::serial());
-    for threads in [2usize, 4, 8] {
-        for pct in [0u16, 100] {
-            let par = ParallelConfig::with_threads(threads).with_segment_threshold(pct);
-            let got = fold_all(par);
-            assert_eq!(got, reference, "threads={threads} pct={pct}");
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let got = fold_all(ParallelConfig::with_threads(threads));
+        assert_eq!(got, reference, "threads={threads}");
     }
 }

@@ -5,7 +5,7 @@
 //! bit-identity contract — if any phase's aggregation depended on thread
 //! scheduling, the colorings would drift.
 
-use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, ShardStrategy};
+use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_core::{color_cluster_graph_with, DriverOptions, Params};
 use cgc_graphs::{
     geometric_spec, gnp_spec, mixture_spec, power_law_spec, realize, Layout, MixtureConfig,
@@ -16,33 +16,31 @@ fn assert_thread_count_invariant(g: &ClusterGraph, seed: u64, label: &str) {
     let params = Params::laptop(g.n_vertices());
     let mut reference = None;
     for threads in [1usize, 2, 4, 8] {
-        for strategy in [ShardStrategy::EvenVertices, ShardStrategy::BalancedEdges] {
-            let mut net = ClusterNet::with_log_budget(g, 32);
-            let run = color_cluster_graph_with(
-                &mut net,
-                &params,
-                seed,
-                DriverOptions {
-                    oracle_acd: false,
-                    parallel: ParallelConfig::new(threads, strategy),
-                },
-            );
-            assert!(
-                run.coloring.is_total() && run.coloring.is_proper(g),
-                "{label}"
-            );
-            match &reference {
-                None => reference = Some((run.coloring, run.report)),
-                Some((coloring, report)) => {
-                    assert_eq!(
-                        &run.coloring, coloring,
-                        "{label}: coloring drifted at threads={threads} {strategy:?}"
-                    );
-                    assert_eq!(
-                        &run.report, report,
-                        "{label}: cost report drifted at threads={threads} {strategy:?}"
-                    );
-                }
+        let mut net = ClusterNet::with_log_budget(g, 32);
+        let run = color_cluster_graph_with(
+            &mut net,
+            &params,
+            seed,
+            DriverOptions {
+                oracle_acd: false,
+                parallel: ParallelConfig::with_threads(threads),
+            },
+        );
+        assert!(
+            run.coloring.is_total() && run.coloring.is_proper(g),
+            "{label}"
+        );
+        match &reference {
+            None => reference = Some((run.coloring, run.report)),
+            Some((coloring, report)) => {
+                assert_eq!(
+                    &run.coloring, coloring,
+                    "{label}: coloring drifted at threads={threads}"
+                );
+                assert_eq!(
+                    &run.report, report,
+                    "{label}: cost report drifted at threads={threads}"
+                );
             }
         }
     }

@@ -85,7 +85,7 @@ fn check_schedule(
     let coloring = warm.coloring().expect("warm session is colored").clone();
     let schedule = ColorSchedule::build(warm.graph(), &coloring, &ParallelConfig::serial());
     prop_assert!(
-        schedule.verify_disjoint(warm.graph()),
+        schedule.verify_disjoint(warm.graph(), &ParallelConfig::serial()),
         "classes must be pairwise H-disjoint: {}",
         base
     );

@@ -16,6 +16,11 @@
 //! execution (costs are charged analytically on the calling thread, never
 //! inside workers).
 //!
+//! [`ParallelConfig`] is just a thread count. Passes over CSR rows shard
+//! by [`ShardPlan::from_prefix`] (contiguous rows balanced by entry mass,
+//! cut only at row boundaries); O(1)-per-item passes shard by
+//! [`ShardPlan::even`].
+//!
 //! The module lives in `cgc_net` — the bottom of the crate stack — so that
 //! every layer above it shares one executor: [`crate::CommGraph`]'s
 //! sharded edge ingest, `cgc_cluster`'s aggregation rounds and sharded
@@ -26,7 +31,7 @@
 //! # The persistent worker pool
 //!
 //! A driver run executes thousands of aggregation rounds, and spawning
-//! scoped threads per round costs ~50–150 µs — more than a small round's
+//! threads per round costs ~50–150 µs — more than a small round's
 //! compute. [`WorkerPool`] therefore keeps the worker threads **parked
 //! between rounds**: dispatch publishes a borrowed, type-erased job and
 //! bumps an epoch word (seqlock style — workers spin briefly on the
@@ -41,9 +46,13 @@
 //! Pools come from a process-global cache ([`WorkerPool::global`]) keyed
 //! by capacity, so every runtime, every trace executor, every sharded
 //! build and every sharded generator in the process reuses the same
-//! parked workers — across rounds, runs and seed/thread sweeps. The
-//! `std::thread::scope` path remains as the fallback for one-shot calls
-//! that have no pool (or need more shards than the pool holds).
+//! parked workers — across rounds, runs and seed/thread sweeps.
+//!
+//! The pool is the only dispatch mechanism. A call with no pool, with a
+//! pool too small for the plan or already shut down, or from inside a
+//! pool job runs its shards **inline** on the calling thread, in shard
+//! order. Every output is thread-count invariant, so that is only slower,
+//! never different.
 //!
 //! Determinism contract: kernels must be pure functions of `(index,
 //! topology, inputs)` — the `Fn` (not `FnMut`) bounds on the sharded
@@ -55,20 +64,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How vertices are partitioned into per-thread shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Contiguous vertex ranges of (near-)equal vertex count. Cheap to
-    /// plan; fine when degrees are balanced (G(n,p), geometric).
-    EvenVertices,
-    /// Contiguous vertex ranges balanced by CSR adjacency mass (sum of
-    /// degrees), so a power-law head does not serialize one shard. This is
-    /// the default.
-    #[default]
-    BalancedEdges,
-}
-
-/// Thread count and shard strategy for the parallel executor.
+/// Thread count for the parallel executor.
 ///
 /// `threads == 1` is the sequential path: primitives run inline on the
 /// calling thread with zero spawn overhead (and stay allocation-free when
@@ -77,27 +73,7 @@ pub enum ShardStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     threads: usize,
-    strategy: ShardStrategy,
-    /// Hub-segmentation threshold, in percent of the per-shard entry mass
-    /// (`total entries / threads`). A CSR row whose entry count *exceeds*
-    /// `segment_pct / 100` of that target makes
-    /// [`SegmentedPlan::plan_csr`] return a segmented plan that cuts
-    /// inside the row; with no such row the row-granular [`ShardPlan`]
-    /// stays in effect. `100` (the default) means "segment only when one
-    /// row alone overflows a whole shard"; `0` forces segmentation
-    /// whenever any row has entries (the differential suites' knob).
-    segment_pct: u16,
-    /// When set, the fixed `segment_pct` gate is replaced by a measured
-    /// one: [`SegmentedPlan::plan_csr`] plans the row-granular shards
-    /// first and segments only when their entry mass is actually
-    /// imbalanced (heaviest shard > 1.25× the even share). Selected by
-    /// `CGC_SEG_THRESHOLD=auto`.
-    segment_auto: bool,
 }
-
-/// Default hub threshold: segment only when a single row exceeds the
-/// entire per-shard entry target.
-const DEFAULT_SEGMENT_PCT: u16 = 100;
 
 impl Default for ParallelConfig {
     fn default() -> Self {
@@ -108,27 +84,14 @@ impl Default for ParallelConfig {
 impl ParallelConfig {
     /// Sequential execution (one shard, calling thread).
     pub fn serial() -> Self {
-        ParallelConfig {
-            threads: 1,
-            strategy: ShardStrategy::default(),
-            segment_pct: DEFAULT_SEGMENT_PCT,
-            segment_auto: false,
-        }
+        ParallelConfig { threads: 1 }
     }
 
-    /// Explicit thread count (clamped to ≥ 1) and strategy.
-    pub fn new(threads: usize, strategy: ShardStrategy) -> Self {
+    /// Explicit thread count (clamped to ≥ 1).
+    pub fn with_threads(threads: usize) -> Self {
         ParallelConfig {
             threads: threads.max(1),
-            strategy,
-            segment_pct: DEFAULT_SEGMENT_PCT,
-            segment_auto: false,
         }
-    }
-
-    /// Explicit thread count with the default strategy.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::new(threads, ShardStrategy::default())
     }
 
     /// One thread per available hardware core.
@@ -141,29 +104,20 @@ impl ParallelConfig {
     /// stderr, naming the value), `0` or `max` means one thread per core,
     /// any other number is taken literally. This is how the CI matrix and
     /// the experiment binaries select their thread count.
-    /// `CGC_SEG_THRESHOLD` (a percentage, see
-    /// [`Self::with_segment_threshold`]) overrides the hub-segmentation
-    /// threshold the same way — unparsable values keep the default and
-    /// warn once.
     pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("CGC_THREADS").ok().as_deref(),
-            std::env::var("CGC_SEG_THRESHOLD").ok().as_deref(),
-        )
+        Self::from_env_values(std::env::var("CGC_THREADS").ok().as_deref())
     }
 
-    /// The pure core of [`Self::from_env`], taking the raw variable values
+    /// The pure core of [`Self::from_env`], taking the raw variable value
     /// directly so the fallback rules are testable without mutating the
     /// process environment. `None` means the variable is unset; an
-    /// unparsable `threads` falls back to [`Self::serial`] and an
-    /// unparsable `seg_threshold` keeps the default threshold — each warns
-    /// on stderr once per process, naming the rejected value, so a typo in
-    /// a service's environment degrades to the documented sequential
+    /// unparsable value falls back to [`Self::serial`] and warns on stderr
+    /// once per process, naming the rejected value, so a typo in a
+    /// service's environment degrades to the documented sequential
     /// behavior instead of being silently misread.
-    pub fn from_env_values(threads: Option<&str>, seg_threshold: Option<&str>) -> Self {
+    pub fn from_env_values(threads: Option<&str>) -> Self {
         static WARN_THREADS: std::sync::Once = std::sync::Once::new();
-        static WARN_SEG: std::sync::Once = std::sync::Once::new();
-        let cfg = match threads {
+        match threads {
             None => Self::serial(),
             Some(s) => match s.trim() {
                 "max" | "0" => Self::max_parallel(),
@@ -180,76 +134,13 @@ impl ParallelConfig {
                     }
                 },
             },
-        };
-        match seg_threshold {
-            None => cfg,
-            Some(s) if s.trim() == "auto" => cfg.with_segment_threshold_auto(),
-            Some(s) => match s.trim().parse::<u16>() {
-                Ok(pct) => cfg.with_segment_threshold(pct),
-                Err(_) => {
-                    WARN_SEG.call_once(|| {
-                        eprintln!(
-                            "cgc: unparsable CGC_SEG_THRESHOLD={:?}; \
-                             keeping the threshold at {}%",
-                            s.trim(),
-                            cfg.segment_threshold_pct()
-                        );
-                    });
-                    cfg
-                }
-            },
         }
-    }
-
-    /// Returns this config with the hub-segmentation threshold set to
-    /// `pct` percent of the per-shard entry target (`total entries /
-    /// threads`). [`SegmentedPlan::plan_csr`] segments a CSR iff some row's
-    /// entry count exceeds that fraction; `0` forces segmentation on any
-    /// CSR with entries (used by the differential suites to exercise the
-    /// segmented path on instances with no real hub).
-    pub fn with_segment_threshold(mut self, pct: u16) -> Self {
-        self.segment_pct = pct;
-        self.segment_auto = false;
-        self
-    }
-
-    /// Returns this config with the segmentation gate in **auto** mode
-    /// (`CGC_SEG_THRESHOLD=auto`): instead of comparing the heaviest row
-    /// against a fixed percentage, [`SegmentedPlan::plan_csr`] plans the
-    /// row-granular shards and segments only when their measured entry
-    /// mass is imbalanced — heaviest shard more than 1.25× the even
-    /// share. A pure function of `(offsets, cfg)` like the fixed gate, so
-    /// plans stay reproducible; the decision just derives from the
-    /// row-mass histogram measured at build time instead of a tuning
-    /// constant.
-    pub fn with_segment_threshold_auto(mut self) -> Self {
-        self.segment_auto = true;
-        self
-    }
-
-    /// Whether the segmentation gate is in measured-imbalance auto mode.
-    #[inline]
-    pub fn segment_threshold_is_auto(&self) -> bool {
-        self.segment_auto
-    }
-
-    /// The hub-segmentation threshold, in percent of the per-shard entry
-    /// target (default 100).
-    #[inline]
-    pub fn segment_threshold_pct(&self) -> u16 {
-        self.segment_pct
     }
 
     /// Configured worker count (≥ 1).
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Configured shard strategy.
-    #[inline]
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// Whether this config runs inline on the calling thread.
@@ -279,26 +170,6 @@ impl ShardPlan {
         ShardPlan { bounds: vec![0, n] }
     }
 
-    /// Plans shards over the rows of a CSR described by its monotone
-    /// `offsets` array (`offsets.len() - 1` rows) under `cfg`. The plan is
-    /// a pure function of `(offsets, cfg)` — never of runtime load — so it
-    /// is reproducible. Higher layers wrap this for their topologies
-    /// (e.g. `ClusterGraph::shard_plan` in `cgc_cluster`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offsets` is empty.
-    pub fn plan_csr(offsets: &[usize], cfg: &ParallelConfig) -> Self {
-        let n = offsets.len() - 1;
-        match cfg.strategy {
-            ShardStrategy::EvenVertices => Self::even(n, cfg.threads),
-            // offsets[v] is the prefix sum of degrees — cut it at each
-            // shard's target mass (plus a per-vertex constant so edgeless
-            // stretches still split).
-            ShardStrategy::BalancedEdges => Self::from_prefix(offsets, cfg.threads),
-        }
-    }
-
     /// At most `shards` contiguous ranges of (near-)equal item count over
     /// `n` items.
     pub fn even(n: usize, shards: usize) -> Self {
@@ -317,10 +188,10 @@ impl ShardPlan {
 
     /// At most `shards` contiguous item ranges over the `prefix.len() - 1`
     /// items described by a monotone prefix-sum array, balanced by prefix
-    /// mass plus a per-item constant. This is the generic form of the
-    /// `BalancedEdges` rule, reused wherever per-item work is a prefix sum
-    /// (CSR degrees, cluster member counts, `H`-row widths). A pure
-    /// function of `(prefix, shards)`, so plans are reproducible.
+    /// mass plus a per-item constant (so edgeless stretches still split).
+    /// Used wherever per-item work is a prefix sum: CSR degrees, cluster
+    /// member counts, `H`-row widths. A pure function of `(prefix,
+    /// shards)` — never of runtime load — so plans are reproducible.
     ///
     /// Because cuts land on item boundaries only, a single item heavier
     /// than `total / shards` cannot be subdivided: each bound **retargets**
@@ -328,8 +199,7 @@ impl ShardPlan {
     /// absolute targets, which let a hub absorb several shards' quotas and
     /// silently yielded empty shards around it), so the rows *after* a hub
     /// still split evenly across the remaining shards. The shard holding
-    /// the hub still carries at least the hub's whole mass — that is the
-    /// row-granularity floor [`SegmentedPlan`] exists to break.
+    /// the hub still carries at least the hub's whole mass.
     ///
     /// # Panics
     ///
@@ -365,10 +235,10 @@ impl ShardPlan {
             }
         }
         // Collapse empty shards (duplicate bounds): dispatching an empty
-        // shard wakes — or, on the scoped fallback, spawns — a worker that
-        // does nothing, every round. Dropping one removes only a no-op
-        // slot: the kept shards' item ranges are unchanged, so fills and
-        // shard-ordered reductions produce bit-identical results.
+        // shard wakes a worker that does nothing, every round. Dropping
+        // one removes only a no-op slot: the kept shards' item ranges are
+        // unchanged, so fills and shard-ordered reductions produce
+        // bit-identical results.
         bounds.dedup();
         ShardPlan { bounds }
     }
@@ -396,363 +266,6 @@ impl ShardPlan {
     pub fn n_vertices(&self) -> usize {
         *self.bounds.last().unwrap()
     }
-}
-
-/// A shard plan that may cut **inside** a CSR row: segment `s` covers the
-/// half-open entry range `cut(s)..cut(s + 1)`, where a cut is a `(row,
-/// entry)` position in the CSR (entry coordinates are absolute indices
-/// into the adjacency arena). Rows lighter than the per-segment target
-/// are never split, so the common case degenerates to row boundaries; a
-/// hub row heavier than one segment's share is divided into consecutive
-/// *fragments*, one per segment that overlaps it.
-///
-/// [`ShardPlan`] guarantees every row lives in exactly one shard, which
-/// is what lets `fill_sharded` hand each shard a disjoint output slice —
-/// and also what caps speedup at the heaviest row. `SegmentedPlan` trades
-/// that for a two-phase protocol: each segment folds its fragments into
-/// *partial* accumulators, and [`fold_rows_segmented`] merges the
-/// fragments of a split row **in ascending segment order** on the calling
-/// thread, so the result (and any `CostMeter` charge derived from it) is
-/// bit-identical to the serial left-to-right walk at any thread count.
-///
-/// Plans are pure functions of `(offsets, shards)` — reproducible, never
-/// load-dependent — like [`ShardPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentedPlan {
-    /// `cut(s) = (rows[s], entries[s])`; `n_segments() + 1` entries, the
-    /// first `(0, 0)` and the last `(n, offsets[n])`.
-    rows: Vec<usize>,
-    entries: Vec<usize>,
-    n_rows: usize,
-}
-
-impl SegmentedPlan {
-    /// Cuts the entry space `0..offsets[n]` into at most `shards` segments
-    /// of (near-)equal entry count, allowed to land inside a row. Cuts
-    /// that fall exactly on a row boundary are canonicalized to the
-    /// *start* of the following row, and duplicate cuts (possible only
-    /// when segments outnumber entries) collapse, so every segment is
-    /// nonempty in entry space unless the whole CSR is.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offsets` is empty or `offsets[0] != 0` (entry
-    /// coordinates are absolute arena indices, so the prefix must be
-    /// rebased by the caller if it does not start at zero).
-    pub fn from_prefix(offsets: &[usize], shards: usize) -> Self {
-        let n = offsets.len() - 1;
-        assert_eq!(offsets[0], 0, "SegmentedPlan needs a zero-based prefix");
-        let n_entries = offsets[n];
-        let shards = shards.min(n_entries.max(1));
-        let mut rows = Vec::with_capacity(shards + 1);
-        let mut entries = Vec::with_capacity(shards + 1);
-        rows.push(0);
-        entries.push(0);
-        let mut row = 0usize;
-        for s in 1..shards {
-            let target = s * n_entries / shards;
-            // First row whose entries extend past the target; the cut
-            // lands at entry `target` inside (or at the start of) it.
-            while row < n && offsets[row + 1] <= target {
-                row += 1;
-            }
-            if rows.last() == Some(&row) && entries.last() == Some(&target) {
-                continue; // degenerate: fewer entries than segments
-            }
-            rows.push(row);
-            entries.push(target);
-        }
-        rows.push(n);
-        entries.push(n_entries);
-        SegmentedPlan {
-            rows,
-            entries,
-            n_rows: n,
-        }
-    }
-
-    /// The segmented plan for a CSR under `cfg`, or `None` when
-    /// row-granular sharding already balances it: segmentation engages
-    /// only when some row's entry count exceeds
-    /// [`ParallelConfig::segment_threshold_pct`] percent of the per-shard
-    /// entry target (`total entries / threads`). Serial configs never
-    /// segment. This is the gate every hot path consults once per
-    /// topology (plans are cached alongside the row-granular
-    /// [`ShardPlan`]), so balanced instances keep the cheaper
-    /// single-phase protocol.
-    pub fn plan_csr(offsets: &[usize], cfg: &ParallelConfig) -> Option<Self> {
-        if cfg.is_serial() {
-            return None;
-        }
-        let n = offsets.len() - 1;
-        let n_entries = offsets[n] - offsets[0];
-        if n == 0 || n_entries == 0 {
-            return None;
-        }
-        if cfg.segment_threshold_is_auto() {
-            // Measured gate: plan the row-granular shards and read their
-            // entry-mass histogram. Segmentation pays its two-phase merge
-            // only when row granularity actually failed to balance —
-            // heaviest shard more than 1.25× the even share.
-            let plan = ShardPlan::from_prefix(offsets, cfg.threads());
-            let shards = plan.n_shards();
-            if shards <= 1 {
-                return Some(Self::from_prefix(offsets, cfg.threads()));
-            }
-            let heaviest = (0..shards)
-                .map(|s| {
-                    let r = plan.range(s);
-                    offsets[r.end] - offsets[r.start]
-                })
-                .max()
-                .unwrap_or(0);
-            let imbalanced = heaviest as u128 * shards as u128 * 4 > n_entries as u128 * 5;
-            if !imbalanced {
-                return None;
-            }
-            return Some(Self::from_prefix(offsets, cfg.threads()));
-        }
-        let per_shard = n_entries / cfg.threads();
-        let threshold = (per_shard as u128 * cfg.segment_threshold_pct() as u128 / 100) as usize;
-        let has_hub = (0..n).any(|v| offsets[v + 1] - offsets[v] > threshold);
-        if !has_hub {
-            return None;
-        }
-        Some(Self::from_prefix(offsets, cfg.threads()))
-    }
-
-    /// Number of segments.
-    #[inline]
-    pub fn n_segments(&self) -> usize {
-        self.rows.len() - 1
-    }
-
-    /// Number of CSR rows covered.
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Cut `s` as a `(row, entry)` position; segment `s` spans
-    /// `cut(s)..cut(s + 1)`.
-    #[inline]
-    pub fn cut(&self, s: usize) -> (usize, usize) {
-        (self.rows[s], self.entries[s])
-    }
-
-    /// The entry range of segment `s`.
-    #[inline]
-    pub fn entry_range(&self, s: usize) -> std::ops::Range<usize> {
-        self.entries[s]..self.entries[s + 1]
-    }
-}
-
-/// Clears `out` and refills it with one `T` per CSR row, folding row `v`'s
-/// entries `offsets[v]..offsets[v + 1]` left-to-right — segment-parallel
-/// under `plan`, with split rows reduced deterministically.
-///
-/// Per segment: a row owned from its start is folded `init(v)` then
-/// `scan(v, entries, acc)` and written straight to `out[v]`; a row whose
-/// start lies in an *earlier* segment (i.e. cut `s` landed inside it)
-/// contributes a partial accumulator, also built from `init(v)`, parked in
-/// a per-segment slot. A serial pass then merges each partial into its
-/// row's accumulator **in ascending segment order**, so the final value is
-/// `merge(..merge(frag_0, frag_1).., frag_k)` with fragments in entry
-/// order.
-///
-/// Bit-identity with the serial walk therefore requires `(init, scan,
-/// merge)` to satisfy `merge(a, fold(init(v), es)) == fold(a, es)` — i.e.
-/// `init(v)` is a left identity for the fold and `merge` continues it.
-/// Every monoid fold (max, sum, OR with `init` = identity) qualifies;
-/// folds whose `init` depends on already-accumulated state do not and must
-/// stay on the row-granular [`fill_sharded`].
-///
-/// The scratch arena is `n + n_segments` slots of one (re)used allocation
-/// (`out`'s spare capacity), so warm calls allocate nothing.
-pub fn fold_rows_segmented<T: Send>(
-    out: &mut Vec<T>,
-    plan: &SegmentedPlan,
-    pool: Option<&WorkerPool>,
-    offsets: &[usize],
-    init: impl Fn(usize) -> T + Sync,
-    scan: impl Fn(usize, std::ops::Range<usize>, &mut T) + Sync,
-    mut merge: impl FnMut(&mut T, T),
-) {
-    let n = plan.n_rows();
-    debug_assert_eq!(offsets.len(), n + 1);
-    let segs = plan.n_segments();
-    out.clear();
-    if segs <= 1 {
-        out.reserve(n);
-        let spare = &mut out.spare_capacity_mut()[..n];
-        for (v, cell) in spare.iter_mut().enumerate() {
-            let mut acc = init(v);
-            scan(v, offsets[v]..offsets[v + 1], &mut acc);
-            cell.write(acc);
-        }
-        // SAFETY: all n row slots were just written.
-        unsafe { out.set_len(n) };
-        return;
-    }
-    out.reserve(n + segs);
-    let spare = &mut out.spare_capacity_mut()[..n + segs];
-    let (row_slots, part_slots) = spare.split_at_mut(n);
-    {
-        let rows_base = SendPtr::new(row_slots.as_mut_ptr());
-        let parts_base = SendPtr::new(part_slots.as_mut_ptr());
-        for_each_shard(pool, segs, &|s| {
-            let (r0, e0) = plan.cut(s);
-            let (r1, e1) = plan.cut(s + 1);
-            // A cut inside row r0 means an earlier segment owns out[r0]:
-            // fold this segment's fragment of it into partial slot s.
-            let mut v = r0;
-            if e0 > offsets[r0] {
-                let frag_end = offsets[r0 + 1].min(e1);
-                let mut acc = init(r0);
-                scan(r0, e0..frag_end, &mut acc);
-                // SAFETY: partial slot s is written only by segment s.
-                unsafe { (*parts_base.get().add(s)).write(acc) };
-                v = r0 + 1;
-            }
-            // Rows owned from their start; disjoint across segments
-            // because consecutive segments' owned ranges tile 0..n.
-            while v < r1 {
-                let mut acc = init(v);
-                scan(v, offsets[v]..offsets[v + 1], &mut acc);
-                // SAFETY: row slot v is owned by exactly this segment.
-                unsafe { (*rows_base.get().add(v)).write(acc) };
-                v += 1;
-            }
-            // Head fragment of a row split by cut s + 1: this segment owns
-            // the row's start, so the (partial) fold goes to out[r1] and
-            // later segments' fragments merge into it.
-            if e1 > offsets[r1] && v <= r1 {
-                let mut acc = init(r1);
-                scan(r1, offsets[r1]..e1, &mut acc);
-                // SAFETY: as above — v <= r1 < n means this segment owns r1.
-                unsafe { (*rows_base.get().add(r1)).write(acc) };
-            }
-        });
-    }
-    // Serial merge pass: interior cuts in ascending s are exactly the
-    // split-row fragments in ascending entry order.
-    for (s, slot) in part_slots.iter().enumerate().skip(1) {
-        let (r, e) = plan.cut(s);
-        if e > offsets[r] {
-            // SAFETY: an interior cut s means segment s wrote partial slot
-            // s and some earlier segment wrote row slot r; each partial is
-            // consumed exactly once (cuts are strictly increasing).
-            let part = unsafe { slot.assume_init_read() };
-            let dst = unsafe { row_slots[r].assume_init_mut() };
-            merge(dst, part);
-        }
-    }
-    // SAFETY: all n row slots are initialized (every row is owned from its
-    // start by exactly one segment); the partial slots beyond index n were
-    // consumed by `assume_init_read` above and stay out of the length.
-    unsafe { out.set_len(n) };
-}
-
-/// [`fill_sharded_with_offsets`] under a [`SegmentedPlan`]: segment `s`
-/// owns entries `cut(s).1..cut(s + 1).1` of the arena and the row starts
-/// of the rows it owns from their start — a split row's start is copied by
-/// the segment holding its head. `fill` receives an absolute entry range
-/// that may begin or end mid-row; kernels must derive `(row, column)` from
-/// the entry index (the collect kernels do — entry `e` of row `v` is
-/// adjacency slot `e`), not assume range starts are row starts. Output is
-/// bit-identical to the row-granular fill because every entry is written
-/// by exactly one segment at its own index.
-pub fn fill_segmented_with_offsets<T: Send>(
-    out_offsets: &mut Vec<usize>,
-    out_data: &mut Vec<T>,
-    plan: &SegmentedPlan,
-    pool: Option<&WorkerPool>,
-    offsets: &[usize],
-    fill: impl Fn(std::ops::Range<usize>, &mut [MaybeUninit<T>]) + Sync,
-) {
-    let n = plan.n_rows();
-    debug_assert_eq!(offsets.len(), n + 1);
-    let n_entries = offsets[n];
-    out_offsets.clear();
-    out_offsets.reserve(n + 1);
-    out_data.clear();
-    out_data.reserve(n_entries);
-    let segs = plan.n_segments();
-    if segs <= 1 {
-        let offs_slot = &mut out_offsets.spare_capacity_mut()[..n];
-        for (v, cell) in offs_slot.iter_mut().enumerate() {
-            cell.write(offsets[v]);
-        }
-        fill(
-            0..n_entries,
-            &mut out_data.spare_capacity_mut()[..n_entries],
-        );
-    } else {
-        let offs_base = SendPtr::new(out_offsets.spare_capacity_mut()[..n].as_mut_ptr());
-        let data_base = SendPtr::new(out_data.spare_capacity_mut()[..n_entries].as_mut_ptr());
-        for_each_shard(pool, segs, &|s| {
-            let (r0, e0) = plan.cut(s);
-            let (r1, e1) = plan.cut(s + 1);
-            // Rows owned from their start (the tail fragment of a split
-            // row belongs to the segment holding its head).
-            let v0 = if e0 > offsets[r0] { r0 + 1 } else { r0 };
-            let v1 = if e1 > offsets[r1] { r1 + 1 } else { r1 };
-            for (v, &off) in (v0..v1).zip(&offsets[v0..v1]) {
-                // SAFETY: owned-row ranges tile 0..n across segments.
-                unsafe { (*offs_base.get().add(v)).write(off) };
-            }
-            if e1 > e0 {
-                // SAFETY: entry ranges are disjoint across segments.
-                let slot =
-                    unsafe { std::slice::from_raw_parts_mut(data_base.get().add(e0), e1 - e0) };
-                fill(e0..e1, slot);
-            }
-        });
-    }
-    // SAFETY: the owned-row ranges tile the offsets buffer and the entry
-    // ranges tile the arena; a panic on any segment propagates before
-    // these lines.
-    unsafe {
-        out_offsets.set_len(n);
-        out_data.set_len(n_entries);
-    }
-    out_offsets.push(offsets[n]);
-}
-
-/// Merges `k` consecutive sorted runs of `data` — `bounds` holds the
-/// `k + 1` run boundaries, `bounds[0] == 0` and `bounds[k] ==
-/// data.len()` — into one sorted whole via `scratch` (cleared, reused).
-/// The serial post-pass behind segmented per-row sorts: each segment
-/// sorts its fragment of a split row in parallel, then the fragments
-/// merge here. Stable merge with ties taken from the earlier run, so the
-/// result equals `data.sort()` for the orderings used (total orders on
-/// `Copy` keys).
-pub fn merge_sorted_runs<T: Ord + Copy>(data: &mut [T], bounds: &[usize], scratch: &mut Vec<T>) {
-    debug_assert!(bounds.len() >= 2);
-    debug_assert_eq!(bounds[0], 0);
-    debug_assert_eq!(*bounds.last().unwrap(), data.len());
-    if bounds.len() == 2 {
-        return;
-    }
-    scratch.clear();
-    scratch.reserve(data.len());
-    let k = bounds.len() - 1;
-    let mut heads: Vec<usize> = bounds[..k].to_vec();
-    loop {
-        let mut best: Option<(T, usize)> = None;
-        for (i, &h) in heads.iter().enumerate() {
-            if h < bounds[i + 1] {
-                let x = data[h];
-                if best.is_none_or(|(b, _)| x < b) {
-                    best = Some((x, i));
-                }
-            }
-        }
-        let Some((x, i)) = best else { break };
-        scratch.push(x);
-        heads[i] += 1;
-    }
-    data.copy_from_slice(scratch);
 }
 
 /// How many spin iterations a worker burns on the epoch counter before
@@ -822,29 +335,14 @@ static POOL_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 /// worker sets.
 static POOL_THREADS_EXITED: AtomicU64 = AtomicU64::new(0);
 
-/// Counts every one-shot scoped thread ever spawned by
-/// [`for_each_shard`]'s fallback path. A pooled hot loop must not move
-/// this either: a dispatch that silently misses the pool (lost pool
-/// handle, plan wider than the pool) regresses to per-round spawning
-/// without touching [`POOL_THREADS_SPAWNED`], so benches assert **both**
-/// counters stay flat across warm rounds.
-static SCOPED_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Total one-shot scoped threads ever spawned by the sharded dispatch
-/// fallback in this process (see [`WorkerPool::total_threads_spawned`]
-/// for the pooled counterpart).
-pub fn total_scoped_threads_spawned() -> u64 {
-    SCOPED_THREADS_SPAWNED.load(Ordering::Relaxed)
-}
-
 std::thread_local! {
     /// True while this thread is executing a pool job (the dispatching
-    /// caller on slot 0, a parked worker on its slot, or a scoped thread
-    /// transitively spawned from either). A nested dispatch on the — one,
-    /// process-global — pool from inside a job would deadlock: same-thread
-    /// re-entry self-deadlocks on the dispatch mutex, and a worker-slot
-    /// dispatch waits on a round that is itself waiting on that worker. So
-    /// [`for_each_shard`] routes nested fan-out to scoped threads instead.
+    /// caller on slot 0, or a parked worker on its slot). A nested
+    /// dispatch on the — one, process-global — pool from inside a job
+    /// would deadlock: same-thread re-entry self-deadlocks on the dispatch
+    /// mutex, and a worker-slot dispatch waits on a round that is itself
+    /// waiting on that worker. So [`for_each_shard`] runs nested fan-out
+    /// inline instead.
     static IN_POOL_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -966,8 +464,8 @@ impl WorkerPool {
     /// workers are unparked, terminated and joined, so an ascending thread
     /// sweep never accumulates retired parked worker sets — live pool
     /// threads always equal the final capacity. A runtime still holding an
-    /// `Arc` to a retired pool stays *correct*: its dispatches fall back
-    /// to one-shot scoped threads (see [`WorkerPool::run`]) — re-acquire
+    /// `Arc` to a retired pool stays *correct*: its dispatches run inline
+    /// on the calling thread (see [`WorkerPool::run`]) — re-acquire
     /// through here to get back on parked workers.
     pub fn global(threads: usize) -> Option<Arc<WorkerPool>> {
         if threads <= 1 {
@@ -996,10 +494,10 @@ impl WorkerPool {
     /// unparks everyone, and blocks until every worker thread exited.
     /// Serialized against in-flight dispatches, so a round in progress
     /// completes first. Idempotent. After shutdown, [`WorkerPool::run`]
-    /// falls back to one-shot scoped threads, so `Arc` holders that missed
-    /// the retirement stay correct (they just lose the parked-worker fast
-    /// path). Invoked by [`WorkerPool::global`] when growth retires a pool,
-    /// and by `Drop`.
+    /// runs its slots inline, so `Arc` holders that missed the retirement
+    /// stay correct (they just lose the parked-worker fast path). Invoked
+    /// by [`WorkerPool::global`] when growth retires a pool, and by
+    /// `Drop`.
     pub fn shutdown(&self) {
         let _round = lock_ignore_poison(&self.dispatch);
         self.shared.shutdown.store(true, Ordering::Release);
@@ -1013,8 +511,8 @@ impl WorkerPool {
     }
 
     /// Whether [`WorkerPool::shutdown`] ran (the pool was retired by
-    /// global-cache growth or explicitly shut down); dispatches now take
-    /// the scoped-thread fallback.
+    /// global-cache growth or explicitly shut down); dispatches now run
+    /// inline.
     pub fn is_shut_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::Acquire)
     }
@@ -1056,24 +554,20 @@ impl WorkerPool {
     /// would self-deadlock on the dispatch mutex, and a dispatch from a
     /// worker slot would wait on a round that is waiting on that worker.
     /// Nested sharded work inside a job should go through
-    /// [`for_each_shard`], which detects the nesting and falls back to
-    /// one-shot scoped threads.
+    /// [`for_each_shard`], which detects the nesting and runs it inline.
     ///
     /// On a **shut-down** pool (retired by [`WorkerPool::global`] growth)
-    /// the workers are gone, so the round runs on one-shot scoped threads
-    /// instead — correct, just not pooled (and visible in
-    /// [`total_scoped_threads_spawned`], so benches catch a hot loop stuck
-    /// on a retired pool).
+    /// the workers are gone, so the slots run inline on the calling
+    /// thread, in slot order — correct, just not parallel.
     ///
     /// # Panics
     ///
     /// Panics when `shards` exceeds [`Self::max_shards`] — slots the pool
-    /// cannot serve would otherwise be silently skipped (use
-    /// [`for_each_shard`]'s scoped-thread fallback for oversized fan-out).
-    /// Panics on a nested dispatch from inside a pool job (which would
-    /// otherwise deadlock). Propagates a panic if the job panicked on any
-    /// slot (after all slots quiesced, so borrowed data is never used
-    /// after `run` unwinds).
+    /// cannot serve would otherwise be silently skipped ([`for_each_shard`]
+    /// runs oversized fan-out inline). Panics on a nested dispatch from
+    /// inside a pool job (which would otherwise deadlock). Propagates a
+    /// panic if the job panicked on any slot (after all slots quiesced, so
+    /// borrowed data is never used after `run` unwinds).
     pub fn run(&self, shards: usize, job: &(dyn Fn(usize) + Sync)) {
         assert!(
             shards <= self.max_shards(),
@@ -1083,7 +577,7 @@ impl WorkerPool {
         assert!(
             !IN_POOL_JOB.with(|f| f.get()),
             "nested WorkerPool::run from inside a pool job would deadlock; \
-             use for_each_shard, whose fallback handles nesting"
+             use for_each_shard, which runs nested fan-out inline"
         );
         let workers = shards.max(1) - 1;
         if workers == 0 {
@@ -1093,15 +587,9 @@ impl WorkerPool {
         let round = lock_ignore_poison(&self.dispatch);
         if self.shared.shutdown.load(Ordering::Acquire) {
             // Retired pool: its workers are joined, so publishing a round
-            // would wait forever. Scoped threads keep the caller correct.
+            // would wait forever.
             drop(round);
-            SCOPED_THREADS_SPAWNED.fetch_add(shards as u64 - 1, Ordering::Relaxed);
-            std::thread::scope(|scope| {
-                for s in 1..shards {
-                    scope.spawn(move || job(s));
-                }
-                job(0);
-            });
+            (0..shards).for_each(job);
             return;
         }
         let _round = round;
@@ -1254,41 +742,22 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Runs `job(s)` for every shard `s in 0..shards`: inline when `shards <=
-/// 1`, on the pool when one is provided with enough slots (slot 0 on the
-/// caller — allocation- and spawn-free when warm), and on one-shot scoped
-/// threads otherwise. A call from inside a pool job (which must not
-/// re-dispatch on the pool — see [`WorkerPool::run`]) also takes the
-/// scoped path, so nested sharded work completes instead of deadlocking.
-/// Blocks until every shard completed; propagates panics either way.
+/// Runs `job(s)` for every shard `s in 0..shards`: on the pool when one is
+/// provided with enough slots (slot 0 on the caller — allocation- and
+/// spawn-free when warm), and inline on the calling thread, in shard
+/// order, otherwise (`shards <= 1`, no pool, a pool too small or shut
+/// down). A call from inside a pool job (which must not re-dispatch on the
+/// pool — see [`WorkerPool::run`]) also runs inline, so nested sharded
+/// work completes instead of deadlocking. Blocks until every shard
+/// completed; propagates panics either way.
 pub fn for_each_shard(pool: Option<&WorkerPool>, shards: usize, job: &(dyn Fn(usize) + Sync)) {
-    if shards <= 1 {
-        job(0);
-        return;
-    }
-    let nested = IN_POOL_JOB.with(|f| f.get());
     match pool {
-        Some(pool) if pool.max_shards() >= shards && !nested => pool.run(shards, job),
-        _ => {
-            SCOPED_THREADS_SPAWNED.fetch_add(shards as u64 - 1, Ordering::Relaxed);
-            std::thread::scope(|scope| {
-                for s in 1..shards {
-                    // Scoped threads inherit the busy flag: work spawned
-                    // (transitively) from a pool job must keep avoiding
-                    // the pool, or a depth-2 dispatch from a fresh thread
-                    // would block on the round it is itself part of.
-                    scope.spawn(move || {
-                        if nested {
-                            let _busy = PoolJobGuard::enter();
-                            job(s)
-                        } else {
-                            job(s)
-                        }
-                    });
-                }
-                job(0);
-            })
+        Some(pool)
+            if shards > 1 && pool.max_shards() >= shards && !IN_POOL_JOB.with(|f| f.get()) =>
+        {
+            pool.run(shards, job)
         }
+        _ => (0..shards.max(1)).for_each(job),
     }
 }
 
@@ -1401,25 +870,13 @@ pub fn fill_sharded_with_offsets<T: Send>(
     out_offsets.push(offsets[n]);
 }
 
-/// Runs `work` over every shard of `plan` concurrently, collecting each
+/// Runs `work` over every shard of `plan` (through [`for_each_shard`], so
+/// on `pool` when it has room and inline otherwise), collecting each
 /// shard's result and folding them **in shard order** with `merge` — the
 /// deterministic reduction used by `cgc_cluster`'s trace executors and
 /// sharded `ClusterGraph::build`, the parallel generators in `cgc_graphs`,
-/// and [`crate::CommGraph`]'s sharded edge ingest. With one shard, runs
-/// inline; with more, spawns one-shot scoped threads. A plan always has at
+/// and [`crate::CommGraph`]'s sharded edge ingest. A plan always has at
 /// least one shard, so the reduction is total.
-pub fn map_reduce_sharded<T: Send>(
-    plan: &ShardPlan,
-    work: impl Fn(std::ops::Range<usize>) -> T + Sync,
-    merge: impl FnMut(&mut T, T),
-) -> T {
-    map_reduce_on(plan, None, work, merge)
-}
-
-/// [`map_reduce_sharded`] dispatched on a persistent [`WorkerPool`] when
-/// one is supplied (falling back to scoped threads otherwise). The shard
-/// results and their fixed-order reduction are identical either way —
-/// only the dispatch mechanism differs.
 pub fn map_reduce_on<T: Send>(
     plan: &ShardPlan,
     pool: Option<&WorkerPool>,
@@ -1868,7 +1325,7 @@ mod tests {
     }
 
     fn path_plan(n: usize, cfg: &ParallelConfig) -> ShardPlan {
-        ShardPlan::plan_csr(&path_offsets(n), cfg)
+        ShardPlan::from_prefix(&path_offsets(n), cfg.threads())
     }
 
     #[test]
@@ -1881,8 +1338,10 @@ mod tests {
     #[test]
     fn plans_cover_all_vertices_without_overlap() {
         for threads in [2, 3, 4, 8, 64] {
-            for strategy in [ShardStrategy::EvenVertices, ShardStrategy::BalancedEdges] {
-                let p = path_plan(23, &ParallelConfig::new(threads, strategy));
+            for p in [
+                path_plan(23, &ParallelConfig::with_threads(threads)),
+                ShardPlan::even(23, threads),
+            ] {
                 assert_eq!(p.bounds()[0], 0);
                 assert_eq!(p.n_vertices(), 23);
                 for s in 1..p.bounds().len() {
@@ -1908,10 +1367,7 @@ mod tests {
         for v in 1..n {
             offsets.push(offsets[v] + 1);
         }
-        let p = ShardPlan::plan_csr(
-            &offsets,
-            &ParallelConfig::new(4, ShardStrategy::BalancedEdges),
-        );
+        let p = ShardPlan::from_prefix(&offsets, 4);
         assert!(p.n_shards() >= 2);
         // The heavy head occupies an early shard; later shards still get
         // nonempty ranges.
@@ -1973,7 +1429,12 @@ mod tests {
             let plan = path_plan(40, &ParallelConfig::with_threads(threads));
             // Concatenation is order-sensitive: any non-shard-order merge
             // would scramble the result.
-            let got = map_reduce_sharded(&plan, |r| r.collect::<Vec<usize>>(), |a, b| a.extend(b));
+            let got = map_reduce_on(
+                &plan,
+                None,
+                |r| r.collect::<Vec<usize>>(),
+                |a, b| a.extend(b),
+            );
             assert_eq!(got, (0..40).collect::<Vec<usize>>(), "threads={threads}");
         }
     }
@@ -2069,7 +1530,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_dispatch_falls_back_to_scoped_threads() {
+    fn nested_dispatch_runs_inline() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let _serial = pool_test_lock();
         let pool = WorkerPool::new(4);
@@ -2079,21 +1540,30 @@ mod tests {
         }));
         assert!(direct.is_err(), "nested run must fail fast, not deadlock");
         // `for_each_shard` from inside a pool job (any slot) detects the
-        // nesting and completes on scoped threads — including depth 2.
+        // nesting and runs every shard inline, in shard order, on the
+        // thread that owns the outer slot — including depth 2.
         let inner_hits = AtomicUsize::new(0);
-        let scoped_before = total_scoped_threads_spawned();
         pool.run(3, &|_| {
-            for_each_shard(Some(&pool), 2, &|_| {
-                for_each_shard(Some(&pool), 2, &|_| {
+            let owner = std::thread::current().id();
+            let order = Mutex::new(Vec::new());
+            for_each_shard(Some(&pool), 2, &|a| {
+                for_each_shard(Some(&pool), 2, &|b| {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        owner,
+                        "nested shard left its thread"
+                    );
+                    lock_ignore_poison(&order).push((a, b));
                     inner_hits.fetch_add(1, Ordering::Relaxed);
                 });
             });
+            assert_eq!(
+                *lock_ignore_poison(&order),
+                [(0, 0), (0, 1), (1, 0), (1, 1)],
+                "nested shards run in shard order"
+            );
         });
         assert_eq!(inner_hits.load(Ordering::Relaxed), 3 * 2 * 2);
-        assert!(
-            total_scoped_threads_spawned() > scoped_before,
-            "nested fan-out must have taken the scoped fallback"
-        );
         // The pool still works after the nested rounds.
         let hits = AtomicUsize::new(0);
         pool.run(4, &|_| {
@@ -2103,21 +1573,21 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fill_matches_scoped_fill() {
+    fn pooled_fill_matches_inline_fill() {
         let _serial = pool_test_lock();
         let pool = WorkerPool::new(3);
         let plan = path_plan(91, &ParallelConfig::with_threads(3));
         let expect: Vec<u64> = (0..91u64).map(|v| v * 7 + 1).collect();
-        let mut scoped: Vec<u64> = Vec::new();
+        let mut inline: Vec<u64> = Vec::new();
         let mut pooled: Vec<u64> = Vec::new();
         let kernel = |start: usize, slot: &mut [MaybeUninit<u64>]| {
             for (i, cell) in slot.iter_mut().enumerate() {
                 cell.write((start + i) as u64 * 7 + 1);
             }
         };
-        fill_sharded(&mut scoped, &plan, None, kernel);
+        fill_sharded(&mut inline, &plan, None, kernel);
         fill_sharded(&mut pooled, &plan, Some(&pool), kernel);
-        assert_eq!(scoped, expect);
+        assert_eq!(inline, expect);
         assert_eq!(pooled, expect);
     }
 
@@ -2208,15 +1678,6 @@ mod tests {
         }
     }
 
-    /// CSR offsets from explicit per-row degrees.
-    fn offsets_of(degs: &[usize]) -> Vec<usize> {
-        let mut offsets = vec![0usize];
-        for (v, &d) in degs.iter().enumerate() {
-            offsets.push(offsets[v] + d);
-        }
-        offsets
-    }
-
     #[test]
     fn from_prefix_retargets_around_a_hub() {
         // One row of mass 1000 then 99 rows of mass 1. The fixed-target
@@ -2242,175 +1703,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_plan_cuts_inside_the_hub_row() {
-        // The satellite pin: the degenerate prefix that row-granular
-        // sharding cannot balance (one row heavier than total / shards) is
-        // exactly balanced by the segmented plan.
-        let mut offsets = vec![0usize];
-        for v in 0..100 {
-            offsets.push(offsets[v] + if v == 0 { 1000 } else { 1 });
-        }
-        let p = SegmentedPlan::from_prefix(&offsets, 4);
-        assert_eq!(p.n_segments(), 4);
-        assert_eq!(p.n_rows(), 100);
-        assert_eq!(p.cut(0), (0, 0));
-        assert_eq!(p.cut(4), (100, 1099));
-        let sizes: Vec<usize> = (0..4).map(|s| p.entry_range(s).len()).collect();
-        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        assert!(
-            (max as f64) / (min as f64) < 1.5,
-            "segment entry masses {sizes:?} not balanced"
-        );
-        // The first three cuts are interior to the hub row.
-        for s in 1..=3 {
-            let (r, e) = p.cut(s);
-            assert_eq!(r, 0, "cut {s} row");
-            assert!(e > offsets[0] && e < offsets[1], "cut {s} not interior");
-        }
-    }
-
-    #[test]
-    fn segmented_plan_gate_engages_only_on_hubs() {
-        let hub = offsets_of(&[1000, 1, 1, 1]);
-        let flat = offsets_of(&[5, 5, 5, 5]);
-        let par4 = ParallelConfig::with_threads(4);
-        assert!(SegmentedPlan::plan_csr(&hub, &par4).is_some());
-        assert!(SegmentedPlan::plan_csr(&flat, &par4).is_none());
-        assert!(SegmentedPlan::plan_csr(&hub, &ParallelConfig::serial()).is_none());
-        // pct = 0 forces segmentation on any CSR with entries.
-        assert!(SegmentedPlan::plan_csr(&flat, &par4.with_segment_threshold(0)).is_some());
-        // An empty CSR never segments.
-        assert!(SegmentedPlan::plan_csr(&offsets_of(&[0, 0]), &par4).is_none());
-    }
-
-    #[test]
-    fn fold_rows_segmented_matches_serial_fold() {
-        // Hub at the front, middle and end; enough segments that rows are
-        // split into head / middle / tail fragments.
-        for degs in [
-            vec![40usize, 1, 0, 2, 1],
-            vec![1, 2, 40, 0, 3],
-            vec![2, 0, 1, 1, 40],
-            vec![7, 7, 7, 7, 7],
-        ] {
-            let offsets = offsets_of(&degs);
-            let n = degs.len();
-            let expect: Vec<u64> = (0..n)
-                .map(|v| {
-                    (offsets[v]..offsets[v + 1])
-                        .map(|e| (e as u64).wrapping_mul(0x9E37_79B9))
-                        .fold(v as u64, u64::wrapping_add)
-                })
-                .collect();
-            for shards in [1, 2, 4, 8, 16] {
-                let plan = SegmentedPlan::from_prefix(&offsets, shards);
-                let mut out: Vec<u64> = Vec::new();
-                fold_rows_segmented(
-                    &mut out,
-                    &plan,
-                    None,
-                    &offsets,
-                    |v| v as u64,
-                    |_v, es, acc| {
-                        for e in es {
-                            *acc = acc.wrapping_add((e as u64).wrapping_mul(0x9E37_79B9));
-                        }
-                    },
-                    |a, b| *a = a.wrapping_add(b),
-                );
-                // init(v) = v is NOT the fold identity, so each interior
-                // fragment contributes one extra copy of it — exactly the
-                // documented deviation for non-monoid folds. Adjust the
-                // serial expectation accordingly (the monoid test below
-                // checks the bit-identical case).
-                let mut expect_adj = expect.clone();
-                for s in 1..plan.n_segments() {
-                    let (r, e) = plan.cut(s);
-                    if e > offsets[r] {
-                        expect_adj[r] = expect_adj[r].wrapping_add(r as u64);
-                    }
-                }
-                assert_eq!(out, expect_adj, "degs={degs:?} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rows_segmented_monoid_is_partition_independent() {
-        // With an identity init (the monoid case the ClusterNet wrappers
-        // use), every segment count gives the bit-identical serial answer.
-        let offsets = offsets_of(&[100, 3, 0, 7, 1, 50]);
-        let n = offsets.len() - 1;
-        let val = |e: usize| (e as u64).wrapping_mul(0xD134_2543_DE82_EF95) >> 8;
-        let expect: Vec<u64> = (0..n)
-            .map(|v| (offsets[v]..offsets[v + 1]).map(val).max().unwrap_or(0))
-            .collect();
-        for shards in [1, 2, 3, 4, 8, 32] {
-            let plan = SegmentedPlan::from_prefix(&offsets, shards);
-            let mut out: Vec<u64> = Vec::new();
-            fold_rows_segmented(
-                &mut out,
-                &plan,
-                None,
-                &offsets,
-                |_| 0u64,
-                |_, es, acc| {
-                    for e in es {
-                        *acc = (*acc).max(val(e));
-                    }
-                },
-                |a, b| *a = (*a).max(b),
-            );
-            assert_eq!(out, expect, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn fill_segmented_with_offsets_matches_row_granular() {
-        let offsets = offsets_of(&[60, 2, 0, 3, 1, 2]);
-        let n = offsets.len() - 1;
-        let n_entries = offsets[n];
-        let expect: Vec<u64> = (0..n_entries as u64).map(|e| e * 31).collect();
-        for shards in [1, 2, 4, 8] {
-            let plan = SegmentedPlan::from_prefix(&offsets, shards);
-            let mut out_offsets: Vec<usize> = Vec::new();
-            let mut out_data: Vec<u64> = Vec::new();
-            fill_segmented_with_offsets(
-                &mut out_offsets,
-                &mut out_data,
-                &plan,
-                None,
-                &offsets,
-                |es, slot| {
-                    for (i, cell) in slot.iter_mut().enumerate() {
-                        cell.write((es.start + i) as u64 * 31);
-                    }
-                },
-            );
-            assert_eq!(out_offsets, offsets, "shards={shards}");
-            assert_eq!(out_data, expect, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn merge_sorted_runs_equals_full_sort() {
-        let mut data: Vec<u32> = vec![5, 9, 12, 1, 3, 8, 11, 0, 2, 7];
-        let bounds = [0usize, 3, 7, 10];
-        for b in bounds.windows(2) {
-            data[b[0]..b[1]].sort_unstable();
-        }
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let mut scratch = Vec::new();
-        merge_sorted_runs(&mut data, &bounds, &mut scratch);
-        assert_eq!(data, expect);
-        // Degenerate single run is a no-op.
-        let mut one = vec![3u32, 1, 2];
-        merge_sorted_runs(&mut one, &[0, 3], &mut scratch);
-        assert_eq!(one, vec![3, 1, 2]);
-    }
-
-    #[test]
     fn env_config_parses() {
         // Only exercises the parser paths that don't depend on the
         // environment (from_env itself is covered by the CI matrix).
@@ -2425,85 +1717,47 @@ mod tests {
         // (unparsable used to silently become with_threads(1) without the
         // warning; the values below must all land on serial()).
         assert_eq!(
-            ParallelConfig::from_env_values(None, None),
+            ParallelConfig::from_env_values(None),
             ParallelConfig::serial()
         );
         for bad in ["garbage", "-3", "2.5", "1e3", ""] {
             assert_eq!(
-                ParallelConfig::from_env_values(Some(bad), None),
+                ParallelConfig::from_env_values(Some(bad)),
                 ParallelConfig::serial(),
                 "CGC_THREADS={bad:?} must fall back to sequential"
             );
         }
-        assert_eq!(
-            ParallelConfig::from_env_values(Some(" 4 "), None).threads(),
-            4
-        );
+        assert_eq!(ParallelConfig::from_env_values(Some(" 4 ")).threads(), 4);
         for all in ["max", "0"] {
             assert_eq!(
-                ParallelConfig::from_env_values(Some(all), None).threads(),
+                ParallelConfig::from_env_values(Some(all)).threads(),
                 available_threads()
             );
         }
-        // CGC_SEG_THRESHOLD: parsable applies, unparsable keeps the
-        // default without clobbering the thread count.
-        assert_eq!(
-            ParallelConfig::from_env_values(Some("2"), Some("40")).segment_threshold_pct(),
-            40
-        );
-        let bad = ParallelConfig::from_env_values(Some("2"), Some("eleven"));
-        assert_eq!(bad.segment_threshold_pct(), DEFAULT_SEGMENT_PCT);
-        assert_eq!(bad.threads(), 2);
     }
 
     #[test]
-    fn shut_down_pool_falls_back_to_scoped_dispatch() {
+    fn shut_down_pool_runs_inline() {
         let _serial = pool_test_lock();
         let pool = WorkerPool::new(3);
         pool.run(3, &|_| {});
         assert!(!pool.is_shut_down());
         pool.shutdown();
         assert!(pool.is_shut_down());
-        // A holder that missed the retirement still completes its rounds.
-        let scoped_before = total_scoped_threads_spawned();
-        let hits = AtomicUsize::new(0);
+        // A holder that missed the retirement still completes its rounds:
+        // every slot, in slot order, on the calling thread.
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
         pool.run(3, &|slot| {
-            assert!(slot < 3);
-            hits.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "retired pool left the caller"
+            );
+            lock_ignore_poison(&order).push(slot);
         });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
-        assert!(
-            total_scoped_threads_spawned() > scoped_before,
-            "a retired pool must dispatch on scoped threads"
-        );
+        assert_eq!(*lock_ignore_poison(&order), [0, 1, 2]);
         pool.shutdown(); // idempotent
-    }
-
-    #[test]
-    fn seg_threshold_auto_parses_and_survives_threads() {
-        let cfg = ParallelConfig::from_env_values(Some("4"), Some("auto"));
-        assert!(cfg.segment_threshold_is_auto());
-        assert_eq!(cfg.threads(), 4);
-        // An explicit percentage leaves auto mode again.
-        assert!(!cfg.with_segment_threshold(50).segment_threshold_is_auto());
-    }
-
-    #[test]
-    fn auto_gate_segments_only_measured_imbalance() {
-        let cfg = ParallelConfig::with_threads(4).with_segment_threshold_auto();
-        // Balanced path CSR: row-granular shards even out, no segmentation.
-        assert!(SegmentedPlan::plan_csr(&path_offsets(64), &cfg).is_none());
-        // One hub row holding half the entries: the heaviest shard carries
-        // > 1.25× the even share, so the measured gate engages.
-        let mut hub = vec![0usize; 1];
-        for v in 0..64 {
-            let deg = if v == 0 { 64 } else { 1 };
-            hub.push(hub[v] + deg);
-        }
-        assert!(SegmentedPlan::plan_csr(&hub, &cfg).is_some());
-        // Serial configs never segment, auto or not.
-        let serial = ParallelConfig::serial().with_segment_threshold_auto();
-        assert!(SegmentedPlan::plan_csr(&hub, &serial).is_none());
     }
 
     /// The canonical wave order — by `(class, id)` — at several thread

@@ -41,7 +41,7 @@ fn global_growth_retires_and_joins_old_worker_sets() {
     );
 
     // A holder that missed the retirement stays correct: dispatches on the
-    // shut-down pool complete on the scoped fallback.
+    // shut-down pool run their slots inline on the calling thread.
     let hits = AtomicUsize::new(0);
     first.run(first.max_shards(), &|slot| {
         assert!(slot < 3);

@@ -69,7 +69,7 @@ fn main() {
     // no two clusters in a wave are adjacent.
     let par = ParallelConfig::from_env();
     let schedule = ColorSchedule::build(h, &out.run.coloring, &par);
-    assert!(schedule.verify_disjoint(h));
+    assert!(schedule.verify_disjoint(h, &par));
     println!(
         "schedule: {} classes ({} non-empty), largest wave {} of {} clusters",
         schedule.n_classes(),
