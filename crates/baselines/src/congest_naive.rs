@@ -7,7 +7,7 @@
 //! quantifies the per-round overhead factor such a simulation pays, which
 //! E14 reports next to the real algorithm.
 
-use cgc_cluster::{ClusterGraph, ClusterNet};
+use cgc_cluster::{ClusterGraph, ClusterNet, NeighborLists};
 
 /// The pipelined cost (in cluster rounds) of ONE naive simulation round:
 /// every vertex collects all neighbor colors through its support tree.
@@ -15,8 +15,8 @@ pub fn naive_round_cost(net: &mut ClusterNet<'_>) -> u64 {
     let before = net.meter.h_rounds();
     let n = net.g.n_vertices();
     let msgs = vec![0u8; n];
-    // neighbor_collect charges the honest deg·bits converge-cast.
-    let _ = net.neighbor_collect(net.color_bits(), &msgs);
+    // neighbor_collect_into charges the honest deg·bits converge-cast.
+    net.neighbor_collect_into(net.color_bits(), &msgs, &mut NeighborLists::new());
     net.meter.h_rounds() - before
 }
 

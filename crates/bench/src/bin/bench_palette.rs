@@ -10,9 +10,9 @@
 //! 2. **bitset serial** — one hoisted [`BitsScratch`]: per vertex an
 //!    `O(⌈q/64⌉)` reset, word-wise marks, popcount answers — no free
 //!    list, no per-vertex allocation;
-//! 3. **wave query** — [`Session::query_palettes`]: the same packed
-//!    kernels dispatched as [`ColorSchedule`] waves on the persistent
-//!    pool, swept at threads {1, 2, 4, max}.
+//! 3. **pooled query** — [`Session::query_palettes`]: the same packed
+//!    kernels as one per-vertex map on the persistent pool, swept at
+//!    threads {1, 2, 4, max}.
 //!
 //! Usage: `cargo run --release -p cgc_bench --bin bench_palette [out.json]`
 //!
@@ -20,12 +20,11 @@
 //! a small `n`); `CGC_THREADS` caps the sweep's widest point.
 //!
 //! Besides timing, the binary **asserts** the engine's contract: the
-//! bitset serial sweep and every wave sweep reproduce the bool
-//! reference **exactly** (counts, degrees, slacks), the coloring and
+//! bitset serial sweep and every pooled sweep reproduce the bool
+//! reference **exactly** (counts, degrees, slacks), and the coloring and
 //! the charged [`CostReport`](cgc_net::CostReport) are equal across
-//! every swept thread count, and the wave statistics are thread-count
-//! invariant — emitted as `"bitset_equals_reference": true` for CI to
-//! grep. The serial bool-vs-bitset speedup lands in
+//! every swept thread count — emitted as
+//! `"bitset_equals_reference": true` for CI to grep. The serial bool-vs-bitset speedup lands in
 //! `"bitset_speedup_vs_bool"` (the PR's ≥2× target, asserted only at
 //! full size so smoke runs stay noise-proof).
 
@@ -138,7 +137,7 @@ fn warm_session(base: &WorkloadSpec, threads: usize) -> (Session, cgc_net::CostR
     (session, out.run.report)
 }
 
-fn wave_answers(out: &PaletteQueryOutcome) -> Answers {
+fn query_answers(out: &PaletteQueryOutcome) -> Answers {
     Answers {
         free_counts: out.free_counts.clone(),
         uncolored_degrees: out.uncolored_degrees.clone(),
@@ -201,11 +200,10 @@ fn main() {
         );
     }
 
-    // -- The wave-scheduled query pass at every width.
+    // -- The pooled query pass at every width.
     let mut rows = Vec::new();
-    let mut ref_stats: Option<(usize, usize, usize)> = None;
     for &threads in &sweep_widths {
-        let (mut session, report) = warm_session(&base, threads);
+        let (session, report) = warm_session(&base, threads);
         assert!(
             session.coloring() == Some(&ref_coloring),
             "coloring depends on thread count (threads={threads})"
@@ -221,32 +219,17 @@ fn main() {
                 out = next;
             }
         }
-        let equal = wave_answers(&out) == reference;
+        let equal = query_answers(&out) == reference;
         assert!(
             equal,
-            "wave sweep diverged from the bool reference (threads={threads})"
+            "pooled sweep diverged from the bool reference (threads={threads})"
         );
         all_equal &= equal;
-        let stats = (
-            out.wave_stats.waves,
-            out.wave_stats.largest_wave,
-            out.wave_stats.items,
-        );
-        match ref_stats {
-            None => ref_stats = Some(stats),
-            Some(want) => assert_eq!(
-                stats, want,
-                "wave stats must be thread-count invariant (threads={threads})"
-            ),
-        }
         eprintln!(
-            "threads={threads:<3} {:.4}s ({:.0} vertices/s, {:.2}x vs bitset serial) — \
-             {} waves (largest {})",
+            "threads={threads:<3} {:.4}s ({:.0} vertices/s, {:.2}x vs bitset serial)",
             out.query_secs,
             n as f64 / out.query_secs.max(1e-12),
             bitset_secs / out.query_secs.max(1e-12),
-            out.wave_stats.waves,
-            out.wave_stats.largest_wave,
         );
         rows.push(Json::obj(vec![
             ("threads", Json::from(threads)),
@@ -259,9 +242,6 @@ fn main() {
                 "speedup_vs_bitset_serial",
                 Json::from(bitset_secs / out.query_secs.max(1e-12)),
             ),
-            ("waves", Json::from(out.wave_stats.waves)),
-            ("largest_wave", Json::from(out.wave_stats.largest_wave)),
-            ("wave_items", Json::from(out.wave_stats.items)),
             ("equals_reference", Json::from(equal)),
         ]));
     }
@@ -297,7 +277,6 @@ fn main() {
                 "contract",
                 Json::obj(vec![
                     ("bitset_equals_reference", Json::from(all_equal)),
-                    ("wave_stats_thread_invariant", Json::from(true)),
                     ("bitset_2x_serial", Json::from(speedup >= 2.0)),
                 ]),
             ),

@@ -7,7 +7,7 @@
 
 use cgc_bench::{f3, Table};
 use cgc_cluster::{ClusterNet, VirtualGraph};
-use cgc_core::{color_cluster_graph, coloring_stats, Params, Session};
+use cgc_core::{color_cluster_graph_with, coloring_stats, DriverOptions, Params, Session};
 use cgc_graphs::WorkloadSpec;
 use cgc_net::CommGraph;
 
@@ -40,7 +40,12 @@ fn main() {
         let vg = VirtualGraph::distance2(base);
         let (h_virtual, congestion) = vg.as_cluster_instance();
         let mut net_v = ClusterNet::with_log_budget(&h_virtual, 32);
-        let run_v = color_cluster_graph(&mut net_v, &Params::laptop(h_virtual.n_vertices()), 31);
+        let run_v = color_cluster_graph_with(
+            &mut net_v,
+            &Params::laptop(h_virtual.n_vertices()),
+            31,
+            DriverOptions::default(),
+        );
         assert!(run_v.coloring.is_total() && run_v.coloring.is_proper(&h_virtual));
         // Pay the Appendix A overhead: congestion × dilation on G-rounds.
         let g_virtual = run_v.report.g_rounds * congestion as u64 * vg.dilation() as u64;

@@ -26,7 +26,8 @@ fn main() {
             let session = Session::builder(spec).build();
             let mut net = session.make_net();
             let h0 = net.meter.h_rounds();
-            let exact = net.exact_degrees();
+            let mut exact = Vec::new();
+            net.exact_degrees_into(&mut exact);
             let rounds = net.meter.h_rounds() - h0;
             let naive = net.naive_link_degrees();
             let max_exact = *exact.iter().max().unwrap();

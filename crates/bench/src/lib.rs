@@ -11,7 +11,7 @@
 //! schema (`cgc-bench/v1`) for the baseline recorder and any future
 //! experiment that wants machine-readable output.
 
-use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig};
+use cgc_cluster::{available_threads, ParallelConfig};
 use cgc_graphs::WorkloadSpec;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -427,11 +427,6 @@ pub fn dense_workload(c: usize, k: usize, seed: u64) -> WorkloadSpec {
     )
 }
 
-/// Builds [`dense_workload`] directly (compatibility shorthand).
-pub fn dense_instance(c: usize, k: usize, seed: u64) -> ClusterGraph {
-    dense_workload(c, k, seed).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,12 +537,6 @@ mod tests {
         assert!(s.contains("cgc-bench/v1"));
         assert!(s.contains("\"detected_cores\""));
         assert!(s.contains("\"threads\": 2"));
-    }
-
-    #[test]
-    fn dense_instance_is_dense() {
-        let g = dense_instance(2, 20, 1);
-        assert!(g.max_degree() >= 19);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!
 //! Two idioms cover everything the paper's algorithms need:
 //!
-//! * [`ClusterNet::neighbor_fold`] — each vertex publishes a small query;
+//! * [`ClusterNet::neighbor_fold_into`] — each vertex publishes a small query;
 //!   link machines compute a contribution per `H`-edge; each vertex receives
 //!   the *aggregate* of contributions over its distinct neighbors. This is
 //!   the paper's "dedication of neighbors" pattern (§1.1): parallel links to
 //!   the same neighbor are deduplicated, so every neighbor contributes once.
-//! * [`ClusterNet::neighbor_collect`] — each vertex receives the full list
+//! * [`ClusterNet::neighbor_collect_into`] — each vertex receives the full list
 //!   of neighbor messages. Legal but expensive: the converge-cast carries
 //!   `deg(v) · |msg|` bits and is charged with pipelining, which is exactly
 //!   why high-degree algorithms must avoid it (and why the low-degree §9
@@ -21,14 +21,15 @@
 //!
 //! # Allocation discipline
 //!
-//! A driver run executes thousands of aggregation rounds, so the runtime
-//! keeps a [`RoundScratch`] workspace and offers `*_into` variants of every
-//! primitive: after warm-up, a metered round performs **zero heap
-//! allocations** under the sequential [`ParallelConfig`]. The common fold
-//! shapes (`bool` any-hit, `usize` sums, `u64` bitmaps) have dedicated
-//! entry points ([`ClusterNet::neighbor_fold_flags`] and friends) that lend
-//! out the workspace buffers directly, and [`ClusterNet::neighbor_collect`]
-//! returns a flat CSR-shaped [`NeighborLists`] (offsets + arena) instead of
+//! A driver run executes thousands of aggregation rounds, so every metered
+//! primitive writes into a caller-owned buffer (the `*_into` forms) or the
+//! runtime's [`RoundScratch`] workspace: after warm-up, a metered round
+//! performs **zero heap allocations** under the sequential
+//! [`ParallelConfig`]. The common fold shapes (`bool` any-hit, `usize`
+//! sums, `u64` bitmaps) have dedicated entry points
+//! ([`ClusterNet::neighbor_fold_flags`] and friends) that lend out the
+//! workspace buffers directly, and [`ClusterNet::neighbor_collect_into`]
+//! fills a flat CSR-shaped [`NeighborLists`] (offsets + arena) instead of
 //! a `Vec<Vec<_>>` — its rows are aligned with [`ClusterGraph::neighbors`].
 //!
 //! # Parallel execution
@@ -52,7 +53,7 @@ use crate::par::{
 use cgc_net::CostMeter;
 use std::sync::Arc;
 
-/// CSR-shaped result of a [`ClusterNet::neighbor_collect`] round: row `v`
+/// CSR-shaped result of a [`ClusterNet::neighbor_collect_into`] round: row `v`
 /// holds `(u, message_of_u)` for every distinct neighbor `u` of `v`, in
 /// ascending neighbor order (the same order as [`ClusterGraph::neighbors`]).
 ///
@@ -127,7 +128,7 @@ pub struct ClusterNet<'a> {
     par: ParallelConfig,
     plan: ShardPlan,
     /// Even per-vertex plan for the O(1)-per-vertex primitives
-    /// (`exact_degrees`), where entry mass is the wrong balance measure.
+    /// (`exact_degrees_into`), where entry mass is the wrong balance measure.
     even_plan: ShardPlan,
     /// The persistent dispatch pool for `threads > 1` configs, acquired
     /// from the process-global cache ([`WorkerPool::global`]) so every
@@ -312,40 +313,10 @@ impl<'a> ClusterNet<'a> {
     /// converge(`response_bits`). `response_bits` must bound the encoded
     /// size of the (partially aggregated) fold value.
     ///
-    /// Allocates one output vector; round loops should prefer
-    /// [`Self::neighbor_fold_into`] (or the typed wrappers
-    /// [`Self::neighbor_fold_flags`], [`Self::neighbor_fold_counts`],
-    /// [`Self::neighbor_fold_words`]) which reuse a caller- or
-    /// runtime-owned buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    pub fn neighbor_fold<Q: Sync, C, R: Send>(
-        &mut self,
-        query_bits: u64,
-        response_bits: u64,
-        queries: &[Q],
-        edge: impl Fn(VertexId, VertexId, &Q, &Q) -> Option<C> + Sync,
-        init: impl Fn(VertexId) -> R + Sync,
-        fold: impl Fn(&mut R, C) + Sync,
-    ) -> Vec<R> {
-        let mut out = Vec::new();
-        self.neighbor_fold_into(
-            query_bits,
-            response_bits,
-            queries,
-            edge,
-            init,
-            fold,
-            &mut out,
-        );
-        out
-    }
-
-    /// [`Self::neighbor_fold`] writing into a reusable buffer: `out` is
-    /// cleared and refilled, so a warm buffer makes the round
-    /// allocation-free under the sequential config.
+    /// `out` is cleared and refilled, so a warm buffer makes the round
+    /// allocation-free under the sequential config. The typed wrappers
+    /// [`Self::neighbor_fold_flags`], [`Self::neighbor_fold_counts`] and
+    /// [`Self::neighbor_fold_words`] fold into the runtime's own scratch.
     ///
     /// Each vertex's fold walks its CSR adjacency row in ascending neighbor
     /// order with the accumulator in a register, shard-parallel across the
@@ -499,26 +470,12 @@ impl<'a> ClusterNet<'a> {
     /// `ceil(max_v deg(v) · query_bits / budget)` sub-rounds. Use only where
     /// the paper does (low-degree regimes, `O(log n)`-sized payloads).
     ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    pub fn neighbor_collect<Q: Clone + Send + Sync>(
-        &mut self,
-        query_bits: u64,
-        queries: &[Q],
-    ) -> NeighborLists<Q> {
-        let mut out = NeighborLists::new();
-        self.neighbor_collect_into(query_bits, queries, &mut out);
-        out
-    }
-
-    /// [`Self::neighbor_collect`] into a reusable [`NeighborLists`]:
-    /// offsets and arena are cleared and refilled in place, so a warm
-    /// buffer makes the round allocation-free under the sequential config
-    /// (modulo `Q::clone`). The arena fill is sharded over the runtime's
-    /// [`ShardPlan`]: shard `s` writes the CSR entries of its own vertex
-    /// rows, a disjoint arena slice, so the filled buffer is bit-identical
-    /// to the sequential sweep at any thread count.
+    /// `out`'s offsets and arena are cleared and refilled in place, so a
+    /// warm buffer makes the round allocation-free under the sequential
+    /// config (modulo `Q::clone`). The arena fill is sharded over the
+    /// runtime's [`ShardPlan`]: shard `s` writes the CSR entries of its own
+    /// vertex rows, a disjoint arena slice, so the filled buffer is
+    /// bit-identical to the sequential sweep at any thread count.
     ///
     /// # Panics
     ///
@@ -564,19 +521,13 @@ impl<'a> ClusterNet<'a> {
 
     /// Exact degree computation in one aggregation round (§1.1): neighbors
     /// deduplicate their parallel links so each contributes exactly 1.
-    pub fn exact_degrees(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.exact_degrees_into(&mut out);
-        out
-    }
-
-    /// [`Self::exact_degrees`] into a reusable buffer. After the dedup
-    /// round, each vertex's count equals its deduplicated CSR degree, so
-    /// the fold is resolved directly from the topology — shard-parallel
-    /// into disjoint output slices like every other primitive. The local
-    /// work here is O(1) per vertex (an offsets difference, never a row
-    /// walk), so the shards balance on the even per-vertex plan: entry
-    /// mass — hub or not — is irrelevant to this primitive's cost.
+    /// `out` is cleared and refilled. After the dedup round, each vertex's
+    /// count equals its deduplicated CSR degree, so the fold is resolved
+    /// directly from the topology — shard-parallel into disjoint output
+    /// slices like every other primitive. The local work here is O(1) per
+    /// vertex (an offsets difference, never a row walk), so the shards
+    /// balance on the even per-vertex plan: entry mass — hub or not — is
+    /// irrelevant to this primitive's cost.
     pub fn exact_degrees_into(&mut self, out: &mut Vec<usize>) {
         // One converge inside each neighbor to cut extra links, then the
         // counting round itself: constant rounds, O(log n)-bit messages.
@@ -598,21 +549,16 @@ impl<'a> ClusterNet<'a> {
     /// sequential `(0..n).map(f).collect()` at any thread count because
     /// each worker writes a disjoint contiguous slice and `f` is pure
     /// (`Fn + Sync`). Used by the driver for its per-phase eligibility
-    /// masks — free of meter charges, like any local recomputation.
+    /// masks and by the session's read-only palette queries — free of
+    /// meter charges, like any local recomputation.
     pub fn par_vertex_map<T: Send>(&self, f: impl Fn(VertexId) -> T + Sync) -> Vec<T> {
         let mut out = Vec::new();
-        self.par_vertex_map_into(&mut out, f);
-        out
-    }
-
-    /// [`Self::par_vertex_map`] into a reusable buffer (allocation-free
-    /// once warm).
-    pub fn par_vertex_map_into<T: Send>(&self, out: &mut Vec<T>, f: impl Fn(VertexId) -> T + Sync) {
-        fill_sharded(out, &self.plan, self.pool.as_deref(), |start, slot| {
+        fill_sharded(&mut out, &self.plan, self.pool.as_deref(), |start, slot| {
             for (i, cell) in slot.iter_mut().enumerate() {
                 cell.write(f(start + i));
             }
         });
+        out
     }
 
     /// Fills a flat row-major matrix of `row_len` elements per vertex,
@@ -664,7 +610,7 @@ impl<'a> ClusterNet<'a> {
 
     /// The naive link-counting "degree" (counts parallel links): what a
     /// cluster computes by a single internal aggregation without neighbor
-    /// dedication. Overestimates [`Self::exact_degrees`] (Figure 1).
+    /// dedication. Overestimates [`Self::exact_degrees_into`] (Figure 1).
     pub fn naive_link_degrees(&mut self) -> Vec<usize> {
         self.charge_converge(self.id_bits());
         (0..self.g.n_vertices())
@@ -700,7 +646,8 @@ mod tests {
     fn exact_vs_naive_degree() {
         let h = multi_link();
         let mut net = ClusterNet::new(&h, 64);
-        let exact = net.exact_degrees();
+        let mut exact = Vec::new();
+        net.exact_degrees_into(&mut exact);
         let naive = net.naive_link_degrees();
         assert_eq!(exact, vec![1, 1]);
         assert_eq!(naive, vec![3, 3]);
@@ -712,13 +659,15 @@ mod tests {
         let mut net = ClusterNet::new(&h, 64);
         // Sum of neighbor values: each cluster has exactly one neighbor.
         let vals = vec![10u64, 20u64];
-        let sums = net.neighbor_fold(
+        let mut sums = Vec::new();
+        net.neighbor_fold_into(
             8,
             8,
             &vals,
             |_, _, _, qu| Some(*qu),
             |_| 0u64,
             |acc, c| *acc += c,
+            &mut sums,
         );
         assert_eq!(sums, vec![20, 10]);
     }
@@ -772,7 +721,8 @@ mod tests {
         let h = ClusterGraph::singletons(comm);
         let mut net = ClusterNet::new(&h, 64);
         let msgs = vec![0u8, 1, 2, 3];
-        let got = net.neighbor_collect(8, &msgs);
+        let mut got = NeighborLists::new();
+        net.neighbor_collect_into(8, &msgs, &mut got);
         assert_eq!(got.n_rows(), 4);
         assert_eq!(got.row(0), &[(1, 1)]);
         // CSR rows are sorted by neighbor id.
@@ -798,13 +748,14 @@ mod tests {
         let h = multi_link();
         let mut net = ClusterNet::new(&h, 16);
         net.set_phase("t");
-        net.neighbor_fold(
+        net.neighbor_fold_into(
             16,
             16,
             &[(); 2],
             |_, _, _, _| Some(1u32),
             |_| 0u32,
             |a, c| *a += c,
+            &mut Vec::new(),
         );
         let r = net.meter.report();
         assert!(r.h_rounds >= 3, "broadcast + link + converge");
@@ -863,7 +814,7 @@ mod tests {
         let h = ClusterGraph::singletons(comm);
         let mut net = ClusterNet::new(&h, 8);
         let h0 = net.meter.h_rounds();
-        net.neighbor_collect(8, &[0u8; 5]);
+        net.neighbor_collect_into(8, &[0u8; 5], &mut NeighborLists::new());
         assert_eq!(net.meter.h_rounds() - h0, 3);
     }
 
@@ -880,7 +831,7 @@ mod tests {
         assert_eq!(h.degree(0), 4);
         let mut net = ClusterNet::new(&h, 8);
         let h0 = net.meter.h_rounds();
-        net.neighbor_collect(8, &[0u8; 5]);
+        net.neighbor_collect_into(8, &[0u8; 5], &mut NeighborLists::new());
         // Converge carries up to 4 * 8 = 32 bits on a tree edge -> 4
         // sub-rounds; plus 1 broadcast and 1 link round.
         assert_eq!(net.meter.h_rounds() - h0, 1 + 1 + 4);

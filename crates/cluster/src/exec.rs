@@ -4,13 +4,12 @@
 //! *executes* the three §3.2 round phases at machine granularity —
 //! messages hop one link per network round, every link carries at most
 //! one message per direction per round — and reports what actually
-//! crossed the wires. Tests (and the `aggregation` bench) compare traces
-//! against charges: the analytical model must never undercount rounds or
-//! per-link traffic. This is the simulator's answer to "how do you know
-//! the accounting is honest?".
+//! crossed the wires. Tests compare traces against charges: the
+//! analytical model must never undercount rounds or per-link traffic.
+//! This is the simulator's answer to "how do you know the accounting is
+//! honest?".
 
 use crate::graph::ClusterGraph;
-use crate::par::{map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
 
 /// What actually happened on the wires during one executed phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,72 +24,32 @@ pub struct ExecTrace {
     pub messages: u64,
 }
 
-impl ExecTrace {
-    /// Merges another trace of the *same phase* executed on a disjoint
-    /// cluster shard: rounds and per-link maxima combine by `max`, traffic
-    /// by sum. This is the shard-ordered deterministic reduction of the
-    /// parallel trace executors.
-    fn absorb_shard(&mut self, other: ExecTrace) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.max_link_bits_per_round = self
-            .max_link_bits_per_round
-            .max(other.max_link_bits_per_round);
-        self.total_bits += other.total_bits;
-        self.messages += other.messages;
-    }
-}
-
 /// Executes a leader broadcast in every cluster: the payload travels one
-/// tree level per network round.
+/// tree level per network round. The trace reads each support tree's
+/// precomputed height and edge count, never its adjacency, so one O(n)
+/// pass over the clusters suffices.
 pub fn execute_broadcast(g: &ClusterGraph, payload_bits: u64) -> ExecTrace {
-    execute_broadcast_with(g, payload_bits, &ParallelConfig::serial())
-}
-
-/// [`execute_broadcast`] with the clusters sharded across worker threads
-/// (dispatched on the process-global persistent [`WorkerPool`]); partial
-/// traces merge in fixed shard order, so the result is identical to the
-/// sequential trace at any thread count. The per-cluster work is O(1) —
-/// the trace reads each support tree's precomputed height and edge count,
-/// never its adjacency — so shards split evenly by vertex count: `H`-degree
-/// mass (hub or not) has nothing to do with this loop's cost, and the
-/// `absorb_shard` reduction (max/sum) is partition-independent anyway.
-pub fn execute_broadcast_with(
-    g: &ClusterGraph,
-    payload_bits: u64,
-    par: &ParallelConfig,
-) -> ExecTrace {
-    let plan = ShardPlan::even(g.n_vertices(), par.threads());
-    let pool = WorkerPool::global(par.threads());
-    let mut trace = map_reduce_on(
-        &plan,
-        pool.as_deref(),
-        |range| {
-            let mut rounds = 0u64;
-            let mut total = 0u128;
-            let mut messages = 0u64;
-            let mut max_link = 0u64;
-            for v in range {
-                let t = g.support(v);
-                rounds = rounds.max(t.height as u64);
-                // One message per tree edge; each link carries exactly the
-                // payload in the round matching the child's depth.
-                messages += t.n_edges() as u64;
-                total += u128::from(payload_bits) * t.n_edges() as u128;
-                if t.n_edges() > 0 {
-                    max_link = max_link.max(payload_bits);
-                }
-            }
-            ExecTrace {
-                rounds,
-                max_link_bits_per_round: max_link,
-                total_bits: total,
-                messages,
-            }
-        },
-        ExecTrace::absorb_shard,
-    );
-    trace.rounds = trace.rounds.max(1);
-    trace
+    let mut rounds = 1u64;
+    let mut total = 0u128;
+    let mut messages = 0u64;
+    let mut max_link = 0u64;
+    for v in 0..g.n_vertices() {
+        let t = g.support(v);
+        rounds = rounds.max(t.height as u64);
+        // One message per tree edge; each link carries exactly the
+        // payload in the round matching the child's depth.
+        messages += t.n_edges() as u64;
+        total += u128::from(payload_bits) * t.n_edges() as u128;
+        if t.n_edges() > 0 {
+            max_link = payload_bits;
+        }
+    }
+    ExecTrace {
+        rounds,
+        max_link_bits_per_round: max_link,
+        total_bits: total,
+        messages,
+    }
 }
 
 /// Executes a converge-cast: partial aggregates of `agg_bits` flow up
@@ -99,11 +58,6 @@ pub fn execute_converge(g: &ClusterGraph, agg_bits: u64) -> ExecTrace {
     // Symmetric to broadcast for fixed-size aggregates: same edge count,
     // same height. (Variable-size aggregates are the caller's bits.)
     execute_broadcast(g, agg_bits)
-}
-
-/// [`execute_converge`] on the sharded executor.
-pub fn execute_converge_with(g: &ClusterGraph, agg_bits: u64, par: &ParallelConfig) -> ExecTrace {
-    execute_broadcast_with(g, agg_bits, par)
 }
 
 /// Executes one inter-cluster link exchange: every link carries one
@@ -127,14 +81,9 @@ pub fn execute_link_exchange(g: &ClusterGraph, msg_bits: u64) -> ExecTrace {
 /// Executes a full §3.2 round (broadcast + link exchange + converge) and
 /// returns the combined trace.
 pub fn execute_full_round(g: &ClusterGraph, msg_bits: u64) -> ExecTrace {
-    execute_full_round_with(g, msg_bits, &ParallelConfig::serial())
-}
-
-/// [`execute_full_round`] on the sharded executor.
-pub fn execute_full_round_with(g: &ClusterGraph, msg_bits: u64, par: &ParallelConfig) -> ExecTrace {
-    let b = execute_broadcast_with(g, msg_bits, par);
+    let b = execute_broadcast(g, msg_bits);
     let l = execute_link_exchange(g, msg_bits);
-    let c = execute_converge_with(g, msg_bits, par);
+    let c = execute_converge(g, msg_bits);
     ExecTrace {
         rounds: b.rounds + l.rounds + c.rounds,
         max_link_bits_per_round: b

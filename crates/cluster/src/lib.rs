@@ -40,7 +40,6 @@ pub mod exec;
 pub mod graph;
 pub mod groups;
 pub mod overlay;
-pub mod palette;
 pub mod par;
 pub mod prefix;
 
@@ -48,13 +47,11 @@ pub use bfs::{BfsForest, BfsTree};
 pub use cgc_net::bits::{self, BitMatrix, BitsScratch, PaletteBits};
 pub use comm::{ClusterNet, NeighborLists, RoundScratch};
 pub use exec::{
-    execute_broadcast, execute_broadcast_with, execute_converge, execute_converge_with,
-    execute_full_round, execute_full_round_with, execute_link_exchange, ExecTrace,
+    execute_broadcast, execute_converge, execute_full_round, execute_link_exchange, ExecTrace,
 };
 pub use graph::{BuildTimings, ClusterGraph, DeltaReport, RepairStats, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
-pub use palette::{palette_sweep_waves, PaletteSweep};
 pub use par::{
     available_threads, map_reduce_on, run_waves, ParallelConfig, ShardPlan, WaveSchedule,
     WaveStats, WorkerPool,

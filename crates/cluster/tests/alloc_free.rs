@@ -1,7 +1,6 @@
 //! Verifies the runtime's headline guarantees: after warm-up, the metered
 //! aggregation primitives (`neighbor_fold_into`, the typed fold wrappers,
 //! `neighbor_collect_into`, `exact_degrees_into`, `charge_full_rounds`)
-//! and the wave-scheduled palette query sweep (`palette_sweep_waves`)
 //! perform **zero heap allocations per round** — under the sequential
 //! config *and* under a parallel config dispatching on the persistent
 //! [`WorkerPool`], where warm rounds additionally **spawn no threads**
@@ -22,10 +21,7 @@
 //! in the manifest): `main` runs the cases one after another on the main
 //! thread, and no sibling test thread can allocate inside a window.
 
-use cgc_cluster::{
-    palette_sweep_waves, ClusterGraph, ClusterNet, NeighborLists, PaletteSweep, ParallelConfig,
-    WaveSchedule, WorkerPool,
-};
+use cgc_cluster::{ClusterGraph, ClusterNet, NeighborLists, ParallelConfig, WorkerPool};
 use cgc_net::{CommGraph, SeedStream};
 use cgc_sketch::{
     approx_count_neighbors, approx_weighted_count, CountingParams, FingerprintMatrix,
@@ -219,82 +215,9 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     let mut seq_out: Vec<u64> = Vec::new();
     fold(&mut seq, &mut seq_out);
     assert_eq!(out, seq_out);
-    assert_eq!(degs, seq.exact_degrees());
-}
-
-fn palette_query_waves_are_allocation_free_and_spawn_no_threads() {
-    let h = instance();
-    let n = h.n_vertices();
-    let q = h.max_degree() + 1;
-    // A greedy proper coloring doubles as the wave partition (every color
-    // class is an independent set, so one class per wave is legal even
-    // for mutating passes; the read-only sweep merely inherits it).
-    let mut colors: Vec<Option<usize>> = vec![None; n];
-    for v in 0..n {
-        let used: Vec<usize> = h.neighbors(v).iter().filter_map(|&u| colors[u]).collect();
-        colors[v] = Some((0..q).find(|c| !used.contains(c)).unwrap());
-    }
-    let class_of: Vec<usize> = colors.iter().map(|c| c.unwrap()).collect();
-    let waves = WaveSchedule::from_class_ids(&class_of, q, &ParallelConfig::serial());
-    let par = ParallelConfig::with_threads(2);
-
-    // Warm-up: creates/acquires the pool, sizes the output buffers, and
-    // primes each participating worker's thread-local `BitsScratch`
-    // (shard-to-worker assignment is deterministic, so the same workers
-    // serve the measured sweeps).
-    let mut out = PaletteSweep::new();
-    palette_sweep_waves(
-        &h,
-        &colors,
-        q,
-        waves.offsets(),
-        waves.items(),
-        &par,
-        &mut out,
-    );
-    let warm = out.clone();
-
-    let spawned_before = WorkerPool::total_threads_spawned();
-    let allocs_before = allocations();
-    for _ in 0..100 {
-        palette_sweep_waves(
-            &h,
-            &colors,
-            q,
-            waves.offsets(),
-            waves.items(),
-            &par,
-            &mut out,
-        );
-    }
-    assert_eq!(
-        allocations() - allocs_before,
-        0,
-        "warm palette-query waves must not allocate"
-    );
-    assert_eq!(
-        WorkerPool::total_threads_spawned(),
-        spawned_before,
-        "warm palette-query waves must not spawn threads"
-    );
-    assert_eq!(out.free_counts, warm.free_counts);
-    assert_eq!(out.uncolored_degrees, warm.uncolored_degrees);
-    assert_eq!(out.reuse_slacks, warm.reuse_slacks);
-
-    // And the pooled sweep matches the serial one bit for bit.
-    let mut seq = PaletteSweep::new();
-    palette_sweep_waves(
-        &h,
-        &colors,
-        q,
-        waves.offsets(),
-        waves.items(),
-        &ParallelConfig::serial(),
-        &mut seq,
-    );
-    assert_eq!(out.free_counts, seq.free_counts);
-    assert_eq!(out.uncolored_degrees, seq.uncolored_degrees);
-    assert_eq!(out.reuse_slacks, seq.reuse_slacks);
+    let mut seq_degs: Vec<usize> = Vec::new();
+    seq.exact_degrees_into(&mut seq_degs);
+    assert_eq!(degs, seq_degs);
 }
 
 fn exact_degrees_into_and_full_rounds_are_allocation_free_when_warm() {
@@ -389,7 +312,7 @@ fn graph_clones_allocate_exactly_their_heap_bytes() {
 /// Runs every case in order on the main thread and reports in the test
 /// harness's format.
 fn main() {
-    let cases: [(&str, fn()); 8] = [
+    let cases: [(&str, fn()); 7] = [
         (
             "neighbor_fold_into_is_allocation_free_when_warm",
             neighbor_fold_into_is_allocation_free_when_warm,
@@ -405,10 +328,6 @@ fn main() {
         (
             "pooled_rounds_are_allocation_free_and_spawn_no_threads",
             pooled_rounds_are_allocation_free_and_spawn_no_threads,
-        ),
-        (
-            "palette_query_waves_are_allocation_free_and_spawn_no_threads",
-            palette_query_waves_are_allocation_free_and_spawn_no_threads,
         ),
         (
             "exact_degrees_into_and_full_rounds_are_allocation_free_when_warm",

@@ -1,6 +1,6 @@
 //! Differential test for the flat-CSR edge-table refactor: on random
 //! multi-link instances, `link_multiplicity`, `h_edges()` order and
-//! `neighbor_fold` results must be bit-identical to the original
+//! `neighbor_fold_into` results must be bit-identical to the original
 //! `BTreeMap<(u, v), usize>` semantics (which this test reimplements as
 //! the reference model).
 
@@ -137,18 +137,21 @@ fn neighbor_fold_matches_btreemap_edge_sweep() {
         let mut net = ClusterNet::new(&h, 64);
         // The fold is order-sensitive by construction (non-commutative
         // accumulator), so equality proves the edge sweep order matches.
-        let got = net.neighbor_fold(
+        let mut got = Vec::new();
+        net.neighbor_fold_into(
             16,
             16,
             &queries,
             |_, _, _, qu| Some(*qu),
             |_| 0u64,
             |acc, c| *acc = acc.wrapping_mul(31).wrapping_add(c),
+            &mut got,
         );
         assert_eq!(got, want, "seed {seed}: fold diverged");
 
         // And exact degrees equal the deduplicated CSR degrees.
-        let degs = net.exact_degrees();
+        let mut degs = Vec::new();
+        net.exact_degrees_into(&mut degs);
         for (v, &d) in degs.iter().enumerate() {
             assert_eq!(d, h.neighbors(v).len(), "seed {seed}: degree({v})");
         }

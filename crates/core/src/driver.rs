@@ -116,37 +116,13 @@ impl Default for DriverOptions {
 /// fallback guarantees it); round/bit costs are in `net.meter` and echoed
 /// in the result.
 ///
-/// This is the compatibility entry point for callers that already hold a
-/// [`ClusterNet`]; experiments and applications should prefer
-/// [`crate::Session`], which owns the instance, caches its build across
-/// runs, and bundles thread/timing context with the result.
-///
-/// An explicitly parallel `net` keeps its configuration; a serial net
-/// picks up `CGC_THREADS` via [`DriverOptions::default`]. Either way the
-/// outputs are bit-identical — only wall-clock differs. To pin a run
-/// sequential regardless of the environment (single-thread timing), pass
-/// [`ParallelConfig::serial`] through [`color_cluster_graph_with`].
-pub fn color_cluster_graph(net: &mut ClusterNet<'_>, params: &Params, seed: u64) -> RunResult {
-    let parallel = if net.parallel().is_serial() {
-        ParallelConfig::from_env()
-    } else {
-        *net.parallel()
-    };
-    color_cluster_graph_with(
-        net,
-        params,
-        seed,
-        DriverOptions {
-            oracle_acd: false,
-            parallel,
-        },
-    )
-}
-
-/// [`color_cluster_graph`] with explicit [`DriverOptions`] — the thin
-/// wrapper [`crate::Session::run`] goes through, kept public so legacy
-/// call sites and the Session-equivalence differential test can drive the
-/// pipeline without a [`crate::Session`].
+/// `opts.parallel` is installed on `net` before the run, replacing its
+/// executor; colorings and costs are bit-identical at any thread count.
+/// [`crate::Session::run`] goes through here; this entry stays public for
+/// callers that hold a custom-built [`ClusterNet`] (virtual overlays, the
+/// Session-equivalence differential test). Generator-backed runs should
+/// prefer [`crate::Session`], which owns the instance, caches its build
+/// across runs, and bundles thread/timing context with the result.
 pub fn color_cluster_graph_with(
     net: &mut ClusterNet<'_>,
     params: &Params,
@@ -370,7 +346,7 @@ mod tests {
     fn assert_good(g: &ClusterGraph, seed: u64) -> RunResult {
         let mut net = ClusterNet::with_log_budget(g, 32);
         let params = Params::laptop(g.n_vertices());
-        let run = color_cluster_graph(&mut net, &params, seed);
+        let run = color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default());
         assert!(run.coloring.is_total());
         assert!(run.coloring.is_proper(g));
         assert!(run.coloring.q() == g.max_degree() + 1);
@@ -430,8 +406,8 @@ mod tests {
         let mut net1 = ClusterNet::with_log_budget(&g, 32);
         let mut net2 = ClusterNet::with_log_budget(&g, 32);
         let params = Params::laptop(g.n_vertices());
-        let a = color_cluster_graph(&mut net1, &params, 99);
-        let b = color_cluster_graph(&mut net2, &params, 99);
+        let a = color_cluster_graph_with(&mut net1, &params, 99, DriverOptions::default());
+        let b = color_cluster_graph_with(&mut net2, &params, 99, DriverOptions::default());
         assert_eq!(a.coloring, b.coloring);
         assert_eq!(a.report.h_rounds, b.report.h_rounds);
     }
@@ -479,7 +455,7 @@ mod tests {
         let g = realize(&spec, Layout::Singleton, 1, 7);
         let mut net = ClusterNet::with_log_budget(&g, 32);
         let params = Params::paper(g.n_vertices());
-        let run = color_cluster_graph(&mut net, &params, 19);
+        let run = color_cluster_graph_with(&mut net, &params, 19, DriverOptions::default());
         assert_eq!(run.stats.path, AlgoPath::LowDegree);
         assert!(run.coloring.is_total());
         assert!(run.coloring.is_proper(&g));
@@ -545,7 +521,7 @@ mod tests {
             let mut net = ClusterNet::with_log_budget(&g, 32);
             let mut params = Params::laptop(g.n_vertices());
             params.ablation = ab;
-            let run = color_cluster_graph(&mut net, &params, 22);
+            let run = color_cluster_graph_with(&mut net, &params, 22, DriverOptions::default());
             assert!(run.coloring.is_total(), "{ab:?}");
             assert!(run.coloring.is_proper(&g), "{ab:?}");
         }

@@ -21,7 +21,9 @@
 //! * [`lowdeg`] — the low-degree algorithm (§9: shattering, palette
 //!   learning, small-instance list coloring);
 //! * [`driver`] — the top-level algorithm (Algorithms 2–3, Theorems
-//!   1.1–1.2) with validation and honest fallback accounting;
+//!   1.1–1.2) with validation and honest fallback accounting, behind one
+//!   entry point, [`color_cluster_graph_with`], for callers that hold a
+//!   [`cgc_cluster::ClusterNet`];
 //! * [`session`] — the unified run API: [`Session`]/[`SessionBuilder`]
 //!   own a [`cgc_graphs::WorkloadSpec`]-addressed instance, cache its
 //!   build across runs, and bundle each run into a [`RunOutcome`] with
@@ -45,14 +47,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use cgc_core::{color_cluster_graph, Params};
+//! use cgc_core::{color_cluster_graph_with, DriverOptions, Params};
 //! use cgc_cluster::{ClusterGraph, ClusterNet};
 //! use cgc_net::CommGraph;
 //!
 //! let g = ClusterGraph::singletons(CommGraph::complete(16));
 //! let mut net = ClusterNet::with_log_budget(&g, 32);
 //! let params = Params::laptop(g.n_vertices());
-//! let run = color_cluster_graph(&mut net, &params, 42);
+//! let run = color_cluster_graph_with(&mut net, &params, 42, DriverOptions::default());
 //! assert!(run.coloring.is_proper(&g));
 //! ```
 
@@ -78,9 +80,7 @@ pub mod trycolor;
 pub mod validate;
 
 pub use coloring::{Color, Coloring};
-pub use driver::{
-    color_cluster_graph, color_cluster_graph_with, AlgoPath, DriverOptions, RunResult, RunStats,
-};
+pub use driver::{color_cluster_graph_with, AlgoPath, DriverOptions, RunResult, RunStats};
 pub use mutate::MutationOutcome;
 pub use palette_query::CliquePalette;
 pub use params::{Ablation, Params};

@@ -506,14 +506,6 @@ impl SessionServer {
         }
     }
 
-    /// [`Self::apply_deltas`] addressed by a compact workload string.
-    pub fn apply_deltas_str(&self, spec: &str, batches: &[DeltaBatch]) -> Result<u64, NetError> {
-        let spec: WorkloadSpec = spec
-            .parse()
-            .unwrap_or_else(|e: WorkloadParseError| panic!("invalid workload spec: {e}"));
-        self.apply_deltas(&spec, batches)
-    }
-
     /// Obtains the built instance currently published for `base` —
     /// resolving the spec's **current delta epoch** on every pass, so a
     /// mutation that lands while this request waits is picked up, never
@@ -779,7 +771,7 @@ mod tests {
         assert_eq!(before.outcome.delta_epoch, 0);
         let batch = churn_batch(spec);
         let epoch = server
-            .apply_deltas_str(spec, std::slice::from_ref(&batch))
+            .apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
             .unwrap();
         assert_eq!(epoch, 1);
         let after = server.run_str(spec, 9).unwrap();
@@ -823,7 +815,7 @@ mod tests {
         };
         let warm = SessionServer::new(cfg());
         warm.run_str(spec, 9).unwrap();
-        warm.apply_deltas_str(spec, std::slice::from_ref(&batch))
+        warm.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
             .unwrap();
         assert_eq!(
             warm.stats().scheduled_mutations,
@@ -832,14 +824,14 @@ mod tests {
         );
         // The consumed coloring is dropped at commit: a second mutation
         // without an intervening run is serial again.
-        warm.apply_deltas_str(spec, std::slice::from_ref(&batch2))
+        warm.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch2))
             .unwrap();
         assert_eq!(warm.stats().scheduled_mutations, 1);
         // A cold server never ran the spec: no coloring, no schedule.
         let cold = SessionServer::new(cfg());
-        cold.apply_deltas_str(spec, std::slice::from_ref(&batch))
+        cold.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
             .unwrap();
-        cold.apply_deltas_str(spec, std::slice::from_ref(&batch2))
+        cold.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch2))
             .unwrap();
         assert_eq!(cold.stats().scheduled_mutations, 0);
         // Scheduled and serial mutations publish the same graph: runs
@@ -857,7 +849,7 @@ mod tests {
         server.run_str(spec, 2).unwrap();
         let batch = churn_batch(spec);
         server
-            .apply_deltas_str(spec, std::slice::from_ref(&batch))
+            .apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
             .unwrap();
         // Push the mutated entry out of the 1-slot cache...
         server.run_str("gnp:n=60,p=0.1,seed=1", 1).unwrap();

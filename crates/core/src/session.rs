@@ -31,11 +31,10 @@
 //! assert_eq!(out.spec_string, "gnp:n=120,p=0.05,seed=1");
 //! ```
 //!
-//! The legacy free functions
-//! [`color_cluster_graph`](crate::color_cluster_graph) /
-//! [`color_cluster_graph_with`](crate::color_cluster_graph_with) remain as
-//! thin compatibility wrappers for callers that already hold a
-//! [`ClusterNet`]; `Session` is the preferred entry point.
+//! Callers that build their own [`ClusterNet`] (virtual overlays, custom
+//! topologies) call the driver directly through
+//! [`color_cluster_graph_with`](crate::color_cluster_graph_with), the one
+//! driver entry point `Session` runs through too.
 
 use crate::coloring::Coloring;
 use crate::driver::{color_cluster_graph_with, DriverOptions, RunResult};
@@ -43,12 +42,20 @@ use crate::mutate::{recolor_dirty, MutationOutcome};
 use crate::params::{Ablation, Params};
 use crate::schedule::ColorSchedule;
 use cgc_cluster::{
-    available_threads, palette_sweep_waves, ClusterGraph, ClusterNet, PaletteSweep, ParallelConfig,
-    RepairStats, WaveStats,
+    available_threads, BitsScratch, ClusterGraph, ClusterNet, ParallelConfig, RepairStats,
 };
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
+use std::cell::RefCell;
 use std::time::Instant;
+
+thread_local! {
+    /// Per-worker palette scratch of [`Session::query_palettes`].
+    /// `const`-initialized, so registering the slot allocates nothing;
+    /// pool workers persist, so a warm scratch already holds `⌈q/64⌉`
+    /// words.
+    static QUERY_SCRATCH: RefCell<BitsScratch> = const { RefCell::new(BitsScratch::new()) };
+}
 
 /// Which [`Params`] preset a session derives from the instance size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,10 +109,9 @@ pub struct RunOutcome {
     pub color_secs: f64,
 }
 
-/// What one wave-scheduled palette query pass produced
-/// ([`Session::query_palettes`]): per-vertex palette/slack views plus the
-/// executed wave statistics. A pure function of `(graph, coloring)` —
-/// bit-identical at any thread count.
+/// What one palette query pass produced ([`Session::query_palettes`]):
+/// per-vertex palette/slack views. A pure function of
+/// `(graph, coloring)` — bit-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct PaletteQueryOutcome {
     /// Canonical string of the queried workload.
@@ -118,12 +124,9 @@ pub struct PaletteQueryOutcome {
     pub slacks: Vec<i64>,
     /// Reuse slack: colored neighbors minus distinct colors on them.
     pub reuse_slacks: Vec<usize>,
-    /// Wave statistics of the executed sweep (pure function of the
-    /// schedule, never of thread count).
-    pub wave_stats: WaveStats,
     /// Executor thread count the sweep used.
     pub threads: usize,
-    /// Wall-clock seconds of the sweep (excluding the schedule build).
+    /// Wall-clock seconds of the sweep.
     pub query_secs: f64,
 }
 
@@ -448,51 +451,48 @@ impl Session {
     }
 
     /// Runs a read-only palette/slack query pass over every vertex of
-    /// the loaded instance, scheduled as [`ColorSchedule`] **waves** over
-    /// the session's stored coloring — the query-side counterpart of the
-    /// wave-scheduled mutation passes: per wave, the vertices split into
-    /// contiguous shard slices on the persistent pool, each worker
-    /// answering count/select questions against a private packed
-    /// [`cgc_cluster::BitsScratch`]. Because the sweep only reads the
-    /// coloring, its output is a pure function of `(graph, coloring)`:
-    /// bit-identical to the serial sweep at any thread count (the
+    /// the loaded instance against the session's stored coloring: one
+    /// [`ClusterNet::par_vertex_map`] on the session's executor, each
+    /// vertex walking its CSR row once and marking neighbor colors in a
+    /// per-worker packed [`BitsScratch`]. A read-only pass needs no
+    /// conflict-free schedule, so its output is a pure function of
+    /// `(graph, coloring)`: bit-identical at any thread count (the
     /// equivalence suite pins this).
     ///
     /// Returns `None` until the session holds a total coloring of the
     /// loaded instance (run [`Session::run`] first). Like the other
     /// oracle views, nothing is charged: the sweep reads public colors.
-    pub fn query_palettes(&mut self) -> Option<PaletteQueryOutcome> {
+    pub fn query_palettes(&self) -> Option<PaletteQueryOutcome> {
         let coloring = self
             .coloring
             .as_ref()
             .filter(|c| c.is_total() && c.len() == self.graph.n_vertices())?;
-        let schedule = ColorSchedule::build(&self.graph, coloring, &self.parallel);
-        let colors: Vec<Option<usize>> = (0..coloring.len()).map(|v| coloring.get(v)).collect();
+        let q = coloring.q();
         let start = Instant::now();
-        let mut sweep = PaletteSweep::new();
-        let wave_stats = palette_sweep_waves(
-            &self.graph,
-            &colors,
-            coloring.q(),
-            schedule.waves().offsets(),
-            schedule.waves().items(),
-            &self.parallel,
-            &mut sweep,
-        );
+        // Per vertex: (free colors, uncolored degree, reuse slack).
+        let answers = self.make_net().par_vertex_map(|v| {
+            QUERY_SCRATCH.with(|cell| {
+                let mut scratch = cell.borrow_mut();
+                let bits = scratch.bits(q);
+                let row = self.graph.neighbors(v);
+                let mut colored = 0usize;
+                for &u in row {
+                    if let Some(c) = coloring.get(u) {
+                        colored += 1;
+                        bits.mark(c);
+                    }
+                }
+                let distinct = bits.count_marked();
+                (q - distinct, row.len() - colored, colored - distinct)
+            })
+        });
         let query_secs = start.elapsed().as_secs_f64();
-        let slacks = sweep
-            .free_counts
-            .iter()
-            .zip(&sweep.uncolored_degrees)
-            .map(|(&f, &u)| f as i64 - u as i64)
-            .collect();
         Some(PaletteQueryOutcome {
             spec_string: self.spec.to_string(),
-            free_counts: sweep.free_counts,
-            uncolored_degrees: sweep.uncolored_degrees,
-            slacks,
-            reuse_slacks: sweep.reuse_slacks,
-            wave_stats,
+            free_counts: answers.iter().map(|a| a.0).collect(),
+            uncolored_degrees: answers.iter().map(|a| a.1).collect(),
+            slacks: answers.iter().map(|a| a.0 as i64 - a.1 as i64).collect(),
+            reuse_slacks: answers.iter().map(|a| a.2).collect(),
             threads: self.parallel.threads(),
             query_secs,
         })
@@ -761,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn query_palettes_matches_the_oracles_and_reports_waves() {
+    fn query_palettes_matches_the_oracles() {
         let mut s = SessionBuilder::parse("gnp:n=90,p=0.07,seed=5")
             .unwrap()
             .parallel(ParallelConfig::serial())
@@ -785,8 +785,6 @@ mod tests {
             assert_eq!(out.uncolored_degrees[v], 0, "the coloring is total");
             assert_eq!(out.reuse_slacks[v], coloring.reuse_slack(s.graph(), v));
         }
-        assert_eq!(out.wave_stats.items, n, "every vertex swept exactly once");
-        assert!(out.wave_stats.waves > 0);
         assert_eq!(out.threads, 1);
     }
 

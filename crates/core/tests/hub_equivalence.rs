@@ -124,7 +124,8 @@ fn hub_folds_and_meter_are_thread_count_invariant() {
             let words = net
                 .neighbor_fold_words(16, 64, &queries, |_, _, _, qu| Some(1u64 << (qu % 64)))
                 .to_vec();
-            let degs = net.exact_degrees();
+            let mut degs = Vec::new();
+            net.exact_degrees_into(&mut degs);
             (flags, counts, words, degs, net.meter.report())
         };
 

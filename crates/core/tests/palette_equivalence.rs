@@ -13,11 +13,10 @@
 //! * [`Coloring::has_conflict`] agrees with the materialized
 //!   [`Coloring::conflicts`] — on proper colorings and on colorings with
 //!   an injected monochromatic edge;
-//! * [`Session::query_palettes`] — the wave-scheduled query sweep — is
-//!   **fully equal** across thread counts {1, 2, 4, 8} (threads = 1 runs
-//!   the same waves inline, so this is scheduled-vs-serial bit-identity)
-//!   and per-slot equal to the per-vertex oracles, with thread-invariant
-//!   wave statistics.
+//! * [`Session::query_palettes`] — one pooled per-vertex map over the
+//!   session's executor — is **fully equal** across thread counts
+//!   {1, 2, 4, 8} (threads = 1 runs inline, so this is pooled-vs-serial
+//!   bit-identity) and per-slot equal to the per-vertex oracles.
 
 use cgc_cluster::{BitsScratch, ClusterGraph, ParallelConfig};
 use cgc_core::{CliquePalette, Coloring, PaletteQueryOutcome, SessionBuilder};
@@ -149,16 +148,8 @@ fn check_conflicts(g: &ClusterGraph, coloring: &Coloring) -> Result<(), TestCase
 }
 
 /// Everything of a [`PaletteQueryOutcome`] that must be thread-count
-/// invariant: the four per-vertex columns plus the wave statistics.
-type SweepView<'a> = (
-    &'a [usize],
-    &'a [usize],
-    &'a [i64],
-    &'a [usize],
-    usize,
-    usize,
-    usize,
-);
+/// invariant: the four per-vertex columns.
+type SweepView<'a> = (&'a [usize], &'a [usize], &'a [i64], &'a [usize]);
 
 fn sweep_view(out: &PaletteQueryOutcome) -> SweepView<'_> {
     (
@@ -166,9 +157,6 @@ fn sweep_view(out: &PaletteQueryOutcome) -> SweepView<'_> {
         &out.uncolored_degrees,
         &out.slacks,
         &out.reuse_slacks,
-        out.wave_stats.waves,
-        out.wave_stats.largest_wave,
-        out.wave_stats.items,
     )
 }
 
@@ -216,7 +204,7 @@ fn check_palettes(base: WorkloadSpec, run_seed: u64) -> Result<(), TestCaseError
         check_clique_palette(&partial, set)?;
     }
 
-    // -- The wave-scheduled query sweep: per-slot equal to the oracles,
+    // -- The pooled query sweep: per-slot equal to the oracles,
     //    bit-identical across thread counts.
     let reference = {
         let mut session = SessionBuilder::new(base)
@@ -227,7 +215,6 @@ fn check_palettes(base: WorkloadSpec, run_seed: u64) -> Result<(), TestCaseError
         session.query_palettes().expect("colored session answers")
     };
     prop_assert_eq!(reference.free_counts.len(), n);
-    prop_assert_eq!(reference.wave_stats.items, n);
     for v in 0..n {
         let want = vertex_reference(&g, &coloring, v);
         prop_assert_eq!(reference.free_counts[v], want.free.len());

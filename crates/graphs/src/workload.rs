@@ -23,7 +23,10 @@
 //! `contraction`, plus the optional cross-family keys `layout` (`single`,
 //! `path8`, `star4`, `tree15` — omitted when `single`) and `links`
 //! (omitted when `1`). `seed` is always printed: a run is reproducible
-//! from its table row.
+//! from its table row. `FromStr` also rejects parameters outside a
+//! generator's preconditions (`p` outside `[0, 1]`, `beta ≤ 2`, an empty
+//! instance, ...) with a [`WorkloadParseError`], so building a parsed
+//! spec never trips a generator assert.
 //!
 //! Every family builds through one streaming pipeline (see
 //! [`crate::pipeline`]): generate per-shard edge runs → canonicalize →
@@ -154,6 +157,59 @@ impl WorkloadFamily {
         }
     }
 
+    /// Checks the generator preconditions, returning the generator's own
+    /// assert message for an out-of-range parameter. Spec strings arrive
+    /// from outside the program (server tenants, CLI, env), so every
+    /// parse runs this before anything builds.
+    fn check(&self) -> Result<(), WorkloadParseError> {
+        match *self {
+            WorkloadFamily::Gnp { n, p } | WorkloadFamily::Square { n, p } => {
+                require(n > 0, "empty spec")?;
+                require((0.0..=1.0).contains(&p), "p must be in [0,1]")
+            }
+            WorkloadFamily::PowerLaw { n, beta, avg } => {
+                require(n > 0, "empty spec")?;
+                require(beta > 2.0, "need β > 2 for a finite mean")?;
+                require(avg > 0.0, "need a positive average degree")
+            }
+            WorkloadFamily::Rgg { n, r } => {
+                require(n > 0, "empty spec")?;
+                require(
+                    r > 0.0 && r <= 1.0,
+                    format!("radius must be in (0, 1], got {r}"),
+                )
+            }
+            WorkloadFamily::Planted { c, k } => require(c > 0 && k > 0, "empty spec"),
+            WorkloadFamily::Mixture {
+                c,
+                k,
+                anti,
+                bg,
+                bgp,
+                ..
+            } => {
+                require((0.0..=1.0).contains(&anti), "anti_edge_prob in [0,1]")?;
+                require((0.0..=1.0).contains(&bgp), "sparse_p in [0,1]")?;
+                require((c > 0 && k > 0) || bg > 0, "empty spec")
+            }
+            WorkloadFamily::Cabal { c, k, anti, .. } => {
+                require(anti <= k / 2, "too many anti pairs for block size")?;
+                require(c > 0 && k > 0, "empty spec")
+            }
+            WorkloadFamily::Bottleneck { clusters, path } => {
+                require(clusters > 0, "need clusters")?;
+                require(path >= 2, "paths need two ends")
+            }
+            WorkloadFamily::Contraction { side, lo, hi } => {
+                require(side > 0, "need a nonempty grid")?;
+                require(
+                    lo >= 1 && lo <= hi,
+                    format!("need 1 <= lo <= hi, got {lo}..={hi}"),
+                )
+            }
+        }
+    }
+
     /// Whether this family constructs its [`ClusterGraph`] directly —
     /// the contraction *is* the layout — so `layout`/`links` keys do not
     /// apply (`bottleneck`, `contraction`).
@@ -180,6 +236,15 @@ pub struct WorkloadSpec {
     /// Seed driving generator *and* realization: the single source of
     /// workload randomness.
     pub seed: u64,
+}
+
+/// `Ok` when `ok` holds, else `msg` as a parse error.
+fn require(ok: bool, msg: impl Into<String>) -> Result<(), WorkloadParseError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(WorkloadParseError(msg.into()))
+    }
 }
 
 /// Error from parsing a workload spec string.
@@ -653,6 +718,7 @@ impl FromStr for WorkloadSpec {
             .unwrap_or(Layout::Singleton);
         let links: usize = fields.take_opt("links")?.unwrap_or(1);
         fields.finish()?;
+        family.check()?;
         if links == 0 {
             return Err(WorkloadParseError("links must be ≥ 1".into()));
         }

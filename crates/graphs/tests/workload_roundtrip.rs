@@ -109,7 +109,8 @@ proptest! {
         lk in 0usize..4,
         m in 2usize..10,
     ) {
-        let spec = WorkloadSpec::cabal(c, k, anti, ext, seed).with_layout(layout_of(lk, m));
+        let spec = WorkloadSpec::cabal(c, k, anti.min(k / 2), ext, seed)
+            .with_layout(layout_of(lk, m));
         roundtrip(spec)?;
     }
 

@@ -142,12 +142,6 @@ impl ParallelConfig {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Whether this config runs inline on the calling thread.
-    #[inline]
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
 }
 
 /// Detected hardware parallelism (1 when detection fails).
@@ -1706,7 +1700,7 @@ mod tests {
     fn env_config_parses() {
         // Only exercises the parser paths that don't depend on the
         // environment (from_env itself is covered by the CI matrix).
-        assert!(ParallelConfig::serial().is_serial());
+        assert_eq!(ParallelConfig::serial().threads(), 1);
         assert_eq!(ParallelConfig::with_threads(0).threads(), 1);
         assert!(ParallelConfig::max_parallel().threads() >= 1);
     }

@@ -4,9 +4,9 @@
 //!
 //! The virtual instance is derived from a hand-built lattice rather than a
 //! generator family, so there is no `WorkloadSpec` for it; this example
-//! uses [`color_cluster_graph`], the documented compatibility entry for
-//! custom-built [`ClusterGraph`]s (generator-backed runs go through
-//! [`Session`] — see `quickstart.rs`).
+//! calls the driver directly through [`color_cluster_graph_with`], the
+//! entry point for custom-built [`ClusterGraph`]s (generator-backed runs
+//! go through [`Session`] — see `quickstart.rs`).
 //!
 //! ```sh
 //! cargo run --release --example virtual_overlay
@@ -51,7 +51,12 @@ fn main() {
     // the network rounds by congestion × dilation.
     let (h, congestion) = vg.as_cluster_instance();
     let mut net = ClusterNet::with_log_budget(&h, 32);
-    let run = color_cluster_graph(&mut net, &Params::laptop(h.n_vertices()), 77);
+    let run = color_cluster_graph_with(
+        &mut net,
+        &Params::laptop(h.n_vertices()),
+        77,
+        DriverOptions::default(),
+    );
     assert!(run.coloring.is_total() && run.coloring.is_proper(&h));
 
     let stats = coloring_stats(&h, &run.coloring);

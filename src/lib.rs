@@ -75,8 +75,8 @@ pub mod prelude {
         WaveSchedule, WorkerPool,
     };
     pub use cgc_core::{
-        color_cluster_graph, coloring_stats, ColorSchedule, Coloring, Params, ParamsProfile,
-        RunOutcome, RunResult, Session, SessionBuilder,
+        color_cluster_graph_with, coloring_stats, ColorSchedule, Coloring, DriverOptions, Params,
+        ParamsProfile, RunOutcome, RunResult, Session, SessionBuilder,
     };
     pub use cgc_decomp::{acd_oracle, compute_acd, AcdParams};
     pub use cgc_graphs::{

@@ -177,3 +177,63 @@ fn thread_count_is_a_pure_wall_clock_knob() {
     assert_eq!(a.run.report, b.run.report);
     assert_eq!(b.threads, ParallelConfig::max_parallel().threads());
 }
+
+#[test]
+fn out_of_range_specs_are_typed_errors_not_panics() {
+    use cluster_coloring::core::{ServerConfig, SessionServer};
+    let server = SessionServer::new(ServerConfig::default());
+    // One string per generator precondition: each parses syntactically
+    // but would panic inside the build.
+    for bad in [
+        "gnp:n=50,p=2.0,seed=1",
+        "gnp:n=50,p=-0.1,seed=1",
+        "gnp:n=0,p=0.5,seed=1",
+        "powerlaw:n=50,beta=0.5,avg=4,seed=1",
+        "powerlaw:n=50,beta=2.5,avg=0,seed=1",
+        "powerlaw:n=0,beta=2.5,avg=4,seed=1",
+        "rgg:n=50,r=5,seed=1",
+        "rgg:n=50,r=0,seed=1",
+        "rgg:n=0,r=0.2,seed=1",
+        "planted:c=0,k=4,seed=1",
+        "planted:c=4,k=0,seed=1",
+        "mixture:c=2,k=8,anti=1.5,ext=1,bg=10,bgp=0.1,seed=1",
+        "mixture:c=2,k=8,anti=0.1,ext=1,bg=10,bgp=-1,seed=1",
+        "mixture:c=0,k=8,anti=0.1,ext=1,bg=0,bgp=0.1,seed=1",
+        "cabal:c=2,k=3,anti=9,ext=0,seed=1",
+        "cabal:c=0,k=4,anti=0,ext=0,seed=1",
+        "bottleneck:clusters=3,path=0,seed=0",
+        "bottleneck:clusters=0,path=3,seed=0",
+        "square:n=20,p=1.5,seed=1",
+        "square:n=0,p=0.5,seed=1",
+        "contraction:side=8,lo=5,hi=2,seed=1",
+        "contraction:side=8,lo=0,hi=2,seed=1",
+        "contraction:side=0,lo=1,hi=2,seed=1",
+    ] {
+        assert!(server.run_str(bad, 1).is_err(), "{bad}");
+        assert!(server.run_batch_str(bad, &[1, 2]).is_err(), "{bad}");
+        assert_eq!(server.stats().builds_started, 0, "{bad} reached a build");
+    }
+    // The server still serves, and the checks are not stricter than the
+    // generators: each string sits on a precondition's boundary.
+    for (i, good) in [
+        "gnp:n=1,p=0.5,seed=1",
+        "gnp:n=3,p=0,seed=1",
+        "gnp:n=3,p=1,seed=1",
+        "planted:c=4,k=1,seed=1",
+        "mixture:c=0,k=0,anti=1,ext=0,bg=1,bgp=1,seed=1",
+        "cabal:c=2,k=1,anti=0,ext=0,seed=1",
+        "cabal:c=1,k=4,anti=2,ext=0,seed=1",
+        "rgg:n=1,r=1,seed=1",
+        "contraction:side=1,lo=1,hi=1,seed=1",
+        "bottleneck:clusters=1,path=2,seed=0",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let served = server.run_str(good, 3).unwrap();
+        let graph = good.parse::<WorkloadSpec>().unwrap().build();
+        let coloring = &served.outcome.run.coloring;
+        assert!(coloring.is_total() && coloring.is_proper(&graph), "{good}");
+        assert_eq!(server.stats().builds_started, i as u64 + 1, "{good}");
+    }
+}

@@ -5,7 +5,12 @@ use cluster_coloring::prelude::*;
 
 fn run(h: &ClusterGraph, seed: u64, beta: u64) -> RunResult {
     let mut net = ClusterNet::with_log_budget(h, beta);
-    color_cluster_graph(&mut net, &Params::laptop(h.n_vertices()), seed)
+    color_cluster_graph_with(
+        &mut net,
+        &Params::laptop(h.n_vertices()),
+        seed,
+        DriverOptions::default(),
+    )
 }
 
 #[test]

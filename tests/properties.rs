@@ -17,7 +17,7 @@ proptest! {
         let h = realize(&spec, Layout::Singleton, 1, 1);
         let mut net = ClusterNet::with_log_budget(&h, 32);
         let params = Params::laptop(h.n_vertices());
-        let run = color_cluster_graph(&mut net, &params, seed);
+        let run = color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default());
         prop_assert!(run.coloring.is_total());
         prop_assert!(run.coloring.is_proper(&h));
         // Never more than Δ+1 distinct colors.

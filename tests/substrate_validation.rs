@@ -89,7 +89,12 @@ fn virtual_overlay_coloring_is_proper_with_congestion_accounting() {
     let (h, congestion) = vg.as_cluster_instance();
     assert!(congestion >= 1);
     let mut net = ClusterNet::with_log_budget(&h, 32);
-    let run = color_cluster_graph(&mut net, &Params::laptop(h.n_vertices()), 66);
+    let run = color_cluster_graph_with(
+        &mut net,
+        &Params::laptop(h.n_vertices()),
+        66,
+        DriverOptions::default(),
+    );
     assert!(run.coloring.is_total() && run.coloring.is_proper(&h));
     // Appendix A: the simulated cost is G-rounds × congestion × dilation.
     let overlay_cost = run.report.g_rounds * congestion as u64 * vg.dilation() as u64;
