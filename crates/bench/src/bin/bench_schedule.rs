@@ -1,12 +1,13 @@
-//! Color-wave scheduler bench (default `BENCH_PR9.json`): sweeps the
+//! Color-wave recolor bench (default `BENCH_PR9.json`): sweeps the
 //! executor thread count and, for each width, drives the same churn
 //! schedule through [`Session::apply_deltas`] — the path where the
-//! session's own coloring, materialized as a
-//! [`ColorSchedule`](cgc_core::ColorSchedule), dispatches both the
-//! dirty-cluster support-tree repair and the recolor sweep as
-//! conflict-free color waves. Records per-width wall seconds and mutated
-//! edges per second, the wave-occupancy histogram of the scheduling
-//! coloring, and the per-run wave statistics.
+//! recolor sweep groups the dirty vertices by their color in the
+//! session's own previous coloring and runs one wave per class (the
+//! dirty-cluster support-tree repair is a serial walk and needs no
+//! waves). Records per-width wall seconds and mutated edges per second,
+//! the wave-occupancy histogram of the warm coloring (materialized as a
+//! [`ColorSchedule`](cgc_core::ColorSchedule) for the report), and the
+//! per-run wave statistics.
 //!
 //! Usage: `cargo run --release -p cgc_bench --bin bench_schedule [out.json]`
 //!
@@ -21,9 +22,9 @@
 //!   same waves inline, so this is scheduled-vs-serial bit-identity) —
 //!   emitted as `"scheduled_equals_serial": true` for CI to grep;
 //! * the wave statistics (`waves_run`, `largest_wave`, `wave_recolored`,
-//!   `fallback_recolored`, `repair_waves`) are thread-count invariant —
-//!   the schedule is a pure function of the dirty region and the
-//!   coloring, never of the executor width.
+//!   `fallback_recolored`) are thread-count invariant — the waves are a
+//!   pure function of the dirty region and the coloring, never of the
+//!   executor width.
 
 use cgc_bench::{bench_report, write_json, Json};
 use cgc_cluster::ParallelConfig;
@@ -132,7 +133,6 @@ fn main() {
                         o.largest_wave,
                         o.wave_recolored,
                         o.fallback_recolored,
-                        o.repair_waves,
                     )
                 };
                 assert_eq!(
@@ -147,14 +147,13 @@ fn main() {
         let mutated = out.g_inserted + out.g_deleted;
         eprintln!(
             "threads={threads:<3} {secs:.4}s ({:.0} edges/s, speedup {:.2}x) — \
-             waves {} (largest {}), wave-recolored {} / fallback {}, repair waves {}",
+             waves {} (largest {}), wave-recolored {} / fallback {}",
             mutated as f64 / secs.max(1e-12),
             ref_secs / secs.max(1e-12),
             out.waves_run,
             out.largest_wave,
             out.wave_recolored,
             out.fallback_recolored,
-            out.repair_waves,
         );
         rows.push(Json::obj(vec![
             ("threads", Json::from(threads)),
@@ -174,7 +173,6 @@ fn main() {
             ("largest_wave", Json::from(out.largest_wave)),
             ("wave_recolored", Json::from(out.wave_recolored)),
             ("fallback_recolored", Json::from(out.fallback_recolored)),
-            ("repair_waves", Json::from(out.repair_waves)),
             ("equals_serial", Json::from(equal)),
         ]));
     }

@@ -1,10 +1,10 @@
 //! E21 — coloring as a scheduler: churn schedules through the
-//! color-wave mutation path. Each row streams a `ChurnSpec` delta
+//! color-wave recolor path. Each row streams a `ChurnSpec` delta
 //! schedule through [`Session::apply_deltas`] on a warm (already
-//! colored) session, so the session's own Δ'+1 coloring — materialized
-//! as a `ColorSchedule` — dispatches the dirty-cluster repair and the
-//! recolor sweep as conflict-free color waves (ROADMAP item 5, closing
-//! item 3's "churn schedules in an e-series binary" remainder).
+//! colored) session, so the recolor sweep groups the dirty vertices by
+//! their color in the session's own previous Δ'+1 coloring and runs one
+//! wave per class; the dirty-cluster support-tree repair is a serial walk
+//! that needs no waves.
 //!
 //! Reported per workload: the dirty region, the non-empty recolor waves
 //! and the fullest one, the wave-vs-fallback recolor split, charged
@@ -46,7 +46,6 @@ fn main() {
             "largest_wave",
             "wave_recolored",
             "fallback",
-            "repair_waves",
             "rounds",
             "secs",
         ],
@@ -77,7 +76,6 @@ fn main() {
                 out.largest_wave.to_string(),
                 out.wave_recolored.to_string(),
                 out.fallback_recolored.to_string(),
-                out.repair_waves.to_string(),
                 out.recolor_rounds.to_string(),
                 f3(secs),
             ],

@@ -13,10 +13,7 @@
 //! halves of `H`'s CSR rows, and the support trees share one flat layout
 //! of member offsets, members, parents and heights.
 
-use crate::par::{
-    map_reduce_on, patch_csr_rows, run_waves, ParallelConfig, SendPtr, ShardPlan, WaveSchedule,
-    WorkerPool,
-};
+use crate::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan, WorkerPool};
 use cgc_net::{BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
 use std::time::Instant;
 
@@ -104,34 +101,6 @@ impl DeltaReport {
     #[inline]
     pub fn is_noop(&self) -> bool {
         self.effect.is_noop()
-    }
-}
-
-/// How one [`ClusterGraph::apply_delta_scheduled`] call executed its
-/// dirty-cluster support-tree repair. Deliberately **not** part of
-/// [`DeltaReport`]: the report is compared byte-for-byte across executors
-/// by the differential suites, while these stats describe the execution —
-/// `waves`/`largest_wave` are pure functions of the dirty set and the
-/// schedule (thread-independent), but `scheduled` depends on whether a
-/// schedule was supplied at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RepairStats {
-    /// Whether the repair ran through the wave executor.
-    pub scheduled: bool,
-    /// Non-empty waves the dirty clusters grouped into (0 when
-    /// unscheduled).
-    pub waves: usize,
-    /// Dirty clusters in the fullest wave (0 when unscheduled).
-    pub largest_wave: usize,
-}
-
-impl RepairStats {
-    /// Folds a later batch's stats into an aggregate (waves add, the
-    /// largest wave takes the max, `scheduled` ORs).
-    pub fn absorb(&mut self, other: RepairStats) {
-        self.scheduled |= other.scheduled;
-        self.waves += other.waves;
-        self.largest_wave = self.largest_wave.max(other.largest_wave);
     }
 }
 
@@ -378,6 +347,11 @@ impl ClusterGraph {
     /// result is byte-identical ([`PartialEq`]) to
     /// [`Self::build_with`] on the mutated edge set at any thread count.
     ///
+    /// The dirty-cluster repair is one serial walk, ascending by cluster
+    /// id. Clusters are disjoint machine sets, so each rebuild reads only
+    /// the patched CSR and writes only its own cluster's tree: no repair
+    /// can disturb another, and no conflict-free schedule is needed.
+    ///
     /// The whole update is compute-then-commit: on error (invalid batch,
     /// or a delete disconnecting a cluster) the graph is left unchanged.
     ///
@@ -392,50 +366,14 @@ impl ClusterGraph {
         batch: &DeltaBatch,
         par: &ParallelConfig,
     ) -> Result<DeltaReport, NetError> {
-        self.apply_delta_scheduled(batch, par, None)
-            .map(|(report, _)| report)
-    }
-
-    /// [`Self::apply_delta_with`] with an optional **wave schedule** over
-    /// the clusters: when `waves` partitions `H`'s vertices into
-    /// conflict-free classes (one wave = one color class of a proper
-    /// coloring of `H`), the dirty-cluster support-tree repair of stage 2
-    /// dispatches wave-parallel over the worker pool instead of walking
-    /// the dirty list serially. Clusters in one wave share no `H`-edge, so
-    /// the `G`-neighborhoods their subset BFS reads are provably disjoint
-    /// from the repairs running beside them — each shard keeps its own
-    /// scratch and writes its trees into per-cluster slots, no locks, no
-    /// atomics. Every other stage (the sorted-merge commit in particular)
-    /// is unchanged, so the mutated graph is byte-identical to the
-    /// unscheduled path at any thread count; only the returned
-    /// [`RepairStats`] describe how the repair was executed.
-    ///
-    /// A schedule whose item count does not match `H`'s vertex count is
-    /// ignored (the serial repair runs, `RepairStats::scheduled` stays
-    /// false).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::apply_delta_with`]; when several dirty clusters
-    /// disconnect at once the **smallest** failing id is reported on both
-    /// paths, so the error is schedule- and thread-independent.
-    pub fn apply_delta_scheduled(
-        &mut self,
-        batch: &DeltaBatch,
-        par: &ParallelConfig,
-        waves: Option<&WaveSchedule>,
-    ) -> Result<(DeltaReport, RepairStats), NetError> {
         // Stage 1: patch G. Nothing mutates until every fallible step has
         // succeeded.
         let (new_comm, effect) = self.comm.with_delta_with(batch, par)?;
         if effect.is_noop() {
-            return Ok((
-                DeltaReport {
-                    effect,
-                    ..Default::default()
-                },
-                RepairStats::default(),
-            ));
+            return Ok(DeltaReport {
+                effect,
+                ..Default::default()
+            });
         }
         let assignment = &self.assignment;
         // Partition the effective change intra/inter by the (unchanged)
@@ -459,20 +397,11 @@ impl ClusterGraph {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        // Stage 2: support-tree repair for dirty clusters only. The serial
-        // walk goes ascending, so the first disconnection (smallest
-        // cluster id) is reported — exactly the full build's error, since
-        // an unchanged cluster cannot newly fail; the scheduled path
-        // reports the minimum over all failures, which is the same id.
-        let (rebuilt, repair) = match waves.filter(|ws| ws.n_items() == self.n_vertices()) {
-            Some(ws) if !dirty.is_empty() => {
-                self.repair_dirty_scheduled(&new_comm, &dirty, ws, par)?
-            }
-            _ => (
-                self.repair_dirty_serial(&new_comm, &dirty)?,
-                RepairStats::default(),
-            ),
-        };
+        // Stage 2: support-tree repair for dirty clusters only. The walk
+        // goes ascending, so the first disconnection (smallest cluster id)
+        // is reported — exactly the full build's error, since an unchanged
+        // cluster cannot newly fail.
+        let rebuilt = self.repair_dirty(&new_comm, &dirty)?;
         // Stage 3: per-H-edge multiplicity deltas (net-zero entries drop).
         let mut pair_delta: Vec<((VertexId, VertexId), i64)> =
             Vec::with_capacity(inter_ins.len() + inter_del.len());
@@ -566,22 +495,19 @@ impl ClusterGraph {
         self.h_adj = h_adj;
         self.dilation = self.heights.iter().copied().max().unwrap_or(0).max(1);
         self.max_degree = (0..k).map(|v| self.degree(v)).max().unwrap_or(0);
-        Ok((
-            DeltaReport {
-                effect,
-                dirty_clusters: dirty,
-                h_inserted,
-                h_removed,
-                h_mult_changed,
-            },
-            repair,
-        ))
+        Ok(DeltaReport {
+            effect,
+            dirty_clusters: dirty,
+            h_inserted,
+            h_removed,
+            h_mult_changed,
+        })
     }
 
-    /// Stage 2's serial walk: repairs each dirty cluster's support tree
-    /// against the patched communication graph, ascending by cluster id,
-    /// returning the rebuilt trees or the **first** disconnection.
-    fn repair_dirty_serial(
+    /// Stage 2: repairs each dirty cluster's support tree against the
+    /// patched communication graph, ascending by cluster id, returning the
+    /// rebuilt trees or the **first** disconnection.
+    fn repair_dirty(
         &self,
         new_comm: &CommGraph,
         dirty: &[VertexId],
@@ -601,80 +527,6 @@ impl ClusterGraph {
             }
         }
         Ok(rebuilt)
-    }
-
-    /// Stage 2's wave-parallel form: groups the dirty clusters by their
-    /// wave (color class) in `ws`, then runs one wave at a time over the
-    /// pool — clusters in a wave share no `H`-edge, so their repairs read
-    /// disjoint `G`-neighborhoods and write disjoint tree slots. Each
-    /// shard owns its own BFS scratch; no locks, no atomics. The rebuilt
-    /// trees and the reported error (minimum failing cluster id) are
-    /// identical to [`Self::repair_dirty_serial`] at any thread count.
-    fn repair_dirty_scheduled(
-        &self,
-        new_comm: &CommGraph,
-        dirty: &[VertexId],
-        ws: &WaveSchedule,
-        par: &ParallelConfig,
-    ) -> Result<(Vec<(VertexId, BuiltTree)>, RepairStats), NetError> {
-        // Dirty-only wave CSR via a stable counting sort: `dirty` is
-        // ascending, so ids stay ascending within each wave.
-        let n_waves = ws.n_waves();
-        let mut offsets = vec![0usize; n_waves + 1];
-        for &c in dirty {
-            offsets[ws.wave_of(c) + 1] += 1;
-        }
-        for w in 0..n_waves {
-            offsets[w + 1] += offsets[w];
-        }
-        let mut next = offsets.clone();
-        let mut items = vec![0usize; dirty.len()];
-        for &c in dirty {
-            let w = ws.wave_of(c);
-            items[next[w]] = c;
-            next[w] += 1;
-        }
-        let mut slots: Vec<Option<BuiltTree>> = vec![None; dirty.len()];
-        let pool = WorkerPool::global(par.threads());
-        let stats = {
-            let base = SendPtr::new(slots.as_mut_ptr());
-            run_waves(
-                pool.as_deref(),
-                par.threads(),
-                &offsets,
-                &items,
-                &|_w, base_idx, slice| {
-                    let mut in_subset = vec![false; new_comm.n_machines()];
-                    let mut scratch = BfsScratch::new();
-                    for (i, &c) in slice.iter().enumerate() {
-                        let machines = self.support(c).machines;
-                        let tree = build_tree(new_comm, machines, &mut in_subset, &mut scratch);
-                        // SAFETY: slot `base_idx + i` is owned by exactly
-                        // this item of this shard's slice.
-                        unsafe { *base.get().add(base_idx + i) = tree };
-                    }
-                },
-            )
-        };
-        let mut rebuilt: Vec<(VertexId, BuiltTree)> = Vec::with_capacity(dirty.len());
-        let mut failed: Option<VertexId> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(t) => rebuilt.push((items[i], t)),
-                None => failed = Some(failed.map_or(items[i], |f| f.min(items[i]))),
-            }
-        }
-        if let Some(cluster) = failed {
-            return Err(NetError::DisconnectedCluster { cluster });
-        }
-        Ok((
-            rebuilt,
-            RepairStats {
-                scheduled: true,
-                waves: stats.waves,
-                largest_wave: stats.largest_wave,
-            },
-        ))
     }
 
     /// The CONGEST special case: every machine is its own cluster
@@ -1083,82 +935,5 @@ mod tests {
         assert_eq!(h.neighbors(1), &[0]);
         let edges: Vec<_> = h.h_edges().collect();
         assert_eq!(edges, vec![(0, 1)]);
-    }
-
-    /// Four path clusters in a link ring, with a proper greedy coloring of
-    /// `H` as the schedule.
-    fn ring_instance() -> (ClusterGraph, WaveSchedule) {
-        let mut edges = Vec::new();
-        for c in 0..4usize {
-            let b = 3 * c;
-            edges.push((b, b + 1));
-            edges.push((b + 1, b + 2));
-        }
-        for c in 0..4usize {
-            let (a, b) = (3 * c, 3 * ((c + 1) % 4));
-            edges.push((a.min(b), a.max(b)));
-        }
-        let comm = CommGraph::from_edges(12, &edges).unwrap();
-        let g = ClusterGraph::build(comm, (0..12).map(|m| m / 3).collect()).unwrap();
-        let mut class_of = vec![usize::MAX; g.n_vertices()];
-        for v in 0..g.n_vertices() {
-            let used: Vec<usize> = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| class_of[u] != usize::MAX)
-                .map(|&u| class_of[u])
-                .collect();
-            class_of[v] = (0..).find(|c| !used.contains(c)).unwrap();
-        }
-        let n_classes = class_of.iter().max().unwrap() + 1;
-        let ws = WaveSchedule::from_class_ids(&class_of, n_classes, &ParallelConfig::serial());
-        (g, ws)
-    }
-
-    #[test]
-    fn scheduled_repair_matches_serial_byte_for_byte() {
-        let (g0, ws) = ring_instance();
-        // Intra-cluster inserts dirty all four clusters; one inter delete
-        // exercises the unchanged link-merge path beside them.
-        let batch = DeltaBatch::new(12, &[(0, 2), (3, 5), (6, 8), (9, 11)], &[(0, 3)]).unwrap();
-        let mut serial = g0.clone();
-        let report = serial
-            .apply_delta_with(&batch, &ParallelConfig::serial())
-            .unwrap();
-        assert_eq!(report.dirty_clusters, vec![0, 1, 2, 3]);
-        for threads in [1usize, 4] {
-            let mut sched = g0.clone();
-            let (r2, stats) = sched
-                .apply_delta_scheduled(&batch, &ParallelConfig::with_threads(threads), Some(&ws))
-                .unwrap();
-            assert_eq!(report, r2, "threads={threads}");
-            assert_eq!(serial, sched, "threads={threads}");
-            assert!(stats.scheduled);
-            assert!(stats.waves >= 2, "a ring needs at least two waves");
-            assert_eq!(stats.largest_wave, 2);
-        }
-    }
-
-    #[test]
-    fn scheduled_repair_reports_smallest_disconnection() {
-        // Two path clusters, one link; deleting the first edge of each
-        // path disconnects both clusters at once.
-        let comm = CommGraph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]).unwrap();
-        let g0 = ClusterGraph::build(comm, vec![0, 0, 0, 1, 1, 1]).unwrap();
-        let ws = WaveSchedule::from_class_ids(&[0, 1], 2, &ParallelConfig::serial());
-        let batch = DeltaBatch::new(6, &[], &[(0, 1), (3, 4)]).unwrap();
-        let mut a = g0.clone();
-        let e1 = a
-            .apply_delta_with(&batch, &ParallelConfig::serial())
-            .unwrap_err();
-        let mut b = g0.clone();
-        let e2 = b
-            .apply_delta_scheduled(&batch, &ParallelConfig::with_threads(4), Some(&ws))
-            .unwrap_err();
-        assert!(matches!(e1, NetError::DisconnectedCluster { cluster: 0 }));
-        assert!(matches!(e2, NetError::DisconnectedCluster { cluster: 0 }));
-        // Compute-then-commit: the failed applies left both graphs intact.
-        assert_eq!(a, g0);
-        assert_eq!(b, g0);
     }
 }

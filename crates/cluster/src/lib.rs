@@ -49,11 +49,11 @@ pub use comm::{ClusterNet, NeighborLists, RoundScratch};
 pub use exec::{
     execute_broadcast, execute_converge, execute_full_round, execute_link_exchange, ExecTrace,
 };
-pub use graph::{BuildTimings, ClusterGraph, DeltaReport, RepairStats, SupportTree, VertexId};
+pub use graph::{BuildTimings, ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
 pub use par::{
     available_threads, map_reduce_on, run_waves, ParallelConfig, ShardPlan, WaveSchedule,
-    WaveStats, WorkerPool,
+    WorkerPool,
 };
 pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

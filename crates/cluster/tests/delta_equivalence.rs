@@ -174,25 +174,39 @@ fn intra_cluster_churn_repairs_only_dirty_trees() {
 
 #[test]
 fn disconnecting_delete_errors_and_rolls_back() {
-    // One path cluster 0-1-2: deleting (1, 2) strands machine 2.
-    let comm = CommGraph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-    let mut g = ClusterGraph::build(comm, vec![0, 0, 0]).unwrap();
-    let before = g.clone();
-    let batch = DeltaBatch::new(3, &[], &[(1, 2)]).unwrap();
-    for threads in THREADS {
-        let err = g
-            .apply_delta_with(&batch, &ParallelConfig::with_threads(threads))
-            .unwrap_err();
-        assert_eq!(err, NetError::DisconnectedCluster { cluster: 0 });
-        assert_eq!(
-            g, before,
-            "failed apply must not mutate (threads={threads})"
-        );
+    // One path cluster 0-1-2: deleting (1, 2) strands machine 2. Two path
+    // clusters joined by one link: deleting the first edge of each path
+    // disconnects both at once, and the smallest id is reported.
+    let inputs = [
+        (3, vec![(0, 1), (1, 2)], vec![0, 0, 0], vec![(1, 2)]),
+        (
+            6,
+            vec![(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)],
+            vec![0, 0, 0, 1, 1, 1],
+            vec![(0, 1), (3, 4)],
+        ),
+    ];
+    for (n, edges, assignment, deletes) in inputs {
+        let comm = CommGraph::from_edges(n, &edges).unwrap();
+        let mut g = ClusterGraph::build(comm, assignment.clone()).unwrap();
+        let before = g.clone();
+        let batch = DeltaBatch::new(n, &[], &deletes).unwrap();
+        for threads in THREADS {
+            let err = g
+                .apply_delta_with(&batch, &ParallelConfig::with_threads(threads))
+                .unwrap_err();
+            assert_eq!(err, NetError::DisconnectedCluster { cluster: 0 });
+            assert_eq!(
+                g, before,
+                "failed apply must not mutate (n={n}, threads={threads})"
+            );
+        }
+        // The full build of the mutated set reports the same error.
+        let kept = edges.iter().filter(|e| !deletes.contains(e));
+        let mutated = CommGraph::from_edges(n, kept).unwrap();
+        let full = ClusterGraph::build(mutated, assignment).unwrap_err();
+        assert_eq!(full, NetError::DisconnectedCluster { cluster: 0 });
     }
-    // The full build of the mutated set reports the same error.
-    let mutated = CommGraph::from_edges(3, [(0, 1)]).unwrap();
-    let full = ClusterGraph::build(mutated, vec![0, 0, 0]).unwrap_err();
-    assert_eq!(full, NetError::DisconnectedCluster { cluster: 0 });
 }
 
 #[test]

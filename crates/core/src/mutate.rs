@@ -14,17 +14,19 @@
 //! * every vertex that was uncolored to begin with (first mutation on a
 //!   session that never ran, or a prior failed apply).
 //!
-//! The dirty vertices are then re-colored in two stages. When the caller
-//! supplies a [`ColorSchedule`] (the previous coloring, materialized as
-//! waves — see [`crate::schedule`]), a **wave sweep** runs first: the
-//! dirty vertices group by their *previous* color class, and each class
-//! dispatches one wave over the worker pool, every worker computing
-//! first-fit candidates for a disjoint slice with read-only access to the
-//! frozen coloring. Because the previous coloring was proper only on the
+//! The dirty vertices are then re-colored in two stages. When the previous
+//! coloring is total and sized to the graph, a **wave sweep** runs first:
+//! one stable sort groups the dirty vertices by their *previous* color
+//! (ascending id within a class; a color that fell out of range still
+//! names its class), and each class dispatches one wave over the worker
+//! pool, every worker computing first-fit candidates for a disjoint slice
+//! of candidate slots with read-only access to the frozen coloring. Because the previous coloring was proper only on the
 //! *pre-delta* graph, two same-wave vertices may now be adjacent through
 //! an inserted edge — so the commit is a serial ascending-id pass that
 //! re-checks each candidate against the colors already committed this
-//! wave and defers losers. Each non-empty wave charges one full
+//! wave and defers losers. The parallel step writes only its own
+//! candidate slots and the commit is serial, so no conflict-free schedule
+//! guards anything here. Each non-empty wave charges one full
 //! aggregation round (the same analytic formula as the fallback), on the
 //! calling thread. Whatever the sweep leaves uncolored falls through to
 //! the driver's charged exact-palette loop ([`fallback_until_total`]),
@@ -37,12 +39,11 @@
 //! All randomness flows from the caller's seed through a dedicated salt,
 //! and the wave sweep is deterministic outright (first-fit candidates
 //! from a frozen state, serial commit), so a mutation outcome is a pure
-//! function of `(graph, previous coloring, schedule, reports, seed)` —
+//! function of `(graph, previous coloring, reports, seed)` —
 //! bit-identical at any thread count like every other pass.
 
 use crate::coloring::Coloring;
 use crate::driver::fallback_until_total;
-use crate::schedule::ColorSchedule;
 use crate::validate::coloring_stats;
 use cgc_cluster::par::SendPtr;
 use cgc_cluster::{
@@ -89,8 +90,9 @@ pub struct MutationOutcome {
     pub recolored: usize,
     /// Charged rounds the recolor loop consumed (wave sweep + fallback).
     pub recolor_rounds: u64,
-    /// Non-empty waves the scheduled recolor sweep dispatched (0 when no
-    /// schedule was available — a session that never ran).
+    /// Non-empty waves the recolor sweep dispatched (0 when the previous
+    /// coloring was not total — a session that never ran, or the first
+    /// call after a failed one).
     pub waves_run: usize,
     /// Dirty vertices in the fullest recolor wave.
     pub largest_wave: usize,
@@ -100,9 +102,6 @@ pub struct MutationOutcome {
     /// Dirty vertices left to the exact-palette fallback loop
     /// (`wave_recolored + fallback_recolored == recolored`).
     pub fallback_recolored: usize,
-    /// Non-empty waves the scheduled support-tree repair grouped dirty
-    /// clusters into, summed over the batches (0 when unscheduled).
-    pub repair_waves: usize,
     /// Cost-meter snapshot of the recolor pass alone (phase
     /// `"recolor"`) — the incremental price of the update.
     pub report: CostReport,
@@ -134,14 +133,13 @@ pub(crate) struct RecolorResult {
 
 /// Recolors the dirty region of `graph` after the deltas described by
 /// `reports`, seeding from `previous` (a proper total coloring of the
-/// pre-delta instance; `None` forces a full recolor). When `schedule`
-/// materializes the previous coloring, the conflict-resolution sweep runs
-/// wave-parallel before the fallback — see the [module docs](self). A
-/// schedule sized to a different vertex count is ignored.
+/// pre-delta instance; `None` forces a full recolor). When `previous` is
+/// total and sized to the graph, the conflict-resolution sweep runs
+/// wave-parallel by previous color class before the fallback — see the
+/// [module docs](self).
 pub(crate) fn recolor_dirty(
     graph: &ClusterGraph,
     previous: Option<&Coloring>,
-    schedule: Option<&ColorSchedule>,
     reports: &[DeltaReport],
     beta: u64,
     parallel: ParallelConfig,
@@ -184,29 +182,23 @@ pub(crate) fn recolor_dirty(
     // the palette is never empty) computed in parallel against the
     // coloring frozen at wave start; the serial ascending commit then
     // re-checks each candidate against colors committed earlier in the
-    // same wave, deferring losers to the fallback. Vertices with no
-    // previous color (never-colored sessions, out-of-range colors) have
-    // no meaningful class and go straight to the fallback too.
+    // same wave, deferring losers to the fallback. A total previous
+    // coloring gives every vertex a class in `0..previous.q()`, so a
+    // vertex whose color fell out of range is swept in that class's wave
+    // too; only a previous coloring that is missing or not total sends
+    // every dirty vertex straight to the fallback.
     let mut waves_run = 0usize;
     let mut largest_wave = 0usize;
     let mut wave_recolored = 0usize;
     let mut wave_rounds = 0u64;
-    if let Some(sched) = schedule.filter(|s| s.waves().n_items() == n && dirty_vertices > 0) {
+    if let Some(prev) = previous.filter(|p| p.len() == n && p.is_total() && dirty_vertices > 0) {
+        // `uncolored()` is ascending and the sort is stable, so each wave
+        // is one previous color class, ascending by id, in class order.
+        let mut dirty = coloring.uncolored();
+        dirty.sort_by_key(|&v| prev.get(v));
         let pool = WorkerPool::global(parallel.threads());
-        let mut wave: Vec<usize> = Vec::new();
         let mut cand: Vec<usize> = Vec::new();
-        for class in 0..sched.n_classes() {
-            wave.clear();
-            wave.extend(
-                sched
-                    .class(class)
-                    .iter()
-                    .copied()
-                    .filter(|&v| !coloring.is_colored(v)),
-            );
-            if wave.is_empty() {
-                continue;
-            }
+        for wave in dirty.chunk_by(|&u, &v| prev.get(u) == prev.get(v)) {
             waves_run += 1;
             largest_wave = largest_wave.max(wave.len());
             wave_rounds += 1;
@@ -220,7 +212,7 @@ pub(crate) fn recolor_dirty(
                     pool.as_deref(),
                     parallel.threads(),
                     &[0, wave.len()],
-                    &wave,
+                    wave,
                     &|_w, base_idx, slice| {
                         // One packed scratch per slice, reset per vertex
                         // in O(q/64) — the first-fit candidate is a word
@@ -293,7 +285,7 @@ mod tests {
     fn clean_previous_coloring_means_zero_dirty_vertices() {
         let mut g = two_triangles();
         let prev = {
-            let res = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 1);
+            let res = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 1);
             assert_eq!(res.dirty_vertices, 6);
             res.coloring
         };
@@ -303,15 +295,7 @@ mod tests {
             .apply_delta(&DeltaBatch::new(6, &[], &[(2, 3)]).unwrap())
             .unwrap();
         let reports = [report];
-        let res = recolor_dirty(
-            &g,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            2,
-        );
+        let res = recolor_dirty(&g, Some(&prev), &reports, 32, ParallelConfig::serial(), 2);
         if g.max_degree() + 1 == prev.q() {
             assert_eq!(res.dirty_vertices, 0);
             assert_eq!(res.rounds, 0);
@@ -322,7 +306,7 @@ mod tests {
     #[test]
     fn inserted_conflict_uncolors_only_the_larger_endpoint() {
         let g = two_triangles();
-        let full = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 3);
+        let full = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 3);
         // Find two same-colored non-adjacent vertices and insert the edge.
         let prev = full.coloring;
         let (u, v) = (0..6)
@@ -335,15 +319,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.h_inserted, vec![(u.min(v), u.max(v))]);
         let reports = [report];
-        let res = recolor_dirty(
-            &g2,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            4,
-        );
+        let res = recolor_dirty(&g2, Some(&prev), &reports, 32, ParallelConfig::serial(), 4);
         if g2.max_degree() + 1 == prev.q() {
             assert_eq!(res.dirty_vertices, 1, "only the larger endpoint yields");
             assert_eq!(res.coloring.get(u.min(v)), prev.get(u.min(v)));
@@ -367,28 +343,22 @@ mod tests {
             .unwrap();
         assert_eq!(g.max_degree(), 2);
         let reports = [report];
-        let res = recolor_dirty(
-            &g,
-            Some(&prev),
-            None,
-            &reports,
-            32,
-            ParallelConfig::serial(),
-            5,
-        );
+        let res = recolor_dirty(&g, Some(&prev), &reports, 32, ParallelConfig::serial(), 5);
         assert!(res.dirty_vertices >= 1, "color 4 is out of range at q = 3");
+        // The previous coloring is total, so the out-of-range center still
+        // has a class (4 of `0..5`) and the sweep recolors it.
+        assert_eq!(
+            res.wave_recolored, res.dirty_vertices,
+            "out-of-range vertices are wave-recolored"
+        );
         assert!(res.coloring.is_total() && res.coloring.is_proper(&g));
         assert_eq!(res.coloring.q(), 3);
     }
 
     #[test]
-    fn scheduled_sweep_colors_dirty_vertices_by_previous_class() {
-        use crate::schedule::ColorSchedule;
+    fn wave_sweep_colors_dirty_vertices_by_previous_class() {
         let g = two_triangles();
-        let prev = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 9).coloring;
-        // The schedule materializes on the pre-delta graph, where `prev`
-        // is proper — exactly the session flow.
-        let sched = ColorSchedule::build(&g, &prev, &ParallelConfig::serial());
+        let prev = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 9).coloring;
         let mut g2 = g.clone();
         let report = g2
             .apply_delta(&DeltaBatch::new(6, &[(0, 4), (1, 5)], &[(2, 3)]).unwrap())
@@ -399,7 +369,6 @@ mod tests {
             let res = recolor_dirty(
                 &g2,
                 Some(&prev),
-                Some(&sched),
                 &reports,
                 32,
                 ParallelConfig::with_threads(threads),
@@ -427,7 +396,7 @@ mod tests {
     #[test]
     fn recolor_is_thread_count_independent() {
         let mut g = two_triangles();
-        let prev = recolor_dirty(&g, None, None, &[], 32, ParallelConfig::serial(), 7).coloring;
+        let prev = recolor_dirty(&g, None, &[], 32, ParallelConfig::serial(), 7).coloring;
         let report = g
             .apply_delta(&DeltaBatch::new(6, &[(0, 4), (1, 5)], &[(2, 3)]).unwrap())
             .unwrap();
@@ -437,7 +406,6 @@ mod tests {
             let res = recolor_dirty(
                 &g,
                 Some(&prev),
-                None,
                 &reports,
                 32,
                 ParallelConfig::with_threads(threads),

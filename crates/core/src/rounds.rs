@@ -18,7 +18,7 @@
 //! spawn no threads at all.
 
 use crate::coloring::{Color, Coloring};
-use cgc_cluster::{ClusterNet, VertexId};
+use cgc_cluster::ClusterNet;
 
 /// How simultaneous identical candidates on an `H`-edge are resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,27 +73,6 @@ pub fn commit_unblocked(
             if !blocked[v] {
                 coloring.set(v, c);
                 colored += 1;
-            }
-        }
-    }
-    colored
-}
-
-/// Commits unblocked candidates, invoking `on_set` per newly colored
-/// vertex (used by callers that track per-clique gains).
-pub fn commit_unblocked_with(
-    coloring: &mut Coloring,
-    cand: &[Option<Color>],
-    blocked: &[bool],
-    mut on_set: impl FnMut(VertexId),
-) -> usize {
-    let mut colored = 0usize;
-    for (v, c) in cand.iter().enumerate() {
-        if let Some(c) = *c {
-            if !blocked[v] {
-                coloring.set(v, c);
-                colored += 1;
-                on_set(v);
             }
         }
     }

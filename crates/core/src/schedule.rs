@@ -9,12 +9,18 @@
 //! outside it, no locks, no atomics. [`ColorSchedule`] materializes a
 //! session's coloring into that form (a class-indexed CSR over `H`'s
 //! vertices, built shard-parallel) and **asserts** the pairwise
-//! disjointness invariant at build time, so every consumer — the
-//! dirty-cluster support-tree repair in
-//! [`ClusterGraph::apply_delta_scheduled`](cgc_cluster::ClusterGraph::apply_delta_scheduled),
-//! the recolor sweep in [`crate::Session::apply_deltas`], the example's
-//! per-cluster passes — inherits a checked precondition instead of an
-//! assumed one.
+//! disjointness invariant at build time, so its consumer inherits a
+//! checked precondition instead of an assumed one.
+//!
+//! That consumer is the `contracted_flow_network` example, whose
+//! per-cluster label relaxations read neighbours' slots while other
+//! clusters write theirs. The write paths need no schedule. Clusters are
+//! disjoint machine sets, so a dirty cluster's support-tree repair in
+//! [`ClusterGraph::apply_delta_with`](cgc_cluster::ClusterGraph::apply_delta_with)
+//! reads only the patched CSR and writes only its own tree. The recolor
+//! sweep of [`crate::Session::apply_deltas`] writes only per-item
+//! candidate slots before a serial commit, and forms its waves from the
+//! previous coloring with one stable sort ([`crate::mutate`]).
 //!
 //! The wave order and the per-wave dispatch live one layer down in
 //! [`cgc_cluster::WaveSchedule`] / [`cgc_cluster::run_waves`]; this module
@@ -134,8 +140,7 @@ impl ColorSchedule {
     }
 
     /// The executor-level schedule (feed its `offsets()`/`items()` to
-    /// [`cgc_cluster::run_waves`], or pass it whole to
-    /// [`cgc_cluster::ClusterGraph::apply_delta_scheduled`]).
+    /// [`cgc_cluster::run_waves`]).
     #[inline]
     pub fn waves(&self) -> &WaveSchedule {
         &self.waves

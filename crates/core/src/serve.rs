@@ -43,11 +43,10 @@
 //!   spec's current epoch — so a cache hit can never serve a stale
 //!   pre-delta graph. Evicted mutated entries rebuild by replaying the
 //!   recorded delta history over a fresh base build (deterministic, so
-//!   the replay is byte-identical to the evicted graph). When the spec's
-//!   latest run left a coloring at the mutated epoch, the mutation runs
-//!   its dirty-cluster repair **wave-parallel** through a
-//!   [`crate::ColorSchedule`] built from that coloring — byte-identical
-//!   to the serial path, counted in [`ServerStats::scheduled_mutations`].
+//!   the replay is byte-identical to the evicted graph). A mutation is
+//!   one [`ClusterGraph::apply_delta_with`] per batch on a clone of the
+//!   published graph; the server keeps no colorings, so the cache holds
+//!   only graphs, each charged to the byte budget.
 //!
 //! ```
 //! use cgc_core::{ServerConfig, SessionServer};
@@ -60,12 +59,10 @@
 //! assert_eq!(server.stats().builds_started, 1);
 //! ```
 
-use crate::coloring::Coloring;
 use crate::params::Params;
-use crate::schedule::ColorSchedule;
 use crate::session::{derive_params, run_coloring_on, ParamsProfile, RunOutcome};
-use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig, RepairStats};
-use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
+use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig};
+use cgc_graphs::{SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,22 +184,12 @@ pub struct ServerStats {
     pub cached_entries: usize,
     /// Approximate heap bytes currently charged to the cache.
     pub cached_bytes: usize,
-    /// [`SessionServer::apply_deltas`] calls that ran through the color
-    /// schedule of the spec's latest served run (the wave-parallel
-    /// mutation path). Mutations of a spec that was never run — no
-    /// published coloring — stay serial and are not counted here.
-    pub scheduled_mutations: u64,
-    /// Non-empty repair waves dispatched by scheduled mutations, summed
-    /// over their batches.
-    pub repair_waves: u64,
 }
 
 /// A built instance plus everything derived from it, shared by every
 /// request for the same spec.
 struct CachedInstance {
     graph: ClusterGraph,
-    #[allow(dead_code)] // parity with Session; planted checks come later
-    planted: Option<PlantedInfo>,
     setup: SetupTimings,
     params: Params,
     bytes: usize,
@@ -225,12 +212,6 @@ struct CacheState {
     /// history length. Cold builds at epoch > 0 replay it over a fresh
     /// base build.
     deltas: HashMap<String, Arc<Vec<DeltaBatch>>>,
-    /// The coloring of each spec's latest served run, stamped with the
-    /// delta epoch it was computed at. A mutation arriving at the same
-    /// epoch materializes it into a [`ColorSchedule`] and repairs
-    /// wave-parallel; a mutation at any other epoch ignores it (the
-    /// entry is stale) and the commit drops it.
-    colorings: HashMap<String, (u64, Coloring)>,
     /// Monotone logical clock stamping `last_used`.
     clock: u64,
     ready_bytes: usize,
@@ -270,8 +251,6 @@ pub struct SessionServer {
     cache_misses: AtomicU64,
     coalesced_waits: AtomicU64,
     evictions: AtomicU64,
-    scheduled_mutations: AtomicU64,
-    repair_waves: AtomicU64,
 }
 
 impl std::fmt::Debug for SessionServer {
@@ -306,8 +285,6 @@ impl SessionServer {
             cache_misses: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            scheduled_mutations: AtomicU64::new(0),
-            repair_waves: AtomicU64::new(0),
         }
     }
 
@@ -327,14 +304,6 @@ impl SessionServer {
             self.cfg.oracle_acd,
             seed,
         );
-        if run.coloring.is_total() && run.coloring.len() == acq.inst.graph.n_vertices() {
-            // Publish the coloring for this (spec, epoch): the next
-            // mutation materializes it into a wave schedule.
-            let mut state = self.state.lock().unwrap();
-            state
-                .colorings
-                .insert(base.to_owned(), (acq.epoch, run.coloring.clone()));
-        }
         let setup_or_zero = |secs: f64| if treat_cached { 0.0 } else { secs };
         ServeOutcome {
             outcome: RunOutcome {
@@ -415,13 +384,6 @@ impl SessionServer {
     ///
     /// Concurrent mutations of the same spec are safe (the commit
     /// revalidates the epoch it mutated and retries on interleaving).
-    ///
-    /// When the spec's latest served run left a coloring at the acquired
-    /// epoch, the mutation materializes it into a [`ColorSchedule`] and
-    /// repairs dirty clusters wave-parallel
-    /// ([`ClusterGraph::apply_delta_scheduled`]); the published graph is
-    /// byte-identical to the serial path, and [`Self::stats`] counts the
-    /// scheduled calls and their repair waves.
     pub fn apply_deltas(
         &self,
         spec: &WorkloadSpec,
@@ -430,33 +392,14 @@ impl SessionServer {
         let base = spec.to_string();
         loop {
             let acq = self.acquire(spec, &base);
-            // The latest served run's coloring, if it matches the epoch
-            // we acquired, schedules this mutation's repair waves. The
-            // result is byte-identical to the serial path either way.
-            let run_coloring = {
-                let state = self.state.lock().unwrap();
-                state.colorings.get(&base).and_then(|(epoch, coloring)| {
-                    (*epoch == acq.epoch && coloring.len() == acq.inst.graph.n_vertices())
-                        .then(|| coloring.clone())
-                })
-            };
-            let schedule =
-                run_coloring.map(|c| ColorSchedule::build(&acq.inst.graph, &c, &self.cfg.parallel));
             let mut graph = acq.inst.graph.clone();
-            let mut repair = RepairStats::default();
             for batch in batches {
-                let (_, stats) = graph.apply_delta_scheduled(
-                    batch,
-                    &self.cfg.parallel,
-                    schedule.as_ref().map(|s| s.waves()),
-                )?;
-                repair.absorb(stats);
+                graph.apply_delta_with(batch, &self.cfg.parallel)?;
             }
             let params = derive_params(self.cfg.profile, graph.n_vertices(), None, None);
             let bytes = graph.approx_heap_bytes();
             let inst = Arc::new(CachedInstance {
                 graph,
-                planted: acq.inst.planted.clone(),
                 setup: acq.inst.setup,
                 params,
                 bytes,
@@ -470,14 +413,6 @@ impl SessionServer {
             let history = Arc::make_mut(state.deltas.entry(base.clone()).or_default());
             history.extend(batches.iter().cloned());
             let new_epoch = history.len() as u64;
-            // The pre-delta coloring no longer describes the published
-            // graph; the next run republishes one at the new epoch.
-            state.colorings.remove(&base);
-            if schedule.is_some() {
-                self.scheduled_mutations.fetch_add(1, Ordering::Relaxed);
-                self.repair_waves
-                    .fetch_add(repair.waves as u64, Ordering::Relaxed);
-            }
             // Drop the stale pre-delta entry (coherence) and publish the
             // mutated one in the same critical section.
             let old_key = slot_key(&base, acq.epoch);
@@ -583,7 +518,7 @@ impl SessionServer {
     ) -> Arc<CachedInstance> {
         self.builds_started.fetch_add(1, Ordering::Relaxed);
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (mut graph, planted, setup) = spec.build_timed(&self.cfg.parallel);
+            let (mut graph, _, setup) = spec.build_timed(&self.cfg.parallel);
             if let Some(batches) = &replay {
                 for batch in batches.iter() {
                     graph
@@ -595,7 +530,6 @@ impl SessionServer {
             let bytes = graph.approx_heap_bytes();
             Arc::new(CachedInstance {
                 graph,
-                planted,
                 setup,
                 params,
                 bytes,
@@ -668,8 +602,6 @@ impl SessionServer {
             evictions: self.evictions.load(Ordering::Relaxed),
             cached_entries: state.ready_entries,
             cached_bytes: state.ready_bytes,
-            scheduled_mutations: self.scheduled_mutations.load(Ordering::Relaxed),
-            repair_waves: self.repair_waves.load(Ordering::Relaxed),
         }
     }
 }
@@ -759,44 +691,12 @@ mod tests {
         cgc_net::DeltaBatch::new(n, &inserts, &deletes).unwrap()
     }
 
-    /// The coherence regression this PR pins: a cache hit after
-    /// `apply_deltas` must serve the *mutated* instance — bit-identical
-    /// to a standalone session that applied the same deltas — never the
-    /// stale pre-delta graph.
+    /// The coherence regression: a cache hit after `apply_deltas` must
+    /// serve the *mutated* instance — bit-identical to a standalone
+    /// session that applied the same deltas — never the stale pre-delta
+    /// graph, also after a second write in a row on the same spec.
     #[test]
     fn cache_hit_after_apply_deltas_reflects_the_mutation() {
-        let spec = "gnp:n=100,p=0.06,seed=4";
-        let server = SessionServer::new(cfg());
-        let before = server.run_str(spec, 9).unwrap();
-        assert_eq!(before.outcome.delta_epoch, 0);
-        let batch = churn_batch(spec);
-        let epoch = server
-            .apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
-            .unwrap();
-        assert_eq!(epoch, 1);
-        let after = server.run_str(spec, 9).unwrap();
-        assert!(
-            after.cache_hit,
-            "the mutated instance is published ready — a hit, not a rebuild"
-        );
-        assert_eq!(after.outcome.delta_epoch, 1);
-        // Ground truth: a standalone session that applied the same batch.
-        let mut session = SessionBuilder::parse(spec)
-            .unwrap()
-            .parallel(ParallelConfig::serial())
-            .build();
-        session.apply_deltas(std::slice::from_ref(&batch)).unwrap();
-        let direct = session.run(9);
-        assert_eq!(after.outcome.run.coloring, direct.run.coloring);
-        assert_eq!(after.outcome.run.report, direct.run.report);
-        assert_eq!(server.stats().builds_started, 1, "mutation never rebuilds");
-    }
-
-    /// A mutation after a served run rides the run's coloring as a wave
-    /// schedule; a mutation of a never-run spec has no coloring and
-    /// stays serial. Both publish byte-identical graphs.
-    #[test]
-    fn mutation_after_a_run_takes_the_scheduled_path() {
         let spec = "gnp:n=100,p=0.06,seed=4";
         let batch = churn_batch(spec);
         // An insert-only follow-up batch that applies on top of `batch`.
@@ -813,33 +713,34 @@ mod tests {
                 .collect();
             cgc_net::DeltaBatch::new(n, &inserts, &[]).unwrap()
         };
-        let warm = SessionServer::new(cfg());
-        warm.run_str(spec, 9).unwrap();
-        warm.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
-            .unwrap();
-        assert_eq!(
-            warm.stats().scheduled_mutations,
-            1,
-            "the run's coloring schedules the mutation"
-        );
-        // The consumed coloring is dropped at commit: a second mutation
-        // without an intervening run is serial again.
-        warm.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch2))
-            .unwrap();
-        assert_eq!(warm.stats().scheduled_mutations, 1);
-        // A cold server never ran the spec: no coloring, no schedule.
-        let cold = SessionServer::new(cfg());
-        cold.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch))
-            .unwrap();
-        cold.apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(&batch2))
-            .unwrap();
-        assert_eq!(cold.stats().scheduled_mutations, 0);
-        // Scheduled and serial mutations publish the same graph: runs
-        // over the two servers are bit-identical.
-        let a = warm.run_str(spec, 3).unwrap();
-        let b = cold.run_str(spec, 3).unwrap();
-        assert_eq!(a.outcome.run.coloring, b.outcome.run.coloring);
-        assert_eq!(a.outcome.run.report, b.outcome.run.report);
+        let server = SessionServer::new(cfg());
+        let before = server.run_str(spec, 9).unwrap();
+        assert_eq!(before.outcome.delta_epoch, 0);
+        // Ground truth: a standalone session that applies the same batches.
+        let mut session = SessionBuilder::parse(spec)
+            .unwrap()
+            .parallel(ParallelConfig::serial())
+            .build();
+        for (i, b) in [batch, batch2].iter().enumerate() {
+            let epoch = server
+                .apply_deltas(&spec.parse().unwrap(), std::slice::from_ref(b))
+                .unwrap();
+            assert_eq!(epoch, i as u64 + 1);
+            let after = server.run_str(spec, 9).unwrap();
+            assert!(
+                after.cache_hit,
+                "the mutated instance is published ready — a hit, not a rebuild"
+            );
+            assert_eq!(after.outcome.delta_epoch, epoch);
+            session.apply_deltas(std::slice::from_ref(b)).unwrap();
+            let direct = session.run(9);
+            assert_eq!(
+                after.outcome.run.coloring, direct.run.coloring,
+                "epoch {epoch}"
+            );
+            assert_eq!(after.outcome.run.report, direct.run.report, "epoch {epoch}");
+        }
+        assert_eq!(server.stats().builds_started, 1, "mutation never rebuilds");
     }
 
     #[test]

@@ -40,10 +40,7 @@ use crate::coloring::Coloring;
 use crate::driver::{color_cluster_graph_with, DriverOptions, RunResult};
 use crate::mutate::{recolor_dirty, MutationOutcome};
 use crate::params::{Ablation, Params};
-use crate::schedule::ColorSchedule;
-use cgc_cluster::{
-    available_threads, BitsScratch, ClusterGraph, ClusterNet, ParallelConfig, RepairStats,
-};
+use cgc_cluster::{available_threads, BitsScratch, ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
 use std::cell::RefCell;
@@ -518,30 +515,13 @@ impl Session {
     /// coloring is dropped (it may be stale), so the next mutation or run
     /// recolors from scratch.
     pub fn apply_deltas(&mut self, batches: &[DeltaBatch]) -> Result<MutationOutcome, NetError> {
-        // The previous coloring doubles as the execution schedule: its
-        // color classes are pairwise H-disjoint on the pre-delta graph,
-        // which is exactly when the dirty support-tree repairs read
-        // disjoint G-neighborhoods. Built once here (cluster ids are
-        // stable under deltas, so one schedule serves every batch) and
-        // reused by the recolor sweep below.
-        let schedule = self
-            .coloring
-            .as_ref()
-            .filter(|c| c.is_total() && c.len() == self.graph.n_vertices())
-            .map(|c| ColorSchedule::build(&self.graph, c, &self.parallel));
         let apply_start = Instant::now();
         let mut reports = Vec::with_capacity(batches.len());
-        let mut repair = RepairStats::default();
         for batch in batches {
-            match self.graph.apply_delta_scheduled(
-                batch,
-                &self.parallel,
-                schedule.as_ref().map(|s| s.waves()),
-            ) {
-                Ok((report, stats)) => {
+            match self.graph.apply_delta_with(batch, &self.parallel) {
+                Ok(report) => {
                     self.delta_epoch += 1;
                     reports.push(report);
-                    repair.absorb(stats);
                 }
                 Err(e) => {
                     if !reports.is_empty() {
@@ -556,7 +536,6 @@ impl Session {
         let res = recolor_dirty(
             &self.graph,
             self.coloring.as_ref(),
-            schedule.as_ref(),
             &reports,
             self.beta,
             self.parallel,
@@ -586,7 +565,6 @@ impl Session {
             largest_wave: res.largest_wave,
             wave_recolored: res.wave_recolored,
             fallback_recolored: res.fallback_recolored,
-            repair_waves: repair.waves,
             report: res.report,
             coloring: res.coloring.clone(),
             apply_secs,

@@ -6,15 +6,15 @@
 //!   are **pairwise H-disjoint** (`verify_disjoint` — the invariant that
 //!   makes a wave conflict-free);
 //! * seeded [`ChurnSpec`] schedules applied through
-//!   [`Session::apply_deltas`] — where that schedule drives both the
-//!   dirty-cluster support-tree repair and the recolor sweep — leave the
-//!   graph, the coloring and the `CostMeter` totals **fully equal**
-//!   across thread counts {1, 2, 4, 8} (threads = 1 runs the same waves
-//!   inline, so this is scheduled-vs-serial bit-identity);
+//!   [`Session::apply_deltas`] — where the recolor sweep runs one wave
+//!   per class of the session's previous coloring, and the dirty-cluster
+//!   support-tree repair is a serial walk — leave the graph, the
+//!   coloring and the `CostMeter` totals **fully equal** across thread
+//!   counts {1, 2, 4, 8} (threads = 1 runs the same waves inline, so
+//!   this is waved-vs-serial bit-identity);
 //! * the wave statistics (`waves_run`, `largest_wave`, `wave_recolored`,
-//!   `fallback_recolored`, `repair_waves`) are thread-count invariant,
-//!   and the wave sweep plus the fallback account for every dirty
-//!   vertex.
+//!   `fallback_recolored`) are thread-count invariant, and the wave
+//!   sweep plus the fallback account for every dirty vertex.
 
 use cgc_cluster::ParallelConfig;
 use cgc_core::{ColorSchedule, MutationOutcome, Session, SessionBuilder};
@@ -59,13 +59,12 @@ fn scheduled_outcome(
     Ok((session, out))
 }
 
-fn wave_stats(out: &MutationOutcome) -> (usize, usize, usize, usize, usize) {
+fn wave_stats(out: &MutationOutcome) -> (usize, usize, usize, usize) {
     (
         out.waves_run,
         out.largest_wave,
         out.wave_recolored,
         out.fallback_recolored,
-        out.repair_waves,
     )
 }
 

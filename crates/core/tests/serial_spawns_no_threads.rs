@@ -1,8 +1,7 @@
 //! A serial configuration never starts pool threads — neither on runs nor
-//! on writes. A write materializes the latest coloring into a
-//! `ColorSchedule`, whose build checks that the color classes are
-//! H-disjoint; that check must run under the caller's config instead of
-//! switching itself to every core on large graphs.
+//! on writes. A write repairs support trees in one serial walk and runs
+//! its recolor waves under the caller's config; no pass on either path
+//! may switch itself to every core on a large graph.
 //!
 //! `WorkerPool::total_threads_spawned` is a process-wide counter, so this
 //! binary holds one test: no sibling test can grow a pool inside it.

@@ -48,6 +48,6 @@ pub use error::NetError;
 pub use graph::{BfsScratch, CommGraph, MachineId};
 pub use par::{
     available_threads, kway_merge_counted, kway_merge_dedup, map_reduce_on, patch_csr_rows,
-    run_waves, ParallelConfig, ShardPlan, WaveSchedule, WaveStats, WorkerPool,
+    run_waves, ParallelConfig, ShardPlan, WaveSchedule, WorkerPool,
 };
 pub use rng::SeedStream;

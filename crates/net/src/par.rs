@@ -1215,31 +1215,6 @@ impl WaveSchedule {
     }
 }
 
-/// What [`run_waves`] executed: how many non-empty waves were dispatched,
-/// the fullest wave's item count, and the total items run. A pure function
-/// of the schedule (never of thread count), so callers may surface it in
-/// reports that are compared across thread sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WaveStats {
-    /// Non-empty waves dispatched.
-    pub waves: usize,
-    /// Items in the fullest dispatched wave.
-    pub largest_wave: usize,
-    /// Total items executed across all waves.
-    pub items: usize,
-}
-
-impl WaveStats {
-    /// Folds another executor's stats into this one (waves and items add,
-    /// the largest wave takes the max) — for callers that dispatch one
-    /// [`run_waves`] per batch and report a single aggregate.
-    pub fn absorb(&mut self, other: WaveStats) {
-        self.waves += other.waves;
-        self.largest_wave = self.largest_wave.max(other.largest_wave);
-        self.items += other.items;
-    }
-}
-
 /// The wave executor: dispatches one wave (color class) at a time over the
 /// pool, with a full barrier between waves. `offsets`/`items` describe a
 /// class-indexed CSR (see [`WaveSchedule`], whose `offsets()`/`items()`
@@ -1261,22 +1236,16 @@ pub fn run_waves(
     offsets: &[usize],
     items: &[usize],
     job: &(dyn Fn(usize, usize, &[usize]) + Sync),
-) -> WaveStats {
-    let mut stats = WaveStats::default();
+) {
     for w in 0..offsets.len() - 1 {
         let (lo, hi) = (offsets[w], offsets[w + 1]);
         if lo == hi {
             continue;
         }
         let wave = &items[lo..hi];
-        stats.waves += 1;
-        stats.largest_wave = stats.largest_wave.max(wave.len());
-        stats.items += wave.len();
         // The slice boundaries reproduce `ShardPlan::even` arithmetically
         // (`s·len/shards`) instead of materializing a bounds Vec: a wave
-        // sweep over thousands of classes must not allocate per wave —
-        // that keeps warm scheduled passes heap-silent (asserted by the
-        // cluster crate's counting-allocator suite).
+        // sweep over thousands of classes must not allocate per wave.
         let len = wave.len();
         let shards = threads.min(len);
         if shards <= 1 {
@@ -1294,7 +1263,6 @@ pub fn run_waves(
             });
         }
     }
-    stats
 }
 
 #[cfg(test)]
@@ -1792,7 +1760,7 @@ mod tests {
     }
 
     /// `run_waves` runs every item exactly once, in wave order (the
-    /// barrier), with correct absolute base indices and stats.
+    /// barrier), with correct absolute base indices.
     #[test]
     fn run_waves_covers_items_with_wave_barrier() {
         let _serial = pool_test_lock();
@@ -1804,7 +1772,7 @@ mod tests {
             let pool = WorkerPool::global(threads);
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
             let wave_counter = AtomicUsize::new(0);
-            let stats = run_waves(
+            run_waves(
                 pool.as_deref(),
                 threads,
                 ws.offsets(),
@@ -1822,9 +1790,6 @@ mod tests {
                     }
                 },
             );
-            assert_eq!(stats.waves, n_classes);
-            assert_eq!(stats.items, n);
-            assert_eq!(stats.largest_wave, ws.largest_wave());
             for (v, hit) in hits.iter().enumerate() {
                 assert_eq!(hit.load(Ordering::SeqCst), class_of[v], "item {v}");
             }
@@ -1837,12 +1802,9 @@ mod tests {
         let class_of = [0usize, 0, 2, 4, 4, 4];
         let ws = WaveSchedule::from_class_ids(&class_of, 5, &ParallelConfig::serial());
         let ran = Mutex::new(Vec::new());
-        let stats = run_waves(None, 1, ws.offsets(), ws.items(), &|w, _base, slice| {
+        run_waves(None, 1, ws.offsets(), ws.items(), &|w, _base, slice| {
             lock_ignore_poison(&ran).push((w, slice.to_vec()));
         });
-        assert_eq!(stats.waves, 3);
-        assert_eq!(stats.largest_wave, 3);
-        assert_eq!(stats.items, 6);
         assert_eq!(
             *lock_ignore_poison(&ran),
             vec![(0, vec![0, 1]), (2, vec![2]), (4, vec![3, 4, 5])]
