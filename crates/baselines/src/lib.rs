@@ -10,6 +10,8 @@
 //!   paying `Θ(Δ log Δ / B)` pipelined rounds per step (§1.1's
 //!   obstruction made concrete).
 
+#![forbid(unsafe_code)]
+
 pub mod congest_naive;
 pub mod greedy;
 pub mod luby;

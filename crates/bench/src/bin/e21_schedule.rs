@@ -84,8 +84,11 @@ fn main() {
     t.print();
     println!(
         "\nnote: `waves` are the non-empty previous-color classes the dirty\n\
-         vertices grouped into; each wave recolors shard-parallel against a\n\
-         frozen coloring (class-wise H-disjointness makes it conflict-free),\n\
-         and only the leftovers pay the exact-palette fallback loop."
+         vertices grouped into. Each wave computes first-fit candidates\n\
+         against the coloring frozen at wave start, then commits them in\n\
+         ascending id order. The classes come from the pre-delta coloring,\n\
+         so an inserted edge can join two vertices of one wave; the serial\n\
+         commit re-checks each candidate and defers the loser, and only the\n\
+         leftovers pay the exact-palette fallback loop."
     );
 }

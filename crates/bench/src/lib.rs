@@ -11,6 +11,8 @@
 //! schema (`cgc-bench/v1`) for the baseline recorder and any future
 //! experiment that wants machine-readable output.
 
+#![forbid(unsafe_code)]
+
 use cgc_cluster::{available_threads, ParallelConfig};
 use cgc_graphs::WorkloadSpec;
 use std::fmt::Write as _;

@@ -6,18 +6,17 @@
 //! charges the [`CostMeter`] for every bit and round, pipelining messages
 //! that exceed the per-link budget.
 //!
-//! Two idioms cover everything the paper's algorithms need:
-//!
-//! * [`ClusterNet::neighbor_fold_into`] — each vertex publishes a small query;
-//!   link machines compute a contribution per `H`-edge; each vertex receives
-//!   the *aggregate* of contributions over its distinct neighbors. This is
-//!   the paper's "dedication of neighbors" pattern (§1.1): parallel links to
-//!   the same neighbor are deduplicated, so every neighbor contributes once.
-//! * [`ClusterNet::neighbor_collect_into`] — each vertex receives the full list
-//!   of neighbor messages. Legal but expensive: the converge-cast carries
-//!   `deg(v) · |msg|` bits and is charged with pipelining, which is exactly
-//!   why high-degree algorithms must avoid it (and why the low-degree §9
-//!   algorithms may use it when `Δ = O(log n)`).
+//! One idiom covers the aggregation the paper's algorithms need:
+//! [`ClusterNet::neighbor_fold_into`] — each vertex publishes a small
+//! query; link machines compute a contribution per `H`-edge; each vertex
+//! receives the *aggregate* of contributions over its distinct neighbors.
+//! This is the paper's "dedication of neighbors" pattern (§1.1): parallel
+//! links to the same neighbor are deduplicated, so every neighbor
+//! contributes once. Receiving the full list of neighbor messages instead
+//! is legal but expensive — the converge-cast carries `deg(v) · |msg|`
+//! bits — and the one model that prices it (`cgc_baselines`'
+//! naive-CONGEST simulation) charges it through the public `charge_*`
+//! calls without materializing the lists.
 //!
 //! # Allocation discipline
 //!
@@ -25,20 +24,20 @@
 //! primitive writes into a caller-owned buffer (the `*_into` forms) or the
 //! runtime's [`RoundScratch`] workspace: after warm-up, a metered round
 //! performs **zero heap allocations** under the sequential
-//! [`ParallelConfig`]. The common fold shapes (`bool` any-hit, `usize`
-//! sums, `u64` bitmaps) have dedicated entry points
-//! ([`ClusterNet::neighbor_fold_flags`] and friends) that lend out the
-//! workspace buffers directly, and [`ClusterNet::neighbor_collect_into`]
-//! fills a flat CSR-shaped [`NeighborLists`] (offsets + arena) instead of
-//! a `Vec<Vec<_>>` — its rows are aligned with [`ClusterGraph::neighbors`].
+//! [`ParallelConfig`] and on a warm pool alike. The common fold shapes
+//! (`bool` any-hit, `usize` sums, `u64` bitmaps) have dedicated entry
+//! points ([`ClusterNet::neighbor_fold_flags`] and friends) that lend out
+//! the workspace buffers directly, and the oracle-view row fills
+//! ([`ClusterNet::par_vertex_fill_rows`]) reuse the caller's buffer.
 //!
 //! # Parallel execution
 //!
 //! The aggregation primitives shard the vertex set across worker threads
 //! when the runtime carries a [`ParallelConfig`] with `threads > 1`
 //! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Each
-//! shard computes the fold for its own contiguous vertex range into a
-//! disjoint slice of the output buffer, walking the vertex's CSR row in
+//! shard computes the fold for its own contiguous vertex range into its
+//! own `&mut` part of the output buffer ([`crate::par::for_each_part`]),
+//! walking the vertex's CSR row in
 //! ascending neighbor order — the *same* contribution order the sequential
 //! sweep applies — and every [`CostMeter`] charge happens once, on the
 //! calling thread, before the compute. Results and cost totals are
@@ -46,64 +45,9 @@
 //! bounds on the edge/init/fold closures enforce the purity this needs.
 
 use crate::graph::{ClusterGraph, VertexId};
-use crate::par::{
-    fill_sharded, fill_sharded_with_offsets, for_each_shard, ParallelConfig, SendPtr, ShardPlan,
-    WorkerPool,
-};
+use crate::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan, WorkerPool};
 use cgc_net::CostMeter;
 use std::sync::Arc;
-
-/// CSR-shaped result of a [`ClusterNet::neighbor_collect_into`] round: row `v`
-/// holds `(u, message_of_u)` for every distinct neighbor `u` of `v`, in
-/// ascending neighbor order (the same order as [`ClusterGraph::neighbors`]).
-///
-/// Reuse one instance across rounds via
-/// [`ClusterNet::neighbor_collect_into`] to keep the round allocation-free
-/// after warm-up.
-#[derive(Debug, Clone)]
-pub struct NeighborLists<Q> {
-    offsets: Vec<usize>,
-    data: Vec<(VertexId, Q)>,
-}
-
-impl<Q> Default for NeighborLists<Q> {
-    fn default() -> Self {
-        NeighborLists {
-            offsets: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-}
-
-impl<Q> NeighborLists<Q> {
-    /// An empty buffer ready to be filled by
-    /// [`ClusterNet::neighbor_collect_into`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of rows (vertices) in the last filled round.
-    pub fn n_rows(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The `(neighbor, message)` pairs received by vertex `v`.
-    #[inline]
-    pub fn row(&self, v: VertexId) -> &[(VertexId, Q)] {
-        &self.data[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// Iterates `(v, row(v))` over all vertices.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[(VertexId, Q)])> + '_ {
-        (0..self.n_rows()).map(move |v| (v, self.row(v)))
-    }
-
-    /// The flat `(neighbor, message)` arena across all rows.
-    #[inline]
-    pub fn flat(&self) -> &[(VertexId, Q)] {
-        &self.data
-    }
-}
 
 /// Reusable per-round buffers owned by [`ClusterNet`]; grown on first use,
 /// then recycled so metered rounds allocate nothing (SNIPPETS §1's
@@ -319,8 +263,8 @@ impl<'a> ClusterNet<'a> {
     /// [`Self::neighbor_fold_words`] fold into the runtime's own scratch.
     ///
     /// Each vertex's fold walks its CSR adjacency row in ascending neighbor
-    /// order with the accumulator in a register, shard-parallel across the
-    /// runtime's [`ShardPlan`] into disjoint output slices. The contribution
+    /// order, folding into its `init` value in place, shard-parallel across
+    /// the runtime's [`ShardPlan`] into disjoint output parts. The contribution
     /// order per vertex equals the sequential `H`-edge sweep's (neighbors
     /// below `v` ascending, then above), so results are bit-identical to the
     /// historical sequential path at any thread count — even for
@@ -349,6 +293,8 @@ impl<'a> ClusterNet<'a> {
         self.charge_link_round(query_bits);
         self.charge_converge(response_bits);
 
+        out.clear();
+        out.extend((0..self.g.n_vertices()).map(&init));
         if self.plan.n_shards() <= 1 {
             // Sequential: one sweep of the H-edges, the upper halves of
             // the CSR rows (half the gather traffic of the row walk, and
@@ -356,8 +302,6 @@ impl<'a> ClusterNet<'a> {
             // contributions arrive from neighbors below it in ascending
             // order, then neighbors above it in ascending order — i.e.
             // ascending neighbor order.
-            out.clear();
-            out.extend((0..self.g.n_vertices()).map(&init));
             for u in 0..self.g.n_vertices() {
                 for &v in self.g.upper_neighbors(u) {
                     if let Some(c) = edge(v, u, &queries[v], &queries[u]) {
@@ -373,19 +317,17 @@ impl<'a> ClusterNet<'a> {
             // CSR rows — ascending neighbor order, so the per-vertex
             // contribution order (and thus the result) is identical to the
             // sequential sweep, while every write lands in the worker's
-            // disjoint output slice.
+            // own part of the output.
             let (offsets, adj) = self.g.adjacency_csr();
-            fill_sharded(out, &self.plan, self.pool.as_deref(), |start, slot| {
-                for (i, cell) in slot.iter_mut().enumerate() {
+            fill_sharded(out, &self.plan, self.pool.as_deref(), |start, part| {
+                for (i, acc) in part.iter_mut().enumerate() {
                     let v = start + i;
-                    let mut acc = init(v);
                     let qv = &queries[v];
                     for &u in &adj[offsets[v]..offsets[v + 1]] {
                         if let Some(c) = edge(v, u, qv, &queries[u]) {
-                            fold(&mut acc, c);
+                            fold(acc, c);
                         }
                     }
-                    cell.write(acc);
                 }
             });
         }
@@ -461,64 +403,6 @@ impl<'a> ClusterNet<'a> {
         &self.scratch.words
     }
 
-    /// Every vertex receives the full list of `(neighbor, message)` pairs,
-    /// as a flat CSR buffer whose row `v` mirrors
-    /// [`ClusterGraph::neighbors`]`(v)`.
-    ///
-    /// Charged honestly: the converge-cast for vertex `v` carries
-    /// `deg(v) · query_bits` bits, so the round is pipelined over
-    /// `ceil(max_v deg(v) · query_bits / budget)` sub-rounds. Use only where
-    /// the paper does (low-degree regimes, `O(log n)`-sized payloads).
-    ///
-    /// `out`'s offsets and arena are cleared and refilled in place, so a
-    /// warm buffer makes the round allocation-free under the sequential
-    /// config (modulo `Q::clone`). The arena fill is sharded over the
-    /// runtime's [`ShardPlan`]: shard `s` writes the CSR entries of its own
-    /// vertex rows, a disjoint arena slice, so the filled buffer is
-    /// bit-identical to the sequential sweep at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != n_vertices`.
-    pub fn neighbor_collect_into<Q: Clone + Send + Sync>(
-        &mut self,
-        query_bits: u64,
-        queries: &[Q],
-        out: &mut NeighborLists<Q>,
-    ) {
-        assert_eq!(
-            queries.len(),
-            self.g.n_vertices(),
-            "one query per vertex required"
-        );
-        self.charge_broadcast(query_bits);
-        self.charge_link_round(query_bits);
-        let max_deg = self.g.max_degree() as u64;
-        self.charge_converge(query_bits.saturating_mul(max_deg.max(1)));
-
-        let (offsets, adj) = self.g.adjacency_csr();
-        // Offsets copy and arena fill are sharded together in one
-        // dispatch: shard `s` copies its own vertices' row starts and
-        // fills its own rows' entries — the last O(n) sequential passes of
-        // the warm round, removed without an extra dispatch cycle.
-        fill_sharded_with_offsets(
-            &mut out.offsets,
-            &mut out.data,
-            &self.plan,
-            self.pool.as_deref(),
-            offsets,
-            {
-                |range: std::ops::Range<usize>, slot: &mut [std::mem::MaybeUninit<_>]| {
-                    let base = offsets[range.start];
-                    for (i, cell) in slot.iter_mut().enumerate() {
-                        let u = adj[base + i];
-                        cell.write((u, queries[u].clone()));
-                    }
-                }
-            },
-        );
-    }
-
     /// Exact degree computation in one aggregation round (§1.1): neighbors
     /// deduplicate their parallel links so each contributes exactly 1.
     /// `out` is cleared and refilled. After the dedup round, each vertex's
@@ -536,10 +420,12 @@ impl<'a> ClusterNet<'a> {
         self.charge_link_round(1);
         self.charge_converge(self.id_bits());
         let (offsets, _) = self.g.adjacency_csr();
-        fill_sharded(out, &self.even_plan, self.pool.as_deref(), |start, slot| {
-            for (i, cell) in slot.iter_mut().enumerate() {
+        out.clear();
+        out.resize(self.g.n_vertices(), 0);
+        fill_sharded(out, &self.even_plan, self.pool.as_deref(), |start, part| {
+            for (i, deg) in part.iter_mut().enumerate() {
                 let v = start + i;
-                cell.write(offsets[v + 1] - offsets[v]);
+                *deg = offsets[v + 1] - offsets[v];
             }
         });
     }
@@ -547,15 +433,20 @@ impl<'a> ClusterNet<'a> {
     /// Builds a per-vertex vector shard-parallel over the runtime's
     /// [`ShardPlan`]: element `v` is `f(v)`, bit-identical to the
     /// sequential `(0..n).map(f).collect()` at any thread count because
-    /// each worker writes a disjoint contiguous slice and `f` is pure
-    /// (`Fn + Sync`). Used by the driver for its per-phase eligibility
-    /// masks and by the session's read-only palette queries — free of
-    /// meter charges, like any local recomputation.
-    pub fn par_vertex_map<T: Send>(&self, f: impl Fn(VertexId) -> T + Sync) -> Vec<T> {
-        let mut out = Vec::new();
-        fill_sharded(&mut out, &self.plan, self.pool.as_deref(), |start, slot| {
-            for (i, cell) in slot.iter_mut().enumerate() {
-                cell.write(f(start + i));
+    /// each worker writes a disjoint contiguous part and `f` is pure
+    /// (`Fn + Sync`). The output starts as `T::default()` and each element
+    /// is overwritten once. Used by the driver for its per-phase
+    /// eligibility masks, by the session's read-only palette queries and
+    /// by the fingerprint engine's per-row summaries — free of meter
+    /// charges, like any local recomputation.
+    pub fn par_vertex_map<T: Clone + Default + Send>(
+        &self,
+        f: impl Fn(VertexId) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); self.g.n_vertices()];
+        fill_sharded(&mut out, &self.plan, self.pool.as_deref(), |start, part| {
+            for (i, x) in part.iter_mut().enumerate() {
+                *x = f(start + i);
             }
         });
         out
@@ -564,7 +455,7 @@ impl<'a> ClusterNet<'a> {
     /// Fills a flat row-major matrix of `row_len` elements per vertex,
     /// sharded over the runtime's plan: `fill(v, row)` runs once per
     /// vertex with `row` set to `T::default()`, writing the vertex's own
-    /// disjoint range. The palette bit-rows of the fallback and
+    /// row of its shard's part. The palette bit-rows of the fallback and
     /// list-coloring round loops ([`Self::par_vertex_fill_words`]) and the
     /// fingerprint matrices of `cgc_sketch` are built through this
     /// (row-mass-weighted plan: those fills walk each vertex's CSR row, so
@@ -583,17 +474,18 @@ impl<'a> ClusterNet<'a> {
         if row_len == 0 {
             return;
         }
-        let base = SendPtr::new(out.as_mut_ptr());
-        for_each_shard(self.pool.as_deref(), self.plan.n_shards(), &|s| {
-            for v in self.plan.range(s) {
-                // SAFETY: rows are disjoint element ranges of the `n ·
-                // row_len` buffer and shard `s` owns exactly the vertices
-                // of `plan.range(s)`.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(v * row_len), row_len) };
-                fill(v, row);
-            }
-        });
+        let bounds = self.plan.bounds();
+        for_each_part(
+            self.pool.as_deref(),
+            self.plan.n_shards(),
+            out,
+            |s| bounds[s] * row_len,
+            |s, rows| {
+                for (v, row) in self.plan.range(s).zip(rows.chunks_exact_mut(row_len)) {
+                    fill(v, row);
+                }
+            },
+        );
     }
 
     /// [`Self::par_vertex_fill_rows`] for a flat bit-row matrix:
@@ -716,34 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_collect_returns_all_neighbors() {
-        let comm = CommGraph::path(4);
-        let h = ClusterGraph::singletons(comm);
-        let mut net = ClusterNet::new(&h, 64);
-        let msgs = vec![0u8, 1, 2, 3];
-        let mut got = NeighborLists::new();
-        net.neighbor_collect_into(8, &msgs, &mut got);
-        assert_eq!(got.n_rows(), 4);
-        assert_eq!(got.row(0), &[(1, 1)]);
-        // CSR rows are sorted by neighbor id.
-        assert_eq!(got.row(1), &[(0, 0), (2, 2)]);
-        assert_eq!(got.row(3), &[(2, 2)]);
-    }
-
-    #[test]
-    fn collect_into_reuses_buffers() {
-        let comm = CommGraph::path(4);
-        let h = ClusterGraph::singletons(comm);
-        let mut net = ClusterNet::new(&h, 64);
-        let mut lists = NeighborLists::new();
-        for round in 0..3u32 {
-            let msgs = vec![round; 4];
-            net.neighbor_collect_into(8, &msgs, &mut lists);
-            assert_eq!(lists.row(2), &[(1, round), (3, round)]);
-        }
-    }
-
-    #[test]
     fn rounds_and_bits_are_charged() {
         let h = multi_link();
         let mut net = ClusterNet::new(&h, 16);
@@ -804,37 +668,6 @@ mod tests {
         net.charge_full_rounds(0, 64);
         assert_eq!(net.meter.report().h_rounds, 0);
         assert_eq!(net.meter.report().bits, 0);
-    }
-
-    #[test]
-    fn collect_in_congest_is_one_link_round() {
-        // Singleton clusters: support trees have no edges, so the
-        // converge-cast is free and collection is a single link round.
-        let comm = CommGraph::star(5);
-        let h = ClusterGraph::singletons(comm);
-        let mut net = ClusterNet::new(&h, 8);
-        let h0 = net.meter.h_rounds();
-        net.neighbor_collect_into(8, &[0u8; 5], &mut NeighborLists::new());
-        assert_eq!(net.meter.h_rounds() - h0, 3);
-    }
-
-    #[test]
-    fn collect_charges_degree_times_bits() {
-        // Star of five 2-machine clusters: cluster i = {2i, 2i+1}; the
-        // center cluster 0 links to each other cluster. Center degree 4.
-        let mut edges: Vec<(usize, usize)> = (0..5).map(|i| (2 * i, 2 * i + 1)).collect();
-        for i in 1..5 {
-            edges.push((1, 2 * i)); // machine 1 (cluster 0) to each cluster
-        }
-        let comm = CommGraph::from_edges(10, &edges).unwrap();
-        let h = ClusterGraph::build(comm, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]).unwrap();
-        assert_eq!(h.degree(0), 4);
-        let mut net = ClusterNet::new(&h, 8);
-        let h0 = net.meter.h_rounds();
-        net.neighbor_collect_into(8, &[0u8; 5], &mut NeighborLists::new());
-        // Converge carries up to 4 * 8 = 32 bits on a tree edge -> 4
-        // sub-rounds; plus 1 broadcast and 1 link round.
-        assert_eq!(net.meter.h_rounds() - h0, 1 + 1 + 4);
     }
 
     #[test]

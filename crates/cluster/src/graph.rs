@@ -725,7 +725,7 @@ impl ClusterGraph {
 
     /// The deduplicated CSR adjacency of `H`: `(offsets, targets)` with
     /// the neighbors of `v` at `targets[offsets[v]..offsets[v + 1]]`,
-    /// sorted. This is the layout [`crate::comm::NeighborLists`] mirrors.
+    /// sorted. The sharded row walks of [`crate::ClusterNet`] read it.
     #[inline]
     pub fn adjacency_csr(&self) -> (&[usize], &[VertexId]) {
         (&self.h_offsets, &self.h_adj)

@@ -34,6 +34,8 @@
 //! assert!(net.meter.h_rounds() >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod comm;
 pub mod exec;
@@ -45,15 +47,12 @@ pub mod prefix;
 
 pub use bfs::{BfsForest, BfsTree};
 pub use cgc_net::bits::{self, BitMatrix, BitsScratch, PaletteBits};
-pub use comm::{ClusterNet, NeighborLists, RoundScratch};
+pub use comm::{ClusterNet, RoundScratch};
 pub use exec::{
     execute_broadcast, execute_converge, execute_full_round, execute_link_exchange, ExecTrace,
 };
 pub use graph::{BuildTimings, ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
-pub use par::{
-    available_threads, map_reduce_on, run_waves, ParallelConfig, ShardPlan, WaveSchedule,
-    WorkerPool,
-};
+pub use par::{available_threads, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
 pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

@@ -1,7 +1,7 @@
 //! The shared parallel executor, re-exported from [`cgc_net::par`].
 //!
 //! The shard plans, [`ParallelConfig`], the persistent [`WorkerPool`] and
-//! the deterministic fill/map-reduce/k-way-merge primitives historically
+//! the deterministic split-slice/map-reduce/k-way-merge primitives historically
 //! lived here; they moved down to `cgc_net` so the network layer's sharded
 //! edge ingest ([`cgc_net::CommGraph::from_edges_with`]) and the
 //! generators in `cgc_graphs` can run on the same machinery without a

@@ -1,10 +1,11 @@
 //! Verifies the runtime's headline guarantees: after warm-up, the metered
 //! aggregation primitives (`neighbor_fold_into`, the typed fold wrappers,
-//! `neighbor_collect_into`, `exact_degrees_into`, `charge_full_rounds`)
-//! perform **zero heap allocations per round** — under the sequential
-//! config *and* under a parallel config dispatching on the persistent
-//! [`WorkerPool`], where warm rounds additionally **spawn no threads**
-//! (pool workers are created once and parked between rounds). Warm
+//! `exact_degrees_into`, `charge_full_rounds`) and the palette row fill
+//! (`par_vertex_fill_words`, which the driver's fallback and list-coloring
+//! loops run through) perform **zero heap allocations per round** — under
+//! the sequential config *and* under a parallel config dispatching on the
+//! persistent [`WorkerPool`], where warm rounds additionally **spawn no
+//! threads** (pool workers are created once and parked between rounds). Warm
 //! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
 //! call by design, must spawn no threads either.
 //!
@@ -21,7 +22,7 @@
 //! in the manifest): `main` runs the cases one after another on the main
 //! thread, and no sibling test thread can allocate inside a window.
 
-use cgc_cluster::{ClusterGraph, ClusterNet, NeighborLists, ParallelConfig, WorkerPool};
+use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, WorkerPool};
 use cgc_net::{CommGraph, SeedStream};
 use cgc_sketch::{
     approx_count_neighbors, approx_weighted_count, CountingParams, FingerprintMatrix,
@@ -141,39 +142,36 @@ fn typed_fold_wrappers_are_allocation_free_when_warm() {
     );
 }
 
-fn neighbor_collect_into_is_allocation_free_when_warm() {
-    let h = instance();
-    let mut net = ClusterNet::new(&h, 64);
-    let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
-    let mut lists: NeighborLists<u64> = NeighborLists::new();
-    net.neighbor_collect_into(16, &queries, &mut lists);
-    let before = allocations();
-    for _ in 0..100 {
-        net.neighbor_collect_into(16, &queries, &mut lists);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm neighbor_collect_into must not allocate"
-    );
-    for v in 0..h.n_vertices() {
-        assert_eq!(lists.row(v).len(), h.degree(v));
-    }
+/// Marks each vertex's neighbor ids in a two-word row — the shape of the
+/// driver's palette rows.
+fn fill_neighbor_words(net: &ClusterNet<'_>, rows: &mut Vec<u64>) {
+    net.par_vertex_fill_words(2, rows, |v, row| {
+        for &u in net.g.neighbors(v) {
+            row[(u / 64) % 2] |= 1u64 << (u % 64);
+        }
+    });
 }
 
 fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
+    for threads in [1usize, 2] {
+        pooled_rounds_at(threads);
+    }
+}
+
+fn pooled_rounds_at(threads: usize) {
     let h = instance();
-    // An explicitly parallel runtime: dispatches ride the process-global
-    // persistent worker pool.
-    let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(2));
-    assert!(
+    // At 2 threads an explicitly parallel runtime: dispatches ride the
+    // process-global persistent worker pool.
+    let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(threads));
+    assert_eq!(
         net.worker_pool().is_some(),
-        "parallel config must acquire the persistent pool"
+        threads > 1,
+        "parallel configs (only) acquire the persistent pool"
     );
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
     let mut out: Vec<u64> = Vec::new();
     let mut degs: Vec<usize> = Vec::new();
-    let mut lists: NeighborLists<u64> = NeighborLists::new();
+    let mut rows: Vec<u64> = Vec::new();
     let fold = |net: &mut ClusterNet<'_>, out: &mut Vec<u64>| {
         net.neighbor_fold_into(
             16,
@@ -188,27 +186,29 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     // Warm-up sizes every buffer (and has already created the pool).
     fold(&mut net, &mut out);
     net.exact_degrees_into(&mut degs);
-    net.neighbor_collect_into(16, &queries, &mut lists);
+    fill_neighbor_words(&net, &mut rows);
     let warm = out.clone();
+    let warm_rows = rows.clone();
 
     let spawned_before = WorkerPool::total_threads_spawned();
     let allocs_before = allocations();
     for _ in 0..100 {
         fold(&mut net, &mut out);
         net.exact_degrees_into(&mut degs);
-        net.neighbor_collect_into(16, &queries, &mut lists);
+        fill_neighbor_words(&net, &mut rows);
     }
     assert_eq!(
         allocations() - allocs_before,
         0,
-        "warm pooled rounds must not allocate"
+        "warm rounds must not allocate (threads={threads})"
     );
     assert_eq!(
         WorkerPool::total_threads_spawned(),
         spawned_before,
-        "warm pooled rounds must not spawn threads"
+        "warm rounds must not spawn threads (threads={threads})"
     );
     assert_eq!(out, warm, "pooled results stay identical across rounds");
+    assert_eq!(rows, warm_rows, "row fills stay identical across rounds");
 
     // And the pooled results match a sequential runtime's bit for bit.
     let mut seq = ClusterNet::new(&h, 64);
@@ -218,6 +218,9 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     let mut seq_degs: Vec<usize> = Vec::new();
     seq.exact_degrees_into(&mut seq_degs);
     assert_eq!(degs, seq_degs);
+    let mut seq_rows: Vec<u64> = Vec::new();
+    fill_neighbor_words(&seq, &mut seq_rows);
+    assert_eq!(rows, seq_rows);
 }
 
 fn exact_degrees_into_and_full_rounds_are_allocation_free_when_warm() {
@@ -312,7 +315,7 @@ fn graph_clones_allocate_exactly_their_heap_bytes() {
 /// Runs every case in order on the main thread and reports in the test
 /// harness's format.
 fn main() {
-    let cases: [(&str, fn()); 7] = [
+    let cases: [(&str, fn()); 6] = [
         (
             "neighbor_fold_into_is_allocation_free_when_warm",
             neighbor_fold_into_is_allocation_free_when_warm,
@@ -320,10 +323,6 @@ fn main() {
         (
             "typed_fold_wrappers_are_allocation_free_when_warm",
             typed_fold_wrappers_are_allocation_free_when_warm,
-        ),
-        (
-            "neighbor_collect_into_is_allocation_free_when_warm",
-            neighbor_collect_into_is_allocation_free_when_warm,
         ),
         (
             "pooled_rounds_are_allocation_free_and_spawn_no_threads",

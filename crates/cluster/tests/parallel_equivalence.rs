@@ -5,7 +5,7 @@
 //! runtime. The fold accumulator is deliberately non-commutative, so any
 //! reordering of contributions — not just any misrouting — fails loudly.
 
-use cgc_cluster::{ClusterGraph, ClusterNet, NeighborLists, ParallelConfig, VertexId};
+use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_net::{CommGraph, CostReport, SeedStream};
 use rand::RngExt;
 
@@ -45,7 +45,7 @@ fn run_battery(
     Vec<bool>,
     Vec<usize>,
     Vec<u64>,
-    Vec<(VertexId, u32)>,
+    Vec<u64>,
     Vec<usize>,
     CostReport,
 ) {
@@ -86,17 +86,22 @@ fn run_battery(
         .neighbor_fold_words(8, 64, &queries, |_, u, _, _| Some(1u64 << (u % 64)))
         .to_vec();
 
-    net.set_phase("collect");
-    let msgs: Vec<u32> = (0..n as u32).map(|v| v ^ 0xBEEF).collect();
-    let mut lists = NeighborLists::new();
-    net.neighbor_collect_into(16, &msgs, &mut lists);
-    let flat = lists.flat().to_vec();
+    // Row fill: each vertex marks its neighbors' query bits in a
+    // three-word row (uncharged, like every oracle view).
+    let mut rows = Vec::new();
+    net.par_vertex_fill_words(3, &mut rows, |v, row| {
+        for &u in g.neighbors(v) {
+            let bit = (queries[u] % 192) as usize;
+            row[bit / 64] ^= 1u64 << (bit % 64);
+        }
+        row[0] ^= v as u64;
+    });
 
     net.set_phase("degrees");
     let mut degs = Vec::new();
     net.exact_degrees_into(&mut degs);
 
-    (fold, flags, counts, words, flat, degs, net.meter.report())
+    (fold, flags, counts, words, rows, degs, net.meter.report())
 }
 
 #[test]
@@ -113,7 +118,10 @@ fn all_primitives_bit_identical_across_thread_counts() {
             assert_eq!(got.1, reference.1, "seed {seed} threads {threads}: flags");
             assert_eq!(got.2, reference.2, "seed {seed} threads {threads}: counts");
             assert_eq!(got.3, reference.3, "seed {seed} threads {threads}: words");
-            assert_eq!(got.4, reference.4, "seed {seed} threads {threads}: collect");
+            assert_eq!(
+                got.4, reference.4,
+                "seed {seed} threads {threads}: row fill"
+            );
             assert_eq!(got.5, reference.5, "seed {seed} threads {threads}: degrees");
             assert_eq!(
                 got.6, reference.6,

@@ -58,6 +58,8 @@
 //! assert!(run.coloring.is_proper(&g));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cabals;
 pub mod coloring;
 pub mod complete;
@@ -71,7 +73,6 @@ pub mod palette_query;
 pub mod params;
 pub mod putaside;
 pub mod rounds;
-pub mod schedule;
 pub mod sct;
 pub mod serve;
 pub mod session;
@@ -84,7 +85,6 @@ pub use driver::{color_cluster_graph_with, AlgoPath, DriverOptions, RunResult, R
 pub use mutate::MutationOutcome;
 pub use palette_query::CliquePalette;
 pub use params::{Ablation, Params};
-pub use schedule::ColorSchedule;
 pub use serve::{ServeOutcome, ServerConfig, ServerStats, SessionServer};
 pub use session::{PaletteQueryOutcome, ParamsProfile, RunOutcome, Session, SessionBuilder};
 pub use validate::{coloring_stats, ColoringStats};

@@ -18,18 +18,18 @@
 //! coloring is total and sized to the graph, a **wave sweep** runs first:
 //! one stable sort groups the dirty vertices by their *previous* color
 //! (ascending id within a class; a color that fell out of range still
-//! names its class), and each class dispatches one wave over the worker
-//! pool, every worker computing first-fit candidates for a disjoint slice
-//! of candidate slots with read-only access to the frozen coloring. Because the previous coloring was proper only on the
-//! *pre-delta* graph, two same-wave vertices may now be adjacent through
-//! an inserted edge — so the commit is a serial ascending-id pass that
-//! re-checks each candidate against the colors already committed this
-//! wave and defers losers. The parallel step writes only its own
-//! candidate slots and the commit is serial, so no conflict-free schedule
-//! guards anything here. Each non-empty wave charges one full
-//! aggregation round (the same analytic formula as the fallback), on the
-//! calling thread. Whatever the sweep leaves uncolored falls through to
-//! the driver's charged exact-palette loop ([`fallback_until_total`]),
+//! names its class), and each class is one wave, recolored snapshot-then-
+//! commit. First every vertex of the wave gets its first-fit candidate
+//! against the coloring frozen at wave start; then a serial ascending-id
+//! pass commits them. Because the previous coloring was proper only on
+//! the *pre-delta* graph, two same-wave vertices may now be adjacent
+//! through an inserted edge — so the commit re-checks each candidate
+//! against the colors already committed this wave and defers losers. Both
+//! steps are serial: churn batches dirty well under one vertex on
+//! average, far too little work to pay for a pool dispatch. Each
+//! non-empty wave charges one full aggregation round (the same analytic
+//! formula as the fallback). Whatever the sweep leaves uncolored falls
+//! through to the driver's charged exact-palette loop ([`fallback_until_total`]),
 //! under the same phase tag `"recolor"`; the result is asserted total,
 //! proper, and within `Δ' + 1` colors. Costs land in a fresh
 //! [`CostMeter`](cgc_net::CostMeter), so the returned [`CostReport`] is
@@ -45,10 +45,7 @@
 use crate::coloring::Coloring;
 use crate::driver::fallback_until_total;
 use crate::validate::coloring_stats;
-use cgc_cluster::par::SendPtr;
-use cgc_cluster::{
-    run_waves, BitsScratch, ClusterGraph, ClusterNet, DeltaReport, ParallelConfig, WorkerPool,
-};
+use cgc_cluster::{BitsScratch, ClusterGraph, ClusterNet, DeltaReport, ParallelConfig};
 use cgc_net::{CostReport, SeedStream};
 
 /// Stage tag separating recolor randomness from the driver's numbered
@@ -90,7 +87,7 @@ pub struct MutationOutcome {
     pub recolored: usize,
     /// Charged rounds the recolor loop consumed (wave sweep + fallback).
     pub recolor_rounds: u64,
-    /// Non-empty waves the recolor sweep dispatched (0 when the previous
+    /// Non-empty waves the recolor sweep ran (0 when the previous
     /// coloring was not total — a session that never ran, or the first
     /// call after a failed one).
     pub waves_run: usize,
@@ -134,8 +131,8 @@ pub(crate) struct RecolorResult {
 /// Recolors the dirty region of `graph` after the deltas described by
 /// `reports`, seeding from `previous` (a proper total coloring of the
 /// pre-delta instance; `None` forces a full recolor). When `previous` is
-/// total and sized to the graph, the conflict-resolution sweep runs
-/// wave-parallel by previous color class before the fallback — see the
+/// total and sized to the graph, the conflict-resolution sweep runs one
+/// wave per previous color class before the fallback — see the
 /// [module docs](self).
 pub(crate) fn recolor_dirty(
     graph: &ClusterGraph,
@@ -179,8 +176,8 @@ pub(crate) fn recolor_dirty(
     // Stage 1 — wave sweep: dirty vertices grouped by their previous
     // color class run one wave at a time. Candidates are first-fit
     // (smallest available color — deterministic, and with `q = Δ' + 1`
-    // the palette is never empty) computed in parallel against the
-    // coloring frozen at wave start; the serial ascending commit then
+    // the palette is never empty) computed against the coloring frozen
+    // at wave start; the serial ascending commit then
     // re-checks each candidate against colors committed earlier in the
     // same wave, deferring losers to the fallback. A total previous
     // coloring gives every vertex a class in `0..previous.q()`, so a
@@ -196,7 +193,9 @@ pub(crate) fn recolor_dirty(
         // is one previous color class, ascending by id, in class order.
         let mut dirty = coloring.uncolored();
         dirty.sort_by_key(|&v| prev.get(v));
-        let pool = WorkerPool::global(parallel.threads());
+        // One packed scratch, reset per vertex in O(q/64) — the first-fit
+        // candidate is a word scan, no free-list materialization.
+        let mut scratch = BitsScratch::new();
         let mut cand: Vec<usize> = Vec::new();
         for wave in dirty.chunk_by(|&u, &v| prev.get(u) == prev.get(v)) {
             waves_run += 1;
@@ -204,33 +203,13 @@ pub(crate) fn recolor_dirty(
             wave_rounds += 1;
             net.charge_full_rounds(1, (q as u64).min(4 * net.meter.budget_bits()));
             cand.clear();
-            cand.resize(wave.len(), usize::MAX);
-            {
-                let base = SendPtr::new(cand.as_mut_ptr());
-                let coloring = &coloring;
-                run_waves(
-                    pool.as_deref(),
-                    parallel.threads(),
-                    &[0, wave.len()],
-                    wave,
-                    &|_w, base_idx, slice| {
-                        // One packed scratch per slice, reset per vertex
-                        // in O(q/64) — the first-fit candidate is a word
-                        // scan, no free-list materialization.
-                        let mut scratch = BitsScratch::new();
-                        for (i, &v) in slice.iter().enumerate() {
-                            let col = coloring
-                                .first_fit_color(graph, v, &mut scratch)
-                                .expect("q = Δ' + 1 palettes are never empty");
-                            // SAFETY: candidate slot `base_idx + i` is
-                            // owned by exactly this item of this slice.
-                            unsafe { *base.get().add(base_idx + i) = col };
-                        }
-                    },
-                );
+            for &v in wave {
+                let col = coloring
+                    .first_fit_color(graph, v, &mut scratch)
+                    .expect("q = Δ' + 1 palettes are never empty");
+                cand.push(col);
             }
-            for (i, &v) in wave.iter().enumerate() {
-                let col = cand[i];
+            for (&v, &col) in wave.iter().zip(&cand) {
                 if graph
                     .neighbors(v)
                     .iter()

@@ -8,8 +8,11 @@
 //!   `PartialEq` over everything) to a from-scratch build of the mutated
 //!   edge set,
 //! * the recolored assignment total, proper and within `Δ' + 1` colors,
-//! * and the [`MutationOutcome`] — coloring *and* `CostMeter` totals —
-//!   bit-identical across thread counts.
+//!   with the recolor sweep's waves (one per class of the session's
+//!   previous coloring) plus the fallback accounting for every dirty
+//!   vertex,
+//! * and the [`MutationOutcome`] — coloring, `CostMeter` totals and wave
+//!   statistics — bit-identical across thread counts.
 
 use cgc_cluster::{ClusterGraph, ParallelConfig};
 use cgc_core::{MutationOutcome, Session, SessionBuilder};
@@ -59,7 +62,27 @@ fn churned_outcome(
         "every dirty vertex recolored, threads={}",
         threads
     );
+    prop_assert!(
+        out.wave_recolored + out.fallback_recolored == out.dirty_vertices,
+        "wave sweep + fallback must account for the dirty region (threads={})",
+        threads
+    );
+    prop_assert!(
+        out.waves_run > 0 || out.dirty_vertices == 0,
+        "a warm session runs its recolor sweep (threads={})",
+        threads
+    );
+    prop_assert!(out.largest_wave <= out.dirty_vertices);
     Ok((session, out))
+}
+
+fn wave_stats(out: &MutationOutcome) -> (usize, usize, usize, usize) {
+    (
+        out.waves_run,
+        out.largest_wave,
+        out.wave_recolored,
+        out.fallback_recolored,
+    )
 }
 
 fn check_churn(
@@ -116,6 +139,12 @@ fn check_churn(
         );
         prop_assert_eq!(out.dirty_vertices, reference.dirty_vertices);
         prop_assert_eq!(out.recolor_rounds, reference.recolor_rounds);
+        prop_assert!(
+            wave_stats(&out) == wave_stats(&reference),
+            "wave stats depend on thread count: {} threads={}",
+            churn,
+            threads
+        );
     }
     Ok(())
 }

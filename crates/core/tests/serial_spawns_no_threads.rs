@@ -1,7 +1,8 @@
 //! A serial configuration never starts pool threads — neither on runs nor
-//! on writes. A write repairs support trees in one serial walk and runs
-//! its recolor waves under the caller's config; no pass on either path
-//! may switch itself to every core on a large graph.
+//! on writes. A write repairs support trees in one serial walk and
+//! recolors its waves serially, then runs the fallback under the caller's
+//! config; no pass on either path may switch itself to every core on a
+//! large graph.
 //!
 //! `WorkerPool::total_threads_spawned` is a process-wide counter, so this
 //! binary holds one test: no sibling test can grow a pool inside it.

@@ -19,6 +19,8 @@
 //!   counts `r_K` (Equation 2);
 //! * [`inliers`] — inlier/outlier split (Equation 4 and the cabal variant).
 
+#![forbid(unsafe_code)]
+
 pub mod acd;
 pub mod buddy;
 pub mod cabal;

@@ -30,6 +30,8 @@
 //! as `cgc_cluster::ParallelConfig`); their output is a pure function of
 //! the parameters and seed, never of the thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod churn;
 pub mod contraction;

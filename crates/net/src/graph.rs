@@ -6,9 +6,7 @@
 
 use crate::delta::{DeltaBatch, DeltaEffect};
 use crate::error::NetError;
-use crate::par::{
-    for_each_shard, kway_merge_dedup, map_reduce_on, ParallelConfig, SendPtr, ShardPlan, WorkerPool,
-};
+use crate::par::{kway_merge_dedup, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 
@@ -60,15 +58,14 @@ impl CommGraph {
         Self::from_edges_with(n, &edges, &ParallelConfig::serial())
     }
 
-    /// [`Self::from_edges`] with validation, orientation normalization,
-    /// sort/dedup and CSR assembly sharded over `par`'s threads
-    /// (dispatched on the process-global [`WorkerPool`]). Each shard
-    /// canonicalizes and sorts a contiguous range of the input, the sorted
-    /// runs merge through the deterministic fixed-order k-way merge, and
-    /// the CSR fills by a sharded counting sort — the result (and, on
-    /// invalid input, the reported error: always the earliest bad edge in
-    /// input order) is **byte-identical** to the serial path at any thread
-    /// count.
+    /// [`Self::from_edges`] with validation, orientation normalization
+    /// and sort/dedup sharded over `par`'s threads (dispatched on the
+    /// process-global [`WorkerPool`]). Each shard canonicalizes and sorts
+    /// a contiguous range of the input, the sorted runs merge through the
+    /// deterministic fixed-order k-way merge, and one serial counting sort
+    /// fills the CSR — the result (and, on invalid input, the reported
+    /// error: always the earliest bad edge in input order) is
+    /// **byte-identical** to the serial path at any thread count.
     ///
     /// # Errors
     ///
@@ -162,100 +159,33 @@ impl CommGraph {
         // Phase 2: deterministic fixed-order k-way merge — the unique
         // sorted dedup of the union, independent of the partition.
         let canon = kway_merge_dedup(sorted_runs);
-        Ok(Self::from_canonical_edges(n, &canon, par, pool))
+        Ok(Self::from_canonical_edges(n, &canon))
     }
 
     /// CSR assembly from the canonical (sorted, deduplicated, `u < v`)
-    /// edge list by counting sort — sharded over contiguous edge ranges
-    /// when `par` is parallel. Row contents are identical either way: the
-    /// serial cursor walk appends row entries in edge order, and each
-    /// shard's cursors start exactly where the preceding shards' counts
-    /// end.
-    fn from_canonical_edges(
-        n: usize,
-        canon: &[(usize, usize)],
-        par: &ParallelConfig,
-        pool: Option<&WorkerPool>,
-    ) -> Self {
-        let m = canon.len();
-        let plan = ShardPlan::even(m, par.threads());
-        let shards = plan.n_shards();
-        if shards <= 1 {
-            let mut deg = vec![0usize; n];
-            for &(u, v) in canon {
-                deg[u] += 1;
-                deg[v] += 1;
-            }
-            let mut offsets = Vec::with_capacity(n + 1);
-            offsets.push(0usize);
-            for d in &deg {
-                offsets.push(offsets.last().unwrap() + d);
-            }
-            let mut adj = vec![0usize; offsets[n]];
-            let mut cursor = offsets[..n].to_vec();
-            for &(u, v) in canon {
-                adj[cursor[u]] = v;
-                cursor[u] += 1;
-                adj[cursor[v]] = u;
-                cursor[v] += 1;
-            }
-            return CommGraph { n, offsets, adj };
+    /// edge list by counting sort: one degree pass, then one cursor walk
+    /// that appends each edge to both endpoint rows in edge order — so
+    /// every row comes out ascending, the way `ClusterGraph::build` fills
+    /// `H`'s rows. Serial: it is linear in `m` and sits behind the
+    /// sharded sort above.
+    fn from_canonical_edges(n: usize, canon: &[(usize, usize)]) -> Self {
+        let mut deg = vec![0usize; n];
+        for &(u, v) in canon {
+            deg[u] += 1;
+            deg[v] += 1;
         }
-        // Per-shard incidence histograms (how many entries shard `s`
-        // appends to each row), collected in shard order.
-        let hists: Vec<Vec<u32>> = map_reduce_on(
-            &plan,
-            pool,
-            |range| {
-                let mut h = vec![0u32; n];
-                for &(u, v) in &canon[range] {
-                    h[u] += 1;
-                    h[v] += 1;
-                }
-                vec![h]
-            },
-            |acc: &mut Vec<Vec<u32>>, part| acc.extend(part),
-        );
-        // Row offsets plus each shard's starting cursor per row: shard
-        // `s` writes row `v`'s entries at
-        // `offsets[v] + Σ_{t<s} hists[t][v] ..` — the exact positions the
-        // serial edge-order walk would have used.
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            let deg: usize = hists.iter().map(|h| h[v] as usize).sum();
-            offsets[v + 1] = offsets[v] + deg;
-        }
-        let mut cursors: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        {
-            let mut acc: Vec<usize> = offsets[..n].to_vec();
-            for (s, hist) in hists.iter().enumerate() {
-                cursors[s] = acc.clone();
-                if s + 1 < shards {
-                    for (a, &h) in acc.iter_mut().zip(hist) {
-                        *a += h as usize;
-                    }
-                }
-            }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for d in &deg {
+            offsets.push(offsets.last().unwrap() + d);
         }
         let mut adj = vec![0usize; offsets[n]];
-        {
-            let adj_base = SendPtr::new(adj.as_mut_ptr());
-            let cur_base = SendPtr::new(cursors.as_mut_ptr());
-            for_each_shard(pool, shards, &|s| {
-                // SAFETY: shard `s` owns `cursors[s]` exclusively, and the
-                // cursor positions it claims in `adj` are disjoint from
-                // every other shard's (each position belongs to exactly one
-                // shard's count window in its row).
-                let cur = unsafe { &mut *cur_base.get().add(s) };
-                for &(u, v) in &canon[plan.range(s)] {
-                    unsafe {
-                        *adj_base.get().add(cur[u]) = v;
-                        cur[u] += 1;
-                        *adj_base.get().add(cur[v]) = u;
-                        cur[v] += 1;
-                    }
-                }
-            });
+        let mut cursor = offsets[..n].to_vec();
+        for &(u, v) in canon {
+            adj[cursor[u]] = v;
+            cursor[u] += 1;
+            adj[cursor[v]] = u;
+            cursor[v] += 1;
         }
         CommGraph { n, offsets, adj }
     }

@@ -17,9 +17,11 @@
 //!   every experiment row can be regenerated from a single seed,
 //! * [`par`] — the shared parallel executor: [`ParallelConfig`],
 //!   [`ShardPlan`], the persistent [`WorkerPool`] and the deterministic
-//!   fill/map-reduce/k-way-merge primitives every sharded phase above
-//!   (aggregation rounds, `ClusterGraph::build`, the generators) runs on.
-//!   `cgc_cluster` re-exports all of it, so either crate path works.
+//!   split-slice/map-reduce/k-way-merge primitives every sharded phase
+//!   above (aggregation rounds, `ClusterGraph::build`, the generators)
+//!   runs on. `cgc_cluster` re-exports all of it, so either crate path
+//!   works. The pool's job hand-off is the one exception to the
+//!   crate-level lint below, which rejects raw-pointer code anywhere else.
 //!
 //! # Example
 //!
@@ -32,6 +34,8 @@
 //! meter.charge_message(48); // within budget: one sub-round
 //! assert_eq!(meter.report().h_rounds, 0); // rounds are charged explicitly
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod bandwidth;
 pub mod bits;
@@ -48,6 +52,6 @@ pub use error::NetError;
 pub use graph::{BfsScratch, CommGraph, MachineId};
 pub use par::{
     available_threads, kway_merge_counted, kway_merge_dedup, map_reduce_on, patch_csr_rows,
-    run_waves, ParallelConfig, ShardPlan, WaveSchedule, WorkerPool,
+    ParallelConfig, ShardPlan, WorkerPool,
 };
 pub use rng::SeedStream;

@@ -16,6 +16,16 @@
 //! execution (costs are charged analytically on the calling thread, never
 //! inside workers).
 //!
+//! Every sharded write goes through one primitive, [`for_each_part`]: it
+//! cuts the output at monotone bounds into consecutive `&mut` sub-slices,
+//! split off with `split_at_mut`, and hands each shard its own. The
+//! borrow checker, not a comment, rules out two shards writing one slot,
+//! and a bad cut panics before any shard runs. [`fill_sharded`] (per-item
+//! outputs over a plan), [`map_reduce_on`]'s result slots,
+//! [`patch_csr_rows`] and `cgc_cluster`'s row fills are thin layers over
+//! it; the worker pool's job hand-off is the one place that needs raw
+//! pointers.
+//!
 //! [`ParallelConfig`] is just a thread count. Passes over CSR rows shard
 //! by [`ShardPlan::from_prefix`] (contiguous rows balanced by entry mass,
 //! cut only at row boundaries); O(1)-per-item passes shard by
@@ -23,7 +33,7 @@
 //!
 //! The module lives in `cgc_net` — the bottom of the crate stack — so that
 //! every layer above it shares one executor: [`crate::CommGraph`]'s
-//! sharded edge ingest, `cgc_cluster`'s aggregation rounds and sharded
+//! sharded edge canonicalization, `cgc_cluster`'s aggregation rounds and sharded
 //! `ClusterGraph::build`, and `cgc_graphs`' sharded generators.
 //! `cgc_cluster` re-exports everything here, so existing imports keep
 //! working.
@@ -39,9 +49,10 @@
 //! its low bits, unparks exactly the workers the round uses, and waits on
 //! a completion countdown. A warm dispatch performs no heap allocation,
 //! spawns no threads, and never disturbs parked workers a narrow round
-//! skips. Worker `w` always runs shard `w + 1` of the caller's
-//! [`ShardPlan`] (the caller itself runs shard 0), so each worker
-//! permanently owns a contiguous vertex range of a given plan.
+//! skips. Worker `w` always runs slot `w + 1` of a dispatch (the caller
+//! itself runs slot 0); [`for_each_part`] hands the parts out in the
+//! order the slots claim them, so which thread writes which part may
+//! change from round to round, while the parts themselves never do.
 //!
 //! Pools come from a process-global cache ([`WorkerPool::global`]) keyed
 //! by capacity, so every runtime, every trace executor, every sharded
@@ -59,7 +70,6 @@
 //! primitives enforce this at the type level.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -309,12 +319,17 @@ struct PoolShared {
 
 // SAFETY: the epoch protocol above makes the UnsafeCell a single-writer /
 // quiescent-readers slot; everything else is atomics and sync primitives.
+#[allow(unsafe_code)]
 unsafe impl Sync for PoolShared {}
 
 /// A raw job pointer that may cross threads (the dispatch protocol, not
 /// the type system, guarantees its validity).
 #[derive(Clone, Copy)]
 struct SendJob(RawJob);
+// SAFETY: the one field points at a `dyn Fn(usize) + Sync`, which any
+// thread may call through a shared reference, and `WorkerPool::run` keeps
+// the pointee alive until every worker has finished with it.
+#[allow(unsafe_code)]
 unsafe impl Send for SendJob {}
 
 /// Counts every OS thread ever spawned by a [`WorkerPool`] in this
@@ -335,8 +350,8 @@ std::thread_local! {
     /// dispatch on the — one, process-global — pool from inside a job
     /// would deadlock: same-thread re-entry self-deadlocks on the dispatch
     /// mutex, and a worker-slot dispatch waits on a round that is itself
-    /// waiting on that worker. So [`for_each_shard`] runs nested fan-out
-    /// inline instead.
+    /// waiting on that worker. So [`for_each_shard`] (and with it
+    /// [`for_each_part`]) runs nested fan-out inline instead.
     static IN_POOL_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -373,9 +388,9 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Serializes this crate's tests that create pools or reach the global
-/// pool cache — [`WorkerPool::global`] directly, or any `_with` entry point
-/// (`CommGraph::from_edges_with`, `DeltaBatch::new_with`,
-/// `WaveSchedule::from_class_ids`, ...) at more than one thread. `cargo
+/// pool cache — [`WorkerPool::global`] directly, or any entry point that
+/// acquires it (`CommGraph::from_edges_with`, `DeltaBatch::new_with`,
+/// [`patch_csr_rows`], ...) at more than one thread. `cargo
 /// test` runs sibling tests concurrently in one process, and the
 /// process-global spawn counter and pool cache assertions are only
 /// meaningful when no sibling spawns or grows a pool mid-window.
@@ -548,7 +563,7 @@ impl WorkerPool {
     /// would self-deadlock on the dispatch mutex, and a dispatch from a
     /// worker slot would wait on a round that is waiting on that worker.
     /// Nested sharded work inside a job should go through
-    /// [`for_each_shard`], which detects the nesting and runs it inline.
+    /// [`for_each_part`], which detects the nesting and runs it inline.
     ///
     /// On a **shut-down** pool (retired by [`WorkerPool::global`] growth)
     /// the workers are gone, so the slots run inline on the calling
@@ -557,7 +572,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics when `shards` exceeds [`Self::max_shards`] — slots the pool
-    /// cannot serve would otherwise be silently skipped ([`for_each_shard`]
+    /// cannot serve would otherwise be silently skipped ([`for_each_part`]
     /// runs oversized fan-out inline). Panics on a nested dispatch from
     /// inside a pool job (which would otherwise deadlock). Propagates a
     /// panic if the job panicked on any slot (after all slots quiesced, so
@@ -571,7 +586,7 @@ impl WorkerPool {
         assert!(
             !IN_POOL_JOB.with(|f| f.get()),
             "nested WorkerPool::run from inside a pool job would deadlock; \
-             use for_each_shard, which runs nested fan-out inline"
+             use for_each_part, which runs nested fan-out inline"
         );
         let workers = shards.max(1) - 1;
         if workers == 0 {
@@ -593,6 +608,7 @@ impl WorkerPool {
         // dispatch waited for `remaining == 0`), and workers that skipped
         // a round never touch the job cell, so this write does not race;
         // lifetime erasure is sound because we wait below.
+        #[allow(unsafe_code)]
         unsafe {
             *shared.job.get() = Some(SendJob(std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync),
@@ -634,6 +650,9 @@ impl WorkerPool {
                 }
             }
         }
+        // SAFETY: every active worker finished (`remaining == 0`), so no
+        // one reads the job cell until the next round's publication.
+        #[allow(unsafe_code)]
         unsafe {
             *shared.job.get() = None;
         }
@@ -700,10 +719,18 @@ fn worker_loop(shared: &PoolShared, slot: usize) {
         if slot > (seen & ACTIVE_MASK) as usize {
             continue;
         }
-        let job = unsafe { (*shared.job.get()).expect("epoch advanced without a published job") };
+        // SAFETY: the dispatcher published the job before the epoch this
+        // worker observed (acquire/release on `epoch`), and it keeps the
+        // job alive until this worker decrements `remaining` below.
+        #[allow(unsafe_code)]
+        let job = unsafe {
+            &*(*shared.job.get())
+                .expect("epoch advanced without a published job")
+                .0
+        };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _busy = PoolJobGuard::enter();
-            (unsafe { &*job.0 })(slot)
+            job(slot)
         }));
         if outcome.is_err() {
             shared.panicked.store(true, Ordering::Release);
@@ -715,27 +742,6 @@ fn worker_loop(shared: &PoolShared, slot: usize) {
     }
 }
 
-/// A raw pointer that may be captured by a `Sync` job closure; shard
-/// disjointness (not the type system) rules out aliasing writes. Exposed
-/// for the sharded kernels of the crates above (`cgc_cluster`'s build,
-/// `cgc_graphs`' generators) — a low-level tool, not a general-purpose
-/// cell.
-pub struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Wraps a raw pointer for capture by a `Sync` closure.
-    pub fn new(p: *mut T) -> Self {
-        SendPtr(p)
-    }
-
-    /// The wrapped pointer.
-    pub fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 /// Runs `job(s)` for every shard `s in 0..shards`: on the pool when one is
 /// provided with enough slots (slot 0 on the caller — allocation- and
 /// spawn-free when warm), and inline on the calling thread, in shard
@@ -744,7 +750,7 @@ impl<T> SendPtr<T> {
 /// pool — see [`WorkerPool::run`]) also runs inline, so nested sharded
 /// work completes instead of deadlocking. Blocks until every shard
 /// completed; propagates panics either way.
-pub fn for_each_shard(pool: Option<&WorkerPool>, shards: usize, job: &(dyn Fn(usize) + Sync)) {
+fn for_each_shard(pool: Option<&WorkerPool>, shards: usize, job: &(dyn Fn(usize) + Sync)) {
     match pool {
         Some(pool)
             if shards > 1 && pool.max_shards() >= shards && !IN_POOL_JOB.with(|f| f.get()) =>
@@ -755,122 +761,99 @@ pub fn for_each_shard(pool: Option<&WorkerPool>, shards: usize, job: &(dyn Fn(us
     }
 }
 
-/// Clears `out` and refills it with `n` elements, where element `v` is
-/// produced by `fill(v)` — shard-parallel, each worker writing its own
-/// disjoint slice of the (re)used allocation. Element order is always
-/// `0..n` regardless of shard count, and `fill` must be pure, so the
-/// result is identical to the sequential `out.extend((0..n).map(fill))`.
+/// Cuts `out` into the consecutive parts `out[cut(s)..cut(s + 1)]`, one
+/// per shard `s in 0..shards`, and runs `job(s, part)` once per part: on
+/// `pool` when it has room, inline in shard order otherwise (no pool, one
+/// shard, a pool too small or shut down, or a call from inside a pool
+/// job). Blocks until every part is done.
 ///
-/// With one shard this runs inline; with a [`WorkerPool`] the dispatch
-/// reuses parked workers. Either way the call performs no allocation once
-/// `out`'s capacity is warm.
+/// This is the one way a sharded pass writes shared output. Each part is
+/// a `&mut` sub-slice split off the front of a `Mutex`-guarded tail with
+/// `split_at_mut`, as the dispatch's slots claim them in part order, so
+/// no two shards can ever hold the same slot. The slot that runs part `s`
+/// need not be slot `s`: `job` must depend only on `s`, the part and its
+/// captured inputs, which keeps every output thread-count invariant. A
+/// claim is one short lock, and nothing is allocated.
+///
+/// # Panics
+///
+/// Panics on the calling thread, before any part runs, unless `cut(0) ==
+/// 0`, `cut` is monotone, and `cut(shards) == out.len()`; the message
+/// names the offending shard. Propagates a panic from any `job`.
+pub fn for_each_part<T: Send>(
+    pool: Option<&WorkerPool>,
+    shards: usize,
+    out: &mut [T],
+    cut: impl Fn(usize) -> usize + Sync,
+    job: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let mut end = cut(0);
+    assert_eq!(end, 0, "shard 0 starts at {end}, not at 0");
+    for s in 0..shards {
+        let next = cut(s + 1);
+        assert!(next >= end, "shard {s} would run backwards: {end}..{next}");
+        end = next;
+    }
+    assert_eq!(
+        end,
+        out.len(),
+        "shard {} ends at {end}, but the output holds {} elements",
+        shards.saturating_sub(1),
+        out.len()
+    );
+    let tail = Mutex::new((0usize, out));
+    for_each_shard(pool, shards, &|_slot| {
+        let (s, part) = {
+            // Only a `cut` that changed its answers since the check above
+            // can panic in here; every later claim then panics too.
+            let mut claim = tail.lock().expect("an earlier part claim panicked");
+            let (next, rest) = &mut *claim;
+            let s = *next;
+            if s == shards {
+                return; // `shards == 0`: one inline slot, no part.
+            }
+            let (part, after) = std::mem::take(rest).split_at_mut(cut(s + 1) - cut(s));
+            *rest = after;
+            *next += 1;
+            (s, part)
+        };
+        job(s, part);
+    });
+}
+
+/// [`for_each_part`] over the shards of `plan`: `fill(start, part)` runs
+/// once per shard with `part = out[plan.range(s)]` and `start` its first
+/// index. `out` holds one initialized element per item of the plan (the
+/// caller sizes and seeds it), so the result is the sequential
+/// `for (v, x) in out.iter_mut().enumerate()` pass at any shard count
+/// whenever `fill` is pure. Allocation-free; spawn-free on a warm pool.
+///
+/// # Panics
+///
+/// Panics when `out.len() != plan.n_vertices()`.
 pub fn fill_sharded<T: Send>(
-    out: &mut Vec<T>,
+    out: &mut [T],
     plan: &ShardPlan,
     pool: Option<&WorkerPool>,
-    fill: impl Fn(usize, &mut [MaybeUninit<T>]) + Sync,
+    fill: impl Fn(usize, &mut [T]) + Sync,
 ) {
-    let n = plan.n_vertices();
-    out.clear();
-    out.reserve(n);
-    let spare = &mut out.spare_capacity_mut()[..n];
-    if plan.n_shards() <= 1 {
-        fill(0, spare);
-    } else {
-        let base = SendPtr::new(spare.as_mut_ptr());
-        for_each_shard(pool, plan.n_shards(), &|s| {
-            let range = plan.range(s);
-            if range.is_empty() {
-                return;
-            }
-            // SAFETY: shard ranges are disjoint sub-slices of `spare`.
-            let slot =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
-            fill(range.start, slot);
-        });
-    }
-    // SAFETY: every shard writes its full slice (one element per index); a
-    // panic on any shard propagates out of `for_each_shard` before this
-    // line, leaving the length untouched.
-    unsafe { out.set_len(n) };
+    let bounds = plan.bounds();
+    for_each_part(
+        pool,
+        plan.n_shards(),
+        out,
+        |s| bounds[s],
+        |s, part| fill(bounds[s], part),
+    );
 }
 
-/// CSR output fill where shard `s` owns both its vertices' row starts
-/// (copied into `out_offsets`) and the entries of its rows, i.e.
-/// `offsets[bounds[s]]..offsets[bounds[s + 1]]` of `out_data` — one
-/// [`for_each_shard`] dispatch covers both, so sharding the offsets copy
-/// costs no extra dispatch cycle (and stays allocation- and spawn-free on
-/// a warm pool). The trailing `offsets[n]` end sentinel is appended after
-/// the parallel phase. Used by `cgc_cluster`'s `neighbor_collect_into`.
-pub fn fill_sharded_with_offsets<T: Send>(
-    out_offsets: &mut Vec<usize>,
-    out_data: &mut Vec<T>,
-    plan: &ShardPlan,
-    pool: Option<&WorkerPool>,
-    offsets: &[usize],
-    fill: impl Fn(std::ops::Range<usize>, &mut [MaybeUninit<T>]) + Sync,
-) {
-    let n = plan.n_vertices();
-    let n_entries = offsets[n];
-    out_offsets.clear();
-    out_offsets.reserve(n + 1);
-    out_data.clear();
-    out_data.reserve(n_entries);
-    let copy_then_fill = |range: std::ops::Range<usize>,
-                          offs_slot: &mut [MaybeUninit<usize>],
-                          data_slot: &mut [MaybeUninit<T>]| {
-        for (i, cell) in offs_slot.iter_mut().enumerate() {
-            cell.write(offsets[range.start + i]);
-        }
-        fill(range, data_slot);
-    };
-    if plan.n_shards() <= 1 {
-        copy_then_fill(
-            0..n,
-            &mut out_offsets.spare_capacity_mut()[..n],
-            &mut out_data.spare_capacity_mut()[..n_entries],
-        );
-    } else {
-        let offs_base = SendPtr::new(out_offsets.spare_capacity_mut()[..n].as_mut_ptr());
-        let data_base = SendPtr::new(out_data.spare_capacity_mut()[..n_entries].as_mut_ptr());
-        for_each_shard(pool, plan.n_shards(), &|s| {
-            let range = plan.range(s);
-            if range.is_empty() {
-                return;
-            }
-            // SAFETY: shard `s` owns rows `range` of the offsets buffer and
-            // entries `offsets[range.start]..offsets[range.end]` of the
-            // arena — disjoint across shards because both arrays are
-            // monotone in the shard bounds.
-            let (offs_slot, data_slot) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(offs_base.get().add(range.start), range.len()),
-                    std::slice::from_raw_parts_mut(
-                        data_base.get().add(offsets[range.start]),
-                        offsets[range.end] - offsets[range.start],
-                    ),
-                )
-            };
-            copy_then_fill(range, offs_slot, data_slot);
-        });
-    }
-    // SAFETY: every shard writes its full offsets and arena slices; a
-    // panic on any shard propagates out of `for_each_shard` before these
-    // lines.
-    unsafe {
-        out_offsets.set_len(n);
-        out_data.set_len(n_entries);
-    }
-    out_offsets.push(offsets[n]);
-}
-
-/// Runs `work` over every shard of `plan` (through [`for_each_shard`], so
-/// on `pool` when it has room and inline otherwise), collecting each
-/// shard's result and folding them **in shard order** with `merge` — the
-/// deterministic reduction used by `cgc_cluster`'s trace executors and
-/// sharded `ClusterGraph::build`, the parallel generators in `cgc_graphs`,
-/// and [`crate::CommGraph`]'s sharded edge ingest. A plan always has at
-/// least one shard, so the reduction is total.
+/// Runs `work` over every shard of `plan` (on `pool` when it has room and
+/// inline otherwise), collecting each shard's result and folding them
+/// **in shard order** with `merge` — the deterministic reduction used by
+/// `cgc_cluster`'s trace executors and sharded `ClusterGraph::build`, the
+/// parallel generators in `cgc_graphs`, and [`crate::CommGraph`]'s
+/// sharded edge canonicalization. A plan always has at least one shard,
+/// so the reduction is total.
 pub fn map_reduce_on<T: Send>(
     plan: &ShardPlan,
     pool: Option<&WorkerPool>,
@@ -882,15 +865,13 @@ pub fn map_reduce_on<T: Send>(
         return work(plan.range(0));
     }
     let mut results: Vec<Option<T>> = (0..shards).map(|_| None).collect();
-    {
-        let base = SendPtr::new(results.as_mut_ptr());
-        let work = &work;
-        for_each_shard(pool, shards, &|s| {
-            let r = work(plan.range(s));
-            // SAFETY: each shard writes only its own pre-initialized slot.
-            unsafe { *base.get().add(s) = Some(r) };
-        });
-    }
+    for_each_part(
+        pool,
+        shards,
+        &mut results,
+        |s| s,
+        |s, slot| slot[0] = Some(work(plan.range(s))),
+    );
     let mut parts = results.into_iter();
     let mut acc = parts
         .next()
@@ -1005,15 +986,20 @@ pub fn patch_csr_rows(
     let mut new_adj = vec![0usize; new_offsets[n]];
     let plan = ShardPlan::from_prefix(&new_offsets, par.threads());
     let pool = WorkerPool::global(par.threads());
-    {
-        let adj_base = SendPtr::new(new_adj.as_mut_ptr());
-        let new_offsets = &new_offsets;
-        for_each_shard(pool.as_deref(), plan.n_shards(), &|s| {
+    let bounds = plan.bounds();
+    // Shard `s` writes exactly the entries of its rows,
+    // `new_adj[new_offsets[bounds[s]]..new_offsets[bounds[s + 1]]]`.
+    for_each_part(
+        pool.as_deref(),
+        plan.n_shards(),
+        &mut new_adj,
+        |s| new_offsets[bounds[s]],
+        |s, part| {
             let rows = plan.range(s);
             let mut ii = ins_pairs.partition_point(|p| p.0 < rows.start);
             let mut di = del_pairs.partition_point(|p| p.0 < rows.start);
-            let mut out = new_offsets[rows.start];
-            for v in rows.clone() {
+            let mut out = 0usize;
+            for v in rows {
                 let old_row = &adj[offsets[v]..offsets[v + 1]];
                 let ins_start = ii;
                 while ii < ins_pairs.len() && ins_pairs[ii].0 == v {
@@ -1023,19 +1009,9 @@ pub fn patch_csr_rows(
                 while di < del_pairs.len() && del_pairs[di].0 == v {
                     di += 1;
                 }
-                // SAFETY: shard `s` writes exactly
-                // `new_adj[new_offsets[rows.start]..new_offsets[rows.end]]`
-                // — row ranges are disjoint across shards and `out` walks
-                // the shard's window front to back.
                 if ins_start == ii && del_start == di {
                     // Untouched row: wholesale copy.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            old_row.as_ptr(),
-                            adj_base.get().add(out),
-                            old_row.len(),
-                        );
-                    }
+                    part[out..out + old_row.len()].copy_from_slice(old_row);
                     out += old_row.len();
                 } else {
                     // Touched row: merge additions in, skip removals.
@@ -1044,7 +1020,7 @@ pub fn patch_csr_rows(
                     let (mut ip, mut dp) = (0usize, 0usize);
                     for &w in old_row {
                         while ip < ins_row.len() && ins_row[ip].1 < w {
-                            unsafe { *adj_base.get().add(out) = ins_row[ip].1 };
+                            part[out] = ins_row[ip].1;
                             out += 1;
                             ip += 1;
                         }
@@ -1052,217 +1028,19 @@ pub fn patch_csr_rows(
                             dp += 1;
                             continue;
                         }
-                        unsafe { *adj_base.get().add(out) = w };
+                        part[out] = w;
                         out += 1;
                     }
                     for &(_, w) in &ins_row[ip..] {
-                        unsafe { *adj_base.get().add(out) = w };
+                        part[out] = w;
                         out += 1;
                     }
                 }
             }
-            debug_assert_eq!(out, new_offsets[rows.end]);
-        });
-    }
+            debug_assert_eq!(out, part.len());
+        },
+    );
     (new_offsets, new_adj)
-}
-
-/// A class-indexed CSR over an item space: items carrying the same class
-/// id form one contiguous **wave**, ascending by item id within the wave.
-/// This is the executor-side shape of "a proper coloring is a conflict-free
-/// schedule": when the classes come from a proper coloring of a conflict
-/// graph, no two items in one wave conflict, so a wave can run shard-
-/// parallel with only read access to other items' state. The higher-level
-/// wrapper that actually asserts that disjointness lives in `cgc_core`
-/// (`ColorSchedule`); this type is just the partition plus the dispatch
-/// order.
-///
-/// Built shard-parallel by a two-pass counting sort; the output — items
-/// ordered by `(class, id)` — is a canonical function of `class_of` alone,
-/// so schedules are bit-identical at any thread count like every plan in
-/// this module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaveSchedule {
-    /// `n_waves + 1` entries; wave `w` spans `items[offsets[w]..offsets[w + 1]]`.
-    offsets: Vec<usize>,
-    /// Item ids ordered by `(class, id)` ascending.
-    items: Vec<usize>,
-    /// Inverse map: `class_of[item]` is the wave that runs `item`.
-    class_of: Vec<usize>,
-}
-
-impl WaveSchedule {
-    /// Builds the schedule from a per-item class assignment
-    /// (`class_of[item] < n_classes` for every item), shard-parallel under
-    /// `cfg`: each shard histograms its contiguous item range per class,
-    /// a serial prefix pass turns the `(class, shard)` counts into
-    /// disjoint scatter windows, and a second sharded pass scatters item
-    /// ids into their windows. Within a wave the windows follow shard
-    /// order — i.e. ascending item id — so the result equals the serial
-    /// stable counting sort exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when some `class_of[item] >= n_classes`.
-    pub fn from_class_ids(class_of: &[usize], n_classes: usize, cfg: &ParallelConfig) -> Self {
-        let n = class_of.len();
-        let plan = ShardPlan::even(n, cfg.threads());
-        let shards = plan.n_shards();
-        let pool = WorkerPool::global(cfg.threads());
-        // Pass 1: per-shard per-class histogram, each shard filling its
-        // own disjoint `n_classes` window.
-        let mut counts = vec![0usize; shards * n_classes];
-        {
-            let base = SendPtr::new(counts.as_mut_ptr());
-            for_each_shard(pool.as_deref(), shards, &|s| {
-                let range = plan.range(s);
-                // SAFETY: shard `s` writes only its own counts window.
-                let slot = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(s * n_classes), n_classes)
-                };
-                for &c in &class_of[range] {
-                    assert!(
-                        c < n_classes,
-                        "class id {c} out of range (n_classes {n_classes})"
-                    );
-                    slot[c] += 1;
-                }
-            });
-        }
-        // Serial prefix: wave offsets, plus one scatter cursor per
-        // `(shard, class)` so shard windows within a wave follow shard
-        // (= ascending item) order.
-        let mut offsets = Vec::with_capacity(n_classes + 1);
-        let mut starts = vec![0usize; shards * n_classes];
-        let mut cursor = 0usize;
-        for c in 0..n_classes {
-            offsets.push(cursor);
-            for s in 0..shards {
-                starts[s * n_classes + c] = cursor;
-                cursor += counts[s * n_classes + c];
-            }
-        }
-        offsets.push(cursor);
-        debug_assert_eq!(cursor, n);
-        // Pass 2: scatter item ids into their wave windows.
-        let mut items = vec![0usize; n];
-        {
-            let items_base = SendPtr::new(items.as_mut_ptr());
-            let starts_base = SendPtr::new(starts.as_mut_ptr());
-            for_each_shard(pool.as_deref(), shards, &|s| {
-                let range = plan.range(s);
-                // SAFETY: shard `s` owns its cursor window, and the
-                // cursors address disjoint `items` ranges by construction.
-                let next = unsafe {
-                    std::slice::from_raw_parts_mut(starts_base.get().add(s * n_classes), n_classes)
-                };
-                for v in range {
-                    let c = class_of[v];
-                    unsafe { *items_base.get().add(next[c]) = v };
-                    next[c] += 1;
-                }
-            });
-        }
-        WaveSchedule {
-            offsets,
-            items,
-            class_of: class_of.to_vec(),
-        }
-    }
-
-    /// Number of waves (= classes, including empty ones).
-    #[inline]
-    pub fn n_waves(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total items scheduled.
-    #[inline]
-    pub fn n_items(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The items of wave `w`, ascending by id.
-    #[inline]
-    pub fn wave(&self, w: usize) -> &[usize] {
-        &self.items[self.offsets[w]..self.offsets[w + 1]]
-    }
-
-    /// The wave that runs `item`.
-    #[inline]
-    pub fn wave_of(&self, item: usize) -> usize {
-        self.class_of[item]
-    }
-
-    /// Items in the fullest wave (0 when there are no items).
-    pub fn largest_wave(&self) -> usize {
-        (0..self.n_waves())
-            .map(|w| self.offsets[w + 1] - self.offsets[w])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The wave-boundary prefix (`n_waves + 1` entries).
-    #[inline]
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// All items, wave-major, ascending by id within a wave.
-    #[inline]
-    pub fn items(&self) -> &[usize] {
-        &self.items
-    }
-}
-
-/// The wave executor: dispatches one wave (color class) at a time over the
-/// pool, with a full barrier between waves. `offsets`/`items` describe a
-/// class-indexed CSR (see [`WaveSchedule`], whose `offsets()`/`items()`
-/// feed this directly); within a wave, the items split into contiguous
-/// [`ShardPlan::even`] slices and `job(wave, base, slice)` runs once per
-/// slice, where `base` is the slice's absolute start index in `items`.
-/// Empty waves are skipped without a dispatch.
-///
-/// The contract mirrors the rest of the module: the job must be a pure
-/// kernel over its slice with **read-only** access to neighbor state and
-/// writes only to slots its own items own — wave disjointness (the caller's
-/// invariant, e.g. a proper coloring) is what makes those writes race-free
-/// without locks or atomics. With `threads <= 1` every wave runs inline on
-/// the calling thread in the same order, so results are bit-identical at
-/// any thread count.
-pub fn run_waves(
-    pool: Option<&WorkerPool>,
-    threads: usize,
-    offsets: &[usize],
-    items: &[usize],
-    job: &(dyn Fn(usize, usize, &[usize]) + Sync),
-) {
-    for w in 0..offsets.len() - 1 {
-        let (lo, hi) = (offsets[w], offsets[w + 1]);
-        if lo == hi {
-            continue;
-        }
-        let wave = &items[lo..hi];
-        // The slice boundaries reproduce `ShardPlan::even` arithmetically
-        // (`s·len/shards`) instead of materializing a bounds Vec: a wave
-        // sweep over thousands of classes must not allocate per wave.
-        let len = wave.len();
-        let shards = threads.min(len);
-        if shards <= 1 {
-            job(w, lo, wave);
-        } else {
-            // `for_each_shard` blocks until every slice finished — that is
-            // the inter-wave barrier.
-            for_each_shard(pool, shards, &|s| {
-                let start = s * len / shards;
-                let end = (s + 1) * len / shards;
-                if start == end {
-                    return;
-                }
-                job(w, lo + start, &wave[start..end]);
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1340,48 +1118,16 @@ mod tests {
     fn fill_sharded_matches_sequential_extend() {
         for threads in [1, 2, 3, 8] {
             let plan = path_plan(57, &ParallelConfig::with_threads(threads));
-            let mut out: Vec<u64> = Vec::new();
-            fill_sharded(&mut out, &plan, None, |start, slot| {
-                for (i, cell) in slot.iter_mut().enumerate() {
-                    cell.write(((start + i) as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut out = vec![0u64; 57];
+            fill_sharded(&mut out, &plan, None, |start, part| {
+                for (i, cell) in part.iter_mut().enumerate() {
+                    *cell = ((start + i) as u64).wrapping_mul(0x9E3779B97F4A7C15);
                 }
             });
             let expect: Vec<u64> = (0..57u64)
                 .map(|v| v.wrapping_mul(0x9E3779B97F4A7C15))
                 .collect();
             assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_sharded_with_offsets_matches_sequential() {
-        // A fake CSR: row v has v % 3 entries, entry values encode (row,
-        // slot) so any mis-split scrambles the arena.
-        let n = 41;
-        let mut offsets = vec![0usize];
-        for v in 0..n {
-            offsets.push(offsets[v] + v % 3);
-        }
-        for threads in [1, 2, 3, 8] {
-            let plan = path_plan(n, &ParallelConfig::with_threads(threads));
-            let mut out_offsets: Vec<usize> = Vec::new();
-            let mut out_data: Vec<u64> = Vec::new();
-            fill_sharded_with_offsets(
-                &mut out_offsets,
-                &mut out_data,
-                &plan,
-                None,
-                &offsets,
-                |r, s| {
-                    let base = offsets[r.start];
-                    for (i, cell) in s.iter_mut().enumerate() {
-                        cell.write((base + i) as u64 * 31);
-                    }
-                },
-            );
-            assert_eq!(out_offsets, offsets, "threads={threads}");
-            let expect: Vec<u64> = (0..offsets[n] as u64).map(|e| e * 31).collect();
-            assert_eq!(out_data, expect, "threads={threads}");
         }
     }
 
@@ -1540,11 +1286,11 @@ mod tests {
         let pool = WorkerPool::new(3);
         let plan = path_plan(91, &ParallelConfig::with_threads(3));
         let expect: Vec<u64> = (0..91u64).map(|v| v * 7 + 1).collect();
-        let mut inline: Vec<u64> = Vec::new();
-        let mut pooled: Vec<u64> = Vec::new();
-        let kernel = |start: usize, slot: &mut [MaybeUninit<u64>]| {
-            for (i, cell) in slot.iter_mut().enumerate() {
-                cell.write((start + i) as u64 * 7 + 1);
+        let mut inline = vec![0u64; 91];
+        let mut pooled = vec![0u64; 91];
+        let kernel = |start: usize, part: &mut [u64]| {
+            for (i, cell) in part.iter_mut().enumerate() {
+                *cell = (start + i) as u64 * 7 + 1;
             }
         };
         fill_sharded(&mut inline, &plan, None, kernel);
@@ -1722,92 +1468,121 @@ mod tests {
         pool.shutdown(); // idempotent
     }
 
-    /// The canonical wave order — by `(class, id)` — at several thread
-    /// counts, against a serial stable counting sort.
-    #[test]
-    fn wave_schedule_is_canonical_and_thread_invariant() {
-        let _serial = pool_test_lock();
-        let n = 257;
-        let n_classes = 7;
-        let class_of: Vec<usize> = (0..n).map(|v| (v * 31 + 5) % n_classes).collect();
-        let reference =
-            WaveSchedule::from_class_ids(&class_of, n_classes, &ParallelConfig::serial());
-        assert_eq!(reference.n_waves(), n_classes);
-        assert_eq!(reference.n_items(), n);
-        let mut seen = vec![false; n];
-        for w in 0..reference.n_waves() {
-            let wave = reference.wave(w);
-            assert!(
-                wave.windows(2).all(|p| p[0] < p[1]),
-                "wave {w} not ascending"
-            );
-            for &v in wave {
-                assert_eq!(class_of[v], w);
-                assert_eq!(reference.wave_of(v), w);
-                assert!(!seen[v], "item {v} scheduled twice");
-                seen[v] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every item is scheduled");
-        for threads in [2, 3, 8] {
-            let par = WaveSchedule::from_class_ids(
-                &class_of,
-                n_classes,
-                &ParallelConfig::with_threads(threads),
-            );
-            assert_eq!(par, reference, "threads={threads}");
+    /// Runs `f`, expecting it to panic, and returns the panic message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default(),
         }
     }
 
-    /// `run_waves` runs every item exactly once, in wave order (the
-    /// barrier), with correct absolute base indices.
+    /// Every shard sees exactly `out[cut(s)..cut(s + 1)]`, once, empty
+    /// parts included, inline and on pools of every width.
     #[test]
-    fn run_waves_covers_items_with_wave_barrier() {
+    fn for_each_part_hands_each_shard_exactly_its_cut() {
         let _serial = pool_test_lock();
-        let n = 101;
-        let n_classes = 5;
-        let class_of: Vec<usize> = (0..n).map(|v| v % n_classes).collect();
-        for threads in [1usize, 4] {
-            let ws = WaveSchedule::from_class_ids(&class_of, n_classes, &ParallelConfig::serial());
-            let pool = WorkerPool::global(threads);
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-            let wave_counter = AtomicUsize::new(0);
-            run_waves(
-                pool.as_deref(),
-                threads,
-                ws.offsets(),
-                ws.items(),
-                &|w, base, slice| {
-                    // The barrier means no later wave starts while an
-                    // earlier one runs: the global wave counter only ever
-                    // shows this wave or earlier ones mid-wave.
-                    assert!(wave_counter.load(Ordering::SeqCst) <= w);
-                    wave_counter.store(w, Ordering::SeqCst);
-                    for (i, &v) in slice.iter().enumerate() {
-                        assert_eq!(ws.items()[base + i], v);
-                        let prev = hits[v].swap(w, Ordering::SeqCst);
-                        assert_eq!(prev, usize::MAX, "item {v} ran twice");
-                    }
+        let len = 29usize;
+        for threads in [1usize, 2, 4, 8] {
+            let pool = WorkerPool::new(threads);
+            // Pairs of equal cuts make every other part empty.
+            let cut = |s: usize| if s == threads { len } else { (s / 2) * 7 };
+            let mut out: Vec<usize> = (0..len).collect();
+            let claimed: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+            for_each_part(Some(&pool), threads, &mut out, cut, |s, part| {
+                claimed[s].fetch_add(1, Ordering::Relaxed);
+                assert_eq!(
+                    part,
+                    (cut(s)..cut(s + 1)).collect::<Vec<_>>(),
+                    "shard {s} of {threads}"
+                );
+                for x in part.iter_mut() {
+                    *x += 1000 * s;
+                }
+            });
+            for (s, c) in claimed.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "shard {s} of {threads}");
+                let want: Vec<usize> = (cut(s)..cut(s + 1)).map(|i| i + 1000 * s).collect();
+                assert_eq!(out[cut(s)..cut(s + 1)], want, "shard {s} of {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_part_inside_a_pool_job_runs_inline() {
+        let _serial = pool_test_lock();
+        let pool = WorkerPool::new(4);
+        pool.run(3, &|_| {
+            let owner = std::thread::current().id();
+            let mut local = vec![usize::MAX; 6];
+            for_each_part(
+                Some(&pool),
+                3,
+                &mut local,
+                |s| 2 * s,
+                |s, part| {
+                    assert_eq!(std::thread::current().id(), owner, "part left its thread");
+                    part.fill(s);
                 },
             );
-            for (v, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::SeqCst), class_of[v], "item {v}");
-            }
-        }
+            assert_eq!(local, [0, 0, 1, 1, 2, 2]);
+        });
     }
 
     #[test]
-    fn run_waves_skips_empty_waves() {
-        // Classes 1 and 3 are empty.
-        let class_of = [0usize, 0, 2, 4, 4, 4];
-        let ws = WaveSchedule::from_class_ids(&class_of, 5, &ParallelConfig::serial());
-        let ran = Mutex::new(Vec::new());
-        run_waves(None, 1, ws.offsets(), ws.items(), &|w, _base, slice| {
-            lock_ignore_poison(&ran).push((w, slice.to_vec()));
-        });
+    fn bad_cuts_panic_naming_the_shard_before_any_part_runs() {
+        let ran = AtomicUsize::new(0);
+        let mut out = [0u8; 10];
+        let mut call = |cuts: &[usize]| {
+            panic_message(|| {
+                for_each_part(
+                    None,
+                    cuts.len() - 1,
+                    &mut out,
+                    |s| cuts[s],
+                    |_, _| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    },
+                )
+            })
+        };
+        let backwards = call(&[0, 5, 3, 10]);
+        assert!(backwards.contains("shard 1"), "{backwards}");
+        let short = call(&[0, 4, 8]);
+        assert!(short.contains("shard 1 ends at 8"), "{short}");
+        let long = call(&[0, 6, 12]);
+        assert!(long.contains("shard 1 ends at 12"), "{long}");
+        let offset = call(&[2, 10]);
+        assert!(offset.contains("shard 0"), "{offset}");
         assert_eq!(
-            *lock_ignore_poison(&ran),
-            vec![(0, vec![0, 1]), (2, vec![2]), (4, vec![3, 4, 5])]
+            ran.load(Ordering::Relaxed),
+            0,
+            "no part may run on a bad cut"
         );
+    }
+
+    #[test]
+    fn panicking_part_propagates_and_the_pool_recovers() {
+        let _serial = pool_test_lock();
+        let pool = WorkerPool::new(2);
+        let mut out = vec![0usize; 8];
+        for bad in [0usize, 1] {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for_each_part(
+                    Some(&pool),
+                    2,
+                    &mut out,
+                    |s| 4 * s,
+                    |s, _| assert_ne!(s, bad, "part {bad} fails"),
+                );
+            }));
+            assert!(r.is_err(), "a panic in part {bad} must reach the caller");
+            for_each_part(Some(&pool), 2, &mut out, |s| 4 * s, |s, part| part.fill(s));
+            assert_eq!(out, [0, 0, 0, 0, 1, 1, 1, 1]);
+        }
     }
 }

@@ -13,6 +13,8 @@
 //!   test set; they let `MultiColorTrial` describe `Θ(log n)` color
 //!   samples with an `O(log n)`-bit index (§D.3).
 
+#![forbid(unsafe_code)]
+
 pub mod kwise;
 pub mod minwise;
 pub mod pairwise;

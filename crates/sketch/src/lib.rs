@@ -18,6 +18,8 @@
 //! sharded pass on the runtime's worker pool. [`counting`] packages it into
 //! the Lemma 5.7 approximate neighborhood counting primitive.
 
+#![forbid(unsafe_code)]
+
 pub mod counting;
 pub mod encode;
 pub mod estimate;

@@ -203,13 +203,12 @@ impl FingerprintMatrix {
     ) -> Vec<Option<f64>> {
         self.assert_one_row_per_vertex(net);
         let plan = ShardPlan::even(net.g.n_h_edges(), net.parallel().threads());
-        let mut out = Vec::new();
+        let mut out = vec![None; net.g.n_h_edges()];
         fill_sharded(&mut out, &plan, net.worker_pool(), |start, slots| {
             let edges = net.g.h_edges_in(start..start + slots.len());
             for (slot, (u, v)) in slots.iter_mut().zip(edges) {
-                slot.write(
-                    want(u, v).then(|| Histogram::of_union(self.row(u), self.row(v)).estimate()),
-                );
+                *slot =
+                    want(u, v).then(|| Histogram::of_union(self.row(u), self.row(v)).estimate());
             }
         });
         out

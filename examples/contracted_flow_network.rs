@@ -12,15 +12,17 @@
 //! Once colored, the coloring itself becomes a *scheduler*: its color
 //! classes are pairwise non-adjacent in the contracted graph, so the
 //! per-cluster state updates a flow phase runs between contractions
-//! (label relaxations below) execute class-by-class as conflict-free
-//! parallel waves — no locks, no atomics, bit-identical at any thread
-//! count.
+//! (label relaxations below) execute class-by-class as parallel waves.
+//! Each wave computes its new labels against a snapshot into its own
+//! buffer, split across threads with `for_each_part`, then commits them
+//! in one pass — no locks, no atomics, no `unsafe`, bit-identical at any
+//! thread count.
 //!
 //! ```sh
 //! cargo run --release --example contracted_flow_network
 //! ```
 
-use cluster_coloring::cluster::par::SendPtr;
+use cluster_coloring::cluster::par::for_each_part;
 use cluster_coloring::prelude::*;
 
 fn main() {
@@ -64,24 +66,29 @@ fn main() {
 
     // --- Coloring as a scheduler -----------------------------------
     // A flow phase now needs per-cluster label relaxations over the
-    // contracted graph. Materialize the coloring we just computed into
-    // an execution schedule: class = wave, and the build *asserts* that
-    // no two clusters in a wave are adjacent.
-    let par = ParallelConfig::from_env();
-    let schedule = ColorSchedule::build(h, &out.run.coloring, &par);
-    assert!(schedule.verify_disjoint(h, &par));
+    // contracted graph. Turn the coloring we just computed into an
+    // execution schedule: class = wave, formed by a stable sort of the
+    // clusters by color (ascending id within a wave). Properness is what
+    // makes a wave conflict-free, so assert it here.
+    let coloring = &out.run.coloring;
+    assert!(coloring.is_proper(h), "waves need a proper coloring");
+    let mut order: Vec<usize> = (0..h.n_vertices()).collect();
+    order.sort_by_key(|&v| coloring.get(v));
+    let waves: Vec<&[usize]> = order
+        .chunk_by(|&u, &v| coloring.get(u) == coloring.get(v))
+        .collect();
     println!(
         "schedule: {} classes ({} non-empty), largest wave {} of {} clusters",
-        schedule.n_classes(),
-        schedule.n_nonempty_classes(),
-        schedule.largest_class(),
+        coloring.q(),
+        waves.len(),
+        waves.iter().map(|w| w.len()).max().unwrap_or(0),
         h.n_vertices()
     );
 
     // At least 2 so the pooled path runs even on a single-core box.
     let threads = available_threads().max(2);
-    let (serial_labels, serial_sweeps) = relax_to_fixpoint(h, &schedule, 1);
-    let (par_labels, par_sweeps) = relax_to_fixpoint(h, &schedule, threads);
+    let (serial_labels, serial_sweeps) = relax_to_fixpoint(h, &waves, 1);
+    let (par_labels, par_sweeps) = relax_to_fixpoint(h, &waves, threads);
     assert_eq!(
         (serial_labels, serial_sweeps),
         (par_labels.clone(), par_sweeps),
@@ -95,54 +102,50 @@ fn main() {
 }
 
 /// Relaxes hop-distance labels from cluster 0 to a fixpoint, sweeping
-/// the contracted graph wave-by-wave through the color schedule: within
-/// one wave no two updated clusters are adjacent, so every cluster reads
-/// frozen neighbor labels and writes a slot that is provably its own —
-/// shard-parallel with no locks or atomics. Returns the labels and the
-/// number of sweeps to quiescence (both independent of `threads`: the
-/// wave order is fixed and in-wave updates cannot observe each other).
-fn relax_to_fixpoint(
-    h: &ClusterGraph,
-    schedule: &ColorSchedule,
-    threads: usize,
-) -> (Vec<u32>, usize) {
+/// the contracted graph wave by wave. Each wave is snapshot-then-commit:
+/// its clusters' new labels are computed from the labels as they stood
+/// at wave start, shard-parallel into a candidate buffer split by
+/// [`for_each_part`], then written back serially. No two clusters of a
+/// wave are adjacent, so the snapshot is exactly what an in-place update
+/// would read. Returns the labels and the number of sweeps to quiescence
+/// (both independent of `threads`).
+fn relax_to_fixpoint(h: &ClusterGraph, waves: &[&[usize]], threads: usize) -> (Vec<u32>, usize) {
     let pool = WorkerPool::global(threads);
-    let n = h.n_vertices();
-    let mut labels = vec![u32::MAX; n];
+    let mut labels = vec![u32::MAX; h.n_vertices()];
     labels[0] = 0;
-    let mut flags = vec![0u8; n];
+    let mut next: Vec<u32> = Vec::new();
     let mut sweeps = 0usize;
     loop {
-        flags.fill(0);
-        let lab = SendPtr::new(labels.as_mut_ptr());
-        let flg = SendPtr::new(flags.as_mut_ptr());
-        let waves = schedule.waves();
-        run_waves(
-            pool.as_deref(),
-            threads,
-            waves.offsets(),
-            waves.items(),
-            &|_wave, _base, slice| {
-                for &v in slice {
-                    // Safety: `v` appears in exactly one wave slice and
-                    // its neighbors are all outside this wave (the
-                    // schedule's asserted disjointness), so this is the
-                    // only write to `labels[v]`/`flags[v]` in flight and
-                    // the neighbor reads see pre-wave values.
-                    unsafe {
-                        let mut best = *lab.get().add(v);
-                        for &u in h.neighbors(v) {
-                            best = best.min((*lab.get().add(u)).saturating_add(1));
-                        }
-                        if best != *lab.get().add(v) {
-                            *lab.get().add(v) = best;
-                            *flg.get().add(v) = 1;
-                        }
+        let mut changed = false;
+        for wave in waves {
+            let len = wave.len();
+            let shards = threads.min(len);
+            next.clear();
+            next.resize(len, u32::MAX);
+            let frozen = &labels;
+            for_each_part(
+                pool.as_deref(),
+                shards,
+                &mut next,
+                |s| s * len / shards,
+                |s, part| {
+                    let start = s * len / shards;
+                    for (slot, &v) in part.iter_mut().zip(&wave[start..]) {
+                        *slot = h
+                            .neighbors(v)
+                            .iter()
+                            .fold(frozen[v], |best, &u| best.min(frozen[u].saturating_add(1)));
                     }
+                },
+            );
+            for (&v, &label) in wave.iter().zip(&next) {
+                if label != labels[v] {
+                    labels[v] = label;
+                    changed = true;
                 }
-            },
-        );
-        if flags.iter().all(|&f| f == 0) {
+            }
+        }
+        if !changed {
             return (labels, sweeps);
         }
         sweeps += 1;

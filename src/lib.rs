@@ -58,6 +58,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cgc_baselines as baselines;
 pub use cgc_cluster as cluster;
 pub use cgc_core as core;
@@ -71,12 +73,11 @@ pub use cgc_sketch as sketch;
 pub mod prelude {
     pub use cgc_baselines::{greedy_coloring, luby_coloring, naive_simulation_cost};
     pub use cgc_cluster::{
-        available_threads, run_waves, ClusterGraph, ClusterNet, ParallelConfig, VertexId,
-        WaveSchedule, WorkerPool,
+        available_threads, ClusterGraph, ClusterNet, ParallelConfig, VertexId, WorkerPool,
     };
     pub use cgc_core::{
-        color_cluster_graph_with, coloring_stats, ColorSchedule, Coloring, DriverOptions, Params,
-        ParamsProfile, RunOutcome, RunResult, Session, SessionBuilder,
+        color_cluster_graph_with, coloring_stats, Coloring, DriverOptions, Params, ParamsProfile,
+        RunOutcome, RunResult, Session, SessionBuilder,
     };
     pub use cgc_decomp::{acd_oracle, compute_acd, AcdParams};
     pub use cgc_graphs::{
