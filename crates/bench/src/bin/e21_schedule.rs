@@ -1,10 +1,11 @@
 //! E21 — coloring as a scheduler: churn schedules through the
 //! color-wave recolor path. Each row streams a `ChurnSpec` delta
-//! schedule through [`Session::apply_deltas`] on a warm (already
-//! colored) session, so the recolor sweep groups the dirty vertices by
-//! their color in the session's own previous Δ'+1 coloring and runs one
-//! wave per class; the dirty-cluster support-tree repair is a serial walk
-//! that needs no waves.
+//! schedule through
+//! [`Session::apply_deltas`](cgc_core::Session::apply_deltas) on a warm
+//! (already colored) session, so the recolor sweep groups the dirty
+//! vertices by their color in the session's own previous Δ'+1 coloring
+//! and runs one wave per class; the dirty-cluster support-tree repair is
+//! a serial walk that needs no waves.
 //!
 //! Reported per workload: the dirty region, the non-empty recolor waves
 //! and the fullest one, the wave-vs-fallback recolor split, charged

@@ -1,15 +1,14 @@
 //! Experiment harness utilities: the uniform reporting layer ([`Table`],
 //! [`Json`]) and shared workload shorthands used by the `e*` experiment
-//! binaries and `bench_baseline`.
+//! binaries.
 //!
 //! Every table row carries the [`cgc_graphs::WorkloadSpec`] string of the
 //! instance it measured, and every table header carries the executor
 //! thread count and the detected hardware cores — so numbers from
 //! different machines (or different `CGC_THREADS` settings) stay
 //! comparable, and any row can be reproduced by parsing its workload
-//! column. [`Json`] is the shared emitter behind `BENCH_PR*.json`: one
-//! schema (`cgc-bench/v1`) for the baseline recorder and any future
-//! experiment that wants machine-readable output.
+//! column. [`Json`] is the emitter behind `CGC_TABLE_JSON`: every table
+//! lands in one `cgc-bench/v1` document.
 
 #![forbid(unsafe_code)]
 
@@ -90,8 +89,8 @@ impl Table {
     ///
     /// When the `CGC_TABLE_JSON` environment variable names a file, the
     /// table is additionally appended to that file in the `cgc-bench/v1`
-    /// JSON schema (see [`Table::emit_json`]) — experiment sweeps become
-    /// archivable exactly like `BENCH_PR*.json`.
+    /// JSON schema (see [`Table::emit_json`]), so an experiment sweep can
+    /// be archived.
     pub fn print(&self) {
         self.print_aligned_csv();
         if let Ok(path) = std::env::var("CGC_TABLE_JSON") {
@@ -109,10 +108,9 @@ impl Table {
     /// mid-rewrite one. One file per process — a later path simply
     /// receives every table emitted so far.
     ///
-    /// Telemetry must not take a serving process down: on I/O failure the
+    /// Telemetry must not take the experiment down: on I/O failure the
     /// emission is dropped with a one-time stderr warning instead of
-    /// panicking (unlike [`write_json`], whose callers name their output
-    /// file explicitly and want the loud failure).
+    /// panicking.
     pub fn emit_json(&self, path: &str) {
         let mut acc = EMITTED_TABLES
             .lock()
@@ -200,16 +198,8 @@ fn csv_cell(cell: &str) -> String {
 /// offline, so this stands in for a serde dependency.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
-    /// `true`/`false`.
-    Bool(bool),
     /// Unsigned integer.
     U64(u64),
-    /// Wide unsigned integer (the meter's bit totals are `u128`).
-    U128(u128),
-    /// Float (shortest round-trip form).
-    F64(f64),
     /// String (escaped on output).
     Str(String),
     /// Array.
@@ -218,11 +208,6 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
-}
 impl From<u64> for Json {
     fn from(v: u64) -> Self {
         Json::U64(v)
@@ -233,29 +218,9 @@ impl From<usize> for Json {
         Json::U64(v as u64)
     }
 }
-impl From<u128> for Json {
-    fn from(v: u128) -> Self {
-        Json::U128(v)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::F64(v)
-    }
-}
 impl From<&str> for Json {
     fn from(v: &str) -> Self {
         Json::Str(v.to_owned())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
-    }
-}
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Self {
-        Json::Arr(v)
     }
 }
 
@@ -276,22 +241,8 @@ impl Json {
     fn write(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
             Json::U64(v) => {
                 let _ = write!(out, "{v}");
-            }
-            Json::U128(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
             }
             Json::Str(s) => {
                 out.push('"');
@@ -342,8 +293,7 @@ impl Json {
 
 /// Wraps `sections` in the shared `cgc-bench/v1` envelope: schema tag plus
 /// the hardware/executor context every consumer needs to compare numbers
-/// across machines. `bench_baseline` writes `BENCH_PR*.json` through this;
-/// experiment binaries can emit the same schema via [`Table::to_json`].
+/// across machines. [`Table::emit_json`] wraps its tables in it.
 pub fn bench_report(threads: usize, sections: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![
         ("schema", Json::from("cgc-bench/v1")),
@@ -388,18 +338,6 @@ pub fn try_write_json(path: &str, json: &Json) -> std::io::Result<()> {
         return Err(e);
     }
     Ok(())
-}
-
-/// Writes a pretty-printed JSON document (atomically, via
-/// [`try_write_json`]).
-///
-/// # Panics
-///
-/// Panics when the path is not writable — callers name their output file
-/// explicitly (`BENCH_PR*.json`) and want the loud failure; env-driven
-/// telemetry goes through [`Table::emit_json`], which warns instead.
-pub fn write_json(path: &str, json: &Json) {
-    try_write_json(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Formats a float with 3 decimals.
@@ -475,12 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn write_json_is_atomic_and_leaves_no_temp_file() {
+    fn try_write_json_is_atomic_and_leaves_no_temp_file() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("cgc_atomic_write_{}.json", std::process::id()));
         let path_str = path.to_str().unwrap();
-        write_json(path_str, &Json::obj(vec![("k", Json::from(1u64))]));
-        write_json(path_str, &Json::obj(vec![("k", Json::from(2u64))]));
+        try_write_json(path_str, &Json::obj(vec![("k", Json::from(1u64))])).unwrap();
+        try_write_json(path_str, &Json::obj(vec![("k", Json::from(2u64))])).unwrap();
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(doc.contains("\"k\": 2"), "rename replaced the document");
         let leftover: Vec<_> = std::fs::read_dir(&dir)
@@ -522,13 +460,12 @@ mod tests {
     fn json_escapes_and_nests() {
         let j = Json::obj(vec![
             ("s", Json::from("a\"b\\c\nd")),
-            ("arr", Json::Arr(vec![Json::U64(1), Json::Null])),
-            ("f", Json::from(0.25)),
+            ("arr", Json::Arr(vec![Json::U64(1), Json::obj(vec![])])),
             ("empty", Json::Arr(Vec::new())),
         ]);
         let s = j.pretty();
         assert!(s.contains("\"a\\\"b\\\\c\\nd\""));
-        assert!(s.contains("0.25"));
+        assert!(s.contains("    1,\n    {}\n"), "nested array items: {s}");
         assert!(s.contains("[]"));
     }
 

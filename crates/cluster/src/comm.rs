@@ -37,12 +37,12 @@
 //! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Each
 //! shard computes the fold for its own contiguous vertex range into its
 //! own `&mut` part of the output buffer ([`crate::par::for_each_part`]),
-//! walking the vertex's CSR row in
-//! ascending neighbor order — the *same* contribution order the sequential
-//! sweep applies — and every [`CostMeter`] charge happens once, on the
-//! calling thread, before the compute. Results and cost totals are
-//! therefore **bit-identical at any thread count**; the `Fn` (not `FnMut`)
-//! bounds on the edge/init/fold closures enforce the purity this needs.
+//! walking the vertex's CSR row in ascending neighbor order — the same
+//! contribution order at any shard count, one shard included — and every
+//! [`CostMeter`] charge happens once, on the calling thread, before the
+//! compute. Results and cost totals are therefore **bit-identical at any
+//! thread count**; the `Fn` (not `FnMut`) bounds on the edge/init/fold
+//! closures enforce the purity this needs.
 
 use crate::graph::{ClusterGraph, VertexId};
 use crate::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan, WorkerPool};
@@ -264,11 +264,11 @@ impl<'a> ClusterNet<'a> {
     ///
     /// Each vertex's fold walks its CSR adjacency row in ascending neighbor
     /// order, folding into its `init` value in place, shard-parallel across
-    /// the runtime's [`ShardPlan`] into disjoint output parts. The contribution
-    /// order per vertex equals the sequential `H`-edge sweep's (neighbors
-    /// below `v` ascending, then above), so results are bit-identical to the
-    /// historical sequential path at any thread count — even for
-    /// non-commutative folds.
+    /// the runtime's [`ShardPlan`] into disjoint output parts (inline when
+    /// the plan has one shard). The contribution order per vertex is
+    /// therefore the same at any thread count, so results are
+    /// bit-identical across thread counts — even for non-commutative
+    /// folds.
     ///
     /// # Panics
     ///
@@ -295,42 +295,18 @@ impl<'a> ClusterNet<'a> {
 
         out.clear();
         out.extend((0..self.g.n_vertices()).map(&init));
-        if self.plan.n_shards() <= 1 {
-            // Sequential: one sweep of the H-edges, the upper halves of
-            // the CSR rows (half the gather traffic of the row walk, and
-            // the historical reference semantics). For each vertex,
-            // contributions arrive from neighbors below it in ascending
-            // order, then neighbors above it in ascending order — i.e.
-            // ascending neighbor order.
-            for u in 0..self.g.n_vertices() {
-                for &v in self.g.upper_neighbors(u) {
-                    if let Some(c) = edge(v, u, &queries[v], &queries[u]) {
-                        fold(&mut out[v], c);
-                    }
-                    if let Some(c) = edge(u, v, &queries[u], &queries[v]) {
-                        fold(&mut out[u], c);
+        let (offsets, adj) = self.g.adjacency_csr();
+        fill_sharded(out, &self.plan, self.pool.as_deref(), |start, part| {
+            for (i, acc) in part.iter_mut().enumerate() {
+                let v = start + i;
+                let qv = &queries[v];
+                for &u in &adj[offsets[v]..offsets[v + 1]] {
+                    if let Some(c) = edge(v, u, qv, &queries[u]) {
+                        fold(acc, c);
                     }
                 }
             }
-        } else {
-            // Sharded: each worker folds its own vertices by walking their
-            // CSR rows — ascending neighbor order, so the per-vertex
-            // contribution order (and thus the result) is identical to the
-            // sequential sweep, while every write lands in the worker's
-            // own part of the output.
-            let (offsets, adj) = self.g.adjacency_csr();
-            fill_sharded(out, &self.plan, self.pool.as_deref(), |start, part| {
-                for (i, acc) in part.iter_mut().enumerate() {
-                    let v = start + i;
-                    let qv = &queries[v];
-                    for &u in &adj[offsets[v]..offsets[v + 1]] {
-                        if let Some(c) = edge(v, u, qv, &queries[u]) {
-                            fold(acc, c);
-                        }
-                    }
-                }
-            });
-        }
+        });
     }
 
     /// Any-hit fold: `flags[v]` is true iff some distinct neighbor `u`

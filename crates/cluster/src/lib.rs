@@ -14,8 +14,6 @@
 //! * [`ClusterNet`] — the metered runtime: every communication primitive
 //!   charges H-rounds, G-rounds and bits to a [`cgc_net::CostMeter`],
 //!   pipelining oversized messages;
-//! * [`bfs`] — parallel BFS in vertex-disjoint subgraphs of `H` (Lemma 3.2);
-//! * [`prefix`] — prefix sums / enumeration on ordered trees (Lemma 3.3);
 //! * [`groups`] — random intra-clique groups (Lemma 4.4).
 //!
 //! # Example
@@ -36,16 +34,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bfs;
 pub mod comm;
 pub mod exec;
 pub mod graph;
 pub mod groups;
 pub mod overlay;
 pub mod par;
-pub mod prefix;
 
-pub use bfs::{BfsForest, BfsTree};
 pub use cgc_net::bits::{self, BitMatrix, BitsScratch, PaletteBits};
 pub use comm::{ClusterNet, RoundScratch};
 pub use exec::{
@@ -55,4 +50,3 @@ pub use graph::{BuildTimings, ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
 pub use par::{available_threads, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
-pub use prefix::{dfs_preorder, prefix_sums, prefix_sums_into, OrderedTree};

@@ -14,7 +14,7 @@ pub type Color = usize;
 
 /// A partial coloring of the vertices of `H`.
 ///
-/// The assignment is one `u32` per vertex ([`UNCOLORED`] = `⊥`): 4 bytes
+/// The assignment is one `u32` per vertex (`u32::MAX` = `⊥`): 4 bytes
 /// a vertex for every coloring a session, server or outcome retains.
 /// Alongside it the struct maintains a packed **occupancy mask** (bit `v`
 /// set ⇔ `v` colored, see [`cgc_cluster::bits`]), so "who is still
@@ -39,7 +39,7 @@ impl Coloring {
     /// # Panics
     ///
     /// Panics if `q == 0` or `q > u32::MAX` (colors are stored as `u32`
-    /// below the [`UNCOLORED`] sentinel).
+    /// below the `u32::MAX` uncolored sentinel).
     pub fn new(n: usize, q: usize) -> Self {
         assert!(q > 0, "need at least one color");
         assert!(q <= UNCOLORED as usize, "q = {q} exceeds the u32 colors");

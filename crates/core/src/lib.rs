@@ -30,10 +30,10 @@
 //!   timings and thread context. Preferred over calling the driver
 //!   directly;
 //! * [`serve`] — the multi-tenant session server:
-//!   [`SessionServer`](serve::SessionServer) multiplexes concurrent run
-//!   requests over the shared worker pool with a content-addressed graph
-//!   cache (LRU byte/entry budget), single-flight builds and admission
-//!   control on cold builds. Served runs are bit-identical to standalone
+//!   [`SessionServer`] multiplexes concurrent run requests over the
+//!   shared worker pool with a content-addressed graph cache (LRU
+//!   byte/entry budget), single-flight builds and admission control on
+//!   cold builds. Served runs are bit-identical to standalone
 //!   [`Session`] runs; `run_batch` serves a whole seed sweep as one
 //!   request, and the cache is keyed by spec **plus delta epoch** so a
 //!   pre-mutation graph can never be served stale;

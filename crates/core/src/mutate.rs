@@ -29,12 +29,12 @@
 //! average, far too little work to pay for a pool dispatch. Each
 //! non-empty wave charges one full aggregation round (the same analytic
 //! formula as the fallback). Whatever the sweep leaves uncolored falls
-//! through to the driver's charged exact-palette loop ([`fallback_until_total`]),
-//! under the same phase tag `"recolor"`; the result is asserted total,
-//! proper, and within `Δ' + 1` colors. Costs land in a fresh
-//! [`CostMeter`](cgc_net::CostMeter), so the returned [`CostReport`] is
-//! the *incremental* price of the update — the quantity `bench_mutations`
-//! compares against a full rebuild + full recolor.
+//! through to the driver's charged exact-palette loop
+//! (`fallback_until_total`), under the same phase tag `"recolor"`; the
+//! result is asserted total, proper, and within `Δ' + 1` colors. Costs
+//! land in a fresh [`CostMeter`](cgc_net::CostMeter), so the returned
+//! [`CostReport`] is the *incremental* price of the update — the quantity
+//! to set against a full rebuild + full recolor.
 //!
 //! All randomness flows from the caller's seed through a dedicated salt,
 //! and the wave sweep is deterministic outright (first-fit candidates

@@ -24,11 +24,11 @@
 //!   evicted).
 //!
 //! Served runs go through the same
-//! [`run_coloring_on`](crate::session) path as [`Session::run`], so a
-//! served [`RunOutcome`] is **bit-identical** (coloring and cost
-//! report) to a standalone session with the same spec, seed and thread
-//! count — the differential the traffic bench and the concurrency tests
-//! pin.
+//! [`run_coloring_on`](crate::session) path as
+//! [`Session::run`](crate::Session::run), so a served [`RunOutcome`] is
+//! **bit-identical** (coloring and cost report) to a standalone session
+//! with the same spec, seed and thread count — the differential the
+//! concurrency tests pin.
 //!
 //! Two multi-request forms ride on the same machinery:
 //!

@@ -33,8 +33,8 @@
 //!
 //! Callers that build their own [`ClusterNet`] (virtual overlays, custom
 //! topologies) call the driver directly through
-//! [`color_cluster_graph_with`](crate::color_cluster_graph_with), the one
-//! driver entry point `Session` runs through too.
+//! [`color_cluster_graph_with`], the one driver entry point `Session`
+//! runs through too.
 
 use crate::coloring::Coloring;
 use crate::driver::{color_cluster_graph_with, DriverOptions, RunResult};
@@ -596,6 +596,11 @@ mod tests {
         let c = s.run(9);
         assert_eq!(a.run.coloring, c.run.coloring, "same seed, same coloring");
         assert_eq!(a.run.report, c.run.report);
+        s.set_parallel(ParallelConfig::with_threads(2));
+        let d = s.run(9);
+        assert!(d.cache_hit, "a thread change keeps the built graph");
+        assert_eq!(a.run.coloring, d.run.coloring, "coloring at 2 threads");
+        assert_eq!(a.run.report, d.run.report, "CostReport at 2 threads");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! per-edge union estimates as sharded passes on the worker pool) must
 //! reproduce the `Vec<Fingerprint>` scatter code it replaced — kept below
 //! as a test-local reference — bit for bit: the own and aggregate rows,
-//! `approx_count_neighbors`, `approx_weighted_count`, the `buddy_edges`
-//! map, and the `CostReport` each one charges. Instances: gnp, power-law
+//! `approx_count_neighbors`, the `buddy_edges` map, and the `CostReport`
+//! each one charges. Instances: gnp, power-law
 //! (hub rows), mixture (planted cliques) and contraction (irregular
 //! clusters); threads {1, 2, 4, 8} plus `CGC_THREADS`; predicates: all
 //! neighbors, id parity, and "outside my clique".
@@ -19,8 +19,8 @@ use cgc_decomp::{acd_oracle, buddy_edges, AlmostCliqueDecomp, BuddyParams};
 use cgc_graphs::WorkloadSpec;
 use cgc_net::{CostReport, SeedStream};
 use cgc_sketch::{
-    approx_count_neighbors, approx_weighted_count, encoded_bits, estimate_count,
-    neighborhood_fingerprints, CountingParams, Fingerprint, FingerprintMatrix,
+    approx_count_neighbors, encoded_bits, estimate_count, neighborhood_fingerprints,
+    CountingParams, Fingerprint, FingerprintMatrix,
 };
 use std::collections::BTreeMap;
 
@@ -134,33 +134,6 @@ mod reference {
             .map(|v| Fingerprint::sample(&mut seeds.rng_for(v as u64, salt), t))
             .collect();
         scatter_and_charge(net, t, own, pred)
-    }
-
-    pub fn approx_weighted_count(
-        net: &mut ClusterNet<'_>,
-        t: usize,
-        seeds: &SeedStream,
-        salt: u64,
-        k_u: &[u64],
-        b: u32,
-        gate: impl FnMut(VertexId, VertexId) -> bool,
-    ) -> Vec<f64> {
-        let own = (0..net.g.n_vertices())
-            .map(|v| {
-                let mut rng = seeds.rng_for(v as u64, salt ^ 0x9B4);
-                let mut acc = Fingerprint::empty(t);
-                for _ in 0..k_u[v].min(1 << 16) {
-                    acc.merge(&Fingerprint::sample(&mut rng, t));
-                }
-                acc
-            })
-            .collect();
-        let fps = scatter_and_charge(net, t, own, gate);
-        let scale = 2f64.powi(b as i32);
-        fps.agg
-            .iter()
-            .map(|f| estimate_count(f.maxima()) / scale)
-            .collect()
     }
 
     pub fn approx_count_neighbors(
@@ -283,31 +256,25 @@ fn rows_and_charges_match_reference() {
     assert!(cliques > 0, "the clique predicate must see cliques");
 }
 
-/// `approx_count_neighbors` and `approx_weighted_count`: estimates equal
-/// to the bit, and equal cost reports.
+/// `approx_count_neighbors`: estimates equal to the bit, and equal cost
+/// reports.
 #[test]
 fn counting_primitives_match_reference() {
     for spec in INSTANCES {
         let g = spec.parse::<WorkloadSpec>().unwrap().build();
-        let n = g.n_vertices();
         let acd = acd_oracle(&g, 0.25);
         let seeds = SeedStream::new(12);
-        let k_u: Vec<u64> = (0..n as u64).map(|v| v % 5).collect();
         for name in PREDICATES {
             let pred = |v, u| predicate(name, &acd, v, u);
             let mut ref_net = ClusterNet::with_log_budget(&g, 32);
             let counts =
                 reference::approx_count_neighbors(&mut ref_net, &COUNTING, &seeds, 1, pred);
-            let weighted =
-                reference::approx_weighted_count(&mut ref_net, 80, &seeds, 2, &k_u, 2, pred);
             let want_report = ref_net.meter.report();
             for threads in thread_counts() {
                 let mut net = engine_net(&g, threads);
                 let ctx = format!("{spec} pred={name} threads={threads}");
                 let got = approx_count_neighbors(&mut net, &COUNTING, &seeds, 1, pred);
                 assert_eq!(f64_bits(&got), f64_bits(&counts), "{ctx}: counts");
-                let got = approx_weighted_count(&mut net, 80, &seeds, 2, &k_u, 2, pred);
-                assert_eq!(f64_bits(&got), f64_bits(&weighted), "{ctx}: weighted");
                 assert_eq!(net.meter.report(), want_report, "{ctx}: cost report");
             }
         }

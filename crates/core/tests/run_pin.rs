@@ -88,6 +88,13 @@ fn churn_writes_after_the_run_are_pinned() {
             let out = session
                 .apply_deltas(call)
                 .expect("churn schedules apply cleanly");
+            // A write of 24 G-edges (0.6% of m) must charge fewer rounds
+            // than the full run a rebuild would repeat.
+            assert!(
+                out.report.h_rounds < H_ROUNDS,
+                "a write charged {} h_rounds at {threads} threads",
+                out.report.h_rounds
+            );
             h_rounds += out.report.h_rounds;
             bits += out.report.bits;
             dirty += out.dirty_vertices;

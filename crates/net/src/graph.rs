@@ -451,35 +451,19 @@ impl CommGraph {
         dist
     }
 
-    /// BFS restricted to a machine subset. Returns `(parent, depth)` maps
-    /// over the subset (indexed by machine id; machines outside the subset
-    /// keep `usize::MAX` depth and `None` parent).
+    /// BFS restricted to a machine subset, from `src`, into a reusable
+    /// [`BfsScratch`]: afterwards [`BfsScratch::parent`] and
+    /// [`BfsScratch::depth`] give each subset machine's tree parent and
+    /// depth (machines outside the subset keep `None` and `usize::MAX`).
+    /// Used to build support trees inside clusters.
     ///
-    /// Used to build support trees inside clusters. Loops that BFS many
-    /// subsets of one graph should prefer
-    /// [`Self::bfs_tree_within_scratch`], which reuses the `O(n)` maps
-    /// instead of allocating them per call.
-    pub fn bfs_tree_within(
-        &self,
-        src: MachineId,
-        in_subset: &[bool],
-    ) -> (Vec<Option<MachineId>>, Vec<usize>) {
-        let mut scratch = BfsScratch::default();
-        self.bfs_tree_within_scratch(src, in_subset, &mut scratch);
-        (scratch.parent, scratch.depth)
-    }
-
-    /// [`Self::bfs_tree_within`] into a reusable [`BfsScratch`]: the
-    /// `O(n)` parent/depth maps are (re)sized once and the BFS touches
+    /// The `O(n)` parent/depth maps are (re)sized once and the BFS touches
     /// only subset entries, so a loop over many small subsets pays
     /// `O(subset + internal edges)` per call instead of `O(n)` — the win
     /// that makes per-cluster support-tree construction shardable and
     /// cheap. After reading the results the caller **must** call
     /// [`BfsScratch::reset`] with the subset's machines before reusing the
-    /// scratch.
-    ///
-    /// The visit order (CSR neighbor order per machine) is exactly
-    /// [`Self::bfs_tree_within`]'s — the two produce identical trees.
+    /// scratch. Neighbors are visited in CSR order.
     pub fn bfs_tree_within_scratch(
         &self,
         src: MachineId,
@@ -626,11 +610,12 @@ mod tests {
         // Path 0-1-2-3-4, subset {0,1,2}: machine 3,4 unreachable.
         let p = CommGraph::path(5);
         let subset = vec![true, true, true, false, false];
-        let (parent, depth) = p.bfs_tree_within(0, &subset);
-        assert_eq!(depth[2], 2);
-        assert_eq!(parent[2], Some(1));
-        assert_eq!(depth[3], usize::MAX);
-        assert_eq!(parent[3], None);
+        let mut tree = BfsScratch::new();
+        p.bfs_tree_within_scratch(0, &subset, &mut tree);
+        assert_eq!(tree.depth(2), 2);
+        assert_eq!(tree.parent(2), Some(1));
+        assert_eq!(tree.depth(3), usize::MAX);
+        assert_eq!(tree.parent(3), None);
     }
 
     #[test]

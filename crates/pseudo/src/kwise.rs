@@ -8,7 +8,7 @@
 use rand::{Rng, RngExt};
 
 /// The Mersenne prime `2^61 − 1`.
-pub const MERSENNE_61: u64 = (1u64 << 61) - 1;
+const MERSENNE_61: u64 = (1u64 << 61) - 1;
 
 /// Multiplies two field elements mod `2^61 − 1` via 128-bit arithmetic.
 #[inline]

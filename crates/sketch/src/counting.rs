@@ -60,8 +60,10 @@ pub struct NeighborhoodFingerprints {
 ///
 /// `pred(v, u)` answers "does neighbor `u` count for `v`'s query?" and must
 /// be computable by the link machines (paper: `P_v` known to the machines
-/// of `V(v)`). Charges one full aggregation round with compressed
-/// fingerprint messages (pipelined if the encoding exceeds the budget).
+/// of `V(v)`). Charges one full aggregation round with the actual
+/// compressed sizes (pipelined if the encoding exceeds the budget): the
+/// query is a single element's vector, the converge-cast carries partial
+/// aggregates. The pass that meters the aggregates also estimates them.
 pub fn neighborhood_fingerprints(
     net: &mut ClusterNet<'_>,
     t: usize,
@@ -70,18 +72,6 @@ pub fn neighborhood_fingerprints(
     pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> NeighborhoodFingerprints {
     let own = FingerprintMatrix::sample(net, t, seeds, salt);
-    aggregate(net, own, pred)
-}
-
-/// Gathers `own` over predicate-filtered neighborhoods and charges the
-/// round with the actual compressed sizes: the query is a single
-/// element's vector, the converge-cast carries partial aggregates. The
-/// pass that meters the aggregates also estimates them.
-fn aggregate(
-    net: &mut ClusterNet<'_>,
-    own: FingerprintMatrix,
-    pred: impl Fn(VertexId, VertexId) -> bool + Sync,
-) -> NeighborhoodFingerprints {
     let agg = own.gather(net, pred);
     let query_bits = own.max_encoded_bits(net);
     let (response_bits, estimates) = agg.meter_and_estimate(net);
@@ -94,33 +84,6 @@ fn aggregate(
         response_bits,
         estimates,
     }
-}
-
-/// Lemma 9.4 weighted counting: every vertex estimates
-/// `W_v = Σ_{u ∈ N(v)} α(v,u) · x_u` for `2^{-b}`-integral weights
-/// `x_u = k_u / 2^b` and link-computable gates `α ∈ {0,1}`.
-///
-/// Mechanism (the paper's duplication trick): vertex `u` contributes the
-/// maxima of `k_u` independent sample vectors — as if `k_u` copies of `u`
-/// participated — so the Lemma 5.2 estimate returns `2^b · W_v`, which is
-/// rescaled. Charges one compressed-fingerprint aggregation round
-/// (`O(ξ^{-2} + (log b + log Δ)/log n)` rounds after pipelining, matching
-/// the lemma).
-pub fn approx_weighted_count(
-    net: &mut ClusterNet<'_>,
-    t: usize,
-    seeds: &SeedStream,
-    salt: u64,
-    k_u: &[u64],
-    b: u32,
-    gate: impl Fn(VertexId, VertexId) -> bool + Sync,
-) -> Vec<f64> {
-    // Each coordinate max of k geometrics is sampled directly by
-    // iterating — k_u is at most 2^b which the caller keeps polynomial.
-    let own = FingerprintMatrix::sample_weighted(net, t, seeds, salt ^ 0x9B4, k_u);
-    let estimates = aggregate(net, own, gate).estimates;
-    let scale = 2f64.powi(b as i32);
-    estimates.into_iter().map(|e| e / scale).collect()
 }
 
 /// Lemma 5.7: every vertex estimates the number of neighbors satisfying
@@ -205,49 +168,6 @@ mod tests {
         // 128-trial fingerprints encode to ~O(t) bits; with a 32·log n
         // budget the round may pipeline but must stay bounded.
         assert!(r.h_rounds < 100, "h_rounds {}", r.h_rounds);
-    }
-
-    /// Lemma 9.4: weighted estimates track `Σ α·x_u` for dyadic weights.
-    #[test]
-    fn weighted_count_tracks_dyadic_weights() {
-        let h = clique_h(60);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(81);
-        let b = 2u32; // weights in quarters
-                      // Vertex u has weight (u % 4 + 1) / 4.
-        let k_u: Vec<u64> = (0..60).map(|u| (u % 4 + 1) as u64).collect();
-        let est = approx_weighted_count(&mut net, 2048, &seeds, 0, &k_u, b, |_, _| true);
-        for (v, &e) in est.iter().enumerate() {
-            let truth: f64 = (0..60)
-                .filter(|&u| u != v)
-                .map(|u| (u % 4 + 1) as f64 / 4.0)
-                .sum();
-            let err = (e - truth).abs() / truth;
-            assert!(err < 0.3, "v={v}: est {e} vs {truth}");
-        }
-    }
-
-    #[test]
-    fn weighted_count_respects_gate() {
-        let h = clique_h(40);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(82);
-        let k_u = vec![1u64; 40];
-        let est = approx_weighted_count(&mut net, 1024, &seeds, 1, &k_u, 0, |_, u| u < 20);
-        // Weight 1 each, only the 20 low-id neighbors count.
-        for (v, &e) in est.iter().enumerate().skip(20) {
-            let err = (e - 20.0).abs() / 20.0;
-            assert!(err < 0.5, "v={v}: est {e}");
-        }
-    }
-
-    #[test]
-    fn zero_weights_estimate_zero() {
-        let h = clique_h(10);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
-        let seeds = SeedStream::new(83);
-        let est = approx_weighted_count(&mut net, 256, &seeds, 2, &[0u64; 10], 3, |_, _| true);
-        assert!(est.iter().all(|&e| e == 0.0));
     }
 
     #[test]

@@ -29,8 +29,7 @@ mod histogram;
 pub mod matrix;
 
 pub use counting::{
-    approx_count_neighbors, approx_weighted_count, neighborhood_fingerprints, CountingParams,
-    NeighborhoodFingerprints,
+    approx_count_neighbors, neighborhood_fingerprints, CountingParams, NeighborhoodFingerprints,
 };
 pub use encode::{decode_maxima, encode_maxima, encoded_bits};
 pub use estimate::estimate_count;

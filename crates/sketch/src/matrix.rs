@@ -37,7 +37,6 @@ use crate::histogram::Histogram;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::par::{fill_sharded, map_reduce_on, ShardPlan};
 use cgc_net::SeedStream;
-use rand::Rng;
 
 /// `n` fingerprints of `t` trials, row-major, one stored byte per maximum
 /// (`y + 1`; 0 = empty).
@@ -56,59 +55,20 @@ fn max_into(acc: &mut [u8], row: &[u8]) {
     }
 }
 
-/// Raises `row` to the coordinate-wise max with one fresh sample vector
-/// drawn from `rng` — the draws of one [`Fingerprint::sample`] call.
-#[inline]
-fn max_sample_into(row: &mut [u8], rng: &mut impl Rng) {
-    for y in row {
-        // `sample_geometric` is capped at 192, so `y + 1` fits a byte.
-        *y = (*y).max(sample_geometric(rng, 0.5) as u8 + 1);
-    }
-}
-
 impl FingerprintMatrix {
     /// Every vertex's own sample vector: row `v` is what
     /// `Fingerprint::sample(&mut seeds.rng_for(v, salt), t)` draws.
     pub fn sample(net: &ClusterNet<'_>, t: usize, seeds: &SeedStream, salt: u64) -> Self {
         let mut rows = Vec::new();
         net.par_vertex_fill_rows(t, &mut rows, |v, row| {
-            max_sample_into(row, &mut seeds.rng_for(v as u64, salt));
-        });
-        FingerprintMatrix {
-            n: net.g.n_vertices(),
-            trials: t,
-            rows,
-        }
-    }
-
-    /// Lemma 9.4's duplicated sample vectors: row `v` is the max of
-    /// `min(k_u[v], 2^16)` successive sample vectors drawn from
-    /// `seeds.rng_for(v, salt)` (empty when `k_u[v] = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_u.len()` differs from the vertex count.
-    pub fn sample_weighted(
-        net: &ClusterNet<'_>,
-        t: usize,
-        seeds: &SeedStream,
-        salt: u64,
-        k_u: &[u64],
-    ) -> Self {
-        assert_eq!(
-            k_u.len(),
-            net.g.n_vertices(),
-            "one weight numerator per vertex"
-        );
-        let mut rows = Vec::new();
-        net.par_vertex_fill_rows(t, &mut rows, |v, row| {
             let mut rng = seeds.rng_for(v as u64, salt);
-            for _ in 0..k_u[v].min(1 << 16) {
-                max_sample_into(row, &mut rng);
+            for y in row {
+                // `sample_geometric` is capped at 192, so `y + 1` fits a byte.
+                *y = sample_geometric(&mut rng, 0.5) as u8 + 1;
             }
         });
         FingerprintMatrix {
-            n: k_u.len(),
+            n: net.g.n_vertices(),
             trials: t,
             rows,
         }
@@ -254,8 +214,7 @@ mod tests {
         let g = wheel(75);
         let seeds = SeedStream::new(4);
         let serial = ClusterNet::new(&g, 64);
-        let k_u: Vec<u64> = (0..75).map(|v| v % 4).collect();
-        let own = FingerprintMatrix::sample_weighted(&serial, 64, &seeds, 1, &k_u);
+        let own = FingerprintMatrix::sample(&serial, 64, &seeds, 1);
         let agg = own.gather(&serial, |_, u| u % 2 == 0);
         let reference = (
             agg.max_encoded_bits(&serial),
@@ -264,7 +223,7 @@ mod tests {
         );
         for threads in [2usize, 3, 8] {
             let net = ClusterNet::with_parallel(&g, 64, ParallelConfig::with_threads(threads));
-            let own_p = FingerprintMatrix::sample_weighted(&net, 64, &seeds, 1, &k_u);
+            let own_p = FingerprintMatrix::sample(&net, 64, &seeds, 1);
             let agg_p = own_p.gather(&net, |_, u| u % 2 == 0);
             assert_eq!((&own_p, &agg_p), (&own, &agg), "threads={threads}");
             let got = (
@@ -301,7 +260,8 @@ mod tests {
     fn weightless_rows_stay_empty() {
         let g = wheel(6);
         let net = ClusterNet::new(&g, 64);
-        let m = FingerprintMatrix::sample_weighted(&net, 16, &SeedStream::new(6), 0, &[0; 6]);
+        let own = FingerprintMatrix::sample(&net, 16, &SeedStream::new(6), 0);
+        let m = own.gather(&net, |_, _| false);
         assert!((0..6).all(|v| m.row(v).iter().all(|&y| y == 0)));
         assert_eq!(m.n_rows(), 6);
         assert!(m.meter_and_estimate(&net).1.iter().all(|&e| e == 0.0));

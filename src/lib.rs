@@ -20,7 +20,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`net`] | machines, links, round/bandwidth metering, seeded RNG |
-//! | [`cluster`] | cluster graphs, support trees, aggregation (Lemmas 3.2–3.3, 4.4) |
+//! | [`cluster`] | cluster graphs, support trees, aggregation, random groups (Lemma 4.4) |
 //! | [`sketch`] | fingerprints (§5): estimation, compression, counting |
 //! | [`pseudo`] | k-wise/min-wise hashing, representative sets (App. C) |
 //! | [`decomp`] | sparsity, buddy predicate, almost-clique decomposition (§5.4) |
