@@ -7,7 +7,8 @@
 //! persistent [`WorkerPool`], where warm rounds additionally **spawn no
 //! threads** (pool workers are created once and parked between rounds). Warm
 //! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
-//! call by design, must spawn no threads either.
+//! call by design, must spawn no threads either, and a warm sample makes
+//! exactly one allocation, its matrix.
 //!
 //! A counting global allocator tallies every allocation and its bytes;
 //! each case warms the buffers once, snapshots the counter, runs many
@@ -278,6 +279,21 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
     // And the pooled rounds match a sequential runtime's bit for bit.
     let mut seq = ClusterNet::new(&h, 64);
     assert_eq!(round(&mut seq), warm);
+
+    // A warm sample allocates its matrix and nothing else: each row's
+    // bulk word draw stays on the stack. 600 trials take two draws a row.
+    for threads in [1usize, 2] {
+        let net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(threads));
+        drop(FingerprintMatrix::sample(&net, 600, &seeds, 3));
+        let before = allocations();
+        let own = FingerprintMatrix::sample(&net, 600, &seeds, 3);
+        assert_eq!(
+            allocations() - before,
+            1,
+            "a warm sample makes one allocation, its matrix ({threads} threads)"
+        );
+        drop(own);
+    }
 }
 
 /// A clone allocates exactly `approx_heap_bytes()` bytes — the byte

@@ -54,4 +54,4 @@ pub use par::{
     available_threads, kway_merge_counted, kway_merge_dedup, map_reduce_on, patch_csr_rows,
     ParallelConfig, ShardPlan, WorkerPool,
 };
-pub use rng::SeedStream;
+pub use rng::{SeedStream, BULK_RUN_BYTES};

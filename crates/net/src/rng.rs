@@ -8,6 +8,7 @@
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+pub use rand_chacha::BULK_RUN_BYTES;
 
 /// SplitMix64 finalizer, used to decorrelate derived seeds.
 #[inline]

@@ -25,6 +25,14 @@
 //! or one that starts at its last word) it reads word by word through
 //! `next_u32`, which refills.
 //!
+//! A **bulk draw** (`fill_bytes`) consumes the same words as the `u64`
+//! draws it stands for: `len / 8` whole `u64`s, plus one more whose low
+//! bytes fill a partial tail. It serves the buffered words first. On a
+//! CPU with AVX-512F it then writes whole **direct runs** of sixteen
+//! blocks ([`BULK_RUN_BYTES`]) straight into the destination, bypassing
+//! the buffer. Every other word goes through the buffer, refilled as for
+//! any draw.
+//!
 //! # Which refill runs
 //!
 //! A stream's first two blocks (counter 0 and 1, read off words 12/13)
@@ -36,6 +44,14 @@
 //! block on, a refill is wide when the CPU supports AVX2, checked at run
 //! time with `is_x86_feature_detected!` on x86_64; on other CPUs and
 //! targets every refill is single.
+//!
+//! A bulk draw computes its blocks with the widest kernel the CPU has,
+//! in this order: direct runs of sixteen blocks with AVX-512F (also
+//! checked at run time), wide refills with AVX2, else single refills.
+//! Direct runs may start at block 0: a bulk draw asks for its length up
+//! front, so a fresh stream's long draw computes no block it does not
+//! use. Without AVX-512F, a bulk draw's blocks 0 and 1 take the single
+//! refill, as for any draw.
 
 use rand::{Rng, SeedableRng};
 
@@ -53,6 +69,16 @@ const WIDE_BLOCKS: usize = 8;
 const BUF_WORDS: usize = BLOCK_WORDS * WIDE_BLOCKS;
 /// Blocks at the start of every stream that always take the single refill.
 const SINGLE_LEAD_BLOCKS: u64 = 2;
+/// Blocks one direct run of a bulk draw computes: the AVX-512 kernel's
+/// sixteen lanes.
+const BULK_BLOCKS: usize = 16;
+
+/// Bytes one direct run of a ChaCha8 bulk draw writes: sixteen blocks,
+/// 128 `u64`. On a CPU with AVX-512F, `fill_bytes` computes whole runs
+/// straight into its destination, so a caller that asks for a multiple
+/// of this skips the generator's buffer, except for words it already
+/// holds.
+pub const BULK_RUN_BYTES: usize = BULK_BLOCKS * BLOCK_WORDS * 4;
 
 /// A ChaCha8 random number generator.
 #[derive(Debug, Clone)]
@@ -149,6 +175,81 @@ impl ChaCha8Rng {
     #[cfg(not(target_arch = "x86_64"))]
     fn refill_wide(&mut self) -> bool {
         false
+    }
+
+    /// Copies the next `n` buffered words (`n` ≤ the words buffered) to
+    /// the front of `out` as little-endian bytes, cut at `out`'s end, and
+    /// returns the rest of `out`.
+    fn serve_buffered<'a>(&mut self, out: &'a mut [u8], n: usize) -> &'a mut [u8] {
+        let words = &self.buf[self.idx..self.idx + n];
+        self.idx += n;
+        let (head, rest) = out.split_at_mut(out.len().min(4 * n));
+        let whole = head.len() / 4;
+        let (head, cut) = head.split_at_mut(4 * whole);
+        write_le(&words[..whole], head);
+        if !cut.is_empty() {
+            cut.copy_from_slice(&words[whole].to_le_bytes()[..cut.len()]);
+        }
+        rest
+    }
+
+    /// `fill_bytes`, with whole runs of [`BULK_RUN_BYTES`] written straight
+    /// into `dest` by the sixteen-block kernel when `direct`; every other
+    /// word is served through the buffer (see the module docs).
+    ///
+    /// # Safety
+    ///
+    /// With `direct`, the CPU must have AVX-512F, as detected at run time.
+    unsafe fn fill_bytes_with(&mut self, direct: bool, dest: &mut [u8]) {
+        // Words the draw consumes: a partial tail takes a whole `u64`.
+        let mut words = dest.len().div_ceil(8) * 2;
+        let mut out = dest;
+        loop {
+            let n = (BUF_WORDS - self.idx).min(words);
+            out = self.serve_buffered(out, n);
+            words -= n;
+            if words == 0 {
+                return;
+            }
+            // The buffer is used up: the counter is the next unread block.
+            while direct && out.len() >= BULK_RUN_BYTES {
+                let (run, rest) = out.split_at_mut(BULK_RUN_BYTES);
+                // SAFETY: the caller guarantees AVX-512F with `direct`.
+                unsafe { self.run_direct(run.try_into().expect("one whole run")) };
+                words -= BULK_RUN_BYTES / 4;
+                out = rest;
+            }
+            if words == 0 {
+                return;
+            }
+            self.refill();
+        }
+    }
+
+    /// Writes the [`BULK_BLOCKS`] blocks from the current counter on to
+    /// `run` as little-endian words, and advances the counter past them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F, as detected at run time.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn run_direct(&mut self, run: &mut [u8; BULK_RUN_BYTES]) {
+        // SAFETY: the caller guarantees AVX-512F support.
+        unsafe { avx512::blocks16(&self.state, run) };
+        self.set_counter(self.counter().wrapping_add(BULK_BLOCKS as u64));
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    unsafe fn run_direct(&mut self, _run: &mut [u8; BULK_RUN_BYTES]) {
+        unreachable!("direct runs need AVX-512F")
+    }
+}
+
+/// Writes `words` to `out` (exactly `4 · words.len()` bytes), little-endian.
+fn write_le(words: &[u32], out: &mut [u8]) {
+    assert_eq!(out.len(), 4 * words.len(), "one byte slot per output byte");
+    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -284,6 +385,107 @@ mod avx2 {
     }
 }
 
+/// The sixteen-lane AVX-512 block kernel.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{BLOCK_WORDS, BULK_RUN_BYTES, CHACHA_ROUNDS};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// Transposes sixteen vectors of sixteen words: lane `l` of `x[i]`
+    /// moves to lane `i` of output `l`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(x: &[__m512i; 16]) -> [__m512i; 16] {
+        // Within each 128-bit lane `j`, group `g` (inputs `4g .. 4g + 4`)
+        // becomes four vectors: `u[g][r]` holds words `4g .. 4g + 4` of
+        // block `4j + r` in lane `j`.
+        let mut u = [[_mm512_setzero_si512(); 4]; 4];
+        for (g, ug) in u.iter_mut().enumerate() {
+            let a = &x[4 * g..4 * g + 4];
+            let t0 = _mm512_unpacklo_epi32(a[0], a[1]);
+            let t1 = _mm512_unpackhi_epi32(a[0], a[1]);
+            let t2 = _mm512_unpacklo_epi32(a[2], a[3]);
+            let t3 = _mm512_unpackhi_epi32(a[2], a[3]);
+            *ug = [
+                _mm512_unpacklo_epi64(t0, t2),
+                _mm512_unpackhi_epi64(t0, t2),
+                _mm512_unpacklo_epi64(t1, t3),
+                _mm512_unpackhi_epi64(t1, t3),
+            ];
+        }
+        // Gather lane `j` of `u[0..4][r]` into output `4j + r`.
+        let mut out = [_mm512_setzero_si512(); 16];
+        for r in 0..4 {
+            let lo01 = _mm512_shuffle_i32x4::<0x44>(u[0][r], u[1][r]);
+            let hi01 = _mm512_shuffle_i32x4::<0xEE>(u[0][r], u[1][r]);
+            let lo23 = _mm512_shuffle_i32x4::<0x44>(u[2][r], u[3][r]);
+            let hi23 = _mm512_shuffle_i32x4::<0xEE>(u[2][r], u[3][r]);
+            out[r] = _mm512_shuffle_i32x4::<0x88>(lo01, lo23);
+            out[4 + r] = _mm512_shuffle_i32x4::<0xDD>(lo01, lo23);
+            out[8 + r] = _mm512_shuffle_i32x4::<0x88>(hi01, hi23);
+            out[12 + r] = _mm512_shuffle_i32x4::<0xDD>(hi01, hi23);
+        }
+        out
+    }
+
+    /// Writes the sixteen blocks at counters `c .. c + 16` of input
+    /// `state` (`c` = words 12/13, wrapping at 2^64) to `out` as
+    /// little-endian words, block `l` at bytes `64·l .. 64·l + 64`.
+    /// Vector `x[i]` holds word `i` of all sixteen blocks, lane `l` for
+    /// block `l`.
+    ///
+    /// # Safety
+    ///
+    /// Outside code compiled for AVX-512F the call needs an `unsafe`
+    /// block, and the caller must first check that the CPU has AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn blocks16(state: &[u32; 16], out: &mut [u8; BULK_RUN_BYTES]) {
+        let mut x = [_mm512_setzero_si512(); 16];
+        for (xi, &s) in x.iter_mut().zip(state) {
+            *xi = _mm512_set1_epi32(s as i32);
+        }
+        // Words 12/13 of lane `l`: the 64-bit counter `c + l`. A lane whose
+        // word 12 wrapped (ends below `l`) carries into word 13.
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        x[12] = _mm512_add_epi32(x[12], lane);
+        let carry = _mm512_cmplt_epu32_mask(x[12], lane);
+        x[13] = _mm512_mask_add_epi32(x[13], carry, x[13], _mm512_set1_epi32(1));
+        let input = x;
+        for _ in 0..CHACHA_ROUNDS / 2 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (xi, ii) in x.iter_mut().zip(&input) {
+            *xi = _mm512_add_epi32(*xi, *ii);
+        }
+        for (l, v) in transpose16(&x).into_iter().enumerate() {
+            let dst = &mut out[l * BLOCK_WORDS * 4..(l + 1) * BLOCK_WORDS * 4];
+            // SAFETY: `dst` is 64 in-bounds bytes (the slice above is
+            // bounds-checked), so the unaligned 64-byte store stays within it.
+            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) };
+        }
+    }
+}
+
 impl SeedableRng for ChaCha8Rng {
     type Seed = [u8; 32];
 
@@ -326,6 +528,18 @@ impl Rng for ChaCha8Rng {
             return (u64::from(self.buf[i + 1]) << 32) | u64::from(self.buf[i]);
         }
         self.next_u64_across_refill()
+    }
+
+    /// A bulk draw: the same bytes as `len / 8` `next_u64` draws (plus one
+    /// for a partial tail), with whole runs of blocks computed straight
+    /// into `dest` on CPUs with AVX-512F (see the module docs).
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        #[cfg(target_arch = "x86_64")]
+        let direct = std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let direct = false;
+        // SAFETY: direct runs only where AVX-512F was just detected.
+        unsafe { self.fill_bytes_with(direct, dest) }
     }
 }
 
@@ -538,6 +752,89 @@ mod tests {
                 for (l, got) in out.chunks_exact(BLOCK_WORDS).enumerate() {
                     let want: Vec<u32> = (0..BLOCK_WORDS).map(|_| reference.next_u32()).collect();
                     assert_eq!(got, want, "seed {seed} counter {counter:#x} lane {l}");
+                }
+            }
+        }
+    }
+
+    /// Calls the sixteen-block kernel directly; the counters wrap word 12,
+    /// and the 64-bit counter, inside one run.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_kernel_matches_reference_blocks() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            eprintln!("no AVX-512F on this CPU: the sixteen-block kernel is unused and unchecked");
+            return;
+        }
+        for seed in 0..16u64 {
+            for counter in [0, 2, (1u64 << 32) - 9, u64::MAX - 10] {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                rng.set_counter(counter);
+                let mut reference = Reference::of(&rng);
+                let mut out = [0u8; BULK_RUN_BYTES];
+                // SAFETY: AVX-512F support was just detected at run time.
+                unsafe { avx512::blocks16(&rng.state, &mut out) };
+                for (l, got) in out.chunks_exact(4 * BLOCK_WORDS).enumerate() {
+                    let want: Vec<u8> = (0..BLOCK_WORDS)
+                        .flat_map(|_| reference.next_u32().to_le_bytes())
+                        .collect();
+                    assert_eq!(got, want, "seed {seed} counter {counter:#x} lane {l}");
+                }
+            }
+        }
+    }
+
+    /// Bulk `fill_bytes` with and without direct runs (with them only
+    /// where the CPU has AVX-512F), so the buffered path, wide refills
+    /// included, stays checked on AVX-512 hosts; against the reference's
+    /// `u64` draws: from a fresh stream, after draws that leave the buffer
+    /// mid-way, at its last word or used up, for lengths up to a buddy
+    /// round's row (2281 `u64`), odd ones included, and across both
+    /// counter carries. The stream must continue in step after the bulk
+    /// draw.
+    #[test]
+    fn bulk_fill_matches_reference_with_and_without_direct_runs() {
+        const WORDS: [usize; 6] = [1, 127, 128, 129, 497, 2281];
+        let lengths = WORDS
+            .iter()
+            .map(|w| 8 * w)
+            .chain([1, 7, 13, 8 * 127 + 5, 8 * 2281 + 3]);
+        #[cfg(target_arch = "x86_64")]
+        let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512f = false;
+        if !avx512f {
+            eprintln!("no AVX-512F on this CPU: bulk draws' direct runs are unused and unchecked");
+        }
+        for direct in [false, true] {
+            if direct && !avx512f {
+                continue;
+            }
+            eprintln!("bulk fill checked with direct runs: {direct}");
+            for counter in [0, (1u64 << 32) - 9, u64::MAX - 10] {
+                // Fresh; mid-way through the first single block; at its last
+                // word; mid-way through, at the last word of, and just past
+                // the first wide refill (from counter 0).
+                for prefix in [0, 1, 2, 3, 15, 64, 159, 160] {
+                    for len in lengths.clone() {
+                        let what = format!(
+                            "direct {direct} counter {counter:#x} after {prefix} len {len}"
+                        );
+                        let mut rng = ChaCha8Rng::seed_from_u64(counter ^ len as u64);
+                        rng.set_counter(counter);
+                        let mut reference = Reference::of(&rng);
+                        for _ in 0..prefix {
+                            assert_eq!(rng.next_u32(), reference.next_u32(), "{what}");
+                        }
+                        let (mut got, mut want) = (vec![0u8; len], vec![0u8; len]);
+                        // SAFETY: direct runs only where AVX-512F was detected.
+                        unsafe { rng.fill_bytes_with(direct, &mut got) };
+                        reference.fill_bytes(&mut want);
+                        assert!(got == want, "{what}");
+                        for _ in 0..40 {
+                            assert_eq!(rng.next_u64(), reference.next_u64(), "{what}");
+                        }
+                    }
                 }
             }
         }

@@ -11,7 +11,11 @@
 //!
 //! * [`FingerprintMatrix::sample`] — row `v` is drawn from
 //!   `seeds.rng_for(v, salt)`, the stream [`crate::Fingerprint::sample`]
-//!   uses;
+//!   uses, with the same values: the words come in bulk (chunks of up to
+//!   512 `u64` in a stack buffer, through the keystream's `fill_bytes`)
+//!   and map to trials by the λ = ½ rule of
+//!   [`crate::geometric::sample_geometric`] — trailing ones, an all-ones
+//!   word continuing into the next — instead of one call per trial;
 //! * [`FingerprintMatrix::gather`] — row `v` of the aggregate is the max
 //!   of the rows of `v`'s neighbors `u` with `pred(v, u)`, one walk of
 //!   `v`'s CSR row;
@@ -32,7 +36,7 @@
 //! row outlives the call that made it.
 
 use crate::fingerprint::Fingerprint;
-use crate::geometric::sample_geometric;
+use crate::geometric::fill_half_geometric_row;
 use crate::histogram::Histogram;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::par::{fill_sharded, map_reduce_on, ShardPlan};
@@ -58,14 +62,15 @@ fn max_into(acc: &mut [u8], row: &[u8]) {
 impl FingerprintMatrix {
     /// Every vertex's own sample vector: row `v` is what
     /// `Fingerprint::sample(&mut seeds.rng_for(v, salt), t)` draws.
+    ///
+    /// Each row draws its stream's words in bulk into a stack chunk and
+    /// maps them by the rule `sample_geometric(rng, 0.5)` applies, so the
+    /// only allocation is the matrix. A request may draw a few words past
+    /// the row's last trial; the row's stream is dropped after the row.
     pub fn sample(net: &ClusterNet<'_>, t: usize, seeds: &SeedStream, salt: u64) -> Self {
         let mut rows = Vec::new();
         net.par_vertex_fill_rows(t, &mut rows, |v, row| {
-            let mut rng = seeds.rng_for(v as u64, salt);
-            for y in row {
-                // `sample_geometric` is capped at 192, so `y + 1` fits a byte.
-                *y = sample_geometric(&mut rng, 0.5) as u8 + 1;
-            }
+            fill_half_geometric_row(&mut seeds.rng_for(v as u64, salt), row);
         });
         FingerprintMatrix {
             n: net.g.n_vertices(),
