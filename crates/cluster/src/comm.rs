@@ -43,11 +43,17 @@
 //! compute. Results and cost totals are therefore **bit-identical at any
 //! thread count**; the `Fn` (not `FnMut`) bounds on the edge/init/fold
 //! closures enforce the purity this needs.
+//!
+//! Shards run on the process's one worker pool ([`crate::WorkerPool`]),
+//! which grows in place the first time any caller dispatches wider than
+//! before and never retires a worker. A runtime holds only its
+//! [`ParallelConfig`] and shard plans, no pool handle, so building or
+//! reconfiguring another runtime — at any width — never changes the
+//! threads this one runs on.
 
 use crate::graph::{ClusterGraph, VertexId};
-use crate::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan, WorkerPool};
+use crate::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan};
 use cgc_net::CostMeter;
-use std::sync::Arc;
 
 /// Reusable per-round buffers owned by [`ClusterNet`]; grown on first use,
 /// then recycled so metered rounds allocate nothing (SNIPPETS §1's
@@ -59,7 +65,9 @@ pub struct RoundScratch {
     words: Vec<u64>,
 }
 
-/// Metered runtime handle over a [`ClusterGraph`].
+/// Metered runtime handle over a [`ClusterGraph`]: the cost meter, the
+/// round scratch, and the executor configuration with its shard plans
+/// (see the [module docs](self) for how rounds dispatch).
 #[derive(Debug)]
 pub struct ClusterNet<'a> {
     /// The topology this runtime executes on.
@@ -74,11 +82,6 @@ pub struct ClusterNet<'a> {
     /// Even per-vertex plan for the O(1)-per-vertex primitives
     /// (`exact_degrees_into`), where entry mass is the wrong balance measure.
     even_plan: ShardPlan,
-    /// The persistent dispatch pool for `threads > 1` configs, acquired
-    /// from the process-global cache ([`WorkerPool::global`]) so every
-    /// runtime — and every round of every run — reuses the same parked
-    /// workers instead of spawning threads per round.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl<'a> ClusterNet<'a> {
@@ -111,7 +114,6 @@ impl<'a> ClusterNet<'a> {
             scratch: RoundScratch::default(),
             plan: g.shard_plan(&par),
             even_plan: ShardPlan::even(g.n_vertices(), par.threads()),
-            pool: WorkerPool::global(par.threads()),
             par,
         }
     }
@@ -147,15 +149,7 @@ impl<'a> ClusterNet<'a> {
         }
         self.plan = self.g.shard_plan(&par);
         self.even_plan = ShardPlan::even(self.g.n_vertices(), par.threads());
-        self.pool = WorkerPool::global(par.threads());
         self.par = par;
-    }
-
-    /// The persistent worker pool this runtime dispatches on (`None` under
-    /// the sequential config).
-    #[inline]
-    pub fn worker_pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_deref()
     }
 
     /// The active parallel executor configuration.
@@ -296,7 +290,7 @@ impl<'a> ClusterNet<'a> {
         out.clear();
         out.extend((0..self.g.n_vertices()).map(&init));
         let (offsets, adj) = self.g.adjacency_csr();
-        fill_sharded(out, &self.plan, self.pool.as_deref(), |start, part| {
+        fill_sharded(out, &self.plan, |start, part| {
             for (i, acc) in part.iter_mut().enumerate() {
                 let v = start + i;
                 let qv = &queries[v];
@@ -398,7 +392,7 @@ impl<'a> ClusterNet<'a> {
         let (offsets, _) = self.g.adjacency_csr();
         out.clear();
         out.resize(self.g.n_vertices(), 0);
-        fill_sharded(out, &self.even_plan, self.pool.as_deref(), |start, part| {
+        fill_sharded(out, &self.even_plan, |start, part| {
             for (i, deg) in part.iter_mut().enumerate() {
                 let v = start + i;
                 *deg = offsets[v + 1] - offsets[v];
@@ -420,7 +414,7 @@ impl<'a> ClusterNet<'a> {
         f: impl Fn(VertexId) -> T + Sync,
     ) -> Vec<T> {
         let mut out = vec![T::default(); self.g.n_vertices()];
-        fill_sharded(&mut out, &self.plan, self.pool.as_deref(), |start, part| {
+        fill_sharded(&mut out, &self.plan, |start, part| {
             for (i, x) in part.iter_mut().enumerate() {
                 *x = f(start + i);
             }
@@ -452,7 +446,6 @@ impl<'a> ClusterNet<'a> {
         }
         let bounds = self.plan.bounds();
         for_each_part(
-            self.pool.as_deref(),
             self.plan.n_shards(),
             out,
             |s| bounds[s] * row_len,

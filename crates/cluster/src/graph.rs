@@ -13,8 +13,8 @@
 //! halves of `H`'s CSR rows, and the support trees share one flat layout
 //! of member offsets, members, parents and heights.
 
-use crate::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan, WorkerPool};
-use cgc_net::{BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
+use crate::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan};
+use cgc_net::{csr_from_canonical_edges, BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
 use std::time::Instant;
 
 /// Identifier of a node of the cluster graph `H` (a cluster of machines).
@@ -151,13 +151,15 @@ impl ClusterGraph {
         Self::build_with(comm, assignment, &ParallelConfig::serial())
     }
 
-    /// [`Self::build`] sharded over `par`'s threads (dispatched on the
-    /// process-global [`WorkerPool`], so repeated builds reuse the same
-    /// parked workers as the aggregation rounds). The two heavy phases
-    /// shard independently: support-tree BFS by cluster id (each worker
-    /// with its own subset scratch) and link collection by `G`-row mass
-    /// (shard-local sort/dedup). A fixed-order k-way merge of the shard
-    /// pair lists then fills `H`'s CSR serially, every row already sorted.
+    /// [`Self::build`] sharded over `par`'s threads, dispatched on the
+    /// process's one worker pool ([`crate::WorkerPool`]): a build at `t`
+    /// threads reuses the parked workers the aggregation rounds use,
+    /// growing the pool in place only if no earlier dispatch was `t`
+    /// wide. The two heavy phases shard independently: support-tree BFS by
+    /// cluster id (each worker with its own subset scratch) and link
+    /// collection by `G`-row mass (shard-local sort/dedup). A fixed-order
+    /// k-way merge of the shard pair lists then fills `H`'s CSR serially
+    /// ([`cgc_net::csr_from_canonical_edges`]), every row already sorted.
     /// Every derived table is **byte-identical** to the sequential build
     /// at any thread count (`tests/build_equivalence.rs` pins this),
     /// including which error is reported on invalid input.
@@ -184,8 +186,6 @@ impl ClusterGraph {
             });
         }
         let k = assignment.iter().copied().max().map_or(0, |m| m + 1);
-        let pool = WorkerPool::global(par.threads());
-        let pool = pool.as_deref();
 
         // Member CSR via counting sort: machines ascend within each
         // cluster, so `members(c)[0]` is the smallest machine — the leader.
@@ -215,7 +215,6 @@ impl ClusterGraph {
         let tree_plan = ShardPlan::from_prefix(&member_offsets, par.threads());
         let (parents, heights) = map_reduce_on(
             &tree_plan,
-            pool,
             |range| build_support_trees(&comm, &member_offsets, &member_ids, range),
             |acc: &mut Result<(Vec<MachineId>, Vec<usize>), NetError>, part| {
                 if let Ok((parents, heights)) = acc {
@@ -239,7 +238,6 @@ impl ClusterGraph {
         let link_plan = ShardPlan::from_prefix(comm_offsets, par.threads());
         let pair_lists: Vec<Vec<((VertexId, VertexId), u32)>> = map_reduce_on(
             &link_plan,
-            pool,
             |range| {
                 let mut raw: Vec<(VertexId, VertexId)> = Vec::new();
                 for a in range {
@@ -273,33 +271,11 @@ impl ClusterGraph {
         // its order is the row-by-row numbering of the upper halves.
         let (edges, edge_mult) = cgc_net::kway_merge_counted(pair_lists);
         let edge_offsets = row_offsets(k, edges.iter().map(|&(u, _)| u));
-
-        let mut deg = vec![0usize; k];
-        for &(u, v) in &edges {
-            deg[u] += 1;
-            deg[v] += 1;
-        }
-        let mut h_offsets = Vec::with_capacity(k + 1);
-        h_offsets.push(0usize);
-        for d in &deg {
-            h_offsets.push(h_offsets.last().unwrap() + d);
-        }
-        // `edges` is sorted by `(u, v)`, so row `x` receives its lower
-        // neighbors first (from the rows `u < x`, ascending) and then its
-        // upper neighbors (from row `x`, ascending): every row comes out
-        // sorted and needs no per-row sort.
-        let mut h_adj = vec![0usize; h_offsets[k]];
-        let mut cursor = h_offsets[..k].to_vec();
-        for &(u, v) in &edges {
-            h_adj[cursor[u]] = v;
-            cursor[u] += 1;
-            h_adj[cursor[v]] = u;
-            cursor[v] += 1;
-        }
+        let (h_offsets, h_adj) = csr_from_canonical_edges(k, &edges);
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
         let dilation = heights.iter().copied().max().unwrap_or(0).max(1);
-        let max_degree = deg.iter().copied().max().unwrap_or(0);
+        let max_degree = h_offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         let timings = BuildTimings {
             tree_secs,
             link_secs,

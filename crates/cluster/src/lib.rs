@@ -14,7 +14,12 @@
 //! * [`ClusterNet`] — the metered runtime: every communication primitive
 //!   charges H-rounds, G-rounds and bits to a [`cgc_net::CostMeter`],
 //!   pipelining oversized messages;
-//! * [`groups`] — random intra-clique groups (Lemma 4.4).
+//! * [`groups`] — random intra-clique groups (Lemma 4.4);
+//! * [`par`] — the shared parallel executor, re-exported from
+//!   [`cgc_net::par`]: shard plans, the split-slice/map-reduce primitives
+//!   and the process's one worker pool, which grows in place and never
+//!   retires a worker. Runtimes and builds pass a thread count, never a
+//!   pool handle.
 //!
 //! # Example
 //!

@@ -4,8 +4,9 @@
 //! (`par_vertex_fill_words`, which the driver's fallback and list-coloring
 //! loops run through) perform **zero heap allocations per round** — under
 //! the sequential config *and* under a parallel config dispatching on the
-//! persistent [`WorkerPool`], where warm rounds additionally **spawn no
-//! threads** (pool workers are created once and parked between rounds). Warm
+//! process's [`WorkerPool`], where warm rounds run on the configured
+//! thread count and additionally **spawn no threads** (pool workers are
+//! created once and parked between rounds). Warm
 //! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
 //! call by design, must spawn no threads either, and a warm sample makes
 //! exactly one allocation, its matrix.
@@ -27,6 +28,7 @@ use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, WorkerPool};
 use cgc_net::{CommGraph, SeedStream};
 use cgc_sketch::{approx_count_neighbors, CountingParams, FingerprintMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
@@ -151,6 +153,12 @@ fn fill_neighbor_words(net: &ClusterNet<'_>, rows: &mut Vec<u64>) {
     });
 }
 
+/// The distinct threads that ran one `par_vertex_map` over `net`'s plan.
+fn threads_used(net: &ClusterNet<'_>) -> usize {
+    let ids = net.par_vertex_map(|_| Some(std::thread::current().id()));
+    ids.into_iter().collect::<HashSet<_>>().len()
+}
+
 fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
     for threads in [1usize, 2] {
         pooled_rounds_at(threads);
@@ -160,12 +168,12 @@ fn pooled_rounds_are_allocation_free_and_spawn_no_threads() {
 fn pooled_rounds_at(threads: usize) {
     let h = instance();
     // At 2 threads an explicitly parallel runtime: dispatches ride the
-    // process-global persistent worker pool.
+    // process's worker pool.
     let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(threads));
     assert_eq!(
-        net.worker_pool().is_some(),
-        threads > 1,
-        "parallel configs (only) acquire the persistent pool"
+        threads_used(&net),
+        threads,
+        "a {threads}-thread runtime runs on {threads} threads"
     );
     let queries: Vec<u64> = (0..h.n_vertices() as u64).collect();
     let mut out: Vec<u64> = Vec::new();
@@ -257,9 +265,10 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
         (counts, unions, net.meter.report())
     };
     let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(2));
-    assert!(
-        net.worker_pool().is_some(),
-        "parallel config must acquire the persistent pool"
+    assert_eq!(
+        threads_used(&net),
+        2,
+        "a 2-thread runtime runs on 2 threads"
     );
     let warm = round(&mut net);
 

@@ -91,8 +91,8 @@ pub struct DriverOptions {
     pub oracle_acd: bool,
     /// Sharded-executor configuration installed on the net before the run.
     /// `threads > 1` makes every phase dispatch its rounds on the
-    /// process-global persistent [`cgc_cluster::WorkerPool`] (parked
-    /// workers, no per-round spawns). Purely a wall-clock knob: colorings
+    /// process's worker pool ([`cgc_cluster::WorkerPool`]: parked workers,
+    /// no per-round spawns). Purely a wall-clock knob: colorings
     /// and `CostMeter` totals are bit-identical at any thread count
     /// (`parallel_equivalence` and the seeded-determinism tests pin this).
     pub parallel: ParallelConfig,

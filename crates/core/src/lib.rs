@@ -31,7 +31,7 @@
 //!   directly;
 //! * [`serve`] — the multi-tenant session server:
 //!   [`SessionServer`] multiplexes concurrent run requests over the
-//!   shared worker pool with a content-addressed graph cache (LRU
+//!   process's worker pool with a content-addressed graph cache (LRU
 //!   byte/entry budget), single-flight builds and admission control on
 //!   cold builds. Served runs are bit-identical to standalone
 //!   [`Session`] runs; `run_batch` serves a whole seed sweep as one
@@ -86,5 +86,5 @@ pub use mutate::MutationOutcome;
 pub use palette_query::CliquePalette;
 pub use params::{Ablation, Params};
 pub use serve::{ServeOutcome, ServerConfig, ServerStats, SessionServer};
-pub use session::{PaletteQueryOutcome, ParamsProfile, RunOutcome, Session, SessionBuilder};
+pub use session::{PaletteQueryOutcome, RunOutcome, Session, SessionBuilder};
 pub use validate::{coloring_stats, ColoringStats};

@@ -13,9 +13,9 @@
 //! this round shard-parallel with bit-identical blocked flags and charges,
 //! for every phase that funnels through here (trycolor, slackgen, sct,
 //! sampled matching). Under a parallel config the dispatch rides the
-//! net's persistent [`cgc_cluster::WorkerPool`] — parked workers woken
-//! per round, so the thousands of conflict rounds a driver run issues
-//! spawn no threads at all.
+//! process's worker pool ([`cgc_cluster::WorkerPool`]) — parked workers
+//! woken per round, so the thousands of conflict rounds a driver run
+//! issues spawn no threads at all.
 
 use crate::coloring::{Color, Coloring};
 use cgc_cluster::ClusterNet;

@@ -1,9 +1,9 @@
-//! Multi-tenant session server over the shared worker pool.
+//! Multi-tenant session server over the process's worker pool.
 //!
 //! A [`SessionServer`] accepts concurrent run requests — `(workload
 //! spec, seed)` pairs from any number of tenant threads — and serves
-//! them all from one process over the persistent
-//! [`cgc_cluster::WorkerPool`]. The canonical [`WorkloadSpec`] string is
+//! them all from one process over its one worker pool
+//! ([`cgc_cluster::WorkerPool`]). The canonical [`WorkloadSpec`] string is
 //! already a content address (parsing it rebuilds the instance
 //! bit-for-bit), so the server keys its **graph cache** by that string:
 //!
@@ -60,8 +60,8 @@
 //! ```
 
 use crate::params::Params;
-use crate::session::{derive_params, run_coloring_on, ParamsProfile, RunOutcome};
-use cgc_cluster::{available_threads, ClusterGraph, ParallelConfig};
+use crate::session::{run_coloring_on, RunOutcome, DEFAULT_BETA};
+use cgc_cluster::{ClusterGraph, ParallelConfig};
 use cgc_graphs::{SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
 use std::collections::HashMap;
@@ -69,8 +69,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Server knobs: cache budgets, admission bound, and the run
-/// configuration every tenant shares.
+/// Server knobs: cache budgets, admission bound, and the executor every
+/// tenant shares. Every served run uses the session defaults —
+/// [`Params::laptop`], a `32·⌈log₂ n⌉`-bit budget, the fingerprint ACD —
+/// so it is bit-identical to a default [`crate::Session`] run.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Graph-cache entry budget (ready entries; at least 1 is kept).
@@ -83,12 +85,6 @@ pub struct ServerConfig {
     pub max_concurrent_builds: usize,
     /// Executor configuration shared by builds and runs.
     pub parallel: ParallelConfig,
-    /// [`Params`] preset derived per instance.
-    pub profile: ParamsProfile,
-    /// Bandwidth budget factor `β` (see [`crate::SessionBuilder::log_budget`]).
-    pub beta: u64,
-    /// Exact-oracle ACD instead of the fingerprint ACD.
-    pub oracle_acd: bool,
 }
 
 impl Default for ServerConfig {
@@ -98,9 +94,6 @@ impl Default for ServerConfig {
             max_bytes: usize::MAX,
             max_concurrent_builds: 2,
             parallel: ParallelConfig::from_env(),
-            profile: ParamsProfile::Laptop,
-            beta: 32,
-            oracle_acd: false,
         }
     }
 }
@@ -127,24 +120,6 @@ impl ServerConfig {
     /// Overrides the executor configuration (default: honor `CGC_THREADS`).
     pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Selects the [`Params`] preset (default: laptop).
-    pub fn profile(mut self, profile: ParamsProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Bandwidth budget factor `β` (default 32).
-    pub fn log_budget(mut self, beta: u64) -> Self {
-        self.beta = beta;
-        self
-    }
-
-    /// Uses the exact-oracle ACD instead of the fingerprint ACD.
-    pub fn oracle_acd(mut self, oracle: bool) -> Self {
-        self.oracle_acd = oracle;
         self
     }
 }
@@ -296,30 +271,23 @@ impl SessionServer {
     /// Serves one run over an already-acquired instance. `treat_cached`
     /// zeroes the setup timings (the graph was not built for this run).
     fn serve_on(&self, acq: &Acquired, base: &str, seed: u64, treat_cached: bool) -> ServeOutcome {
-        let (run, color_secs) = run_coloring_on(
-            &acq.inst.graph,
-            &acq.inst.params,
-            self.cfg.beta,
-            self.cfg.parallel,
-            self.cfg.oracle_acd,
-            seed,
-        );
-        let setup_or_zero = |secs: f64| if treat_cached { 0.0 } else { secs };
+        let parallel = self.cfg.parallel;
         ServeOutcome {
-            outcome: RunOutcome {
-                run,
-                spec_string: base.to_owned(),
+            outcome: RunOutcome::new(
+                run_coloring_on(
+                    &acq.inst.graph,
+                    &acq.inst.params,
+                    DEFAULT_BETA,
+                    parallel,
+                    false,
+                    seed,
+                ),
+                base.to_owned(),
                 seed,
-                threads: self.cfg.parallel.threads(),
-                detected_cores: available_threads(),
-                build_secs: setup_or_zero(acq.inst.setup.total_secs),
-                generate_secs: setup_or_zero(acq.inst.setup.generate_secs),
-                canonicalize_secs: setup_or_zero(acq.inst.setup.canonicalize_secs),
-                graph_build_secs: setup_or_zero(acq.inst.setup.build_secs),
-                cache_hit: treat_cached,
-                delta_epoch: acq.epoch,
-                color_secs,
-            },
+                parallel.threads(),
+                (!treat_cached).then_some(&acq.inst.setup),
+                acq.epoch,
+            ),
             cache_hit: acq.cache_hit,
             coalesced: acq.coalesced,
             admission_secs: acq.admission_secs,
@@ -396,7 +364,7 @@ impl SessionServer {
             for batch in batches {
                 graph.apply_delta_with(batch, &self.cfg.parallel)?;
             }
-            let params = derive_params(self.cfg.profile, graph.n_vertices(), None, None);
+            let params = Params::laptop(graph.n_vertices());
             let bytes = graph.approx_heap_bytes();
             let inst = Arc::new(CachedInstance {
                 graph,
@@ -526,7 +494,7 @@ impl SessionServer {
                         .expect("recorded delta history replays over the base build");
                 }
             }
-            let params = derive_params(self.cfg.profile, graph.n_vertices(), None, None);
+            let params = Params::laptop(graph.n_vertices());
             let bytes = graph.approx_heap_bytes();
             Arc::new(CachedInstance {
                 graph,

@@ -13,12 +13,14 @@
 //! workload spec string — everything an experiment table or JSON baseline
 //! needs to make the run reproducible and comparable across hardware.
 //!
-//! Parallel sessions dispatch on the **persistent worker pool**
+//! Parallel sessions dispatch on the process's one **worker pool**
 //! ([`cgc_cluster::WorkerPool`]): the instance build, every
 //! [`Session::make_net`] runtime and every round of every
-//! [`Session::run`] reuse the same parked OS threads from the
-//! process-global pool cache — across rounds, runs, and seed/thread
-//! sweeps — so no per-round (or per-run) thread spawning ever happens.
+//! [`Session::run`] reuse the same parked OS threads — across rounds,
+//! runs, and seed/thread sweeps — so no per-round (or per-run) thread
+//! spawning ever happens. The pool grows in place the first time a
+//! session asks for more threads than any earlier dispatch and never
+//! shrinks, so sessions at different thread counts each keep theirs.
 //!
 //! ```
 //! use cgc_core::SessionBuilder;
@@ -39,7 +41,7 @@
 use crate::coloring::Coloring;
 use crate::driver::{color_cluster_graph_with, DriverOptions, RunResult};
 use crate::mutate::{recolor_dirty, MutationOutcome};
-use crate::params::{Ablation, Params};
+use crate::params::Params;
 use cgc_cluster::{available_threads, BitsScratch, ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_graphs::{PlantedInfo, SetupTimings, WorkloadParseError, WorkloadSpec};
 use cgc_net::{DeltaBatch, NetError};
@@ -54,15 +56,9 @@ thread_local! {
     static QUERY_SCRATCH: RefCell<BitsScratch> = const { RefCell::new(BitsScratch::new()) };
 }
 
-/// Which [`Params`] preset a session derives from the instance size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParamsProfile {
-    /// [`Params::laptop`] — scaled constants, the experiment default.
-    #[default]
-    Laptop,
-    /// [`Params::paper`] — the faithful constants.
-    Paper,
-}
+/// The default bandwidth factor `β`: a `32·⌈log₂ n⌉`-bit budget per link
+/// per round, for sessions and for every served run.
+pub(crate) const DEFAULT_BETA: u64 = 32;
 
 /// Everything one coloring run produced, bundled for uniform reporting.
 #[derive(Debug, Clone)]
@@ -106,6 +102,38 @@ pub struct RunOutcome {
     pub color_secs: f64,
 }
 
+impl RunOutcome {
+    /// Bundles a run's result and wall-clock (what [`run_coloring_on`]
+    /// returns) with its reporting context. `setup` is the colored
+    /// instance's setup timings, or `None` when the run reused a cached
+    /// graph: a cache hit reports every setup timing as 0. Both
+    /// [`Session::run`] and the server assemble their outcomes here.
+    pub(crate) fn new(
+        (run, color_secs): (RunResult, f64),
+        spec_string: String,
+        seed: u64,
+        threads: usize,
+        setup: Option<&SetupTimings>,
+        delta_epoch: u64,
+    ) -> Self {
+        let secs = |phase: fn(&SetupTimings) -> f64| setup.map_or(0.0, phase);
+        RunOutcome {
+            run,
+            spec_string,
+            seed,
+            threads,
+            detected_cores: available_threads(),
+            build_secs: secs(|t| t.total_secs),
+            generate_secs: secs(|t| t.generate_secs),
+            canonicalize_secs: secs(|t| t.canonicalize_secs),
+            graph_build_secs: secs(|t| t.build_secs),
+            cache_hit: setup.is_none(),
+            delta_epoch,
+            color_secs,
+        }
+    }
+}
+
 /// What one palette query pass produced ([`Session::query_palettes`]):
 /// per-vertex palette/slack views. A pure function of
 /// `(graph, coloring)` — bit-identical at any thread count.
@@ -131,11 +159,10 @@ pub struct PaletteQueryOutcome {
 /// to hand-roll, behind fluent setters.
 ///
 /// ```
-/// use cgc_core::{ParamsProfile, SessionBuilder};
+/// use cgc_core::SessionBuilder;
 /// use cgc_graphs::WorkloadSpec;
 ///
 /// let mut session = SessionBuilder::new(WorkloadSpec::gnp(60, 0.2, 7))
-///     .params(ParamsProfile::Paper)
 ///     .log_budget(32)
 ///     .oracle_acd(false)
 ///     .build();
@@ -145,11 +172,9 @@ pub struct PaletteQueryOutcome {
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     spec: WorkloadSpec,
-    profile: ParamsProfile,
     beta: u64,
     parallel: ParallelConfig,
     oracle_acd: bool,
-    ablation: Option<Ablation>,
     delta_low: Option<usize>,
 }
 
@@ -160,11 +185,9 @@ impl SessionBuilder {
     pub fn new(spec: WorkloadSpec) -> Self {
         SessionBuilder {
             spec,
-            profile: ParamsProfile::Laptop,
-            beta: 32,
+            beta: DEFAULT_BETA,
             parallel: ParallelConfig::from_env(),
             oracle_acd: false,
-            ablation: None,
             delta_low: None,
         }
     }
@@ -172,12 +195,6 @@ impl SessionBuilder {
     /// Builder from a compact workload string (`"gnp:n=120,p=0.05,seed=1"`).
     pub fn parse(spec: &str) -> Result<Self, WorkloadParseError> {
         Ok(Self::new(spec.parse()?))
-    }
-
-    /// Selects the [`Params`] preset (default: laptop).
-    pub fn params(mut self, profile: ParamsProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Bandwidth budget factor `β` (budget = `β·⌈log₂ n_machines⌉` bits
@@ -199,12 +216,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs stage toggles for ablation runs (E19).
-    pub fn ablation(mut self, ablation: Ablation) -> Self {
-        self.ablation = Some(ablation);
-        self
-    }
-
     /// Overrides `Δ_low` (E2 forces the §9 path with a huge value).
     pub fn delta_low(mut self, delta_low: usize) -> Self {
         self.delta_low = Some(delta_low);
@@ -214,12 +225,7 @@ impl SessionBuilder {
     /// Builds the instance (timed) and returns the ready [`Session`].
     pub fn build(self) -> Session {
         let (graph, planted, setup) = self.spec.build_timed(&self.parallel);
-        let params = derive_params(
-            self.profile,
-            graph.n_vertices(),
-            self.ablation,
-            self.delta_low,
-        );
+        let params = derive_params(graph.n_vertices(), self.delta_low);
         Session {
             spec: self.spec,
             graph,
@@ -228,8 +234,6 @@ impl SessionBuilder {
             runs_on_graph: 0,
             delta_epoch: 0,
             coloring: None,
-            profile: self.profile,
-            ablation: self.ablation,
             delta_low: self.delta_low,
             params,
             beta: self.beta,
@@ -239,19 +243,10 @@ impl SessionBuilder {
     }
 }
 
-pub(crate) fn derive_params(
-    profile: ParamsProfile,
-    n: usize,
-    ablation: Option<Ablation>,
-    delta_low: Option<usize>,
-) -> Params {
-    let mut params = match profile {
-        ParamsProfile::Laptop => Params::laptop(n),
-        ParamsProfile::Paper => Params::paper(n),
-    };
-    if let Some(ab) = ablation {
-        params.ablation = ab;
-    }
+/// [`Params::laptop`] for an `n`-vertex instance, with the session's
+/// `Δ_low` override applied.
+fn derive_params(n: usize, delta_low: Option<usize>) -> Params {
+    let mut params = Params::laptop(n);
     if let Some(dl) = delta_low {
         params.delta_low = dl;
     }
@@ -296,8 +291,6 @@ pub struct Session {
     /// the seed for incremental recoloring. `None` until the first run
     /// (or after a failed apply left it stale).
     coloring: Option<Coloring>,
-    profile: ParamsProfile,
-    ablation: Option<Ablation>,
     delta_low: Option<usize>,
     params: Params,
     beta: u64,
@@ -330,16 +323,6 @@ impl Session {
     /// one (planted cliques, mixtures, cabals).
     pub fn planted(&self) -> Option<&PlantedInfo> {
         self.planted.as_ref()
-    }
-
-    /// Wall-clock seconds the loaded instance took to set up end to end
-    /// (generation + canonicalization + `ClusterGraph` build) — the
-    /// historical name for what is now `setup_timings().total_secs`, so
-    /// the `SetupTimings::build_secs` *sub-phase* is deliberately not
-    /// what this returns.
-    #[allow(clippy::misnamed_getters)]
-    pub fn build_secs(&self) -> f64 {
-        self.setup.total_secs
     }
 
     /// Per-phase setup timings of the loaded instance
@@ -387,12 +370,7 @@ impl Session {
         self.graph = graph;
         self.planted = planted;
         self.spec = spec;
-        self.params = derive_params(
-            self.profile,
-            self.graph.n_vertices(),
-            self.ablation,
-            self.delta_low,
-        );
+        self.params = derive_params(self.graph.n_vertices(), self.delta_low);
     }
 
     /// A fresh metered runtime over the cached graph, with the session's
@@ -407,32 +385,24 @@ impl Session {
     /// pairs produce bit-identical colorings and cost reports at any
     /// thread count.
     pub fn run(&mut self, seed: u64) -> RunOutcome {
-        let (run, color_secs) = run_coloring_on(
-            &self.graph,
-            &self.params,
-            self.beta,
-            self.parallel,
-            self.oracle_acd,
+        let outcome = RunOutcome::new(
+            run_coloring_on(
+                &self.graph,
+                &self.params,
+                self.beta,
+                self.parallel,
+                self.oracle_acd,
+                seed,
+            ),
+            self.spec.to_string(),
             seed,
+            self.parallel.threads(),
+            (self.runs_on_graph == 0).then_some(&self.setup),
+            self.delta_epoch,
         );
-        let cache_hit = self.runs_on_graph > 0;
         self.runs_on_graph += 1;
-        self.coloring = Some(run.coloring.clone());
-        let setup_or_zero = |secs: f64| if cache_hit { 0.0 } else { secs };
-        RunOutcome {
-            run,
-            spec_string: self.spec.to_string(),
-            seed,
-            threads: self.parallel.threads(),
-            detected_cores: available_threads(),
-            build_secs: setup_or_zero(self.setup.total_secs),
-            generate_secs: setup_or_zero(self.setup.generate_secs),
-            canonicalize_secs: setup_or_zero(self.setup.canonicalize_secs),
-            graph_build_secs: setup_or_zero(self.setup.build_secs),
-            cache_hit,
-            delta_epoch: self.delta_epoch,
-            color_secs,
-        }
+        self.coloring = Some(outcome.run.coloring.clone());
+        outcome
     }
 
     /// The loaded instance's delta epoch: the number of batches ever
@@ -624,12 +594,6 @@ mod tests {
         let out = s.run(7);
         assert!(out.run.stats.oracle_acd);
         assert!(out.run.coloring.is_total());
-
-        let mut forced = SessionBuilder::new(WorkloadSpec::gnp(60, 0.2, 7))
-            .params(ParamsProfile::Paper)
-            .build();
-        let out = forced.run(19);
-        assert_eq!(out.run.stats.path, crate::driver::AlgoPath::LowDegree);
     }
 
     #[test]

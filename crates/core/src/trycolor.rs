@@ -34,7 +34,10 @@ impl TrialScratch {
 /// `eligible[v]` marks the vertices allowed to try (uncolored vertices
 /// outside it never try); each eligible uncolored vertex activates with
 /// probability `activation_p` (Algorithm 17's `p = γ/4`) and samples a
-/// candidate via `sampler` (returning `None` = sit out this round).
+/// candidate via `sampler` (returning `None` = sit out this round). The
+/// flags are packed and intersected with the coloring's occupancy mask
+/// (`eligible & !occupied`), as [`try_color_rounds`] does, and the round
+/// runs through [`try_color_round_words`].
 ///
 /// Returns the number of vertices newly colored.
 ///
@@ -50,54 +53,25 @@ pub fn try_color_round(
     activation_p: f64,
     sampler: impl FnMut(VertexId, &mut ChaCha8Rng) -> Option<Color>,
 ) -> usize {
-    let mut scratch = TrialScratch::new();
-    try_color_round_with(
+    assert_eq!(
+        eligible.len(),
+        net.g.n_vertices(),
+        "eligibility flag per vertex"
+    );
+    let mut elig_words = Vec::new();
+    bits::pack_flags_into(eligible, &mut elig_words);
+    let mut active = Vec::new();
+    bits::andnot_into(&elig_words, coloring.occupied_words(), &mut active);
+    try_color_round_words(
         net,
         coloring,
         seeds,
         salt,
-        eligible,
+        &active,
         activation_p,
         sampler,
-        &mut scratch,
+        &mut TrialScratch::new(),
     )
-}
-
-/// [`try_color_round`] with caller-owned buffers — the form round loops
-/// use to keep the metered hot path allocation-free.
-///
-/// # Panics
-///
-/// Panics if `eligible.len()` differs from the vertex count.
-#[allow(clippy::too_many_arguments)]
-pub fn try_color_round_with(
-    net: &mut ClusterNet<'_>,
-    coloring: &mut Coloring,
-    seeds: &SeedStream,
-    salt: u64,
-    eligible: &[bool],
-    activation_p: f64,
-    mut sampler: impl FnMut(VertexId, &mut ChaCha8Rng) -> Option<Color>,
-    scratch: &mut TrialScratch,
-) -> usize {
-    let n = net.g.n_vertices();
-    assert_eq!(eligible.len(), n, "eligibility flag per vertex");
-
-    // Candidate colors (vertex-local randomness).
-    let cand = &mut scratch.cand;
-    cand.clear();
-    cand.resize(n, None);
-    for v in 0..n {
-        if !eligible[v] || coloring.is_colored(v) {
-            continue;
-        }
-        let mut rng = seeds.rng_for(v as u64, salt);
-        if activation_p >= 1.0 || rng.random::<f64>() < activation_p {
-            cand[v] = sampler(v, &mut rng);
-        }
-    }
-
-    conflict_round_and_commit(net, coloring, scratch)
 }
 
 /// One round of `TryColor` over a **packed active mask** (bit `v` set =
@@ -108,9 +82,9 @@ pub fn try_color_round_with(
 /// finisher) call this directly: candidate generation iterates only the
 /// set bits instead of scanning all `n` flags.
 ///
-/// Bit-identical to [`try_color_round_with`] with the equivalent
-/// `&[bool]` mask: set bits are visited ascending, with the same
-/// per-vertex seeded RNG.
+/// Set bits are visited ascending, each with its vertex's own seeded RNG
+/// (`seeds.rng_for(v, salt)`), so the round is a pure function of the
+/// mask, not of how it was built.
 ///
 /// # Panics
 ///

@@ -10,7 +10,7 @@
 
 use crate::pipeline::ShardedEdgeSource;
 use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_net::{map_reduce_on, CommGraph, SeedStream, ShardPlan, WorkerPool};
+use cgc_net::{map_reduce_on, CommGraph, SeedStream, ShardPlan};
 use rand::RngExt;
 
 /// A conflict-graph specification: the graph `H` to be colored.
@@ -199,11 +199,9 @@ pub fn realize_runs(
     // sequence is unchanged at every thread count.
     let link_seeds = SeedStream::new(seed).child(0xEDCE);
     let plan = ShardPlan::even(h.edges.len(), par.threads());
-    let pool = WorkerPool::global(par.threads());
     let edges = &h.edges;
     let link_runs = map_reduce_on(
         &plan,
-        pool.as_deref(),
         |range| {
             let mut links: Vec<(usize, usize)> = Vec::with_capacity(range.len() * links_per_edge);
             for e in range {

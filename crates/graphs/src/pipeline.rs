@@ -21,13 +21,16 @@
 //! edges into a private run, and keep the runs in fixed shard order — the
 //! logical edge sequence is identical at any thread count, and the
 //! canonicalization steps downstream ([`ShardedEdgeSource::into_hspec`],
-//! [`cgc_net::CommGraph::from_edge_runs_with`]) produce the unique sorted
+//! [`cgc_net::CommGraph::from_edge_runs_with`]) — both the one sharded
+//! canonicalizer [`cgc_net::canonical_edges`] — produce the unique sorted
 //! dedup of that sequence regardless of where the run boundaries fall.
-//! Sharded stages dispatch on the process-global persistent
-//! [`WorkerPool`], the same parked workers every aggregation round uses.
+//! Sharded stages dispatch on the process's one worker pool
+//! ([`cgc_net::WorkerPool`]), the same parked workers every aggregation
+//! round uses; a stage wider than every earlier dispatch grows the pool
+//! in place.
 
 use crate::layouts::HSpec;
-use cgc_net::{kway_merge_dedup, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
+use cgc_net::{canonical_edges, map_reduce_on, ParallelConfig, ShardPlan};
 
 /// Per-shard edge runs: the intermediate product of every sharded
 /// generator, handed to the canonicalizing sinks without being
@@ -99,10 +102,8 @@ impl ShardedEdgeSource {
                 ShardPlan::from_prefix(&prefix, par.threads())
             }
         };
-        let pool = WorkerPool::global(par.threads());
         let runs = map_reduce_on(
             &plan,
-            pool.as_deref(),
             |range| {
                 let mut run = Vec::new();
                 for u in range {
@@ -169,11 +170,9 @@ impl ShardedEdgeSource {
             }
         }
         let plan = ShardPlan::from_prefix(&prefix, par.threads());
-        let pool = WorkerPool::global(par.threads());
         let tasks = &tasks;
         let runs = map_reduce_on(
             &plan,
-            pool.as_deref(),
             |range| {
                 let mut run = Vec::new();
                 for &(u, j, k) in &tasks[range] {
@@ -226,45 +225,22 @@ impl ShardedEdgeSource {
         out
     }
 
-    /// Canonicalizes into an [`HSpec`]: validates, normalizes orientation,
-    /// sorts and deduplicates each shard's slice of the runs locally, then
-    /// merges the sorted runs with the deterministic fixed-order k-way
-    /// merge. The result equals `HSpec::new(n, concatenation)` exactly, at
-    /// any thread count and for any run partition.
+    /// Canonicalizes into an [`HSpec`] through [`canonical_edges`]:
+    /// validates, normalizes orientation, sorts and deduplicates each
+    /// shard's slice of the concatenated runs locally, then merges the
+    /// sorted lists with the deterministic fixed-order k-way merge. The
+    /// result equals `HSpec::new(n, concatenation)` exactly, at any thread
+    /// count and for any run partition.
     ///
     /// # Panics
     ///
     /// Panics on self-loops or out-of-range endpoints, like
-    /// [`HSpec::new`] (under a parallel `par` the panic may surface with
-    /// the pool's generic message instead of the edge's own).
+    /// [`HSpec::new`]; the message names the earliest bad edge in input
+    /// order.
     pub fn into_hspec(self, par: &ParallelConfig) -> HSpec {
-        let n = self.n;
-        let plan = ShardPlan::even(self.runs.len(), par.threads());
-        let pool = WorkerPool::global(par.threads());
-        let runs = &self.runs;
-        let sorted = map_reduce_on(
-            &plan,
-            pool.as_deref(),
-            |range| {
-                let mut canon: Vec<(usize, usize)> =
-                    Vec::with_capacity(runs[range.clone()].iter().map(Vec::len).sum());
-                for run in &runs[range] {
-                    for &(u, v) in run {
-                        assert!(u != v, "self-loop {u}");
-                        assert!(u < n && v < n, "edge ({u},{v}) out of range for n={n}");
-                        canon.push((u.min(v), u.max(v)));
-                    }
-                }
-                canon.sort_unstable();
-                canon.dedup();
-                vec![canon]
-            },
-            |acc: &mut Vec<Vec<(usize, usize)>>, part| acc.extend(part),
-        );
-        HSpec {
-            n,
-            edges: kway_merge_dedup(sorted),
-        }
+        let edges =
+            canonical_edges(self.n, &self.run_slices(), par).unwrap_or_else(|e| panic!("{e}"));
+        HSpec { n: self.n, edges }
     }
 }
 

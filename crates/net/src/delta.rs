@@ -3,7 +3,7 @@
 //! A [`DeltaBatch`] is the mutation analogue of the bulk edge runs that
 //! [`crate::CommGraph::from_edge_runs_with`] ingests: both lists pass
 //! through the same sharded validate → canonicalize → sort/dedup →
-//! k-way-merge pipeline, so a batch is a pair of canonical (`u < v`,
+//! k-way-merge pipeline ([`crate::canonical_edges`]), so a batch is a pair of canonical (`u < v`,
 //! sorted, duplicate-free) edge sets with deterministic, earliest-in-input
 //! error reporting at any thread count. Applying a batch replaces the edge
 //! set `E` by `(E \ deletes) ∪ inserts`; inserting an edge that already
@@ -13,8 +13,8 @@
 //! application order.
 
 use crate::error::NetError;
-use crate::graph::MachineId;
-use crate::par::{kway_merge_dedup, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
+use crate::graph::{canonical_edges, MachineId};
+use crate::par::ParallelConfig;
 
 /// A validated batch of edge insertions and deletions over `n` machines.
 ///
@@ -39,50 +39,6 @@ pub struct DeltaBatch {
     n: usize,
     inserts: Vec<(MachineId, MachineId)>,
     deletes: Vec<(MachineId, MachineId)>,
-}
-
-/// Validate + canonicalize + sort/dedup one edge list, sharded exactly
-/// like `from_edge_runs_with`'s phase 1: contiguous input shards merged in
-/// shard order, so the reported error is the earliest bad edge in input
-/// order at any thread count.
-fn canonicalize(
-    n: usize,
-    edges: &[(MachineId, MachineId)],
-    par: &ParallelConfig,
-) -> Result<Vec<(MachineId, MachineId)>, NetError> {
-    let plan = ShardPlan::even(edges.len(), par.threads());
-    let pool = WorkerPool::global(par.threads());
-    let sorted_runs = map_reduce_on(
-        &plan,
-        pool.as_deref(),
-        |range| -> Result<Vec<Vec<(usize, usize)>>, NetError> {
-            let mut canon: Vec<(usize, usize)> = Vec::with_capacity(range.len());
-            for &(u, v) in &edges[range] {
-                if u >= n {
-                    return Err(NetError::MachineOutOfRange { machine: u, n });
-                }
-                if v >= n {
-                    return Err(NetError::MachineOutOfRange { machine: v, n });
-                }
-                if u == v {
-                    return Err(NetError::SelfLoop { machine: u });
-                }
-                canon.push((u.min(v), u.max(v)));
-            }
-            canon.sort_unstable();
-            canon.dedup();
-            Ok(vec![canon])
-        },
-        |acc, part| {
-            if let Ok(lists) = acc {
-                match part {
-                    Ok(more) => lists.extend(more),
-                    Err(e) => *acc = Err(e),
-                }
-            }
-        },
-    )?;
-    Ok(kway_merge_dedup(sorted_runs))
 }
 
 impl DeltaBatch {
@@ -121,8 +77,8 @@ impl DeltaBatch {
         if n == 0 {
             return Err(NetError::EmptyGraph);
         }
-        let inserts = canonicalize(n, inserts, par)?;
-        let deletes = canonicalize(n, deletes, par)?;
+        let inserts = canonical_edges(n, &[inserts], par)?;
+        let deletes = canonical_edges(n, &[deletes], par)?;
         // Both lists are sorted, so the intersection check is one linear
         // two-pointer walk; the smallest common edge is reported.
         let (mut i, mut d) = (0usize, 0usize);

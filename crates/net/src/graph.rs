@@ -6,7 +6,7 @@
 
 use crate::delta::{DeltaBatch, DeltaEffect};
 use crate::error::NetError;
-use crate::par::{kway_merge_dedup, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
+use crate::par::{kway_merge_dedup, map_reduce_on, ParallelConfig, ShardPlan};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 
@@ -59,12 +59,10 @@ impl CommGraph {
     }
 
     /// [`Self::from_edges`] with validation, orientation normalization
-    /// and sort/dedup sharded over `par`'s threads (dispatched on the
-    /// process-global [`WorkerPool`]). Each shard canonicalizes and sorts
-    /// a contiguous range of the input, the sorted runs merge through the
-    /// deterministic fixed-order k-way merge, and one serial counting sort
-    /// fills the CSR — the result (and, on invalid input, the reported
-    /// error: always the earliest bad edge in input order) is
+    /// and sort/dedup sharded over `par`'s threads ([`canonical_edges`]),
+    /// then one serial counting sort filling the CSR
+    /// ([`csr_from_canonical_edges`]) — the result (and, on invalid input,
+    /// the reported error: always the earliest bad edge in input order) is
     /// **byte-identical** to the serial path at any thread count.
     ///
     /// # Errors
@@ -97,97 +95,9 @@ impl CommGraph {
         if n == 0 {
             return Err(NetError::EmptyGraph);
         }
-        // Run-start prefix so a shard of the concatenated index space can
-        // locate its slice(s) without copying the input.
-        let mut starts = Vec::with_capacity(runs.len() + 1);
-        starts.push(0usize);
-        for r in runs {
-            starts.push(starts.last().unwrap() + r.len());
-        }
-        let total = *starts.last().unwrap();
-        let plan = ShardPlan::even(total, par.threads());
-        let pool = WorkerPool::global(par.threads());
-        let pool = pool.as_deref();
-        // Phase 1: validate + canonicalize + sort/dedup, shard-locally.
-        // Shards are contiguous ascending input ranges merged in shard
-        // order and each shard stops at its first bad edge, so the merged
-        // error is the earliest bad edge in input order — exactly the
-        // serial sweep's report.
-        let sorted_runs = map_reduce_on(
-            &plan,
-            pool,
-            |range| -> Result<Vec<Vec<(usize, usize)>>, NetError> {
-                let mut canon: Vec<(usize, usize)> = Vec::with_capacity(range.len());
-                let mut r = match starts.binary_search(&range.start) {
-                    Ok(i) => i,
-                    Err(i) => i - 1,
-                };
-                let mut off = range.start - starts[r];
-                let mut remaining = range.len();
-                while remaining > 0 {
-                    let run = runs[r];
-                    let take = remaining.min(run.len() - off);
-                    for &(u, v) in &run[off..off + take] {
-                        if u >= n {
-                            return Err(NetError::MachineOutOfRange { machine: u, n });
-                        }
-                        if v >= n {
-                            return Err(NetError::MachineOutOfRange { machine: v, n });
-                        }
-                        if u == v {
-                            return Err(NetError::SelfLoop { machine: u });
-                        }
-                        canon.push((u.min(v), u.max(v)));
-                    }
-                    remaining -= take;
-                    r += 1;
-                    off = 0;
-                }
-                canon.sort_unstable();
-                canon.dedup();
-                Ok(vec![canon])
-            },
-            |acc, part| {
-                if let Ok(lists) = acc {
-                    match part {
-                        Ok(more) => lists.extend(more),
-                        Err(e) => *acc = Err(e),
-                    }
-                }
-            },
-        )?;
-        // Phase 2: deterministic fixed-order k-way merge — the unique
-        // sorted dedup of the union, independent of the partition.
-        let canon = kway_merge_dedup(sorted_runs);
-        Ok(Self::from_canonical_edges(n, &canon))
-    }
-
-    /// CSR assembly from the canonical (sorted, deduplicated, `u < v`)
-    /// edge list by counting sort: one degree pass, then one cursor walk
-    /// that appends each edge to both endpoint rows in edge order — so
-    /// every row comes out ascending, the way `ClusterGraph::build` fills
-    /// `H`'s rows. Serial: it is linear in `m` and sits behind the
-    /// sharded sort above.
-    fn from_canonical_edges(n: usize, canon: &[(usize, usize)]) -> Self {
-        let mut deg = vec![0usize; n];
-        for &(u, v) in canon {
-            deg[u] += 1;
-            deg[v] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for d in &deg {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-        let mut adj = vec![0usize; offsets[n]];
-        let mut cursor = offsets[..n].to_vec();
-        for &(u, v) in canon {
-            adj[cursor[u]] = v;
-            cursor[u] += 1;
-            adj[cursor[v]] = u;
-            cursor[v] += 1;
-        }
-        CommGraph { n, offsets, adj }
+        let canon = canonical_edges(n, runs, par)?;
+        let (offsets, adj) = csr_from_canonical_edges(n, &canon);
+        Ok(CommGraph { n, offsets, adj })
     }
 
     /// Applies an edge delta batch in place, serially. See
@@ -277,7 +187,7 @@ impl CommGraph {
     /// balanced by new-row mass; a CSR row is ascending (all lower
     /// neighbors then all higher, each sorted), so patching a touched row
     /// is one linear sorted merge and the output is exactly what
-    /// [`Self::from_canonical_edges`] would produce.
+    /// [`csr_from_canonical_edges`] would produce.
     fn patched(&self, effect: &DeltaEffect, par: &ParallelConfig) -> Self {
         // Directed patch pairs grouped by row: (row, neighbor) for both
         // endpoints of every changed edge, sorted so each row's additions
@@ -502,6 +412,112 @@ impl CommGraph {
     pub fn max_degree(&self) -> usize {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
+}
+
+/// Validates, orients (`u < v`), sorts and deduplicates the
+/// concatenation of `runs` as edges over machines `0..n`, sharded over
+/// `par`'s threads: each shard canonicalizes and sorts a contiguous range
+/// of the concatenated input (stopping at its first bad edge), and the
+/// sorted shard lists merge through the fixed-order k-way merge
+/// ([`kway_merge_dedup`]). Shards are merged in shard order, so the
+/// result — and, on invalid input, the reported error, always the
+/// earliest bad edge in input order — is the same at any thread count and
+/// for any run partition. The one edge canonicalizer behind
+/// [`CommGraph::from_edge_runs_with`], [`crate::DeltaBatch`] and
+/// `cgc_graphs`' `HSpec`s.
+///
+/// # Errors
+///
+/// [`NetError::MachineOutOfRange`] if an endpoint is `>= n`,
+/// [`NetError::SelfLoop`] on a `(u, u)` edge.
+pub fn canonical_edges(
+    n: usize,
+    runs: &[&[(MachineId, MachineId)]],
+    par: &ParallelConfig,
+) -> Result<Vec<(MachineId, MachineId)>, NetError> {
+    // Run-start prefix so a shard of the concatenated index space can
+    // locate its slice(s) without copying the input.
+    let mut starts = Vec::with_capacity(runs.len() + 1);
+    starts.push(0usize);
+    for r in runs {
+        starts.push(starts.last().unwrap() + r.len());
+    }
+    let total = *starts.last().unwrap();
+    let plan = ShardPlan::even(total, par.threads());
+    let sorted_runs = map_reduce_on(
+        &plan,
+        |range| -> Result<Vec<Vec<(usize, usize)>>, NetError> {
+            let mut canon: Vec<(usize, usize)> = Vec::with_capacity(range.len());
+            let mut r = match starts.binary_search(&range.start) {
+                Ok(i) => i,
+                Err(i) => i - 1,
+            };
+            let mut off = range.start - starts[r];
+            let mut remaining = range.len();
+            while remaining > 0 {
+                let run = runs[r];
+                let take = remaining.min(run.len() - off);
+                for &(u, v) in &run[off..off + take] {
+                    if u >= n {
+                        return Err(NetError::MachineOutOfRange { machine: u, n });
+                    }
+                    if v >= n {
+                        return Err(NetError::MachineOutOfRange { machine: v, n });
+                    }
+                    if u == v {
+                        return Err(NetError::SelfLoop { machine: u });
+                    }
+                    canon.push((u.min(v), u.max(v)));
+                }
+                remaining -= take;
+                r += 1;
+                off = 0;
+            }
+            canon.sort_unstable();
+            canon.dedup();
+            Ok(vec![canon])
+        },
+        |acc, part| {
+            if let Ok(lists) = acc {
+                match part {
+                    Ok(more) => lists.extend(more),
+                    Err(e) => *acc = Err(e),
+                }
+            }
+        },
+    )?;
+    Ok(kway_merge_dedup(sorted_runs))
+}
+
+/// CSR assembly from a canonical (sorted, deduplicated, `u < v`) edge
+/// list over `0..n` by counting sort: one degree pass, then one cursor
+/// walk that appends each edge to both endpoint rows in edge order.
+/// Because the list is sorted, row `x` receives its lower neighbors first
+/// (from the rows `u < x`, ascending) and then its upper neighbors (from
+/// row `x`, ascending), so every row comes out ascending with no per-row
+/// sort. Returns `(offsets, adj)`. Serial: it is linear in `m` and sits
+/// behind the sharded sort of [`canonical_edges`]. [`CommGraph`]'s CSR and
+/// the cluster layer's `H` adjacency are both filled here.
+pub fn csr_from_canonical_edges(n: usize, canon: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    let mut deg = vec![0usize; n];
+    for &(u, v) in canon {
+        deg[u] += 1;
+        deg[v] += 1;
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    for d in &deg {
+        offsets.push(offsets.last().unwrap() + d);
+    }
+    let mut adj = vec![0usize; offsets[n]];
+    let mut cursor = offsets[..n].to_vec();
+    for &(u, v) in canon {
+        adj[cursor[u]] = v;
+        cursor[u] += 1;
+        adj[cursor[v]] = u;
+        cursor[v] += 1;
+    }
+    (offsets, adj)
 }
 
 /// Reusable workspace for [`CommGraph::bfs_tree_within_scratch`]: the

@@ -9,18 +9,22 @@
 //!
 //! * [`CommGraph`] — the static machine/link topology, with a sharded,
 //!   thread-count-independent bulk edge ingest
-//!   ([`CommGraph::from_edges_with`]),
+//!   ([`CommGraph::from_edges_with`]) built on the one edge canonicalizer
+//!   ([`canonical_edges`]) and the one CSR assembly
+//!   ([`csr_from_canonical_edges`]),
 //! * [`CostMeter`] — honest accounting of rounds (both cluster-level
 //!   "H-rounds" and network-level "G-rounds") and of bits per link per round,
 //!   including automatic pipelining charges for oversized messages,
 //! * [`SeedStream`] — deterministic, replayable per-entity random streams so
 //!   every experiment row can be regenerated from a single seed,
 //! * [`par`] — the shared parallel executor: [`ParallelConfig`],
-//!   [`ShardPlan`], the persistent [`WorkerPool`] and the deterministic
-//!   split-slice/map-reduce/k-way-merge primitives every sharded phase
-//!   above (aggregation rounds, `ClusterGraph::build`, the generators)
-//!   runs on. `cgc_cluster` re-exports all of it, so either crate path
-//!   works. The pool's job hand-off is the one exception to the
+//!   [`ShardPlan`], the process's one [`WorkerPool`] (a `static` that
+//!   grows in place to the widest dispatch and never retires a worker)
+//!   and the deterministic split-slice/map-reduce/k-way-merge primitives
+//!   every sharded phase above (aggregation rounds, `ClusterGraph::build`,
+//!   the generators) runs on. The primitives take a shard count, never a
+//!   pool handle. `cgc_cluster` re-exports all of it, so either crate
+//!   path works. The pool's job hand-off is the one exception to the
 //!   crate-level lint below, which rejects raw-pointer code anywhere else.
 //!
 //! # Example
@@ -49,7 +53,7 @@ pub use bandwidth::{CostMeter, CostReport, PhaseCost};
 pub use bits::{BitMatrix, BitsScratch, PaletteBits};
 pub use delta::{DeltaBatch, DeltaEffect};
 pub use error::NetError;
-pub use graph::{BfsScratch, CommGraph, MachineId};
+pub use graph::{canonical_edges, csr_from_canonical_edges, BfsScratch, CommGraph, MachineId};
 pub use par::{
     available_threads, kway_merge_counted, kway_merge_dedup, map_reduce_on, patch_csr_rows,
     ParallelConfig, ShardPlan, WorkerPool,

@@ -1,72 +1,50 @@
-//! Pins the worker-pool lifecycle across global-cache growth: replacing
-//! the process-global pool with a wider one must shut the retired pool's
-//! workers down (terminate + unpark + join), so live pool threads always
-//! equal the final capacity — the retired-worker-set leak `WorkerPool`
-//! used to merely document. Runs as its own integration binary so no
-//! sibling test spawns pool threads in this process mid-assertion.
+//! Pins the worker pool's lifecycle: the process's one pool starts empty,
+//! grows in place to the widest dispatch so far, never retires a worker,
+//! and serves warm and narrower rounds without spawning. Runs as its own
+//! integration binary with one test, so no sibling test dispatches in
+//! this process mid-assertion.
 
+use cgc_net::par::for_each_part;
 use cgc_net::WorkerPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::Mutex;
+
+/// Dispatches `shards` one-element parts, checks each ran once, and
+/// returns how many distinct threads ran them.
+fn dispatch(shards: usize) -> usize {
+    let mut out = vec![usize::MAX; shards];
+    let ran = Mutex::new(HashSet::new());
+    for_each_part(
+        shards,
+        &mut out,
+        |s| s,
+        |s, part| {
+            part[0] = s;
+            ran.lock().unwrap().insert(std::thread::current().id());
+        },
+    );
+    assert_eq!(out, (0..shards).collect::<Vec<_>>(), "{shards} shards");
+    ran.into_inner().unwrap().len()
+}
 
 #[test]
-fn global_growth_retires_and_joins_old_worker_sets() {
-    // Seed the cache, then grow it twice while *holding* the earlier Arcs
-    // — the historical leak scenario (an ascending sweep keeping runtimes
-    // alive accumulated one parked worker set per growth step).
-    let first = WorkerPool::global(3).expect("parallel request gets a pool");
+fn the_pool_grows_in_place_and_never_retires_a_worker() {
+    let spawned = WorkerPool::total_threads_spawned;
+    assert_eq!(spawned(), 0, "the pool starts empty");
+    assert_eq!(dispatch(1), 1);
+    assert_eq!(spawned(), 0, "one shard runs inline and spawns nothing");
+    assert_eq!(dispatch(3), 3);
+    assert_eq!(spawned(), 2, "3 shards: the caller and 2 new workers");
+    assert_eq!(dispatch(5), 5);
     assert_eq!(
-        WorkerPool::live_threads(),
-        first.max_shards() as u64 - 1,
-        "fresh pool: live threads are its workers"
+        spawned(),
+        4,
+        "growing to 5 shards adds the 2 missing workers"
     );
-
-    let second = WorkerPool::global(first.max_shards() + 2).expect("grown pool");
-    assert!(second.max_shards() > first.max_shards());
-    assert!(
-        first.is_shut_down(),
-        "growth must shut the retired pool down"
-    );
-    assert_eq!(
-        WorkerPool::live_threads(),
-        second.max_shards() as u64 - 1,
-        "after growth, live pool threads equal the final capacity"
-    );
-
-    let third = WorkerPool::global(second.max_shards() + 1).expect("grown again");
-    assert!(second.is_shut_down());
-    assert_eq!(
-        WorkerPool::live_threads(),
-        third.max_shards() as u64 - 1,
-        "every growth step retires the previous worker set"
-    );
-
-    // A holder that missed the retirement stays correct: dispatches on the
-    // shut-down pool run their slots inline on the calling thread.
-    let hits = AtomicUsize::new(0);
-    first.run(first.max_shards(), &|slot| {
-        assert!(slot < 3);
-        hits.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), first.max_shards());
-
-    // The surviving pool serves warm rounds without spawning anything.
-    let spawned = WorkerPool::total_threads_spawned();
-    for _ in 0..50 {
-        let hits = AtomicUsize::new(0);
-        third.run(third.max_shards(), &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), third.max_shards());
+    for round in 0..50 {
+        for shards in [5, 4, 3, 2, 1] {
+            assert_eq!(dispatch(shards), shards, "round {round}");
+        }
     }
-    assert_eq!(
-        WorkerPool::total_threads_spawned(),
-        spawned,
-        "warm rounds on the grown pool must not spawn threads"
-    );
-
-    // Re-requesting any width at or below the cached capacity shares the
-    // surviving pool — no churn.
-    let again = WorkerPool::global(2).expect("narrow request");
-    assert_eq!(again.max_shards(), third.max_shards());
-    assert_eq!(WorkerPool::live_threads(), third.max_shards() as u64 - 1);
+    assert_eq!(spawned(), 4, "warm and narrower rounds spawn nothing");
 }

@@ -15,7 +15,8 @@
 //!
 //! [`matrix`] is the engine that runs fingerprint rounds on a
 //! [`cgc_cluster::ClusterNet`]: one flat byte matrix per role, each step a
-//! sharded pass on the runtime's worker pool. [`counting`] packages it into
+//! sharded pass over the runtime's shard plan on the process's worker
+//! pool. [`counting`] packages it into
 //! the Lemma 5.7 approximate neighborhood counting primitive.
 
 #![forbid(unsafe_code)]

@@ -6,8 +6,8 @@
 //! A round therefore holds `2·n·t` bytes in two allocations, where a
 //! `Vec<Fingerprint>` per role holds `4·n·t` bytes in `2n` allocations.
 //!
-//! Each step of a fingerprint round is one sharded pass on the
-//! [`ClusterNet`]'s persistent worker pool:
+//! Each step of a fingerprint round is one sharded pass over the
+//! [`ClusterNet`]'s shard plan, on the process's worker pool:
 //!
 //! * [`FingerprintMatrix::sample`] — row `v` is drawn from
 //!   `seeds.rng_for(v, salt)`, the stream [`crate::Fingerprint::sample`]
@@ -135,7 +135,6 @@ impl FingerprintMatrix {
         self.assert_one_row_per_vertex(net);
         map_reduce_on(
             net.shard_plan(),
-            net.worker_pool(),
             |range| {
                 range
                     .map(|v| Histogram::of(self.row(v)).encoded_bits())
@@ -169,7 +168,7 @@ impl FingerprintMatrix {
         self.assert_one_row_per_vertex(net);
         let plan = ShardPlan::even(net.g.n_h_edges(), net.parallel().threads());
         let mut out = vec![None; net.g.n_h_edges()];
-        fill_sharded(&mut out, &plan, net.worker_pool(), |start, slots| {
+        fill_sharded(&mut out, &plan, |start, slots| {
             let edges = net.g.h_edges_in(start..start + slots.len());
             for (slot, (u, v)) in slots.iter_mut().zip(edges) {
                 *slot =

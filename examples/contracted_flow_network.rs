@@ -110,7 +110,6 @@ fn main() {
 /// would read. Returns the labels and the number of sweeps to quiescence
 /// (both independent of `threads`).
 fn relax_to_fixpoint(h: &ClusterGraph, waves: &[&[usize]], threads: usize) -> (Vec<u32>, usize) {
-    let pool = WorkerPool::global(threads);
     let mut labels = vec![u32::MAX; h.n_vertices()];
     labels[0] = 0;
     let mut next: Vec<u32> = Vec::new();
@@ -124,7 +123,6 @@ fn relax_to_fixpoint(h: &ClusterGraph, waves: &[&[usize]], threads: usize) -> (V
             next.resize(len, u32::MAX);
             let frozen = &labels;
             for_each_part(
-                pool.as_deref(),
                 shards,
                 &mut next,
                 |s| s * len / shards,

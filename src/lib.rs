@@ -76,8 +76,8 @@ pub mod prelude {
         available_threads, ClusterGraph, ClusterNet, ParallelConfig, VertexId, WorkerPool,
     };
     pub use cgc_core::{
-        color_cluster_graph_with, coloring_stats, Coloring, DriverOptions, Params, ParamsProfile,
-        RunOutcome, RunResult, Session, SessionBuilder,
+        color_cluster_graph_with, coloring_stats, Coloring, DriverOptions, Params, RunOutcome,
+        RunResult, Session, SessionBuilder,
     };
     pub use cgc_decomp::{acd_oracle, compute_acd, AcdParams};
     pub use cgc_graphs::{
