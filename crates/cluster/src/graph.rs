@@ -15,7 +15,6 @@
 
 use crate::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan};
 use cgc_net::{csr_from_canonical_edges, BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
-use std::time::Instant;
 
 /// Identifier of a node of the cluster graph `H` (a cluster of machines).
 pub type VertexId = usize;
@@ -53,26 +52,6 @@ impl SupportTree<'_> {
     pub fn n_edges(&self) -> usize {
         self.machines.len().saturating_sub(1)
     }
-}
-
-/// Wall-clock sub-phase timings of one [`ClusterGraph::build_timed`] call
-/// — the build dominates instance setup at large `n`, so the bench
-/// baseline records these per thread count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BuildTimings {
-    /// Support-tree phase: per-cluster BFS (sharded by cluster id).
-    pub tree_secs: f64,
-    /// Link phase: inter-cluster link collection plus each shard's local
-    /// pair sort/dedup (sharded by `G`-row mass).
-    pub link_secs: f64,
-    /// Merge/assembly phase: fixed-order k-way merge of the shard pair
-    /// lists and the `H` CSR fill (the sorted merge fills every row
-    /// already sorted, so no per-row sort runs).
-    pub sort_secs: f64,
-    /// End-to-end build time.
-    pub total_secs: f64,
-    /// Configured executor width the build ran under.
-    pub threads: usize,
 }
 
 /// What one [`ClusterGraph::apply_delta_with`] call changed above the
@@ -168,16 +147,6 @@ impl ClusterGraph {
         assignment: Vec<VertexId>,
         par: &ParallelConfig,
     ) -> Result<Self, NetError> {
-        Self::build_timed(comm, assignment, par).map(|(g, _)| g)
-    }
-
-    /// [`Self::build_with`] also returning per-phase [`BuildTimings`].
-    pub fn build_timed(
-        comm: CommGraph,
-        assignment: Vec<VertexId>,
-        par: &ParallelConfig,
-    ) -> Result<(Self, BuildTimings), NetError> {
-        let total_start = Instant::now();
         let n = comm.n_machines();
         if assignment.len() != n {
             return Err(NetError::AssignmentLength {
@@ -211,7 +180,6 @@ impl ClusterGraph {
         // retargeting keeps the clusters *after* a giant one evenly spread
         // instead of collapsing into it, which is the best a row-granular
         // split can do here.
-        let tree_start = Instant::now();
         let tree_plan = ShardPlan::from_prefix(&member_offsets, par.threads());
         let (parents, heights) = map_reduce_on(
             &tree_plan,
@@ -228,12 +196,10 @@ impl ClusterGraph {
                 }
             },
         )?;
-        let tree_secs = tree_start.elapsed().as_secs_f64();
 
         // ---- Phase 2: inter-cluster links, sharded by G-row mass ----
         // Each shard walks the upper halves of its contiguous machine
         // rows and sorts/dedups its own cluster pairs locally.
-        let link_start = Instant::now();
         let (comm_offsets, _) = comm.adjacency_csr();
         let link_plan = ShardPlan::from_prefix(comm_offsets, par.threads());
         let pair_lists: Vec<Vec<((VertexId, VertexId), u32)>> = map_reduce_on(
@@ -261,10 +227,8 @@ impl ClusterGraph {
             },
             |acc: &mut Vec<_>, part| acc.extend(part),
         );
-        let link_secs = link_start.elapsed().as_secs_f64();
 
         // ---- Phase 3: deterministic merge + CSR assembly ----
-        let sort_start = Instant::now();
         // Fixed-order k-way merge of the sorted, deduped shard pair lists:
         // the sorted multiset union is unique, so `edges`/`edge_mult` equal
         // the sequential sort+dedup byte for byte. `edges` is sorted, so
@@ -272,34 +236,23 @@ impl ClusterGraph {
         let (edges, edge_mult) = cgc_net::kway_merge_counted(pair_lists);
         let edge_offsets = row_offsets(k, edges.iter().map(|&(u, _)| u));
         let (h_offsets, h_adj) = csr_from_canonical_edges(k, &edges);
-        let sort_secs = sort_start.elapsed().as_secs_f64();
 
         let dilation = heights.iter().copied().max().unwrap_or(0).max(1);
         let max_degree = h_offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        let timings = BuildTimings {
-            tree_secs,
-            link_secs,
-            sort_secs,
-            total_secs: total_start.elapsed().as_secs_f64(),
-            threads: par.threads(),
-        };
-        Ok((
-            ClusterGraph {
-                comm,
-                assignment,
-                member_offsets,
-                members: member_ids,
-                parents,
-                heights,
-                h_offsets,
-                h_adj,
-                edge_offsets,
-                edge_mult,
-                dilation,
-                max_degree,
-            },
-            timings,
-        ))
+        Ok(ClusterGraph {
+            comm,
+            assignment,
+            member_offsets,
+            members: member_ids,
+            parents,
+            heights,
+            h_offsets,
+            h_adj,
+            edge_offsets,
+            edge_mult,
+            dilation,
+            max_degree,
+        })
     }
 
     /// Applies a `G`-edge delta batch in place, serially. See
@@ -445,20 +398,8 @@ impl ClusterGraph {
         // Stage 5: CSR patches and recomputed scalars, then commit.
         let k = self.n_vertices();
         let edge_offsets = row_offsets(k, lower.into_iter());
-        let mut ins_pairs = Vec::with_capacity(2 * h_inserted.len());
-        for &(u, v) in &h_inserted {
-            ins_pairs.push((u, v));
-            ins_pairs.push((v, u));
-        }
-        ins_pairs.sort_unstable();
-        let mut del_pairs = Vec::with_capacity(2 * h_removed.len());
-        for &(u, v) in &h_removed {
-            del_pairs.push((u, v));
-            del_pairs.push((v, u));
-        }
-        del_pairs.sort_unstable();
         let (h_offsets, h_adj) =
-            patch_csr_rows(&self.h_offsets, &self.h_adj, &ins_pairs, &del_pairs, par);
+            patch_csr_rows(&self.h_offsets, &self.h_adj, &h_inserted, &h_removed, par);
         self.comm = new_comm;
         for (c, tree) in rebuilt {
             let range = self.member_offsets[c]..self.member_offsets[c + 1];
@@ -617,23 +558,64 @@ impl ClusterGraph {
         u != v && self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Number of parallel `G`-links realizing the `H`-edge `{u, v}`
-    /// (0 when not adjacent). Figure 1's multi-link phenomenon.
+    /// The number of the `H`-edge `{u, v}` in [`Self::h_edges`] order,
+    /// in either orientation; `None` when `u == v`, an endpoint is out of
+    /// range or the two are not adjacent.
     ///
     /// Resolved by a binary search over the upper half of the lower
     /// endpoint's CSR row — `O(log deg)` with no pointer chasing.
-    pub fn link_multiplicity(&self, u: VertexId, v: VertexId) -> usize {
-        // Out-of-range ids are simply non-edges (the seed's map lookup
-        // semantics), never an index panic; u < v implies only the larger
-        // needs checking.
+    pub fn edge_index(&self, u: VertexId, v: VertexId) -> Option<usize> {
+        // Out-of-range ids are simply non-edges, never an index panic;
+        // only the larger id needs checking.
         if u == v || u.max(v) >= self.n_vertices() {
-            return 0;
+            return None;
         }
         let (lo, hi) = (u.min(v), u.max(v));
-        match self.upper_neighbors(lo).binary_search(&hi) {
-            Ok(i) => self.edge_mult[self.edge_offsets[lo] + i] as usize,
-            Err(_) => 0,
+        let i = self.upper_neighbors(lo).binary_search(&hi).ok()?;
+        Some(self.edge_offsets[lo] + i)
+    }
+
+    /// Number of parallel `G`-links realizing the `H`-edge `{u, v}`
+    /// (0 when not adjacent). Figure 1's multi-link phenomenon.
+    pub fn link_multiplicity(&self, u: VertexId, v: VertexId) -> usize {
+        self.edge_index(u, v)
+            .map_or(0, |e| self.edge_mult[e] as usize)
+    }
+
+    /// Connected components of the subgraph of `H` on the vertices
+    /// `keep_vertex` accepts and the edges `keep_edge(u, w)` accepts
+    /// (asked from whichever endpoint the search reaches first, so it
+    /// must be symmetric). Members ascend, components are ordered by
+    /// their smallest member, and a kept vertex with no kept edge is a
+    /// singleton. One search over the CSR rows: the growing member list
+    /// is its own queue.
+    pub fn components(
+        &self,
+        keep_vertex: impl Fn(VertexId) -> bool,
+        keep_edge: impl Fn(VertexId, VertexId) -> bool,
+    ) -> Vec<Vec<VertexId>> {
+        let mut seen = vec![false; self.n_vertices()];
+        let mut out = Vec::new();
+        for s in 0..self.n_vertices() {
+            if seen[s] || !keep_vertex(s) {
+                continue;
+            }
+            seen[s] = true;
+            let mut members = vec![s];
+            let mut next = 0;
+            while let Some(&u) = members.get(next) {
+                next += 1;
+                for &w in self.neighbors(u) {
+                    if !seen[w] && keep_vertex(w) && keep_edge(u, w) {
+                        seen[w] = true;
+                        members.push(w);
+                    }
+                }
+            }
+            members.sort_unstable();
+            out.push(members);
         }
+        out
     }
 
     /// Number of inter-cluster links incident to cluster `v` — the naive
@@ -902,6 +884,17 @@ mod tests {
         let comm = CommGraph::path(3);
         let h = ClusterGraph::singletons(comm);
         assert_eq!(h.dilation(), 1);
+    }
+
+    #[test]
+    fn components_filter_vertices_and_edges() {
+        let comm = CommGraph::from_edges(7, [(0, 5), (5, 2), (2, 6), (1, 3), (3, 6)]).unwrap();
+        let h = ClusterGraph::singletons(comm);
+        // Vertex 6 and the edge {1, 3} are filtered out: 0-5-2 stays
+        // joined (members ascending), 1 and 3 fall apart, and the
+        // isolated 4 is a singleton.
+        let comps = h.components(|v| v != 6, |u, w| (u.min(w), u.max(w)) != (1, 3));
+        assert_eq!(comps, vec![vec![0, 2, 5], vec![1], vec![3], vec![4]]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! This crate provides:
 //!
 //! * [`ClusterGraph`] — topology: clusters, support trees, dilation `d`,
-//!   deduplicated `H`-adjacency, link multiplicities;
+//!   deduplicated `H`-adjacency, edge numbers, link multiplicities, and
+//!   the one connected-component search over `H`;
 //! * [`ClusterNet`] — the metered runtime: every communication primitive
 //!   charges H-rounds, G-rounds and bits to a [`cgc_net::CostMeter`],
 //!   pipelining oversized messages;
@@ -51,7 +52,7 @@ pub use comm::{ClusterNet, RoundScratch};
 pub use exec::{
     execute_broadcast, execute_converge, execute_full_round, execute_link_exchange, ExecTrace,
 };
-pub use graph::{BuildTimings, ClusterGraph, DeltaReport, SupportTree, VertexId};
+pub use graph::{ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
 pub use par::{available_threads, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};

@@ -62,28 +62,6 @@ fn sharded_build_equals_serial_across_families_layouts_threads() {
 }
 
 #[test]
-fn build_timings_cover_the_phases() {
-    let spec = WorkloadSpec::gnp(300, 0.05, 3);
-    let (h, _) = spec.conflict_spec().unwrap();
-    let (comm, assignment) = realize_network(&h, Layout::Star(3), 2, 3);
-    for threads in THREADS {
-        let (g, t) = ClusterGraph::build_timed(
-            comm.clone(),
-            assignment.clone(),
-            &ParallelConfig::with_threads(threads),
-        )
-        .unwrap();
-        assert_eq!(g.n_vertices(), 300);
-        assert_eq!(t.threads, threads);
-        assert!(t.tree_secs >= 0.0 && t.link_secs >= 0.0 && t.sort_secs >= 0.0);
-        assert!(
-            t.total_secs >= t.tree_secs.max(t.link_secs).max(t.sort_secs),
-            "total must dominate each phase: {t:?}"
-        );
-    }
-}
-
-#[test]
 fn error_reporting_is_thread_count_independent() {
     // Clusters 0 and 2 are disconnected within their subsets; the serial
     // walk reports the smallest failing cluster id. So must every shard

@@ -3,7 +3,7 @@
 //! CSR rows, support trees from one flat layout. This property suite
 //! checks the CSR rows themselves (`neighbors(v)`, sorted) and every
 //! derived view — `links()`, `h_edges()`, `h_edge_multiplicities()`,
-//! `link_multiplicity`, `incident_links`, `support(v)` and
+//! `link_multiplicity`, `edge_index`, `incident_links`, `support(v)` and
 //! `comm().edges()` — against a reference built from
 //! scratch from the machine edge list and the assignment, on gnp and
 //! power-law instances (singleton, star and path clusters, one to three
@@ -130,18 +130,25 @@ fn check_views(g: &ClusterGraph, edges: &BTreeSet<Edge>, ctx: &str) -> Result<()
     for (i, &(u, v)) in r.h_edges.iter().enumerate() {
         prop_assert!(g.h_edges_in(i..i + 1).eq([(u, v)]), "{}: edge {}", ctx, i);
     }
-    let mult: BTreeMap<Edge, u32> = r
+    let numbered: BTreeMap<Edge, (usize, u32)> = r
         .h_edges
         .iter()
         .copied()
-        .zip(r.mult.iter().copied())
+        .zip(r.mult.iter().copied().enumerate())
         .collect();
     for u in 0..=k {
         for v in 0..=k {
-            let want = mult.get(&(u.min(v), u.max(v))).map_or(0, |&m| m as usize);
+            let want = numbered.get(&(u.min(v), u.max(v)));
             prop_assert!(
-                g.link_multiplicity(u, v) == want,
+                g.link_multiplicity(u, v) == want.map_or(0, |&(_, m)| m as usize),
                 "{}: link_multiplicity({}, {})",
+                ctx,
+                u,
+                v
+            );
+            prop_assert!(
+                g.edge_index(u, v) == want.map(|&(i, _)| i),
+                "{}: edge_index({}, {})",
                 ctx,
                 u,
                 v

@@ -4,10 +4,11 @@
 //! knows a `deg+1`-sized color list (its exact palette, maintained by
 //! bitmap aggregation in the low-degree regime). The paper finishes them
 //! with an adapted Ghaffari–Kuhn rounding in `O(log N · log⁶ log n)`
-//! rounds; per DESIGN.md this implementation substitutes iterated palette
-//! trials per component — expected `O(log N)` rounds, every round charged
-//! — plus a sequential fallback, and reports both counters so the
-//! substitution's cost is visible in every experiment.
+//! rounds; as the README's "Substitutions" section lists, this
+//! implementation substitutes iterated palette trials per component —
+//! expected `O(log N)` rounds, every round charged — plus a sequential
+//! fallback, and reports both counters so the substitution's cost is
+//! visible in every experiment.
 
 use crate::coloring::Coloring;
 use crate::trycolor::{try_color_round_words, TrialScratch};

@@ -11,8 +11,8 @@
 //! charges. The small-instance finisher ([`listcolor`]) runs iterated
 //! palette trials per component in parallel (expected `O(log N)` rounds on
 //! size-`N` components) — the reduced-fidelity stand-in for the
-//! Ghaffari–Kuhn rounding declared in DESIGN.md, with rounds honestly
-//! charged and reported.
+//! Ghaffari–Kuhn rounding listed in the README's "Substitutions" section,
+//! with rounds honestly charged and reported.
 
 pub mod learn;
 pub mod listcolor;

@@ -8,10 +8,10 @@
 //! graph; maximality guarantees every anti-edge is matched because each
 //! has ≥ k candidate neighbors while only ≤ k anti-edges compete.
 //!
-//! Substitution (DESIGN.md): the paper runs Fischer's deterministic
-//! CONGEST maximal-matching; only *maximality* is used, so a synchronous
-//! proposal/acceptance greedy (charged per round) stands in, affecting
-//! polylog factors, not correctness.
+//! Substitution (README, "Substitutions"): the paper runs Fischer's
+//! deterministic CONGEST maximal-matching; only *maximality* is used, so
+//! a synchronous proposal/acceptance greedy (charged per round) stands
+//! in, affecting polylog factors, not correctness.
 
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;

@@ -11,7 +11,6 @@ use crate::trycolor::try_color_round;
 use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
 use cgc_net::SeedStream;
 use rand::RngExt;
-use std::collections::VecDeque;
 
 /// Runs `rounds` palette-trial rounds; returns vertices colored.
 pub fn shatter(
@@ -65,29 +64,7 @@ pub fn shatter(
 /// Connected components of the uncolored subgraph (identified by the
 /// O(diameter) BFS of Lemma 3.2; tiny after shattering).
 pub fn uncolored_components(g: &ClusterGraph, coloring: &Coloring) -> Vec<Vec<VertexId>> {
-    let n = g.n_vertices();
-    let mut seen = vec![false; n];
-    let mut comps = Vec::new();
-    for s in 0..n {
-        if coloring.is_colored(s) || seen[s] {
-            continue;
-        }
-        seen[s] = true;
-        let mut comp = vec![s];
-        let mut q = VecDeque::from([s]);
-        while let Some(u) = q.pop_front() {
-            for &w in g.neighbors(u) {
-                if !coloring.is_colored(w) && !seen[w] {
-                    seen[w] = true;
-                    comp.push(w);
-                    q.push_back(w);
-                }
-            }
-        }
-        comp.sort_unstable();
-        comps.push(comp);
-    }
-    comps
+    g.components(|v| !coloring.is_colored(v), |_, _| true)
 }
 
 #[cfg(test)]

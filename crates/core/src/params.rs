@@ -6,15 +6,16 @@
 //! therefore live here, with two presets: [`Params::paper`] (faithful
 //! values, for documentation and asymptotic reasoning) and
 //! [`Params::laptop`] (scaled values with identical control flow, used by
-//! tests and experiments). See DESIGN.md's substitution table.
+//! tests and experiments). See the README's "Substitutions" section.
 
 use cgc_decomp::AcdParams;
 use cgc_sketch::CountingParams;
 
-/// Stage toggles for ablation experiments (EXPERIMENTS.md E19): disabling
-/// a stage does not break correctness — later stages and the driver's
-/// fallback absorb the work — but the cost shifts become visible in the
-/// per-phase round accounting.
+/// Stage toggles for ablation experiments (experiment E19, `e19_ablation`;
+/// the README's "Substitutions" section): disabling a stage does not
+/// break correctness — later stages and the fallback phase absorb the
+/// work — but the cost shifts become visible in the per-phase round
+/// accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ablation {
     /// Run slack generation (Proposition 4.5).
@@ -41,8 +42,6 @@ impl Default for Ablation {
 /// All tunable constants of the coloring algorithm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
-    /// ACD epsilon (Definition 4.2; paper: 1/2000).
-    pub epsilon: f64,
     /// Slack constant `γ` standing in for `γ_{4.5}`.
     pub gamma: f64,
     /// Cabal threshold `ℓ` (paper: `Θ(log^{1.1} n)`).
@@ -61,7 +60,7 @@ pub struct Params {
     pub delta_low: usize,
     /// Fingerprint counting accuracy.
     pub counting: CountingParams,
-    /// ACD knobs.
+    /// ACD knobs, including its ε (Definition 4.2; paper: 1/2000).
     pub acd: AcdParams,
     /// Rounds of `TryColor` used for constant-factor degree reduction.
     pub trycolor_rounds: usize,
@@ -90,7 +89,6 @@ impl Params {
     pub fn laptop(n: usize) -> Self {
         let ln_n = (n.max(2) as f64).ln();
         Params {
-            epsilon: 0.15,
             gamma: 0.1,
             ell: ln_n.max(2.0),
             rho: 2.0,
@@ -124,7 +122,6 @@ impl Params {
         let ln_n = (n.max(2) as f64).ln();
         let log_n = ln_n / 2f64.ln();
         Params {
-            epsilon: 1.0 / 2000.0,
             gamma: 0.01,
             ell: log_n.powf(1.1),
             rho: 250.0,
@@ -186,7 +183,7 @@ mod tests {
     #[test]
     fn laptop_preset_is_sane() {
         let p = Params::laptop(1000);
-        assert!(p.epsilon < 1.0 / 3.0, "Definition 4.2 needs ε < 1/3");
+        assert!(p.acd.epsilon < 1.0 / 3.0, "Definition 4.2 needs ε < 1/3");
         assert!(p.ell >= 2.0);
         assert!(p.fp_matching_trials > 10);
         assert!(p.shatter_rounds >= 3);
@@ -197,7 +194,7 @@ mod tests {
         let p = Params::paper(1 << 20);
         // log2(2^20) = 20; 20^21 is far beyond any realistic Δ.
         assert!(p.delta_low > 1 << 40);
-        assert_eq!(p.epsilon, 1.0 / 2000.0);
+        assert_eq!(p.acd.epsilon, 1.0 / 2000.0);
     }
 
     #[test]

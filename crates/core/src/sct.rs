@@ -7,11 +7,12 @@
 //! *external* conflicts (or cross-clique simultaneous tries) can fail a
 //! vertex. W.h.p. at most `(24/α) max(e_K, ℓ)` members stay uncolored.
 //!
-//! Substitution note (DESIGN.md): the paper samples from a pseudorandom
-//! permutation family (Lemma D.8) because a truly uniform permutation is
-//! hard to *sample* in the model; the leader here samples a uniform
-//! permutation and the `O(1)`-round index distribution is charged — the
-//! paper notes this only affects the success probability by a constant.
+//! Substitution note (README, "Substitutions"): the paper samples from a
+//! pseudorandom permutation family (Lemma D.8) because a truly uniform
+//! permutation is hard to *sample* in the model; the leader here samples
+//! a uniform permutation and the `O(1)`-round index distribution is
+//! charged — the paper notes this only affects the success probability
+//! by a constant.
 
 use crate::coloring::Coloring;
 use crate::palette_query::CliquePalette;

@@ -3,8 +3,12 @@
 //! per-edge union estimates as sharded passes on the worker pool) must
 //! reproduce the `Vec<Fingerprint>` scatter code it replaced — kept below
 //! as a test-local reference — bit for bit: the own and aggregate rows,
-//! `approx_count_neighbors`, the `buddy_edges` map, and the `CostReport`
-//! each one charges. Instances: gnp, power-law
+//! `approx_count_neighbors`, the `buddy_edges` answers, and the
+//! `CostReport` each one charges. The almost-clique decomposition built
+//! on those answers (`compute_acd`, `acd_oracle`) must equal the
+//! map-based tail it replaced, kept below too: buddy degrees folded
+//! through a `BTreeMap`, a `VecDeque` BFS over a rebuilt adjacency, and
+//! the repair. Instances: gnp, power-law
 //! (hub rows), mixture (planted cliques) and contraction (irregular
 //! clusters); threads {1, 2, 4, 8} plus `CGC_THREADS`; predicates: all
 //! neighbors, id parity, and "outside my clique".
@@ -15,14 +19,16 @@
 //! against the algorithms they replaced, not against themselves.
 
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, VertexId};
-use cgc_decomp::{acd_oracle, buddy_edges, AlmostCliqueDecomp, BuddyParams};
+use cgc_decomp::{
+    acd_oracle, buddy_edges, compute_acd, AcdParams, AlmostCliqueDecomp, BuddyParams, NodeKind,
+};
 use cgc_graphs::WorkloadSpec;
 use cgc_net::{CostReport, SeedStream};
 use cgc_sketch::{
     approx_count_neighbors, encoded_bits, estimate_count, neighborhood_fingerprints,
     CountingParams, Fingerprint, FingerprintMatrix,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The sketch code before the engine: one `Fingerprint` per vertex and
 /// role, aggregated by a scatter over `h_edges()` on the calling thread,
@@ -180,6 +186,167 @@ mod reference {
         }
         out
     }
+
+    /// Connected components of the buddy graph restricted to
+    /// `candidate`s, over an adjacency rebuilt from the map.
+    fn buddy_components(
+        n: usize,
+        buddy: &BTreeMap<(VertexId, VertexId), bool>,
+        candidate: &[bool],
+    ) -> Vec<Vec<VertexId>> {
+        let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        for (&(u, v), &b) in buddy {
+            if b && candidate[u] && candidate[v] {
+                adj[u].push(v);
+                adj[v].push(u);
+            }
+        }
+        let mut comp = vec![usize::MAX; n];
+        let mut out: Vec<Vec<VertexId>> = Vec::new();
+        for s in 0..n {
+            if !candidate[s] || comp[s] != usize::MAX || adj[s].is_empty() {
+                continue;
+            }
+            let id = out.len();
+            let mut members = vec![s];
+            comp[s] = id;
+            let mut q = VecDeque::from([s]);
+            while let Some(u) = q.pop_front() {
+                for &w in &adj[u] {
+                    if comp[w] == usize::MAX {
+                        comp[w] = id;
+                        members.push(w);
+                        q.push_back(w);
+                    }
+                }
+            }
+            members.sort_unstable();
+            out.push(members);
+        }
+        out
+    }
+
+    /// Peels low-internal-degree vertices until Definition 4.2 holds.
+    fn repair_cliques(
+        g: &ClusterGraph,
+        mut cliques: Vec<Vec<VertexId>>,
+        epsilon: f64,
+        min_clique_frac: f64,
+    ) -> (Vec<Vec<VertexId>>, usize) {
+        let delta = g.max_degree();
+        let min_size = ((min_clique_frac * delta as f64).floor() as usize).max(2);
+        let max_size = ((1.0 + epsilon) * delta as f64).floor() as usize + 1;
+        let mut peeled = 0usize;
+        let mut out = Vec::new();
+        for k in cliques.iter_mut() {
+            loop {
+                if k.len() < min_size {
+                    peeled += k.len();
+                    k.clear();
+                    break;
+                }
+                let internal: Vec<usize> = k
+                    .iter()
+                    .map(|&v| {
+                        g.neighbors(v)
+                            .iter()
+                            .filter(|&&u| k.binary_search(&u).is_ok())
+                            .count()
+                    })
+                    .collect();
+                let need = ((1.0 - epsilon) * k.len() as f64).ceil() as usize;
+                let worst = (0..k.len())
+                    .min_by_key(|&i| internal[i])
+                    .expect("nonempty clique");
+                if k.len() > max_size || internal[worst] < need {
+                    k.remove(worst);
+                    peeled += 1;
+                } else {
+                    break;
+                }
+            }
+            if !k.is_empty() {
+                out.push(std::mem::take(k));
+            }
+        }
+        (out, peeled)
+    }
+
+    fn assemble(n: usize, epsilon: f64, cliques: Vec<Vec<VertexId>>) -> AlmostCliqueDecomp {
+        let mut kind = vec![NodeKind::Sparse; n];
+        for (i, k) in cliques.iter().enumerate() {
+            for &v in k {
+                kind[v] = NodeKind::Dense { clique: i };
+            }
+        }
+        AlmostCliqueDecomp {
+            epsilon,
+            kind,
+            cliques,
+        }
+    }
+
+    /// The decomposition over the map: buddy degrees by a fold that looks
+    /// every CSR entry up in it, then candidates, components and repair.
+    pub fn compute_acd(
+        net: &mut ClusterNet<'_>,
+        params: &AcdParams,
+        seeds: &SeedStream,
+    ) -> AlmostCliqueDecomp {
+        let n = net.g.n_vertices();
+        let delta = net.g.max_degree() as f64;
+        net.set_phase("acd");
+        if net.g.max_degree() == 0 {
+            return assemble(n, params.epsilon, Vec::new());
+        }
+        let buddy = buddy_edges(net, &params.buddy, &seeds.child(11));
+        let id_bits = net.id_bits();
+        let buddy_deg = net.neighbor_fold_counts(1, id_bits, &vec![(); n], |v, u, _, _| {
+            let key = (v.min(u), v.max(u));
+            if buddy.get(&key).copied().unwrap_or(false) {
+                Some(1usize)
+            } else {
+                None
+            }
+        });
+        let xi = params.buddy.xi;
+        let threshold = ((1.0 - 2.0 * xi) * delta).max(1.0);
+        let candidate: Vec<bool> = buddy_deg.iter().map(|&d| d as f64 >= threshold).collect();
+        net.charge_full_rounds(3, net.id_bits());
+        let raw = buddy_components(n, &buddy, &candidate);
+        let (cliques, peeled) = repair_cliques(net.g, raw, params.epsilon, params.min_clique_frac);
+        net.charge_full_rounds((peeled as u64).min(16) + 1, net.id_bits());
+        assemble(n, params.epsilon, cliques)
+    }
+
+    /// The exact oracle over a map of exact friendliness answers.
+    pub fn acd_oracle(g: &ClusterGraph, epsilon: f64) -> AlmostCliqueDecomp {
+        let n = g.n_vertices();
+        let delta = g.max_degree() as f64;
+        if g.max_degree() == 0 {
+            return assemble(n, epsilon, Vec::new());
+        }
+        let xi = epsilon;
+        let friendly: BTreeMap<(VertexId, VertexId), bool> = g
+            .h_edges()
+            .map(|(u, v)| {
+                let c = cgc_decomp::common_neighbors(g, u, v) as f64;
+                ((u, v), c >= (1.0 - xi) * delta)
+            })
+            .collect();
+        let mut buddy_deg = vec![0usize; n];
+        for (&(u, v), &b) in &friendly {
+            if b {
+                buddy_deg[u] += 1;
+                buddy_deg[v] += 1;
+            }
+        }
+        let threshold = ((1.0 - 2.0 * xi) * delta).max(1.0);
+        let candidate: Vec<bool> = buddy_deg.iter().map(|&d| d as f64 >= threshold).collect();
+        let raw = buddy_components(n, &friendly, &candidate);
+        let (cliques, _) = repair_cliques(g, raw, epsilon, 0.55);
+        assemble(n, epsilon, cliques)
+    }
 }
 
 const INSTANCES: [&str; 4] = [
@@ -306,7 +473,11 @@ fn buddy_edges_match_reference() {
                 let mut net = engine_net(&g, threads);
                 let got = buddy_edges(&mut net, &params, &seeds);
                 let ctx = format!("{spec} xi={xi} threads={threads}");
-                assert_eq!(got, want, "{ctx}: buddy map");
+                assert_eq!(
+                    got.iter().collect::<BTreeMap<_, _>>(),
+                    want,
+                    "{ctx}: buddy map"
+                );
                 assert_eq!(net.meter.report(), want_report, "{ctx}: cost report");
             }
         }
@@ -314,6 +485,47 @@ fn buddy_edges_match_reference() {
     assert!(
         answers[0] > 0 && answers[1] > 0,
         "both answers: {answers:?}"
+    );
+}
+
+/// `compute_acd` and `acd_oracle` over the flat answers: the same kinds
+/// and cliques as the map-based tail, and for `compute_acd` the same
+/// `CostReport`, at every thread count.
+#[test]
+fn decompositions_match_reference() {
+    let params = AcdParams {
+        buddy: BuddyParams {
+            xi: 0.3,
+            counting: COUNTING,
+        },
+        ..AcdParams::default()
+    };
+    let mut cliques = [0usize; 2];
+    for spec in INSTANCES {
+        let g = spec.parse::<WorkloadSpec>().unwrap().build();
+        let want = reference::acd_oracle(&g, 0.25);
+        let got = acd_oracle(&g, 0.25);
+        assert_eq!(got.kind, want.kind, "{spec}: oracle kinds");
+        assert_eq!(got.cliques, want.cliques, "{spec}: oracle cliques");
+        cliques[0] += want.n_cliques();
+
+        let seeds = SeedStream::new(15);
+        let mut ref_net = ClusterNet::with_log_budget(&g, 32);
+        let want = reference::compute_acd(&mut ref_net, &params, &seeds);
+        let want_report = ref_net.meter.report();
+        cliques[1] += want.n_cliques();
+        for threads in thread_counts() {
+            let mut net = engine_net(&g, threads);
+            let got = compute_acd(&mut net, &params, &seeds);
+            let ctx = format!("{spec} threads={threads}");
+            assert_eq!(got.kind, want.kind, "{ctx}: kinds");
+            assert_eq!(got.cliques, want.cliques, "{ctx}: cliques");
+            assert_eq!(net.meter.report(), want_report, "{ctx}: cost report");
+        }
+    }
+    assert!(
+        cliques[0] > 0 && cliques[1] > 0,
+        "oracle and distributed cliques: {cliques:?}"
     );
 }
 

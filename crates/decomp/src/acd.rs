@@ -11,10 +11,9 @@
 //! or internal-degree conditions are peeled into the sparse set (charged
 //! rounds; measured by experiment E10).
 
-use crate::buddy::{buddy_edges, friendly_oracle, BuddyParams};
+use crate::buddy::{buddy_edges, friendly_oracle, BuddyAnswers, BuddyParams};
 use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
 use cgc_net::SeedStream;
-use std::collections::{BTreeMap, VecDeque};
 
 /// Classification of a vertex by the decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,44 +163,6 @@ impl Default for AcdParams {
     }
 }
 
-/// Connected components of the buddy graph restricted to `candidate`s.
-fn buddy_components(
-    n: usize,
-    buddy: &BTreeMap<(VertexId, VertexId), bool>,
-    candidate: &[bool],
-) -> Vec<Vec<VertexId>> {
-    let mut adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for (&(u, v), &b) in buddy {
-        if b && candidate[u] && candidate[v] {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-    }
-    let mut comp = vec![usize::MAX; n];
-    let mut out: Vec<Vec<VertexId>> = Vec::new();
-    for s in 0..n {
-        if !candidate[s] || comp[s] != usize::MAX || adj[s].is_empty() {
-            continue;
-        }
-        let id = out.len();
-        let mut members = vec![s];
-        comp[s] = id;
-        let mut q = VecDeque::from([s]);
-        while let Some(u) = q.pop_front() {
-            for &w in &adj[u] {
-                if comp[w] == usize::MAX {
-                    comp[w] = id;
-                    members.push(w);
-                    q.push_back(w);
-                }
-            }
-        }
-        members.sort_unstable();
-        out.push(members);
-    }
-    out
-}
-
 /// Enforces Definition 4.2 on raw components by peeling low-internal-degree
 /// vertices into the sparse set. Returns the repaired cliques and the
 /// number of peeled vertices.
@@ -265,6 +226,34 @@ fn assemble(n: usize, epsilon: f64, cliques: Vec<Vec<VertexId>>) -> AlmostClique
     }
 }
 
+/// The tail [`compute_acd`] and [`acd_oracle`] share: buddy degrees
+/// counted from the answers, the candidates of buddy degree at least
+/// `(1 − 2ξ)Δ`, the components of the buddy graph on them (singletons
+/// dropped), and the repair. Returns the decomposition and the number of
+/// vertices the repair peeled.
+fn decompose(
+    g: &ClusterGraph,
+    buddy: &BuddyAnswers<'_>,
+    xi: f64,
+    epsilon: f64,
+    min_clique_frac: f64,
+) -> (AlmostCliqueDecomp, usize) {
+    let n = g.n_vertices();
+    let mut buddy_deg = vec![0usize; n];
+    for ((u, v), b) in buddy.iter() {
+        if b {
+            buddy_deg[u] += 1;
+            buddy_deg[v] += 1;
+        }
+    }
+    let threshold = ((1.0 - 2.0 * xi) * g.max_degree() as f64).max(1.0);
+    let candidate: Vec<bool> = buddy_deg.iter().map(|&d| d as f64 >= threshold).collect();
+    let mut raw = g.components(|v| candidate[v], |u, w| buddy.get(&(u, w)) == Some(&true));
+    raw.retain(|k| k.len() > 1);
+    let (cliques, peeled) = repair_cliques(g, raw, epsilon, min_clique_frac);
+    (assemble(n, epsilon, cliques), peeled)
+}
+
 /// Proposition 4.3: computes an ε-almost-clique decomposition on the
 /// cluster graph in `O(1/ε²)` rounds (fingerprint rounds + `O(1)` BFS +
 /// repair rounds, all charged).
@@ -273,65 +262,43 @@ pub fn compute_acd(
     params: &AcdParams,
     seeds: &SeedStream,
 ) -> AlmostCliqueDecomp {
-    let n = net.g.n_vertices();
-    let delta = net.g.max_degree() as f64;
     net.set_phase("acd");
     if net.g.max_degree() == 0 {
-        return assemble(n, params.epsilon, Vec::new());
+        return assemble(net.g.n_vertices(), params.epsilon, Vec::new());
     }
 
     // (1) Buddy predicate per edge.
     let buddy = buddy_edges(net, &params.buddy, &seeds.child(11));
 
-    // (2) Exact buddy-degree: one deduplicated aggregation (§1.1 pattern).
+    // (2) Exact buddy-degree: one deduplicated aggregation (§1.1
+    // pattern) — each neighbor answers one bit over its link, and the
+    // converge-cast sums counts of `id_bits`.
     let id_bits = net.id_bits();
-    let buddy_deg = net.neighbor_fold_counts(1, id_bits, &vec![(); n], |v, u, _, _| {
-        let key = (v.min(u), v.max(u));
-        if buddy.get(&key).copied().unwrap_or(false) {
-            Some(1usize)
-        } else {
-            None
-        }
-    });
+    net.charge_broadcast(1);
+    net.charge_link_round(1);
+    net.charge_converge(id_bits);
 
-    // (3) Dense candidates and components; the BFS is O(1) rounds because
-    // almost-cliques have diameter 2 [ACK19, Lemma 4.8].
-    let xi = params.buddy.xi;
-    let threshold = ((1.0 - 2.0 * xi) * delta).max(1.0);
-    let candidate: Vec<bool> = buddy_deg.iter().map(|&d| d as f64 >= threshold).collect();
-    net.charge_full_rounds(3, net.id_bits()); // component BFS + leader ids
-    let raw = buddy_components(n, &buddy, &candidate);
+    // (3) Component BFS + leader ids: O(1) rounds because almost-cliques
+    // have diameter 2 [ACK19, Lemma 4.8].
+    net.charge_full_rounds(3, id_bits);
+    let (acd, peeled) = decompose(
+        net.g,
+        &buddy,
+        params.buddy.xi,
+        params.epsilon,
+        params.min_clique_frac,
+    );
 
-    // (4) Repair (each peel iteration is one aggregation round).
-    let (cliques, peeled) = repair_cliques(net.g, raw, params.epsilon, params.min_clique_frac);
-    net.charge_full_rounds((peeled as u64).min(16) + 1, net.id_bits());
-
-    assemble(n, params.epsilon, cliques)
+    // (4) Repair: each peel iteration is one aggregation round.
+    net.charge_full_rounds((peeled as u64).min(16) + 1, id_bits);
+    acd
 }
 
-/// Exact-oracle decomposition: identical pipeline with exact friendliness
-/// and exact buddy degrees. Used by tests and as a noise-free reference in
-/// experiment E10.
+/// Exact-oracle decomposition: the same tail over exact friendliness
+/// (ξ = ε). Used by tests and as a noise-free reference in experiment
+/// E10.
 pub fn acd_oracle(g: &ClusterGraph, epsilon: f64) -> AlmostCliqueDecomp {
-    let n = g.n_vertices();
-    let delta = g.max_degree() as f64;
-    if g.max_degree() == 0 {
-        return assemble(n, epsilon, Vec::new());
-    }
-    let xi = epsilon;
-    let friendly = friendly_oracle(g, xi);
-    let mut buddy_deg = vec![0usize; n];
-    for (&(u, v), &b) in &friendly {
-        if b {
-            buddy_deg[u] += 1;
-            buddy_deg[v] += 1;
-        }
-    }
-    let threshold = ((1.0 - 2.0 * xi) * delta).max(1.0);
-    let candidate: Vec<bool> = buddy_deg.iter().map(|&d| d as f64 >= threshold).collect();
-    let raw = buddy_components(n, &friendly, &candidate);
-    let (cliques, _) = repair_cliques(g, raw, epsilon, 0.55);
-    assemble(n, epsilon, cliques)
+    decompose(g, &friendly_oracle(g, epsilon), epsilon, epsilon, 0.55).0
 }
 
 #[cfg(test)]

@@ -9,10 +9,9 @@
 //! `|N(u) ∩ N(v)| = deg(u) + deg(v) − |N(u) ∪ N(v)|` implicitly through
 //! the thresholds of Lemma 5.8.
 
-use cgc_cluster::{ClusterNet, VertexId};
+use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
 use cgc_net::SeedStream;
 use cgc_sketch::{neighborhood_fingerprints, CountingParams, NeighborhoodFingerprints};
-use std::collections::BTreeMap;
 
 /// Parameters for the buddy computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,18 +31,48 @@ impl Default for BuddyParams {
     }
 }
 
+/// One buddy answer per `H`-edge, stored flat in [`ClusterGraph::h_edges`]
+/// order and looked up through [`ClusterGraph::edge_index`].
+#[derive(Debug, Clone)]
+pub struct BuddyAnswers<'g> {
+    g: &'g ClusterGraph,
+    answers: Vec<bool>,
+}
+
+impl BuddyAnswers<'_> {
+    /// Number of answers: one per `H`-edge.
+    pub fn len(&self) -> usize {
+        self.answers.len()
+    }
+
+    /// Whether `H` has no edges.
+    pub fn is_empty(&self) -> bool {
+        self.answers.is_empty()
+    }
+
+    /// The answer on the edge `{u, v}` (either orientation), or `None`
+    /// when the pair is not an `H`-edge.
+    pub fn get(&self, &(u, v): &(VertexId, VertexId)) -> Option<&bool> {
+        self.g.edge_index(u, v).map(|e| &self.answers[e])
+    }
+
+    /// `((u, v), answer)` per `H`-edge with `u < v`, in edge order.
+    pub fn iter(&self) -> impl Iterator<Item = ((VertexId, VertexId), bool)> + '_ {
+        self.g.h_edges().zip(self.answers.iter().copied())
+    }
+}
+
 /// Computes the buddy answer for every `H`-edge.
 ///
-/// Returns a map from canonical edges `(u, v)` with `u < v` to the
-/// predicate answer. Charges: one degree-estimation fingerprint round, one
-/// neighborhood fingerprint round, and one link exchange of encoded
-/// fingerprints (Lemma 5.8: `O(ξ^{-2})` rounds total, realized here as
-/// pipelined sub-rounds of the same primitives).
-pub fn buddy_edges(
-    net: &mut ClusterNet<'_>,
+/// Charges: one degree-estimation fingerprint round, one neighborhood
+/// fingerprint round, and one link exchange of encoded fingerprints
+/// (Lemma 5.8: `O(ξ^{-2})` rounds total, realized here as pipelined
+/// sub-rounds of the same primitives).
+pub fn buddy_edges<'g>(
+    net: &mut ClusterNet<'g>,
     params: &BuddyParams,
     seeds: &SeedStream,
-) -> BTreeMap<(VertexId, VertexId), bool> {
+) -> BuddyAnswers<'g> {
     let delta = net.g.max_degree() as f64;
     let xi_p = params.xi / 3.0; // ξ' = Θ(ξ) as in the lemma's proof
 
@@ -70,25 +99,23 @@ pub fn buddy_edges(
     // Friendly edges have |N(u) ∪ N(v)| ≤ (1 + 1.5ξ')Δ (proof of
     // Lemma 5.8); larger unions mean small intersections.
     let unions = agg.edge_union_estimates(net, |u, v| !(low[u] || low[v]));
-    net.g
-        .h_edges()
-        .zip(unions)
-        .map(|(e, joint)| (e, joint.is_some_and(|j| j <= (1.0 + 1.5 * xi_p) * delta)))
-        .collect()
+    BuddyAnswers {
+        g: net.g,
+        answers: unions
+            .into_iter()
+            .map(|joint| joint.is_some_and(|j| j <= (1.0 + 1.5 * xi_p) * delta))
+            .collect(),
+    }
 }
 
 /// Exact friendliness oracle: `|N(u) ∩ N(v)| ≥ (1 − ξ)Δ`.
-pub fn friendly_oracle(
-    g: &cgc_cluster::ClusterGraph,
-    xi: f64,
-) -> BTreeMap<(VertexId, VertexId), bool> {
+pub fn friendly_oracle(g: &ClusterGraph, xi: f64) -> BuddyAnswers<'_> {
     let delta = g.max_degree() as f64;
-    g.h_edges()
-        .map(|(u, v)| {
-            let c = crate::sparsity::common_neighbors(g, u, v) as f64;
-            ((u, v), c >= (1.0 - xi) * delta)
-        })
-        .collect()
+    let answers = g
+        .h_edges()
+        .map(|(u, v)| crate::sparsity::common_neighbors(g, u, v) as f64 >= (1.0 - xi) * delta)
+        .collect();
+    BuddyAnswers { g, answers }
 }
 
 #[cfg(test)]
@@ -114,8 +141,8 @@ mod tests {
     fn oracle_separates_intra_from_bridge() {
         let g = two_cliques(24);
         let f = friendly_oracle(&g, 0.3);
-        assert!(f[&(1, 2)], "intra-clique edge is friendly");
-        assert!(!f[&(0, 24)], "bridge edge is not friendly");
+        assert_eq!(f.get(&(1, 2)), Some(&true), "intra-clique edge is friendly");
+        assert_eq!(f.get(&(0, 24)), Some(&false), "bridge edge is not friendly");
     }
 
     #[test]
@@ -135,7 +162,7 @@ mod tests {
         // Clear positives: intra-clique edges share 22 of Δ=24 neighbors.
         let mut intra_yes = 0usize;
         let mut intra = 0usize;
-        for (&(u, v), &b) in &buddy {
+        for ((u, v), b) in buddy.iter() {
             if (u < 24) == (v < 24) && !(u == 0 && v == 24) {
                 intra += 1;
                 if b {
@@ -148,7 +175,11 @@ mod tests {
             "only {intra_yes}/{intra} intra edges classified buddy"
         );
         // Clear negative: the bridge shares 0 neighbors.
-        assert!(!buddy[&(0, 24)], "bridge misclassified as buddy");
+        assert_eq!(
+            buddy.get(&(0, 24)),
+            Some(&false),
+            "bridge misclassified as buddy"
+        );
     }
 
     #[test]

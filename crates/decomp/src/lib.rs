@@ -10,9 +10,13 @@
 //! * [`sparsity`] — exact sparsity `ζ_v` (Definition 4.1), the analyst's
 //!   oracle used by tests and experiment E10;
 //! * [`buddy`] — the ξ-buddy predicate per `H`-edge via joint-neighborhood
-//!   fingerprints (Lemma 5.8);
+//!   fingerprints (Lemma 5.8), and its exact oracle; both return
+//!   [`BuddyAnswers`], one `bool` per `H`-edge in `h_edges()` order,
+//!   looked up through `ClusterGraph::edge_index`;
 //! * [`acd`] — the decomposition (Proposition 4.3) plus a validity-repair
-//!   pass and an exact oracle variant;
+//!   pass and an exact oracle variant, sharing one tail over the answers:
+//!   buddy degrees, candidates, components
+//!   (`ClusterGraph::components`), repair;
 //! * [`degrees`] — external-degree estimates `ẽ_v`, averages `ẽ_K`, sizes
 //!   `|K|` and the anti-degree proxy `x_v` (Equation 3);
 //! * [`cabal`] — cabal classification (`ẽ_K < ℓ`) and reserved-color
@@ -29,7 +33,7 @@ pub mod inliers;
 pub mod sparsity;
 
 pub use acd::{acd_oracle, compute_acd, AcdParams, AcdQuality, AlmostCliqueDecomp, NodeKind};
-pub use buddy::{buddy_edges, BuddyParams};
+pub use buddy::{buddy_edges, BuddyAnswers, BuddyParams};
 pub use cabal::{classify_cabals, CabalInfo};
 pub use degrees::{degree_profile, DegreeProfile};
 pub use inliers::{cabal_inliers, noncabal_inliers};

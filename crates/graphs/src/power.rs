@@ -2,12 +2,13 @@
 //!
 //! Distance-2 coloring of `G` is vertex coloring of `G²`. The paper treats
 //! `G²` as a *virtual graph* over `G` (clusters = closed neighborhoods,
-//! overlapping); our cluster graphs require disjoint clusters, so — per
-//! the DESIGN.md substitution table — experiment E12 colors the explicit
-//! square graph with the cluster machinery and verifies the `Δ² + 1` color
-//! bound, which preserves the conflict structure (the overlap-congestion
-//! overhead of the virtual-graph embedding is a constant the sibling paper
-//! \[FHN24\] handles and is documented rather than simulated).
+//! overlapping); our cluster graphs require disjoint clusters, so — as
+//! the README's "Substitutions" section lists — experiment E12 colors the
+//! explicit square graph with the cluster machinery and verifies the
+//! `Δ² + 1` color bound, which preserves the conflict structure (the
+//! overlap-congestion overhead of the virtual-graph embedding, a constant
+//! the sibling paper \[FHN24\] handles, is charged separately by
+//! `cgc_cluster::VirtualGraph`).
 
 use crate::layouts::HSpec;
 use crate::pipeline::ShardedEdgeSource;

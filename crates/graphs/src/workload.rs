@@ -532,9 +532,7 @@ impl WorkloadSpec {
     }
 }
 
-/// Wall-clock sub-phase timings of one [`WorkloadSpec::build_timed`] call
-/// — the instance-setup counterpart of
-/// [`cgc_cluster::BuildTimings`].
+/// Wall-clock sub-phase timings of one [`WorkloadSpec::build_timed`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SetupTimings {
     /// Raw edge production: family sampling kernels plus layout expansion

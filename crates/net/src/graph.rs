@@ -189,23 +189,13 @@ impl CommGraph {
     /// is one linear sorted merge and the output is exactly what
     /// [`csr_from_canonical_edges`] would produce.
     fn patched(&self, effect: &DeltaEffect, par: &ParallelConfig) -> Self {
-        // Directed patch pairs grouped by row: (row, neighbor) for both
-        // endpoints of every changed edge, sorted so each row's additions
-        // and removals are contiguous ascending runs.
-        let mut ins_pairs = Vec::with_capacity(2 * effect.inserted.len());
-        for &(u, v) in &effect.inserted {
-            ins_pairs.push((u, v));
-            ins_pairs.push((v, u));
-        }
-        ins_pairs.sort_unstable();
-        let mut del_pairs = Vec::with_capacity(2 * effect.deleted.len());
-        for &(u, v) in &effect.deleted {
-            del_pairs.push((u, v));
-            del_pairs.push((v, u));
-        }
-        del_pairs.sort_unstable();
-        let (offsets, adj) =
-            crate::par::patch_csr_rows(&self.offsets, &self.adj, &ins_pairs, &del_pairs, par);
+        let (offsets, adj) = crate::par::patch_csr_rows(
+            &self.offsets,
+            &self.adj,
+            &effect.inserted,
+            &effect.deleted,
+            par,
+        );
         CommGraph {
             n: self.n,
             offsets,

@@ -807,25 +807,37 @@ pub fn kway_merge_dedup<T: Ord + Copy>(lists: Vec<Vec<T>>) -> Vec<T> {
     kway_merge_counted(counted).0
 }
 
-/// Patches a CSR with **sorted rows** by per-row insertions and deletions,
-/// returning the new `(offsets, adj)`. `ins_pairs` / `del_pairs` are
-/// `(row, entry)` pairs, sorted lexicographically; inserted entries must
-/// be absent from their row and deleted entries present. Untouched rows
-/// copy wholesale and touched rows re-merge in one linear pass, sharded
-/// over row ranges balanced by new-row mass — a sorted row is unique, so
-/// the output is byte-identical to rebuilding the CSR from scratch, at
-/// any thread count. This is the shared incremental-maintenance kernel
-/// behind `CommGraph::apply_delta` and the cluster layer's `H`-adjacency
-/// patch.
+/// Patches the CSR of an undirected graph with **sorted rows** by edge
+/// insertions and deletions, returning the new `(offsets, adj)`.
+/// `inserted` / `deleted` are canonical edges `(u, v)` with `u < v`;
+/// inserted edges must be absent and deleted edges present. Each edge
+/// patches both endpoints' rows. Untouched rows copy wholesale and
+/// touched rows re-merge in one linear pass, sharded over row ranges
+/// balanced by new-row mass — a sorted row is unique, so the output is
+/// byte-identical to rebuilding the whole CSR, at any thread
+/// count. This is the shared incremental-maintenance kernel behind
+/// `CommGraph::apply_delta` and the cluster layer's `H`-adjacency patch.
 pub fn patch_csr_rows(
     offsets: &[usize],
     adj: &[usize],
-    ins_pairs: &[(usize, usize)],
-    del_pairs: &[(usize, usize)],
+    inserted: &[(usize, usize)],
+    deleted: &[(usize, usize)],
     par: &ParallelConfig,
 ) -> (Vec<usize>, Vec<usize>) {
+    // Directed `(row, entry)` pairs for both endpoints of every edge,
+    // sorted so each row's additions and removals are contiguous
+    // ascending runs.
+    let directed = |edges: &[(usize, usize)]| {
+        let mut pairs = Vec::with_capacity(2 * edges.len());
+        for &(u, v) in edges {
+            pairs.push((u, v));
+            pairs.push((v, u));
+        }
+        pairs.sort_unstable();
+        pairs
+    };
+    let (ins_pairs, del_pairs) = (directed(inserted), directed(deleted));
     let n = offsets.len() - 1;
-    debug_assert!(ins_pairs.is_sorted() && del_pairs.is_sorted());
     // New offsets: old degree adjusted by the per-row patch counts.
     let mut new_offsets = vec![0usize; n + 1];
     {

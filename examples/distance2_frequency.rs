@@ -3,9 +3,9 @@
 //! Wireless access points that share a client must broadcast on different
 //! frequencies — a *distance-2* coloring of the access-point graph `G`,
 //! i.e. a vertex coloring of the square `G²` with `Δ₂ + 1` frequencies.
-//! The paper colors `G²` as a virtual graph over `G`; per DESIGN.md we
-//! color the explicit square with the cluster machinery — the `square`
-//! workload family.
+//! The paper colors `G²` as a virtual graph over `G`; as the README's
+//! "Substitutions" section lists, we color the explicit square with the
+//! cluster machinery — the `square` workload family.
 //!
 //! ```sh
 //! cargo run --release --example distance2_frequency
