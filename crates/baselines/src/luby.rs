@@ -2,13 +2,15 @@
 //!
 //! Every uncolored vertex tries a uniform color from its current palette
 //! each round; conflicts resolve by id. Θ(log n) rounds w.h.p. \[Joh99\].
-//! This is E1's baseline: its round count *grows* with `n` while the
-//! paper's algorithm stays (nearly) flat in the high-degree regime.
+//! This is the library's exact-palette trial kernel
+//! ([`cgc_core::trycolor::palette_trial_rounds`]) run from an empty
+//! coloring with `(Δ+1)`-bit palette bitmaps. It is E1's baseline: its
+//! round count *grows* with `n` while the paper's algorithm stays
+//! (nearly) flat in the high-degree regime.
 
 use cgc_cluster::ClusterNet;
-use cgc_core::{trycolor::try_color_round, Coloring};
+use cgc_core::{trycolor::palette_trial_rounds, Coloring};
 use cgc_net::SeedStream;
-use rand::RngExt;
 
 /// Round-count statistics of a Johansson run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,38 +31,10 @@ pub fn luby_coloring(
     let q = net.g.max_degree() + 1;
     let mut coloring = Coloring::new(n, q);
     net.set_phase("johansson");
-    let mut rounds = 0usize;
-    while !coloring.is_total() && rounds < max_rounds {
-        rounds += 1;
-        // Palette maintenance bitmap + the trial round.
-        net.charge_full_rounds(1, q as u64);
-        let palettes: Vec<Vec<usize>> = (0..n)
-            .map(|v| {
-                if coloring.is_colored(v) {
-                    Vec::new()
-                } else {
-                    coloring.palette_oracle(net.g, v)
-                }
-            })
-            .collect();
-        let eligible: Vec<bool> = (0..n).map(|v| !coloring.is_colored(v)).collect();
-        try_color_round(
-            net,
-            &mut coloring,
-            seeds,
-            rounds as u64,
-            &eligible,
-            1.0,
-            |v, rng| {
-                let pal = &palettes[v];
-                if pal.is_empty() {
-                    None
-                } else {
-                    Some(pal[rng.random_range(0..pal.len())])
-                }
-            },
-        );
-    }
+    let (_, rounds) =
+        palette_trial_rounds(net, &mut coloring, seeds, None, q as u64, max_rounds, |r| {
+            r + 1
+        });
     let capped = !coloring.is_total();
     (coloring, JohanssonStats { rounds, capped })
 }
@@ -78,7 +52,7 @@ pub fn johansson_stats(
 mod tests {
     use super::*;
     use cgc_cluster::ClusterGraph;
-    use cgc_graphs::{gnp_spec, realize, Layout};
+    use cgc_graphs::{gnp_spec, realize, Layout, WorkloadSpec};
     use cgc_net::CommGraph;
 
     #[test]
@@ -107,6 +81,42 @@ mod tests {
         // not absurdly more.
         assert!(large >= small, "small {small}, large {large}");
         assert!(large <= 20 * small.max(4), "large {large} vs small {small}");
+    }
+
+    /// FNV-1a over every vertex's color as a little-endian `u64`
+    /// (`u64::MAX` when uncolored).
+    fn digest(coloring: &Coloring) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in 0..coloring.len() {
+            let color = coloring.get(v).map_or(u64::MAX, |c| c as u64);
+            for byte in color.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn cabal_run_is_pinned() {
+        let spec: WorkloadSpec = "cabal:c=6,k=50,anti=3,ext=4,seed=3,layout=star3"
+            .parse()
+            .unwrap();
+        let g = spec.build();
+        let mut net = ClusterNet::with_log_budget(&g, 32);
+        let (c, stats) = luby_coloring(&mut net, &SeedStream::new(4), 10_000);
+        assert_eq!(
+            stats,
+            JohanssonStats {
+                rounds: 4,
+                capped: false
+            }
+        );
+        let report = net.meter.report();
+        assert_eq!(report.h_rounds, 24);
+        assert_eq!(report.bits, 3_728_992);
+        assert!(c.is_proper(&g));
+        assert_eq!(digest(&c), 0x0bfc_c64b_12ae_ec74);
     }
 
     #[test]

@@ -79,9 +79,6 @@ pub struct ClusterNet<'a> {
     scratch: RoundScratch,
     par: ParallelConfig,
     plan: ShardPlan,
-    /// Even per-vertex plan for the O(1)-per-vertex primitives
-    /// (`exact_degrees_into`), where entry mass is the wrong balance measure.
-    even_plan: ShardPlan,
 }
 
 impl<'a> ClusterNet<'a> {
@@ -113,7 +110,6 @@ impl<'a> ClusterNet<'a> {
             n_links: g.n_links() as u64,
             scratch: RoundScratch::default(),
             plan: g.shard_plan(&par),
-            even_plan: ShardPlan::even(g.n_vertices(), par.threads()),
             par,
         }
     }
@@ -148,7 +144,6 @@ impl<'a> ClusterNet<'a> {
             return;
         }
         self.plan = self.g.shard_plan(&par);
-        self.even_plan = ShardPlan::even(self.g.n_vertices(), par.threads());
         self.par = par;
     }
 
@@ -186,9 +181,7 @@ impl<'a> ClusterNet<'a> {
     /// Charges one broadcast from every leader down its support tree with
     /// messages of at most `msg_bits` bits. Returns sub-rounds used.
     pub fn charge_broadcast(&mut self, msg_bits: u64) -> u64 {
-        let sub = self.meter.charge_messages(msg_bits, self.total_tree_edges);
-        self.meter.charge_rounds(sub, sub * self.dilation());
-        sub
+        self.charge_tree_phases(msg_bits, 1)
     }
 
     /// Charges one exchange on every inter-cluster link.
@@ -201,9 +194,7 @@ impl<'a> ClusterNet<'a> {
     /// Charges one converge-cast up every support tree with (partially
     /// aggregated) messages of at most `msg_bits` bits.
     pub fn charge_converge(&mut self, msg_bits: u64) -> u64 {
-        let sub = self.meter.charge_messages(msg_bits, self.total_tree_edges);
-        self.meter.charge_rounds(sub, sub * self.dilation());
-        sub
+        self.charge_tree_phases(msg_bits, 1)
     }
 
     /// Charges `count` full H-rounds (broadcast + link + converge) with
@@ -211,14 +202,11 @@ impl<'a> ClusterNet<'a> {
     /// sub-round counts are identical every iteration, so bits, rounds and
     /// pipelining penalties scale linearly and need no per-round loop.
     pub fn charge_full_rounds(&mut self, count: u64, msg_bits: u64) {
-        if count == 0 {
-            return;
-        }
         // Broadcast + converge are symmetric tree phases: 2·count of them.
         self.charge_tree_phases(msg_bits, 2 * count);
         let sub_link = self
             .meter
-            .charge_messages_repeated(msg_bits, 2 * self.n_links, count);
+            .charge_messages(msg_bits, 2 * self.n_links * count);
         self.meter.charge_rounds(count * sub_link, count * sub_link);
     }
 
@@ -226,12 +214,9 @@ impl<'a> ClusterNet<'a> {
     /// — the two are symmetric for fixed-size messages) in O(1) meter
     /// arithmetic. Returns the sub-rounds of one phase.
     pub fn charge_tree_phases(&mut self, msg_bits: u64, phases: u64) -> u64 {
-        if phases == 0 {
-            return 1;
-        }
         let sub = self
             .meter
-            .charge_messages_repeated(msg_bits, self.total_tree_edges, phases);
+            .charge_messages(msg_bits, self.total_tree_edges * phases);
         self.meter
             .charge_rounds(phases * sub, phases * sub * self.dilation());
         sub
@@ -377,11 +362,8 @@ impl<'a> ClusterNet<'a> {
     /// deduplicate their parallel links so each contributes exactly 1.
     /// `out` is cleared and refilled. After the dedup round, each vertex's
     /// count equals its deduplicated CSR degree, so the fold is resolved
-    /// directly from the topology — shard-parallel into disjoint output
-    /// slices like every other primitive. The local work here is O(1) per
-    /// vertex (an offsets difference, never a row walk), so the shards
-    /// balance on the even per-vertex plan: entry mass — hub or not — is
-    /// irrelevant to this primitive's cost.
+    /// directly from the topology in one serial pass over the CSR offsets
+    /// (O(1) per vertex, never a row walk).
     pub fn exact_degrees_into(&mut self, out: &mut Vec<usize>) {
         // One converge inside each neighbor to cut extra links, then the
         // counting round itself: constant rounds, O(log n)-bit messages.
@@ -391,13 +373,7 @@ impl<'a> ClusterNet<'a> {
         self.charge_converge(self.id_bits());
         let (offsets, _) = self.g.adjacency_csr();
         out.clear();
-        out.resize(self.g.n_vertices(), 0);
-        fill_sharded(out, &self.even_plan, |start, part| {
-            for (i, deg) in part.iter_mut().enumerate() {
-                let v = start + i;
-                *deg = offsets[v + 1] - offsets[v];
-            }
-        });
+        out.extend(offsets.windows(2).map(|w| w[1] - w[0]));
     }
 
     /// Builds a per-vertex vector shard-parallel over the runtime's
@@ -425,13 +401,14 @@ impl<'a> ClusterNet<'a> {
     /// Fills a flat row-major matrix of `row_len` elements per vertex,
     /// sharded over the runtime's plan: `fill(v, row)` runs once per
     /// vertex with `row` set to `T::default()`, writing the vertex's own
-    /// row of its shard's part. The palette bit-rows of the fallback and
-    /// list-coloring round loops ([`Self::par_vertex_fill_words`]) and the
-    /// fingerprint matrices of `cgc_sketch` are built through this
-    /// (row-mass-weighted plan: those fills walk each vertex's CSR row, so
-    /// a hub must not pin one shard). Like the other oracle-view maps,
-    /// nothing is charged. `out` is cleared and resized; warm calls with
-    /// sufficient capacity never allocate.
+    /// row of its shard's part. The palette bit-rows of the exact-palette
+    /// trial loop (`cgc_core::trycolor::palette_trial_rounds`, through
+    /// [`Self::par_vertex_fill_words`]) and the fingerprint matrices of
+    /// `cgc_sketch` are built through this (row-mass-weighted plan: those
+    /// fills walk each vertex's CSR row, so a hub must not pin one shard).
+    /// Like the other oracle-view maps, nothing is charged. `out` is
+    /// cleared and resized; warm calls with sufficient capacity never
+    /// allocate.
     pub fn par_vertex_fill_rows<T: Copy + Default + Send>(
         &self,
         row_len: usize,

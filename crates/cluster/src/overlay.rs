@@ -29,9 +29,6 @@ pub struct VirtualGraph {
     base: CommGraph,
     /// Support (machine set, sorted) of each virtual node.
     supports: Vec<Vec<MachineId>>,
-    /// Support-tree edges of each virtual node (parent pointers keyed
-    /// positionally with `supports[v]`; `None` at the root).
-    tree_parent: Vec<Vec<Option<MachineId>>>,
     /// Height of each support tree.
     tree_height: Vec<usize>,
     /// Adjacency of the virtual conflict graph (nodes with intersecting
@@ -145,7 +142,6 @@ impl VirtualGraph {
         Ok(VirtualGraph {
             base,
             supports: sorted_supports,
-            tree_parent,
             tree_height,
             h_adj,
             congestion,
@@ -211,12 +207,6 @@ impl VirtualGraph {
     /// Height of `v`'s support tree.
     pub fn tree_height(&self, v: VertexId) -> usize {
         self.tree_height[v]
-    }
-
-    /// Parent pointers of `v`'s support tree, positionally parallel with
-    /// [`Self::support`] (`None` at the leader).
-    pub fn tree_parents(&self, v: VertexId) -> &[Option<MachineId>] {
-        &self.tree_parent[v]
     }
 
     /// Neighbors of `v` in the virtual conflict graph.

@@ -14,7 +14,7 @@ use crate::palette_query::CliquePalette;
 use crate::params::Params;
 use crate::putaside::{color_putaside_sets, compute_putaside_sets, CabalCtx, DonationOutcome};
 use crate::sct::{synchronized_color_trial, SctGroup};
-use crate::trycolor::try_color_rounds;
+use crate::trycolor::{first_fit_finish, try_color_rounds, try_then_multicolor};
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_decomp::{cabal_inliers, AlmostCliqueDecomp, CabalInfo, DegreeProfile};
 use cgc_net::SeedStream;
@@ -140,35 +140,15 @@ pub fn color_cabals(
             }
         }
     }
-    report.outliers_colored = try_color_rounds(
+    report.outliers_colored = try_then_multicolor(
         net,
         coloring,
-        seeds,
-        0x70,
+        (seeds, 0x70),
+        (seeds, 0x71),
         &outliers,
-        1.0,
-        params.trycolor_rounds,
-        |_, rng| {
-            if r < q {
-                Some(rng.random_range(r..q))
-            } else {
-                None
-            }
-        },
+        |_| r,
+        params,
     );
-    let outlier_left: Vec<VertexId> = (0..n)
-        .filter(|&v| outliers[v] && !coloring.is_colored(v))
-        .collect();
-    let left = multicolor_trial(
-        net,
-        coloring,
-        seeds,
-        0x71,
-        &outlier_left,
-        |_| ColorInterval::new(r, q),
-        params.mct_max_rounds,
-    );
-    report.outliers_colored += outlier_left.len() - left.len();
 
     // ---- Step 3: put-aside sets ----
     let pools: Vec<Vec<VertexId>> = cliques
@@ -264,20 +244,8 @@ pub fn color_cabals(
         params.trycolor_rounds,
         move |_, rng| Some(rng.random_range(0..q)),
     );
-    let mut still: Vec<VertexId> = left
-        .iter()
-        .copied()
-        .filter(|&v| !coloring.is_colored(v))
-        .collect();
     // Sequential charged finish for non-put-aside stragglers.
-    while let Some(&v) = still.first() {
-        net.charge_full_rounds(1, net.color_bits() + net.id_bits());
-        // Safe: Δ+1 colors, v has at most Δ neighbors.
-        let pal = coloring.palette_oracle(net.g, v);
-        coloring.set(v, pal[0]);
-        still.remove(0);
-        report.leftover += 1;
-    }
+    report.leftover = first_fit_finish(net, coloring, left);
 
     // ---- Step 6: color put-aside sets (§7) ----
     let ctxs: Vec<CabalCtx> = cliques

@@ -120,7 +120,6 @@ pub fn complete_noncabals(
                 }
             }
         }
-        let chosen_ref = chosen.clone();
         try_color_round(
             net,
             coloring,
@@ -128,7 +127,7 @@ pub fn complete_noncabals(
             salt ^ (it as u64),
             &eligible,
             1.0,
-            |v, _| chosen_ref[v],
+            |v, _| chosen[v],
         );
     }
 

@@ -4,27 +4,26 @@
 //! * otherwise → `ComputeACD → SlackGeneration (V \ V_cabal) →
 //!   ColoringSparse → ColoringNonCabals → ColoringCabals`.
 //!
-//! Every stage validates its postcondition against the oracle and the
-//! driver ends with a *guaranteed-terminating* fallback (one charged
-//! aggregation round per step; the minimum-id uncolored vertex always
-//! succeeds, so at most `n` extra rounds). Fallback work is reported
-//! separately in [`RunStats`] — at sane parameters it is (nearly) zero,
-//! and experiments display it so scaled-down constants cannot silently
-//! cheat.
+//! The sparse step is [`try_then_multicolor`] over the full space. Every
+//! stage validates its postcondition against the oracle and the driver
+//! ends with a *guaranteed-terminating* fallback: exact-palette trials
+//! ([`palette_trial_rounds`], one charged aggregation round per step;
+//! the minimum-id uncolored vertex always succeeds, so at most `n` extra
+//! rounds). Fallback work is reported separately in [`RunStats`] — at
+//! sane parameters it is (nearly) zero, and experiments display it so
+//! scaled-down constants cannot silently cheat.
 
 use crate::cabals::{color_cabals, CabalReport};
 use crate::coloring::Coloring;
 use crate::lowdeg::{color_low_degree, LowDegReport};
-use crate::mct::{multicolor_trial, ColorInterval};
 use crate::noncabal::{color_noncabals, NoncabalReport};
 use crate::params::Params;
 use crate::slackgen::slack_generation;
-use crate::trycolor::{try_color_round_words, try_color_rounds, TrialScratch};
+use crate::trycolor::{palette_trial_rounds, try_then_multicolor};
 use crate::validate::coloring_stats;
-use cgc_cluster::{bits, ClusterNet, ParallelConfig};
+use cgc_cluster::{ClusterNet, ParallelConfig};
 use cgc_decomp::{acd_oracle, classify_cabals, compute_acd, degree_profile};
 use cgc_net::{CostReport, SeedStream};
-use rand::RngExt;
 
 /// Which algorithmic path the driver took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,29 +200,15 @@ pub fn color_cluster_graph_with(
         // ---- Step 3: sparse vertices ----
         net.set_phase("sparse");
         let sparse: Vec<bool> = net.par_vertex_map(|v| acd.is_sparse(v));
-        stats.sparse_colored = try_color_rounds(
+        stats.sparse_colored = try_then_multicolor(
             net,
             &mut coloring,
-            &seeds.child(4),
-            0,
+            (&seeds.child(4), 0),
+            (&seeds.child(5), 0),
             &sparse,
-            1.0,
-            params.trycolor_rounds,
-            |_, rng| Some(rng.random_range(0..q)),
+            |_| 0,
+            params,
         );
-        let sparse_left: Vec<usize> = (0..n)
-            .filter(|&v| sparse[v] && !coloring.is_colored(v))
-            .collect();
-        let left = multicolor_trial(
-            net,
-            &mut coloring,
-            &seeds.child(5),
-            0,
-            &sparse_left,
-            |_| ColorInterval::new(0, q),
-            params.mct_max_rounds,
-        );
-        stats.sparse_colored += sparse_left.len() - left.len();
 
         // ---- Step 4: non-cabals ----
         stats.noncabal = color_noncabals(
@@ -267,10 +252,10 @@ pub fn color_cluster_graph_with(
 }
 
 /// Drives `coloring` to totality with charged exact-palette trials under
-/// id priority: one aggregation round per step, each uncolored vertex
-/// sampling uniformly from its true palette. With `q = Δ + 1` colors the
-/// minimum-id uncolored vertex always has a non-empty palette and wins
-/// its trial, so the loop terminates in at most `n` productive rounds.
+/// id priority ([`palette_trial_rounds`] over every uncolored vertex, no
+/// round cap, messages of `min(q, 4·budget)` bits). With `q = Δ + 1`
+/// colors the minimum-id uncolored vertex always has a non-empty palette
+/// and wins its trial, so the loop terminates in at most `n` rounds.
 ///
 /// Shared between the driver's terminal fallback (phase `"fallback"`)
 /// and the streaming-mutation recolor pass (phase `"recolor"` — see
@@ -282,56 +267,12 @@ pub(crate) fn fallback_until_total(
     coloring: &mut Coloring,
     fb_seeds: &SeedStream,
 ) -> (usize, u64) {
-    let n = net.g.n_vertices();
-    let q = coloring.q();
-    let wpr = bits::words_for(q);
-    let mut colored = 0usize;
-    let mut round = 0u64;
-    // Per-vertex used-color rows, packed (`⌈q/64⌉` words each) in one
-    // flat matrix filled shard-parallel; the sampler answers count/select
-    // against its own row by popcount. The active set is the word-wise
-    // complement of the coloring's occupancy mask — no `Vec<bool>`
-    // eligibility pass. All buffers are hoisted: warm rounds reuse them.
-    let mut used_rows: Vec<u64> = Vec::new();
-    let mut active: Vec<u64> = Vec::new();
-    let mut scratch = TrialScratch::new();
-    while !coloring.is_total() {
-        round += 1;
-        net.charge_full_rounds(1, (q as u64).min(4 * net.meter.budget_bits()));
-        let col = &*coloring;
-        net.par_vertex_fill_words(wpr, &mut used_rows, |v, row| {
-            if col.is_colored(v) {
-                return;
-            }
-            for &u in net.g.neighbors(v) {
-                if let Some(c) = col.get(u) {
-                    bits::set_bit(row, c);
-                }
-            }
+    let msg_bits = (coloring.q() as u64).min(4 * net.meter.budget_bits());
+    let (colored, rounds) =
+        palette_trial_rounds(net, coloring, fb_seeds, None, msg_bits, usize::MAX, |r| {
+            r + 1
         });
-        bits::complement_into(coloring.occupied_words(), n, &mut active);
-        let used_rows_ref = &used_rows;
-        colored += try_color_round_words(
-            net,
-            coloring,
-            fb_seeds,
-            round,
-            &active,
-            1.0,
-            |v, rng| {
-                let row = &used_rows_ref[v * wpr..(v + 1) * wpr];
-                let n_free = bits::count_free(row, q);
-                if n_free == 0 {
-                    None
-                } else {
-                    bits::nth_free(row, q, rng.random_range(0..n_free))
-                }
-            },
-            &mut scratch,
-        );
-        debug_assert!(round <= 2 * n as u64 + 16, "fallback must terminate");
-    }
-    (colored, round)
+    (colored, rounds as u64)
 }
 
 #[cfg(test)]

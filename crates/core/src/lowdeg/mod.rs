@@ -7,12 +7,15 @@
 //! components are then finished by a list-coloring routine.
 //!
 //! In the `Δ = O(log n)` regime, palettes are maintained exactly with
-//! `O(log n)`-bit bitmaps — a legal aggregate — which is what [`fn@shatter::shatter`]
-//! charges. The small-instance finisher ([`listcolor`]) runs iterated
-//! palette trials per component in parallel (expected `O(log N)` rounds on
-//! size-`N` components) — the reduced-fidelity stand-in for the
-//! Ghaffari–Kuhn rounding listed in the README's "Substitutions" section,
-//! with rounds honestly charged and reported.
+//! `O(log n)`-bit bitmaps — a legal aggregate — which is what the
+//! exact-palette trial kernel ([`crate::trycolor::palette_trial_rounds`])
+//! charges. [`fn@shatter::shatter`] runs it on every uncolored vertex;
+//! the small-instance finisher ([`listcolor`]) runs it on the components'
+//! members, all components in parallel (expected `O(log N)` rounds on
+//! size-`N` components), then the charged first-fit finish — the
+//! reduced-fidelity stand-in for the Ghaffari–Kuhn rounding listed in the
+//! README's "Substitutions" section, with rounds honestly charged and
+//! reported.
 
 pub mod learn;
 pub mod listcolor;

@@ -2,17 +2,19 @@
 //!
 //! Each round, every uncolored vertex learns its exact palette — a
 //! `(Δ+1)`-bit bitmap aggregated over its neighbors, legal and charged in
-//! the `Δ = O(log n)` regime — and tries a uniform palette color. After
-//! `O(log log n)` rounds the uncolored subgraph shatters into components
-//! of size `O(Δ² log_Δ n)`.
+//! the `Δ = O(log n)` regime — and tries a uniform palette color: the
+//! shared exact-palette kernel, `crate::trycolor::palette_trial_rounds`.
+//! After `O(log log n)` rounds the uncolored subgraph shatters into
+//! components of size `O(Δ² log_Δ n)`.
 
 use crate::coloring::Coloring;
-use crate::trycolor::try_color_round;
+use crate::trycolor::palette_trial_rounds;
 use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
 use cgc_net::SeedStream;
-use rand::RngExt;
 
-/// Runs `rounds` palette-trial rounds; returns vertices colored.
+/// Runs `rounds` palette-trial rounds ([`palette_trial_rounds`] over
+/// every uncolored vertex, `(Δ+1)`-bit bitmaps, round `r` salted
+/// `salt ^ r << 8`); returns vertices colored.
 pub fn shatter(
     net: &mut ClusterNet<'_>,
     coloring: &mut Coloring,
@@ -20,45 +22,8 @@ pub fn shatter(
     salt: u64,
     rounds: usize,
 ) -> usize {
-    let n = net.g.n_vertices();
     let q = coloring.q() as u64;
-    let mut colored = 0usize;
-    for r in 0..rounds {
-        let eligible: Vec<bool> = (0..n).map(|v| !coloring.is_colored(v)).collect();
-        if eligible.iter().all(|&e| !e) {
-            break;
-        }
-        // Palette maintenance: one aggregation of a (Δ+1)-bit bitmap.
-        net.charge_full_rounds(1, q);
-        // Palette snapshot for the samplers (the oracle view mirrors the
-        // bitmap every machine of the cluster now holds).
-        let palettes: Vec<Vec<usize>> = (0..n)
-            .map(|v| {
-                if eligible[v] {
-                    coloring.palette_oracle(net.g, v)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        colored += try_color_round(
-            net,
-            coloring,
-            seeds,
-            salt ^ ((r as u64) << 8),
-            &eligible,
-            1.0,
-            |v, rng| {
-                let pal = &palettes[v];
-                if pal.is_empty() {
-                    None
-                } else {
-                    Some(pal[rng.random_range(0..pal.len())])
-                }
-            },
-        );
-    }
-    colored
+    palette_trial_rounds(net, coloring, seeds, None, q, rounds, |r| salt ^ (r << 8)).0
 }
 
 /// Connected components of the uncolored subgraph (identified by the

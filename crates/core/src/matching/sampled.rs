@@ -98,7 +98,6 @@ pub fn sampled_colorful_matching(
             }
             for (c, group) in by_color {
                 // Greedy first non-adjacent pair (members sorted by id).
-                let mut paired = false;
                 'outer: for a_idx in 0..group.len() {
                     for b_idx in (a_idx + 1)..group.len() {
                         let (a, b) = (group[a_idx], group[b_idx]);
@@ -106,12 +105,10 @@ pub fn sampled_colorful_matching(
                             coloring.set(a, c);
                             coloring.set(b, c);
                             gained[i] += 1;
-                            paired = true;
                             break 'outer;
                         }
                     }
                 }
-                let _ = paired;
             }
         }
         if gained.iter().sum::<usize>() == before {

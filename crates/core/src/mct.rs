@@ -81,10 +81,6 @@ pub fn multicolor_trial(
 ) -> Vec<VertexId> {
     let n = net.g.n_vertices();
     let mut families: HashMap<usize, RepFamily> = HashMap::new();
-    let mut is_member = vec![false; n];
-    for &v in members {
-        is_member[v] = true;
-    }
 
     let mut stalled = 0usize;
     // Round buffers hoisted across the trial loop: the live set, the

@@ -9,15 +9,13 @@
 use crate::coloring::Coloring;
 use crate::complete::{complete_noncabals, CompleteGroup};
 use crate::matching::sampled_colorful_matching;
-use crate::mct::{multicolor_trial, ColorInterval};
 use crate::palette_query::CliquePalette;
 use crate::params::Params;
 use crate::sct::{synchronized_color_trial, SctGroup};
-use crate::trycolor::try_color_rounds;
+use crate::trycolor::try_then_multicolor;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_decomp::{noncabal_inliers, AlmostCliqueDecomp, CabalInfo, DegreeProfile};
 use cgc_net::SeedStream;
-use rand::RngExt;
 
 /// Per-stage counters for the non-cabal pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,36 +102,15 @@ pub fn color_noncabals(
             reserved_of[v] = r_of(ci);
         }
     }
-    report.outliers_colored += try_color_rounds(
+    report.outliers_colored = try_then_multicolor(
         net,
         coloring,
-        seeds,
-        0x07,
+        (seeds, 0x07),
+        (seeds, 0x08),
         &outliers,
-        1.0,
-        params.trycolor_rounds,
-        |v, rng| {
-            let lo = reserved_of[v];
-            if lo < q {
-                Some(rng.random_range(lo..q))
-            } else {
-                None
-            }
-        },
+        |v| reserved_of[v],
+        params,
     );
-    let outlier_left: Vec<VertexId> = (0..n)
-        .filter(|&v| outliers[v] && !coloring.is_colored(v))
-        .collect();
-    let left = multicolor_trial(
-        net,
-        coloring,
-        seeds,
-        0x08,
-        &outlier_left,
-        |v| ColorInterval::new(reserved_of[v], q),
-        params.mct_max_rounds,
-    );
-    report.outliers_colored += outlier_left.len() - left.len();
 
     // ---- Step 3: synchronized color trial ----
     net.set_phase("noncabal-sct");

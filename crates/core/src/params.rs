@@ -72,8 +72,6 @@ pub struct Params {
     pub fp_matching_trials: usize,
     /// `ℓ_s` — free-color threshold in put-aside coloring (paper: Θ(ℓ³)).
     pub ls: usize,
-    /// Block size `b` for donation messages (paper: 256·ℓ_s⁶).
-    pub block_size: usize,
     /// Stage-level retries before falling back.
     pub max_retries: usize,
     /// Rounds of shattering trials in the low-degree path (§9.1).
@@ -107,7 +105,6 @@ impl Params {
             matching_iters: 12,
             fp_matching_trials: (6.0 * ln_n).ceil() as usize,
             ls: 4,
-            block_size: 0, // 0 = derive from Δ at run time
             max_retries: 4,
             shatter_rounds: (2.0 * ln_n.ln().max(1.0)).ceil() as usize + 2,
             ablation: Ablation::default(),
@@ -143,7 +140,6 @@ impl Params {
             matching_iters: 2000,
             fp_matching_trials: (6.0 * 2000.0 * ln_n).ceil() as usize,
             ls: (log_n.powf(1.1).powi(3)).min(1e9) as usize,
-            block_size: 0,
             max_retries: 8,
             shatter_rounds: (2.0 * ln_n.ln().max(1.0)).ceil() as usize + 2,
             ablation: Ablation::default(),
@@ -165,14 +161,10 @@ impl Params {
         r.clamp(1, (delta / 8).max(1))
     }
 
-    /// Effective donation block size: `b` if set, else `Δ+1` split into
-    /// at least four blocks.
+    /// Donation block size `b` (paper: 256·ℓ_s⁶): `Δ+1` split into at
+    /// least four blocks.
     pub fn effective_block_size(&self, delta: usize) -> usize {
-        if self.block_size > 0 {
-            self.block_size
-        } else {
-            ((delta + 1) / 4).max(2)
-        }
+        ((delta + 1) / 4).max(2)
     }
 }
 
@@ -217,7 +209,5 @@ mod tests {
     fn block_size_derivation() {
         let p = Params::laptop(100);
         assert_eq!(p.effective_block_size(99), 25);
-        let p2 = Params { block_size: 7, ..p };
-        assert_eq!(p2.effective_block_size(99), 7);
     }
 }

@@ -29,6 +29,7 @@
 use crate::coloring::{Color, Coloring};
 use crate::palette_query::CliquePalette;
 use crate::params::Params;
+use crate::trycolor::first_fit_finish;
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;
 use rand::RngExt;
@@ -125,18 +126,11 @@ pub fn color_putaside_sets(
     }
 
     // Fallback: strictly sequential, one charged round per vertex.
-    for cabal in cabals {
-        for &u in &cabal.putaside {
-            if coloring.is_colored(u) {
-                continue;
-            }
-            net.charge_full_rounds(1, net.color_bits() + net.id_bits());
-            let pal = coloring.palette_oracle(net.g, u);
-            let c = *pal.first().expect("Δ+1 colors always leave one free");
-            coloring.set(u, c);
-            out.fallback += 1;
-        }
-    }
+    out.fallback = first_fit_finish(
+        net,
+        coloring,
+        cabals.iter().flat_map(|c| c.putaside.iter().copied()),
+    );
     out
 }
 

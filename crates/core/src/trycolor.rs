@@ -6,10 +6,25 @@
 //! neighbor of smaller id sampled the same color. One aggregation round
 //! per trial; Lemma D.3 shows uncolored degrees drop by a constant factor
 //! per round when vertices have constant relative slack in their space.
+//!
+//! The trial loops the pipeline repeats have one kernel each:
+//!
+//! * [`palette_trial_rounds`] — exact-palette trials (every active vertex
+//!   learns its palette bitmap and tries a uniform free color): the
+//!   driver's terminal fallback, §9.1 shattering, the §9.4 list-coloring
+//!   stand-in and the Johansson baseline;
+//! * [`first_fit_finish`] — the charged sequential finish that gives each
+//!   straggler its smallest free color (list coloring, cabal stragglers,
+//!   put-aside leftovers);
+//! * [`try_then_multicolor`] — `TryColor` then `MultiColorTrial` over a
+//!   suffix interval `[lo(v), q)` (the sparse step and both outlier
+//!   steps).
 
 use crate::coloring::{Color, Coloring};
+use crate::mct::{multicolor_trial, ColorInterval};
+use crate::params::Params;
 use crate::rounds::{candidate_conflict_round, commit_unblocked, ConflictQueries, TieRule};
-use cgc_cluster::{bits, ClusterNet, VertexId};
+use cgc_cluster::{bits, BitsScratch, ClusterNet, VertexId};
 use cgc_net::SeedStream;
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
@@ -78,9 +93,9 @@ pub fn try_color_round(
 /// `v` tries this round; the caller guarantees active vertices are
 /// uncolored — typically `eligible & !occupied`, word-wise). The round
 /// loops that maintain their eligibility sets as bit-words
-/// ([`try_color_rounds`], the driver fallback, the §9.4 list-coloring
-/// finisher) call this directly: candidate generation iterates only the
-/// set bits instead of scanning all `n` flags.
+/// ([`try_color_rounds`], [`palette_trial_rounds`]) call this directly:
+/// candidate generation iterates only the set bits instead of scanning
+/// all `n` flags.
 ///
 /// Set bits are visited ascending, each with its vertex's own seeded RNG
 /// (`seeds.rng_for(v, salt)`), so the round is a pure function of the
@@ -200,6 +215,158 @@ pub fn try_color_rounds(
         );
     }
     total
+}
+
+/// Exact-palette trials under id priority. Each round the active set is
+/// `members & !occupied` (every uncolored vertex when `members` is
+/// `None`); the loop stops when it is empty or after `max_rounds` rounds.
+/// Otherwise every active vertex learns its palette — a used-color bitmap
+/// aggregated over its neighbors, charged as one full round of
+/// `msg_bits` — and tries a uniform free color, salted `salt(r)` in round
+/// `r` (counted from 0). With `q ≥ Δ + 1` the smallest active id always
+/// has a free color and wins, so every round colors at least one vertex.
+///
+/// The used-color rows are packed (`⌈q/64⌉` words per vertex) in one flat
+/// matrix filled shard-parallel; the sampler answers count/select against
+/// its own row by popcount. All buffers are hoisted, so warm rounds reuse
+/// them, and a call with no active vertex allocates nothing. Returns
+/// `(vertices colored, rounds run)`.
+#[allow(clippy::too_many_arguments)]
+pub fn palette_trial_rounds(
+    net: &mut ClusterNet<'_>,
+    coloring: &mut Coloring,
+    seeds: &SeedStream,
+    members: Option<&[u64]>,
+    msg_bits: u64,
+    max_rounds: usize,
+    salt: impl Fn(u64) -> u64,
+) -> (usize, usize) {
+    let n = net.g.n_vertices();
+    let q = coloring.q();
+    let wpr = bits::words_for(q);
+    let mut colored = 0usize;
+    let mut active: Vec<u64> = Vec::new();
+    let mut used_rows: Vec<u64> = Vec::new();
+    let mut scratch = TrialScratch::new();
+    for r in 0..max_rounds {
+        let occupied = coloring.occupied_words();
+        let any_active = match members {
+            Some(m) => bits::any_andnot(m, occupied),
+            None => !coloring.is_total(),
+        };
+        if !any_active {
+            return (colored, r);
+        }
+        debug_assert!(r <= 2 * n + 16, "every round colors a vertex");
+        match members {
+            Some(m) => bits::andnot_into(m, occupied, &mut active),
+            None => bits::complement_into(occupied, n, &mut active),
+        }
+        net.charge_full_rounds(1, msg_bits);
+        let col = &*coloring;
+        let active_ref = &active;
+        net.par_vertex_fill_words(wpr, &mut used_rows, |v, row| {
+            if !bits::test_bit(active_ref, v) {
+                return;
+            }
+            for &u in net.g.neighbors(v) {
+                if let Some(c) = col.get(u) {
+                    bits::set_bit(row, c);
+                }
+            }
+        });
+        let rows = &used_rows;
+        colored += try_color_round_words(
+            net,
+            coloring,
+            seeds,
+            salt(r as u64),
+            &active,
+            1.0,
+            |v, rng| {
+                let row = &rows[v * wpr..(v + 1) * wpr];
+                match bits::count_free(row, q) {
+                    0 => None,
+                    free => bits::nth_free(row, q, rng.random_range(0..free)),
+                }
+            },
+            &mut scratch,
+        );
+    }
+    (colored, max_rounds)
+}
+
+/// The charged sequential finish: each still-uncolored vertex of
+/// `vertices`, in order, takes its smallest free color, one aggregation
+/// round of `color_bits + id_bits` per vertex colored. Returns the number
+/// colored.
+///
+/// # Panics
+///
+/// Panics if a vertex has no free color (`q ≤ deg`).
+pub fn first_fit_finish(
+    net: &mut ClusterNet<'_>,
+    coloring: &mut Coloring,
+    vertices: impl IntoIterator<Item = VertexId>,
+) -> usize {
+    let mut scratch = BitsScratch::new();
+    let mut colored = 0usize;
+    for v in vertices {
+        if coloring.is_colored(v) {
+            continue;
+        }
+        net.charge_full_rounds(1, net.color_bits() + net.id_bits());
+        let c = coloring
+            .first_fit_color(net.g, v, &mut scratch)
+            .expect("q = Δ + 1 colors always leave one free");
+        coloring.set(v, c);
+        colored += 1;
+    }
+    colored
+}
+
+/// `TryColor`, then `MultiColorTrial` on what it left: the `eligible`
+/// vertices run `params.trycolor_rounds` uniform trials over `[lo(v), q)`
+/// (seeded `try_seeds`, salts from `try_salt`), and those still uncolored
+/// run at most `params.mct_max_rounds` rounds of MultiColorTrial over the
+/// same intervals (`mct_seeds`, `mct_salt`). Returns the number of
+/// vertices the two colored.
+pub fn try_then_multicolor(
+    net: &mut ClusterNet<'_>,
+    coloring: &mut Coloring,
+    (try_seeds, try_salt): (&SeedStream, u64),
+    (mct_seeds, mct_salt): (&SeedStream, u64),
+    eligible: &[bool],
+    lo: impl Fn(VertexId) -> Color,
+    params: &Params,
+) -> usize {
+    let q = coloring.q();
+    let tried = try_color_rounds(
+        net,
+        coloring,
+        try_seeds,
+        try_salt,
+        eligible,
+        1.0,
+        params.trycolor_rounds,
+        |v, rng| {
+            let lo = lo(v);
+            (lo < q).then(|| rng.random_range(lo..q))
+        },
+    );
+    let left: Vec<VertexId> = (0..eligible.len())
+        .filter(|&v| eligible[v] && !coloring.is_colored(v))
+        .collect();
+    let still = multicolor_trial(
+        net,
+        coloring,
+        mct_seeds,
+        mct_salt,
+        &left,
+        |v| ColorInterval::new(lo(v), q),
+        params.mct_max_rounds,
+    );
+    tried + left.len() - still.len()
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! debug build stays quick), colored with run seed 1, must keep its
 //! `CostReport` totals and its coloring, bit for bit, at 1 and 2 threads.
 //! A second pin does the same for the write path: a churn schedule
-//! applied to that run through `Session::apply_deltas`.
+//! applied to that run through `Session::apply_deltas`. Three more pin
+//! the trial kernels that run does not reach: the §9 path, a write to a
+//! session that never ran (all through the fallback), and a cabal run
+//! whose stragglers reach the first-fit finish.
 //!
 //! The equivalence suites compare two consumers of one random stream, so
 //! they would pass on any keystream. This test fails when the stream, or
@@ -119,6 +122,130 @@ fn churn_writes_after_the_run_are_pinned() {
         assert_eq!(
             digest(coloring),
             WRITE_DIGEST,
+            "coloring at {threads} threads"
+        );
+    }
+}
+
+/// The §9 path: `SPEC` with `Δ_low` above its Δ and a single shatter
+/// round, so the shatter trial leaves 15 components that the
+/// list-coloring rounds finish in 2 rounds.
+const LOWDEG_H_ROUNDS: u64 = 18;
+const LOWDEG_BITS: u128 = 607_446;
+const LOWDEG_COMPONENTS: usize = 15;
+const LOWDEG_FINISH_ROUNDS: usize = 2;
+const LOWDEG_DIGEST: u64 = 0xbd78_a28a_a88f_c547;
+
+#[test]
+fn low_degree_run_is_pinned() {
+    for threads in [1, 2] {
+        let mut session = SessionBuilder::parse(SPEC)
+            .expect("the pinned spec parses")
+            .delta_low(1 << 20)
+            .parallel(ParallelConfig::with_threads(threads))
+            .build();
+        session.params_mut().shatter_rounds = 1;
+        let out = session.run(RUN_SEED);
+        let report = &out.run.report;
+        let lowdeg = out.run.stats.lowdeg.expect("the §9 path ran");
+        assert_eq!(
+            lowdeg.n_components, LOWDEG_COMPONENTS,
+            "components at {threads} threads"
+        );
+        assert_eq!(
+            lowdeg.finish_rounds, LOWDEG_FINISH_ROUNDS,
+            "finish rounds at {threads} threads"
+        );
+        assert_eq!(
+            report.h_rounds, LOWDEG_H_ROUNDS,
+            "h_rounds at {threads} threads"
+        );
+        assert_eq!(report.bits, LOWDEG_BITS, "bits at {threads} threads");
+        assert!(out.run.coloring.is_total(), "total at {threads} threads");
+        assert_eq!(
+            digest(&out.run.coloring),
+            LOWDEG_DIGEST,
+            "coloring at {threads} threads"
+        );
+    }
+}
+
+/// A write to a session that never ran: with no previous coloring, every
+/// vertex goes through the exact-palette fallback.
+const FALLBACK_H_ROUNDS: u64 = 18;
+const FALLBACK_BITS: u128 = 607_446;
+const FALLBACK_ROUNDS: u64 = 3;
+const FALLBACK_DIGEST: u64 = 0xb705_e7ab_f392_c702;
+
+#[test]
+fn fallback_write_without_a_run_is_pinned() {
+    for threads in [1, 2] {
+        let mut session = SessionBuilder::parse(SPEC)
+            .expect("the pinned spec parses")
+            .parallel(ParallelConfig::with_threads(threads))
+            .build();
+        let batches = ChurnSpec::balanced(*session.spec(), 1, CHURN_BATCH_SIZE, CHURN_SEED)
+            .schedule(session.graph());
+        let out = session
+            .apply_deltas(&batches)
+            .expect("churn schedules apply cleanly");
+        let n = session.graph().n_vertices();
+        assert_eq!(out.dirty_vertices, n, "dirty at {threads} threads");
+        assert_eq!(out.wave_recolored, 0, "wave-recolored at {threads} threads");
+        assert_eq!(
+            out.fallback_recolored, n,
+            "fallback-recolored at {threads} threads"
+        );
+        assert_eq!(
+            out.recolor_rounds, FALLBACK_ROUNDS,
+            "rounds at {threads} threads"
+        );
+        assert_eq!(
+            out.report.h_rounds, FALLBACK_H_ROUNDS,
+            "h_rounds at {threads} threads"
+        );
+        assert_eq!(out.report.bits, FALLBACK_BITS, "bits at {threads} threads");
+        let coloring = session.coloring().expect("a write leaves a coloring");
+        assert!(coloring.is_total(), "total at {threads} threads");
+        assert_eq!(
+            digest(coloring),
+            FALLBACK_DIGEST,
+            "coloring at {threads} threads"
+        );
+    }
+}
+
+/// A cabal instance run without the synchronized color trial: 9 cabal
+/// stragglers reach the charged first-fit finish.
+const CABAL_SPEC: &str = "cabal:c=6,k=50,anti=3,ext=4,seed=3,layout=star3";
+const CABAL_H_ROUNDS: u64 = 294;
+const CABAL_BITS: u128 = 222_310_608;
+const CABAL_LEFTOVER: usize = 9;
+const CABAL_DIGEST: u64 = 0xb4a1_94e7_432b_340b;
+
+#[test]
+fn cabal_first_fit_finish_is_pinned() {
+    for threads in [1, 2] {
+        let mut session = SessionBuilder::parse(CABAL_SPEC)
+            .expect("the pinned spec parses")
+            .parallel(ParallelConfig::with_threads(threads))
+            .build();
+        session.params_mut().ablation.sct = false;
+        let out = session.run(RUN_SEED);
+        let report = &out.run.report;
+        assert_eq!(
+            out.run.stats.cabal.leftover, CABAL_LEFTOVER,
+            "stragglers at {threads} threads"
+        );
+        assert_eq!(
+            report.h_rounds, CABAL_H_ROUNDS,
+            "h_rounds at {threads} threads"
+        );
+        assert_eq!(report.bits, CABAL_BITS, "bits at {threads} threads");
+        assert!(out.run.coloring.is_total(), "total at {threads} threads");
+        assert_eq!(
+            digest(&out.run.coloring),
+            CABAL_DIGEST,
             "coloring at {threads} threads"
         );
     }

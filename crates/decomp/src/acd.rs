@@ -383,6 +383,39 @@ mod tests {
         assert_eq!(repaired[0], (0..16).collect::<Vec<_>>());
     }
 
+    /// `decompose`'s candidate test and singleton drop. With ξ = 1 every
+    /// edge is a buddy, so buddy degrees are plain degrees; the candidate
+    /// threshold at ξ = 1/4 is `(1 − 2ξ)Δ = Δ/2`. `compute_acd` charges
+    /// `min(peeled, 16) + 1` repair rounds, so the peel counts pin its
+    /// charge too.
+    #[test]
+    fn candidates_and_singleton_components() {
+        let all_buddies = |g| friendly_oracle(g, 1.0);
+        // A lone candidate: the center of a 4-star (buddy degree 4 ≥ 2)
+        // has only leaf buddies (buddy degree 1 < 2). Its singleton
+        // component is dropped, not peeled by the repair.
+        let star = ClusterGraph::singletons(
+            CommGraph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap(),
+        );
+        let (acd, peeled) = decompose(&star, &all_buddies(&star), 0.25, 0.2, 0.55);
+        assert_eq!((acd.n_cliques(), peeled), (0, 0));
+        assert!(acd.is_sparse(0));
+        // A vertex exactly at the threshold: K_8 plus vertex 8 adjacent to
+        // four members, so Δ = 8 and vertex 8's buddy degree is 4 = Δ/2.
+        // It is a candidate: it joins the clique's component, and the
+        // repair peels it (internal degree 4 < ⌈0.8 · 9⌉).
+        let mut edges: Vec<(usize, usize)> = (0..8)
+            .flat_map(|u| ((u + 1)..8).map(move |v| (u, v)))
+            .collect();
+        edges.extend((0..4).map(|u| (u, 8)));
+        let g = ClusterGraph::singletons(CommGraph::from_edges(9, &edges).unwrap());
+        assert_eq!(g.max_degree(), 8);
+        let (acd, peeled) = decompose(&g, &all_buddies(&g), 0.25, 0.2, 0.55);
+        assert_eq!(peeled, 1);
+        assert_eq!(acd.cliques, vec![(0..8).collect::<Vec<_>>()]);
+        assert!(acd.is_sparse(8));
+    }
+
     #[test]
     fn oversized_component_is_trimmed() {
         let g = planted(1, 12);

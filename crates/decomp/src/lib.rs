@@ -8,7 +8,8 @@
 //! computed with the fingerprinting technique (Proposition 4.3, Lemma 5.8).
 //!
 //! * [`sparsity`] — exact sparsity `ζ_v` (Definition 4.1), the analyst's
-//!   oracle used by tests and experiment E10;
+//!   oracle used by tests, and the common-neighbor count behind the exact
+//!   buddy oracle that experiment E10 compares against;
 //! * [`buddy`] — the ξ-buddy predicate per `H`-edge via joint-neighborhood
 //!   fingerprints (Lemma 5.8), and its exact oracle; both return
 //!   [`BuddyAnswers`], one `bool` per `H`-edge in `h_edges()` order,

@@ -4,7 +4,10 @@
 //! (scaled) the edges missing from `v`'s neighborhood. A node is ζ-sparse
 //! when `ζ_v ≥ ζ`. These quantities are *not* computable by the
 //! distributed algorithm (that is the point of fingerprinting); they are
-//! exposed for tests, validation and the E10 experiment.
+//! exposed for tests and validation. [`common_neighbors`] also backs the
+//! exact buddy oracle
+//! ([`friendly_oracle`](crate::buddy::friendly_oracle)) that the E10
+//! experiment compares the fingerprint decomposition against.
 
 use cgc_cluster::{ClusterGraph, VertexId};
 

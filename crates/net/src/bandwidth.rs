@@ -62,8 +62,8 @@ impl CostReport {
 /// use cgc_net::CostMeter;
 /// let mut m = CostMeter::new(32);
 /// m.set_phase("demo");
-/// let sub = m.charge_message(80); // 80 bits on a 32-bit budget
-/// assert_eq!(sub, 3);             // pipelined over ceil(80/32) = 3 sub-rounds
+/// let sub = m.charge_messages(80, 1); // 80 bits on a 32-bit budget
+/// assert_eq!(sub, 3);                 // pipelined over ceil(80/32) = 3 sub-rounds
 /// m.charge_rounds(sub, sub * 4);
 /// assert_eq!(m.report().h_rounds, 3);
 /// ```
@@ -135,26 +135,10 @@ impl CostMeter {
         }
     }
 
-    /// Records a single message of `bits` bits and returns the number of
-    /// sub-rounds (`ceil(bits / budget)`, minimum 1) the message occupies.
-    pub fn charge_message(&mut self, bits: u64) -> u64 {
-        self.bits += u128::from(bits);
-        if bits > self.max_msg_bits {
-            self.max_msg_bits = bits;
-        }
-        let budget = self.budget_bits;
-        self.current.bits += u128::from(bits);
-        if bits > self.current.max_msg_bits {
-            self.current.max_msg_bits = bits;
-        }
-        let sub = bits.div_ceil(budget).max(1);
-        if sub > 1 {
-            self.oversized_msgs += 1;
-        }
-        sub
-    }
-
-    /// Records many messages of identical size; returns sub-rounds needed.
+    /// Records `count` messages of `bits_each` bits and returns the
+    /// sub-rounds one of them occupies (`ceil(bits_each / budget)`,
+    /// minimum 1). Repeated batches charge as one batch of their total
+    /// count.
     pub fn charge_messages(&mut self, bits_each: u64, count: u64) -> u64 {
         if count == 0 {
             return 1;
@@ -171,31 +155,6 @@ impl CostMeter {
         let sub = bits_each.div_ceil(budget).max(1);
         if sub > 1 {
             self.oversized_msgs += count;
-        }
-        sub
-    }
-
-    /// Records `repeats` identical batches of `count` messages of
-    /// `bits_each` bits — the O(1) equivalent of calling
-    /// [`Self::charge_messages`] `repeats` times. Returns the sub-rounds
-    /// one batch needs (identical for every batch by construction).
-    pub fn charge_messages_repeated(&mut self, bits_each: u64, count: u64, repeats: u64) -> u64 {
-        if count == 0 || repeats == 0 {
-            return 1;
-        }
-        let total = u128::from(bits_each) * u128::from(count) * u128::from(repeats);
-        self.bits += total;
-        if bits_each > self.max_msg_bits {
-            self.max_msg_bits = bits_each;
-        }
-        let budget = self.budget_bits;
-        self.current.bits += total;
-        if bits_each > self.current.max_msg_bits {
-            self.current.max_msg_bits = bits_each;
-        }
-        let sub = bits_each.div_ceil(budget).max(1);
-        if sub > 1 {
-            self.oversized_msgs += count * repeats;
         }
         sub
     }
@@ -245,16 +204,16 @@ mod tests {
     #[test]
     fn message_within_budget_is_one_subround() {
         let mut m = CostMeter::new(64);
-        assert_eq!(m.charge_message(64), 1);
-        assert_eq!(m.charge_message(1), 1);
-        assert_eq!(m.charge_message(0), 1);
+        assert_eq!(m.charge_messages(64, 1), 1);
+        assert_eq!(m.charge_messages(1, 1), 1);
+        assert_eq!(m.charge_messages(0, 1), 1);
         assert_eq!(m.report().oversized_msgs, 0);
     }
 
     #[test]
     fn oversized_message_is_pipelined() {
         let mut m = CostMeter::new(10);
-        assert_eq!(m.charge_message(25), 3);
+        assert_eq!(m.charge_messages(25, 1), 3);
         let r = m.report();
         assert_eq!(r.oversized_msgs, 1);
         assert_eq!(r.max_msg_bits, 25);
@@ -265,7 +224,7 @@ mod tests {
     fn phases_accumulate_independently() {
         let mut m = CostMeter::new(8);
         m.set_phase("a");
-        m.charge_message(8);
+        m.charge_messages(8, 1);
         m.charge_rounds(1, 3);
         m.set_phase("b");
         m.charge_messages(4, 10);
@@ -284,7 +243,7 @@ mod tests {
     fn repeated_batches_match_a_loop_of_batches() {
         for (bits, count, repeats) in [(4u64, 3u64, 5u64), (25, 2, 7), (0, 4, 2)] {
             let mut bulk = CostMeter::new(8);
-            let sub_bulk = bulk.charge_messages_repeated(bits, count, repeats);
+            let sub_bulk = bulk.charge_messages(bits, count * repeats);
             let mut looped = CostMeter::new(8);
             let mut sub_loop = 1;
             for _ in 0..repeats {

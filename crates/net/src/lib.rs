@@ -35,7 +35,7 @@
 //! let g = CommGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
 //! assert_eq!(g.degree(1), 2);
 //! let mut meter = CostMeter::new(64);
-//! meter.charge_message(48); // within budget: one sub-round
+//! meter.charge_messages(48, 1); // within budget: one sub-round
 //! assert_eq!(meter.report().h_rounds, 0); // rounds are charged explicitly
 //! ```
 
