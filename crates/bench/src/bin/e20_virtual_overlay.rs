@@ -6,7 +6,7 @@
 //! factor of the edge congestion".
 
 use cgc_bench::{f3, Table};
-use cgc_cluster::{ClusterNet, VirtualGraph};
+use cgc_cluster::{ClusterNet, ParallelConfig, VirtualGraph};
 use cgc_core::{color_cluster_graph_with, coloring_stats, DriverOptions, Params, Session};
 use cgc_graphs::WorkloadSpec;
 use cgc_net::CommGraph;
@@ -24,6 +24,7 @@ fn main() {
             "G_square",
         ],
     );
+    let par = ParallelConfig::from_env();
     for n in [80usize, 160, 320] {
         let p = 3.0 / n as f64;
         let seed = 2000 + n as u64;
@@ -31,7 +32,7 @@ fn main() {
         // The virtual route shares the square workload's base graph: the
         // spec string in the row rebuilds both sides.
         let base_spec = WorkloadSpec::gnp(n, p, seed)
-            .conflict_spec()
+            .conflict_spec(&par)
             .expect("gnp has a conflict spec")
             .0;
         let base = CommGraph::from_edges(n, &base_spec.edges).expect("valid base network");
@@ -39,7 +40,7 @@ fn main() {
         // Virtual-graph route: overlapping closed-neighborhood supports.
         let vg = VirtualGraph::distance2(base);
         let (h_virtual, congestion) = vg.as_cluster_instance();
-        let mut net_v = ClusterNet::with_log_budget(&h_virtual, 32);
+        let mut net_v = ClusterNet::with_log_budget_parallel(&h_virtual, 32, par);
         let run_v = color_cluster_graph_with(
             &mut net_v,
             &Params::laptop(h_virtual.n_vertices()),

@@ -1,5 +1,9 @@
 //! E2 — Theorem 1.1 shape: low-degree rounds grow ~polyloglog in `n`;
 //! shattering leaves `O(Δ² log_Δ n)`-sized components (§9.1).
+//!
+//! One shatter round (the default rounds color every vertex of these
+//! instances) leaves components for the §9.4 list-coloring finisher;
+//! every row asserts that it ran.
 
 use cgc_bench::{f3, Table};
 use cgc_core::SessionBuilder;
@@ -7,7 +11,7 @@ use cgc_graphs::WorkloadSpec;
 
 fn main() {
     let mut t = Table::new(
-        "E2: low-degree path — rounds & shattering vs n (Δ ≈ 8)",
+        "E2: low-degree path — rounds & shattering vs n (average degree 8)",
         &[
             "n",
             "delta",
@@ -21,8 +25,10 @@ fn main() {
     );
     for n in [128usize, 256, 512, 1024, 2048, 4096] {
         let spec = WorkloadSpec::gnp(n, 8.0 / n as f64, 2000 + n as u64);
+        let mut session = SessionBuilder::new(spec).build();
         // A huge Δ_low forces the §9 path for the whole sweep.
-        let mut session = SessionBuilder::new(spec).delta_low(1 << 20).build();
+        session.params_mut().delta_low = 1 << 20;
+        session.params_mut().shatter_rounds = 1;
         let mut h_rounds = 0.0;
         let mut sc = 0usize;
         let mut nc = 0usize;
@@ -39,6 +45,11 @@ fn main() {
             mc = mc.max(ld.max_component);
             fr += ld.finish_rounds;
             fb += ld.fallback + out.run.stats.fallback_colored;
+            assert!(
+                ld.n_components > 0 && ld.finish_rounds > 0,
+                "{spec} seed {}: the list-coloring finisher did not run: {ld:?}",
+                40 + rep
+            );
         }
         let r = reps as f64;
         t.row_for(

@@ -36,7 +36,7 @@
 //! when the runtime carries a [`ParallelConfig`] with `threads > 1`
 //! ([`ClusterNet::set_parallel`] / [`ClusterNet::with_parallel`]). Each
 //! shard computes the fold for its own contiguous vertex range into its
-//! own `&mut` part of the output buffer ([`crate::par::for_each_part`]),
+//! own `&mut` part of the output buffer ([`cgc_net::par::for_each_part`]),
 //! walking the vertex's CSR row in ascending neighbor order — the same
 //! contribution order at any shard count, one shard included — and every
 //! [`CostMeter`] charge happens once, on the calling thread, before the
@@ -52,7 +52,7 @@
 //! threads this one runs on.
 
 use crate::graph::{ClusterGraph, VertexId};
-use crate::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan};
+use cgc_net::par::{fill_sharded, for_each_part, ParallelConfig, ShardPlan};
 use cgc_net::CostMeter;
 
 /// Reusable per-round buffers owned by [`ClusterNet`]; grown on first use,

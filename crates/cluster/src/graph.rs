@@ -13,7 +13,7 @@
 //! halves of `H`'s CSR rows, and the support trees share one flat layout
 //! of member offsets, members, parents and heights.
 
-use crate::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan};
+use cgc_net::par::{map_reduce_on, patch_csr_rows, ParallelConfig, ShardPlan};
 use cgc_net::{csr_from_canonical_edges, BfsScratch, CommGraph, DeltaBatch, MachineId, NetError};
 
 /// Identifier of a node of the cluster graph `H` (a cluster of machines).

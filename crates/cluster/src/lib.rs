@@ -15,12 +15,14 @@
 //! * [`ClusterNet`] — the metered runtime: every communication primitive
 //!   charges H-rounds, G-rounds and bits to a [`cgc_net::CostMeter`],
 //!   pipelining oversized messages;
-//! * [`groups`] — random intra-clique groups (Lemma 4.4);
-//! * [`par`] — the shared parallel executor, re-exported from
-//!   [`cgc_net::par`]: shard plans, the split-slice/map-reduce primitives
-//!   and the process's one worker pool, which grows in place and never
-//!   retires a worker. Runtimes and builds pass a thread count, never a
-//!   pool handle.
+//! * [`groups`] — random intra-clique groups (Lemma 4.4).
+//!
+//! The runtime and the build shard over [`cgc_net::par`]: shard plans,
+//! the split-slice/map-reduce primitives and the process's one worker
+//! pool, which grows in place and never retires a worker. Runtimes and
+//! builds pass a thread count, never a pool handle; [`ParallelConfig`],
+//! [`ShardPlan`], [`WorkerPool`], [`map_reduce_on`] and
+//! [`available_threads`] are re-exported here.
 //!
 //! # Example
 //!
@@ -45,9 +47,9 @@ pub mod exec;
 pub mod graph;
 pub mod groups;
 pub mod overlay;
-pub mod par;
 
-pub use cgc_net::bits::{self, BitMatrix, BitsScratch, PaletteBits};
+pub use cgc_net::bits::{self, BitsScratch, PaletteBits};
+pub use cgc_net::par::{available_threads, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};
 pub use comm::{ClusterNet, RoundScratch};
 pub use exec::{
     execute_broadcast, execute_converge, execute_full_round, execute_link_exchange, ExecTrace,
@@ -55,4 +57,3 @@ pub use exec::{
 pub use graph::{ClusterGraph, DeltaReport, SupportTree, VertexId};
 pub use groups::{check_groups, random_groups, GroupCheck, Groups};
 pub use overlay::VirtualGraph;
-pub use par::{available_threads, map_reduce_on, ParallelConfig, ShardPlan, WorkerPool};

@@ -5,12 +5,13 @@
 //! the experiments use. Also pins the error-reporting contract: invalid
 //! assignments produce the same error at any thread count.
 //!
-//! The realized network is produced once per `(family, layout)` via
-//! `cgc_graphs::realize_network`, so the only varying input is the
+//! The realized network and assignment are taken once per
+//! `(family, layout)` from the serially built instance
+//! (`WorkloadSpec::build`), so the only varying input is the
 //! `ParallelConfig` — any divergence is the sharded build's fault.
 
 use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_graphs::{realize_network, Layout, MixtureConfig, WorkloadSpec};
+use cgc_graphs::{Layout, MixtureConfig, WorkloadSpec};
 use cgc_net::{CommGraph, NetError};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -38,11 +39,9 @@ fn families() -> Vec<WorkloadSpec> {
 #[test]
 fn sharded_build_equals_serial_across_families_layouts_threads() {
     for spec in families() {
-        let (h, _) = spec
-            .conflict_spec()
-            .expect("all tested families have conflict specs");
         for layout in [Layout::Singleton, Layout::Star(3), Layout::Path(4)] {
-            let (comm, assignment) = realize_network(&h, layout, 2, spec.seed);
+            let built = spec.with_layout(layout).with_links(2).build();
+            let (comm, assignment) = (built.comm().clone(), built.assignment().to_vec());
             let serial = ClusterGraph::build(comm.clone(), assignment.clone())
                 .expect("realized clusters are connected");
             for threads in THREADS {

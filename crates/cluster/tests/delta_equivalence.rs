@@ -7,7 +7,7 @@
 //! graph untouched).
 
 use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_graphs::{realize_network, Layout, WorkloadSpec};
+use cgc_graphs::{Layout, WorkloadSpec};
 use cgc_net::{CommGraph, DeltaBatch, NetError};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -57,10 +57,10 @@ fn incremental_apply_equals_rebuild_across_families_layouts_threads() {
         WorkloadSpec::power_law(180, 2.5, 6.0, 22),
     ];
     for spec in specs {
-        let (h, _) = spec.conflict_spec().expect("family has a conflict spec");
         for layout in [Layout::Singleton, Layout::Star(3), Layout::Path(4)] {
-            let (comm, assignment) = realize_network(&h, layout, 2, spec.seed);
-            let base = ClusterGraph::build(comm, assignment).expect("realized instance builds");
+            let built = spec.with_layout(layout).with_links(2).build();
+            let base = ClusterGraph::build(built.comm().clone(), built.assignment().to_vec())
+                .expect("realized instance builds");
             let batch = make_batch(&base, 3);
             let mut reference: Option<ClusterGraph> = None;
             for threads in THREADS {
@@ -87,10 +87,11 @@ fn incremental_apply_equals_rebuild_across_families_layouts_threads() {
 
 #[test]
 fn batch_sequence_stays_equal_to_rebuild() {
-    let spec = WorkloadSpec::gnp(150, 0.06, 31);
-    let (h, _) = spec.conflict_spec().unwrap();
-    let (comm, assignment) = realize_network(&h, Layout::Path(3), 2, 31);
-    let mut g = ClusterGraph::build(comm, assignment).unwrap();
+    let built = WorkloadSpec::gnp(150, 0.06, 31)
+        .with_layout(Layout::Path(3))
+        .with_links(2)
+        .build();
+    let mut g = ClusterGraph::build(built.comm().clone(), built.assignment().to_vec()).unwrap();
     for step in 0..4 {
         let batch = make_batch(&g, 2 + step);
         g.apply_delta(&batch).expect("delta applies");

@@ -21,7 +21,7 @@ use crate::params::Params;
 use crate::slackgen::slack_generation;
 use crate::trycolor::{palette_trial_rounds, try_then_multicolor};
 use crate::validate::coloring_stats;
-use cgc_cluster::{ClusterNet, ParallelConfig};
+use cgc_cluster::ClusterNet;
 use cgc_decomp::{acd_oracle, classify_cabals, compute_acd, degree_profile};
 use cgc_net::{CostReport, SeedStream};
 
@@ -82,31 +82,12 @@ pub struct RunResult {
 
 /// Options modifying the driver (kept out of [`Params`] so the algorithm
 /// constants stay paper-comparable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverOptions {
     /// Use the exact-oracle ACD (charged nominally) instead of the
     /// fingerprint ACD — for large-`n` experiments; E10 quantifies the
     /// fingerprint ACD separately.
     pub oracle_acd: bool,
-    /// Sharded-executor configuration installed on the net before the run.
-    /// `threads > 1` makes every phase dispatch its rounds on the
-    /// process's worker pool ([`cgc_cluster::WorkerPool`]: parked workers,
-    /// no per-round spawns). Purely a wall-clock knob: colorings
-    /// and `CostMeter` totals are bit-identical at any thread count
-    /// (`parallel_equivalence` and the seeded-determinism tests pin this).
-    pub parallel: ParallelConfig,
-}
-
-impl Default for DriverOptions {
-    /// Honors `CGC_THREADS` (see [`ParallelConfig::from_env`]): unset means
-    /// sequential, so default runs match the historical driver exactly;
-    /// the CI matrix sets it to exercise every phase at max parallelism.
-    fn default() -> Self {
-        DriverOptions {
-            oracle_acd: false,
-            parallel: ParallelConfig::from_env(),
-        }
-    }
 }
 
 /// Colors the cluster graph bound to `net` with `Δ+1` colors.
@@ -115,8 +96,11 @@ impl Default for DriverOptions {
 /// fallback guarantees it); round/bit costs are in `net.meter` and echoed
 /// in the result.
 ///
-/// `opts.parallel` is installed on `net` before the run, replacing its
-/// executor; colorings and costs are bit-identical at any thread count.
+/// The run shards over `net`'s executor (see
+/// [`ClusterNet::with_parallel`]): `threads > 1` makes every phase
+/// dispatch its rounds on the process's worker pool
+/// ([`cgc_cluster::WorkerPool`]). Purely a wall-clock knob: colorings
+/// and `CostMeter` totals are bit-identical at any thread count.
 /// [`crate::Session::run`] goes through here; this entry stays public for
 /// callers that hold a custom-built [`ClusterNet`] (virtual overlays, the
 /// Session-equivalence differential test). Generator-backed runs should
@@ -128,7 +112,6 @@ pub fn color_cluster_graph_with(
     seed: u64,
     opts: DriverOptions,
 ) -> RunResult {
-    net.set_parallel(opts.parallel);
     let n = net.g.n_vertices();
     let delta = net.g.max_degree();
     let q = delta + 1;
@@ -278,14 +261,20 @@ pub(crate) fn fallback_until_total(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgc_cluster::ClusterGraph;
+    use cgc_cluster::{ClusterGraph, ParallelConfig};
     use cgc_graphs::{
-        bottleneck_instance, cabal_spec, gnp_spec, mixture_spec, realize, Layout, MixtureConfig,
+        cabal_spec, gnp_spec, mixture_spec, realize, Layout, MixtureConfig, WorkloadSpec,
     };
     use cgc_net::CommGraph;
 
+    /// A `32·log n`-budget runtime on the `CGC_THREADS` executor, so the
+    /// CI thread matrix reaches every driver test.
+    fn env_net(g: &ClusterGraph) -> ClusterNet<'_> {
+        ClusterNet::with_log_budget_parallel(g, 32, ParallelConfig::from_env())
+    }
+
     fn assert_good(g: &ClusterGraph, seed: u64) -> RunResult {
-        let mut net = ClusterNet::with_log_budget(g, 32);
+        let mut net = env_net(g);
         let params = Params::laptop(g.n_vertices());
         let run = color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default());
         assert!(run.coloring.is_total());
@@ -331,7 +320,7 @@ mod tests {
 
     #[test]
     fn colors_bottleneck_layout() {
-        let g = bottleneck_instance(10, 6);
+        let g = WorkloadSpec::bottleneck(10, 6).build();
         let run = assert_good(&g, 14);
         assert!(
             run.report.g_rounds > run.report.h_rounds,
@@ -344,8 +333,8 @@ mod tests {
         let cfg = MixtureConfig::default();
         let (spec, _) = mixture_spec(&cfg, 4);
         let g = realize(&spec, Layout::Singleton, 1, 4);
-        let mut net1 = ClusterNet::with_log_budget(&g, 32);
-        let mut net2 = ClusterNet::with_log_budget(&g, 32);
+        let mut net1 = env_net(&g);
+        let mut net2 = env_net(&g);
         let params = Params::laptop(g.n_vertices());
         let a = color_cluster_graph_with(&mut net1, &params, 99, DriverOptions::default());
         let b = color_cluster_graph_with(&mut net2, &params, 99, DriverOptions::default());
@@ -358,17 +347,10 @@ mod tests {
         let cfg = MixtureConfig::default();
         let (spec, _) = mixture_spec(&cfg, 5);
         let g = realize(&spec, Layout::Singleton, 1, 5);
-        let mut net = ClusterNet::with_log_budget(&g, 32);
+        let mut net = env_net(&g);
         let params = Params::laptop(g.n_vertices());
-        let run = color_cluster_graph_with(
-            &mut net,
-            &params,
-            7,
-            DriverOptions {
-                oracle_acd: true,
-                ..DriverOptions::default()
-            },
-        );
+        let run =
+            color_cluster_graph_with(&mut net, &params, 7, DriverOptions { oracle_acd: true });
         assert!(run.coloring.is_total());
         assert!(run.stats.oracle_acd);
     }
@@ -394,7 +376,7 @@ mod tests {
         // simulable Δ: the Theorem 1.1 path runs and still colors.
         let spec = gnp_spec(60, 0.2, 7);
         let g = realize(&spec, Layout::Singleton, 1, 7);
-        let mut net = ClusterNet::with_log_budget(&g, 32);
+        let mut net = env_net(&g);
         let params = Params::paper(g.n_vertices());
         let run = color_cluster_graph_with(&mut net, &params, 19, DriverOptions::default());
         assert_eq!(run.stats.path, AlgoPath::LowDegree);
@@ -459,7 +441,7 @@ mod tests {
                 putaside: false,
             },
         ] {
-            let mut net = ClusterNet::with_log_budget(&g, 32);
+            let mut net = env_net(&g);
             let mut params = Params::laptop(g.n_vertices());
             params.ablation = ab;
             let run = color_cluster_graph_with(&mut net, &params, 22, DriverOptions::default());

@@ -18,8 +18,8 @@
 //! * [`complete`] — finishing non-cabals with reserved colors (§8,
 //!   Algorithm 11);
 //! * [`noncabal`] / [`cabals`] — the per-regime drivers (Algorithms 4–5);
-//! * [`lowdeg`] — the low-degree algorithm (§9: shattering, palette
-//!   learning, small-instance list coloring);
+//! * [`lowdeg`] — the low-degree algorithm (§9: shattering, then
+//!   small-instance list coloring);
 //! * [`driver`] — the top-level algorithm (Algorithms 2–3, Theorems
 //!   1.1–1.2) with validation and honest fallback accounting, behind one
 //!   entry point, [`color_cluster_graph_with`], for callers that hold a

@@ -17,9 +17,7 @@
 //! README's "Substitutions" section, with rounds honestly charged and
 //! reported.
 
-pub mod learn;
 pub mod listcolor;
-pub mod relays;
 pub mod shatter;
 
 use crate::coloring::Coloring;
@@ -27,9 +25,7 @@ use crate::params::Params;
 use cgc_cluster::ClusterNet;
 use cgc_net::SeedStream;
 
-pub use learn::learn_free_colors;
 pub use listcolor::color_components;
-pub use relays::select_relays;
 pub use shatter::{shatter, uncolored_components};
 
 /// Counters for the low-degree path.

@@ -175,7 +175,6 @@ pub struct SessionBuilder {
     beta: u64,
     parallel: ParallelConfig,
     oracle_acd: bool,
-    delta_low: Option<usize>,
 }
 
 impl SessionBuilder {
@@ -188,7 +187,6 @@ impl SessionBuilder {
             beta: DEFAULT_BETA,
             parallel: ParallelConfig::from_env(),
             oracle_acd: false,
-            delta_low: None,
         }
     }
 
@@ -216,16 +214,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides `Δ_low` (E2 forces the §9 path with a huge value).
-    pub fn delta_low(mut self, delta_low: usize) -> Self {
-        self.delta_low = Some(delta_low);
-        self
-    }
-
     /// Builds the instance (timed) and returns the ready [`Session`].
     pub fn build(self) -> Session {
         let (graph, planted, setup) = self.spec.build_timed(&self.parallel);
-        let params = derive_params(graph.n_vertices(), self.delta_low);
+        let params = Params::laptop(graph.n_vertices());
         Session {
             spec: self.spec,
             graph,
@@ -234,23 +226,12 @@ impl SessionBuilder {
             runs_on_graph: 0,
             delta_epoch: 0,
             coloring: None,
-            delta_low: self.delta_low,
             params,
             beta: self.beta,
             parallel: self.parallel,
             oracle_acd: self.oracle_acd,
         }
     }
-}
-
-/// [`Params::laptop`] for an `n`-vertex instance, with the session's
-/// `Δ_low` override applied.
-fn derive_params(n: usize, delta_low: Option<usize>) -> Params {
-    let mut params = Params::laptop(n);
-    if let Some(dl) = delta_low {
-        params.delta_low = dl;
-    }
-    params
 }
 
 /// The one shared coloring path: a fresh metered runtime over `graph`,
@@ -267,12 +248,8 @@ pub(crate) fn run_coloring_on(
     seed: u64,
 ) -> (RunResult, f64) {
     let mut net = ClusterNet::with_log_budget_parallel(graph, beta, parallel);
-    let opts = DriverOptions {
-        oracle_acd,
-        parallel,
-    };
     let start = Instant::now();
-    let run = color_cluster_graph_with(&mut net, params, seed, opts);
+    let run = color_cluster_graph_with(&mut net, params, seed, DriverOptions { oracle_acd });
     (run, start.elapsed().as_secs_f64())
 }
 
@@ -291,7 +268,6 @@ pub struct Session {
     /// the seed for incremental recoloring. `None` until the first run
     /// (or after a failed apply left it stale).
     coloring: Option<Coloring>,
-    delta_low: Option<usize>,
     params: Params,
     beta: u64,
     parallel: ParallelConfig,
@@ -370,7 +346,7 @@ impl Session {
         self.graph = graph;
         self.planted = planted;
         self.spec = spec;
-        self.params = derive_params(self.graph.n_vertices(), self.delta_low);
+        self.params = Params::laptop(self.graph.n_vertices());
     }
 
     /// A fresh metered runtime over the cached graph, with the session's

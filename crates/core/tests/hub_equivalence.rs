@@ -8,7 +8,8 @@
 
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, VertexId};
 use cgc_core::{color_cluster_graph_with, DriverOptions, Params, RunResult};
-use cgc_graphs::{power_law_spec, realize_with, HSpec, Layout, PowerLawConfig};
+use cgc_graphs::{realize_runs, HSpec, Layout, WorkloadSpec};
+use cgc_net::CommGraph;
 
 /// A spec dominated by one hub: vertex 0 adjacent to everyone, plus a
 /// thin cycle through the leaves so components stay interesting.
@@ -21,32 +22,25 @@ fn one_hub_spec(n: usize) -> HSpec {
 }
 
 fn power_law_hub_spec() -> HSpec {
-    let cfg = PowerLawConfig {
-        n: 220,
-        exponent: 2.1,
-        avg_degree: 6.0,
-    };
-    power_law_spec(&cfg, 42, &ParallelConfig::with_threads(4))
+    WorkloadSpec::power_law(220, 2.1, 6.0, 42)
+        .conflict_spec(&ParallelConfig::with_threads(4))
+        .expect("power law has a conflict spec")
+        .0
 }
 
-/// Builds the instance at `par` (generation + canonical ingest +
+/// Builds the instance at `par` (layout expansion, canonical ingest and
 /// `ClusterGraph::build_with` all honor the config).
 fn build(h: &HSpec, seed: u64, par: &ParallelConfig) -> ClusterGraph {
-    realize_with(h, Layout::Star(3), 2, seed, par)
+    let (n_machines, runs, assignment) = realize_runs(h, Layout::Star(3), 2, seed, par);
+    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
+        .expect("the layout produces a valid network");
+    ClusterGraph::build_with(comm, assignment, par).expect("clusters are connected")
 }
 
 fn run(g: &ClusterGraph, seed: u64, par: ParallelConfig) -> RunResult {
     let params = Params::laptop(g.n_vertices());
-    let mut net = ClusterNet::with_log_budget(g, 32);
-    color_cluster_graph_with(
-        &mut net,
-        &params,
-        seed,
-        DriverOptions {
-            oracle_acd: false,
-            parallel: par,
-        },
-    )
+    let mut net = ClusterNet::with_log_budget_parallel(g, 32, par);
+    color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default())
 }
 
 /// Instance construction: the sharded build must reproduce the serial

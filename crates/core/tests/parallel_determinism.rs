@@ -7,25 +7,15 @@
 
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_core::{color_cluster_graph_with, DriverOptions, Params};
-use cgc_graphs::{
-    geometric_spec, gnp_spec, mixture_spec, power_law_spec, realize, Layout, MixtureConfig,
-    PowerLawConfig,
-};
+use cgc_graphs::{gnp_spec, mixture_spec, realize, Layout, MixtureConfig, WorkloadSpec};
 
 fn assert_thread_count_invariant(g: &ClusterGraph, seed: u64, label: &str) {
     let params = Params::laptop(g.n_vertices());
     let mut reference = None;
     for threads in [1usize, 2, 4, 8] {
-        let mut net = ClusterNet::with_log_budget(g, 32);
-        let run = color_cluster_graph_with(
-            &mut net,
-            &params,
-            seed,
-            DriverOptions {
-                oracle_acd: false,
-                parallel: ParallelConfig::with_threads(threads),
-            },
-        );
+        let mut net =
+            ClusterNet::with_log_budget_parallel(g, 32, ParallelConfig::with_threads(threads));
+        let run = color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default());
         assert!(
             run.coloring.is_total() && run.coloring.is_proper(g),
             "{label}"
@@ -71,19 +61,18 @@ fn high_degree_path_is_thread_count_invariant() {
 
 #[test]
 fn power_law_workload_is_thread_count_invariant() {
-    let cfg = PowerLawConfig {
-        n: 160,
-        exponent: 2.3,
-        avg_degree: 7.0,
-    };
-    let spec = power_law_spec(&cfg, 4, &ParallelConfig::with_threads(4));
+    let (spec, _) = WorkloadSpec::power_law(160, 2.3, 7.0, 4)
+        .conflict_spec(&ParallelConfig::with_threads(4))
+        .expect("power law has a conflict spec");
     let g = realize(&spec, Layout::Path(3), 1, 4);
     assert_thread_count_invariant(&g, 99, "power-law");
 }
 
 #[test]
 fn geometric_workload_is_thread_count_invariant() {
-    let spec = geometric_spec(150, 0.12, 6, &ParallelConfig::with_threads(4));
+    let (spec, _) = WorkloadSpec::rgg(150, 0.12, 6)
+        .conflict_spec(&ParallelConfig::with_threads(4))
+        .expect("rgg has a conflict spec");
     let g = realize(&spec, Layout::BinaryTree(4), 1, 6);
     assert_thread_count_invariant(&g, 111, "geometric");
 }

@@ -12,8 +12,8 @@
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig};
 use cgc_core::{color_cluster_graph_with, coloring_stats, DriverOptions, Params};
 use cgc_graphs::{
-    bottleneck_instance, cabal_spec, geometric_spec, gnp_spec, mixture_spec, power_law_spec,
-    radius_for_avg_degree, realize, HSpec, Layout, MixtureConfig, PowerLawConfig,
+    cabal_spec, gnp_spec, mixture_spec, radius_for_avg_degree, realize, HSpec, Layout,
+    MixtureConfig, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -28,13 +28,10 @@ fn layout_for(pick: usize) -> Layout {
 
 /// Runs the driver and checks the Δ+1 contract.
 fn assert_proper_run(g: &ClusterGraph, run_seed: u64) -> Result<(), TestCaseError> {
-    let mut net = ClusterNet::with_log_budget(g, 32);
+    let par = ParallelConfig::with_threads([1, 2, 4][(run_seed % 3) as usize]);
+    let mut net = ClusterNet::with_log_budget_parallel(g, 32, par);
     let params = Params::laptop(g.n_vertices());
-    let opts = DriverOptions {
-        oracle_acd: false,
-        parallel: ParallelConfig::with_threads([1, 2, 4][(run_seed % 3) as usize]),
-    };
-    let run = color_cluster_graph_with(&mut net, &params, run_seed, opts);
+    let run = color_cluster_graph_with(&mut net, &params, run_seed, DriverOptions::default());
     prop_assert!(run.coloring.is_total(), "coloring not total");
     prop_assert!(run.coloring.is_proper(g), "coloring not proper");
     let stats = coloring_stats(g, &run.coloring);
@@ -74,8 +71,9 @@ proptest! {
         layout_pick in 0usize..4,
         seed in 0u64..1 << 48,
     ) {
-        let cfg = PowerLawConfig { n, exponent, avg_degree: avg };
-        let spec = power_law_spec(&cfg, seed, &ParallelConfig::with_threads(2));
+        let (spec, _) = WorkloadSpec::power_law(n, exponent, avg, seed)
+            .conflict_spec(&ParallelConfig::with_threads(2))
+            .expect("power law has a conflict spec");
         realize_and_check(&spec, layout_pick, seed)?;
     }
 
@@ -87,7 +85,9 @@ proptest! {
         seed in 0u64..1 << 48,
     ) {
         let r = radius_for_avg_degree(n, target_deg);
-        let spec = geometric_spec(n, r, seed, &ParallelConfig::with_threads(2));
+        let (spec, _) = WorkloadSpec::rgg(n, r, seed)
+            .conflict_spec(&ParallelConfig::with_threads(2))
+            .expect("rgg has a conflict spec");
         realize_and_check(&spec, layout_pick, seed)?;
     }
 
@@ -129,7 +129,7 @@ proptest! {
         path_len in 2usize..8,
         seed in 0u64..1 << 48,
     ) {
-        let g = bottleneck_instance(n_clusters, path_len);
+        let g = WorkloadSpec::bottleneck(n_clusters, path_len).build();
         assert_proper_run(&g, seed)?;
     }
 }

@@ -141,9 +141,9 @@ fn low_degree_run_is_pinned() {
     for threads in [1, 2] {
         let mut session = SessionBuilder::parse(SPEC)
             .expect("the pinned spec parses")
-            .delta_low(1 << 20)
             .parallel(ParallelConfig::with_threads(threads))
             .build();
+        session.params_mut().delta_low = 1 << 20;
         session.params_mut().shatter_rounds = 1;
         let out = session.run(RUN_SEED);
         let report = &out.run.report;

@@ -11,17 +11,9 @@ use cgc_graphs::{Layout, MixtureConfig, WorkloadSpec};
 /// The six-step incantation every experiment binary used to hand-roll.
 fn legacy_run(spec: &WorkloadSpec, seed: u64, parallel: ParallelConfig) -> RunResult {
     let g = spec.build();
-    let mut net = ClusterNet::with_log_budget(&g, 32);
+    let mut net = ClusterNet::with_log_budget_parallel(&g, 32, parallel);
     let params = Params::laptop(g.n_vertices());
-    color_cluster_graph_with(
-        &mut net,
-        &params,
-        seed,
-        DriverOptions {
-            oracle_acd: false,
-            parallel,
-        },
-    )
+    color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default())
 }
 
 fn assert_session_matches_legacy(spec: WorkloadSpec, seed: u64) {

@@ -8,38 +8,17 @@
 //! exactly the set-intersection hard instance of Figure 2. The coloring
 //! algorithm must still finish within budget because it only ever moves
 //! aggregates, never raw neighbor lists.
+//!
+//! The instance for a complete conflict graph on `clusters` clusters,
+//! each a path of `path ≥ 2` machines, is
+//! [`crate::WorkloadSpec::bottleneck`]`(clusters, path).build()`.
 
 use crate::pipeline::ShardedEdgeSource;
-use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_net::CommGraph;
+use cgc_net::ParallelConfig;
 
-/// Builds the adversarial layout for a complete conflict graph on
-/// `n_clusters` clusters, each a path of `path_len ≥ 2` machines.
-///
-/// # Panics
-///
-/// Panics if `n_clusters == 0` or `path_len < 2`.
-pub fn bottleneck_instance(n_clusters: usize, path_len: usize) -> ClusterGraph {
-    bottleneck_instance_with(n_clusters, path_len, &ParallelConfig::serial())
-}
-
-/// [`bottleneck_instance`] with the whole pipeline — wiring generation,
-/// edge canonicalization and the [`ClusterGraph::build_with`] phases —
-/// sharded over `par`'s threads (bit-identical output at any count).
-pub fn bottleneck_instance_with(
-    n_clusters: usize,
-    path_len: usize,
-    par: &ParallelConfig,
-) -> ClusterGraph {
-    let (n_machines, runs, assignment) = bottleneck_runs(n_clusters, path_len, par);
-    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
-        .expect("valid adversarial instance");
-    ClusterGraph::build_with(comm, assignment, par).expect("paths are connected")
-}
-
-/// The raw generation half of [`bottleneck_instance_with`]: machine
-/// count, per-shard edge runs (cluster `c` emits its own path wiring and
-/// its links to every higher cluster — a pure function of `c`) and the
+/// The generation half of the bottleneck instance: machine count,
+/// per-shard edge runs (cluster `c` emits its own path wiring and its
+/// links to every higher cluster — a pure function of `c`) and the
 /// machine→cluster assignment.
 ///
 /// # Panics
@@ -60,28 +39,34 @@ pub(crate) fn bottleneck_runs(
     let weights: Vec<f64> = (0..n_clusters)
         .map(|c| (m - 1 + (n_clusters - 1 - c)) as f64 + 1.0)
         .collect();
-    let runs = ShardedEdgeSource::from_rows_weighted(n_clusters, par, Some(&weights), |c, out| {
-        let base = c * m;
-        for j in 0..(m - 1) {
-            out.push((base + j, base + j + 1));
-        }
-        // Complete conflict graph; attachment by index order: c (lower)
-        // uses its RIGHT end, every higher cluster its LEFT end.
-        for v in (c + 1)..n_clusters {
-            out.push((base + m - 1, v * m));
-        }
-    });
+    let runs = ShardedEdgeSource::from_row_tasks_weighted(
+        n_clusters,
+        par,
+        &weights,
+        0.0,
+        |c, _, _, out| {
+            let base = c * m;
+            for j in 0..(m - 1) {
+                out.push((base + j, base + j + 1));
+            }
+            // Complete conflict graph; attachment by index order: c (lower)
+            // uses its RIGHT end, every higher cluster its LEFT end.
+            for v in (c + 1)..n_clusters {
+                out.push((base + m - 1, v * m));
+            }
+        },
+    );
     let assignment: Vec<usize> = (0..n_machines).map(|i| i / m).collect();
     (n_machines, runs, assignment)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::WorkloadSpec;
 
     #[test]
     fn conflict_graph_is_complete() {
-        let g = bottleneck_instance(5, 6);
+        let g = WorkloadSpec::bottleneck(5, 6).build();
         assert_eq!(g.n_vertices(), 5);
         for u in 0..5 {
             for v in (u + 1)..5 {
@@ -93,13 +78,13 @@ mod tests {
 
     #[test]
     fn dilation_matches_path_length() {
-        let g = bottleneck_instance(3, 10);
+        let g = WorkloadSpec::bottleneck(3, 10).build();
         assert_eq!(g.dilation(), 9);
     }
 
     #[test]
     fn links_attach_at_ends_only() {
-        let g = bottleneck_instance(4, 8);
+        let g = WorkloadSpec::bottleneck(4, 8).build();
         for (mu, mv, cu, cv) in g.links() {
             assert!(cu < cv);
             assert_eq!(mu % 8, 7, "lower cluster uses right end");
@@ -109,7 +94,7 @@ mod tests {
 
     #[test]
     fn single_links_between_clusters() {
-        let g = bottleneck_instance(6, 4);
+        let g = WorkloadSpec::bottleneck(6, 4).build();
         for u in 0..6 {
             for v in (u + 1)..6 {
                 assert_eq!(g.link_multiplicity(u, v), 1);

@@ -183,11 +183,6 @@ impl FromStr for ChurnSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgc_cluster::ParallelConfig;
-
-    fn build(spec: &WorkloadSpec) -> ClusterGraph {
-        spec.build_timed(&ParallelConfig::serial()).0
-    }
 
     #[test]
     fn spec_string_round_trips() {
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn schedule_is_deterministic_and_applies_cleanly() {
         let spec = ChurnSpec::balanced(WorkloadSpec::gnp(150, 0.04, 5), 5, 24, 77);
-        let g0 = build(&spec.base);
+        let g0 = spec.base.build();
         let batches_a = spec.schedule(&g0);
         let batches_b = spec.schedule(&g0);
         assert_eq!(batches_a, batches_b);
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let base = WorkloadSpec::gnp(120, 0.05, 5);
-        let g = build(&base);
+        let g = base.build();
         let a = ChurnSpec::balanced(base, 3, 16, 1).schedule(&g);
         let b = ChurnSpec::balanced(base, 3, 16, 2).schedule(&g);
         assert_ne!(a, b);
@@ -246,7 +241,7 @@ mod tests {
         // exist and must never be deleted.
         let mut base = WorkloadSpec::gnp(80, 0.08, 9);
         base.layout = crate::Layout::Star(3);
-        let g = build(&base);
+        let g = base.build();
         let spec = ChurnSpec {
             base,
             batches: 4,

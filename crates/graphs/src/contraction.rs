@@ -10,49 +10,25 @@
 //!
 //! Unlike the generator families, the contraction **is** the layout:
 //! clusters come from the blob map, not from a [`crate::Layout`]
-//! expansion, so the family constructs its [`ClusterGraph`] directly
-//! (like [`crate::adversarial`]) and the workload grammar rejects
-//! `layout`/`links` keys for it. The grid wiring shards by grid rows
-//! through the pipeline; the blob growth is one serial seeded sweep.
+//! expansion, so the family goes straight from machine-edge runs to its
+//! cluster graph (like [`crate::adversarial`]) and the workload grammar
+//! rejects `layout`/`links` keys for it. The grid wiring shards by grid
+//! rows through the pipeline; the blob growth is one serial seeded sweep.
+//! The instance is
+//! [`crate::WorkloadSpec::contraction`]`(side, lo, hi, seed).build()`.
 
 use crate::pipeline::ShardedEdgeSource;
-use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_net::{CommGraph, SeedStream};
+use cgc_net::{ParallelConfig, SeedStream};
 use rand::RngExt;
 
-/// Builds the contracted grid instance sequentially.
+/// The generation half of the contracted grid instance: machine count,
+/// per-shard grid-wiring runs (vertex `v` emits its right and down links
+/// — a pure function of `v`) and the blob machine→cluster assignment
+/// (one serial seeded BFS-stack sweep).
 ///
 /// # Panics
 ///
 /// Panics if `side == 0` or `lo` is not in `1..=hi`.
-pub fn contraction_instance(side: usize, lo: usize, hi: usize, seed: u64) -> ClusterGraph {
-    contraction_instance_with(side, lo, hi, seed, &ParallelConfig::serial())
-}
-
-/// [`contraction_instance`] with the grid wiring, edge canonicalization
-/// and [`ClusterGraph::build_with`] phases sharded over `par`'s threads
-/// (bit-identical output at any count).
-pub fn contraction_instance_with(
-    side: usize,
-    lo: usize,
-    hi: usize,
-    seed: u64,
-    par: &ParallelConfig,
-) -> ClusterGraph {
-    let (n_machines, runs, assignment) = contraction_runs(side, lo, hi, seed, par);
-    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
-        .expect("grid wiring is valid");
-    ClusterGraph::build_with(comm, assignment, par).expect("blobs are connected by construction")
-}
-
-/// The raw generation half of [`contraction_instance_with`]: machine
-/// count, per-shard grid-wiring runs (vertex `v` emits its right and down
-/// links — a pure function of `v`) and the blob machine→cluster
-/// assignment (one serial seeded BFS-stack sweep).
-///
-/// # Panics
-///
-/// As [`contraction_instance`].
 pub(crate) fn contraction_runs(
     side: usize,
     lo: usize,
@@ -121,11 +97,12 @@ pub(crate) fn contraction_runs(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::WorkloadSpec;
+    use cgc_cluster::ParallelConfig;
 
     #[test]
     fn blobs_cover_the_grid_within_bounds() {
-        let g = contraction_instance(16, 4, 12, 3141);
+        let g = WorkloadSpec::contraction(16, 4, 12, 3141).build();
         assert_eq!(g.n_machines(), 256);
         assert!(g.n_vertices() >= 256 / 12);
         let mut sizes = vec![0usize; g.n_vertices()];
@@ -143,7 +120,7 @@ mod tests {
     fn contraction_exhibits_parallel_links() {
         // Wide blobs along a grid boundary share several grid links —
         // the Figure 1 multi-link phenomenon the family exists to show.
-        let g = contraction_instance(20, 4, 12, 7);
+        let g = WorkloadSpec::contraction(20, 4, 12, 7).build();
         let max_mult = g
             .h_edges()
             .map(|(u, v)| g.link_multiplicity(u, v))
@@ -154,16 +131,17 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed_and_thread_count() {
-        let reference = contraction_instance(12, 2, 6, 5);
-        assert_eq!(contraction_instance(12, 2, 6, 5), reference);
+        let reference = WorkloadSpec::contraction(12, 2, 6, 5).build();
+        assert_eq!(WorkloadSpec::contraction(12, 2, 6, 5).build(), reference);
         assert_ne!(
-            contraction_instance(12, 2, 6, 6).n_vertices(),
+            WorkloadSpec::contraction(12, 2, 6, 6).build().n_vertices(),
             0,
             "different seed still builds"
         );
         for threads in [2, 4, 8] {
-            let got =
-                contraction_instance_with(12, 2, 6, 5, &ParallelConfig::with_threads(threads));
+            let got = WorkloadSpec::contraction(12, 2, 6, 5)
+                .build_timed(&ParallelConfig::with_threads(threads))
+                .0;
             assert_eq!(got, reference, "threads={threads}");
         }
     }
@@ -171,6 +149,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "1 <= lo <= hi")]
     fn inverted_bounds_rejected() {
-        contraction_instance(8, 5, 3, 1);
+        WorkloadSpec::contraction(8, 5, 3, 1).build();
     }
 }

@@ -23,27 +23,20 @@ use crate::pipeline::ShardedEdgeSource;
 use cgc_net::{ParallelConfig, SeedStream};
 use rand::RngExt;
 
-/// Samples a `G(n, p)` spec sequentially.
+/// Samples a `G(n, p)` spec sequentially (a thread sweep goes through
+/// [`crate::WorkloadSpec::conflict_spec`]).
 ///
 /// # Panics
 ///
 /// Panics if `p` is not in `[0, 1]`.
 pub fn gnp_spec(n: usize, p: f64, seed: u64) -> HSpec {
-    gnp_spec_with(n, p, seed, &ParallelConfig::serial())
-}
-
-/// [`gnp_spec`] with row generation sharded over `par`'s threads;
-/// deterministic in `(n, p, seed)` and independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-pub fn gnp_spec_with(n: usize, p: f64, seed: u64, par: &ParallelConfig) -> HSpec {
-    gnp_runs(n, p, seed, par).into_hspec(par)
+    let par = ParallelConfig::serial();
+    gnp_runs(n, p, seed, &par).into_hspec(&par)
 }
 
 /// The raw per-shard edge runs of a `G(n, p)` sample — the generation
-/// half of [`gnp_spec_with`], before canonicalization.
+/// half of [`gnp_spec`], before canonicalization; deterministic in
+/// `(n, p, seed)` and independent of the thread count.
 ///
 /// # Panics
 ///
@@ -56,7 +49,7 @@ pub(crate) fn gnp_runs(n: usize, p: f64, seed: u64, par: &ParallelConfig) -> Sha
     // balance by that mass — an even row split would serialize shard 0 on
     // the long early rows.
     let weights: Vec<f64> = (0..n).map(|u| (n - 1 - u) as f64 * p + 1.0).collect();
-    ShardedEdgeSource::from_rows_weighted(n, par, Some(&weights), move |u, out| {
+    ShardedEdgeSource::from_row_tasks_weighted(n, par, &weights, 0.0, move |u, _, _, out| {
         if p <= 0.0 {
             return;
         }
@@ -118,7 +111,8 @@ mod tests {
     fn thread_count_does_not_change_the_graph() {
         let reference = gnp_spec(400, 0.04, 11);
         for threads in [2, 4, 8] {
-            let got = gnp_spec_with(400, 0.04, 11, &ParallelConfig::with_threads(threads));
+            let par = ParallelConfig::with_threads(threads);
+            let got = gnp_runs(400, 0.04, 11, &par).into_hspec(&par);
             assert_eq!(got, reference, "threads={threads}");
         }
     }

@@ -8,9 +8,9 @@
 //! path clusters reproduce the Figure 2/3 bottleneck shapes and stretch
 //! the dilation `d` for experiment E11.
 
-use crate::pipeline::ShardedEdgeSource;
+use crate::pipeline::{assemble, ShardedEdgeSource};
 use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_net::{map_reduce_on, CommGraph, SeedStream, ShardPlan};
+use cgc_net::{map_reduce_on, SeedStream, ShardPlan};
 use rand::RngExt;
 
 /// A conflict-graph specification: the graph `H` to be colored.
@@ -115,7 +115,8 @@ impl std::str::FromStr for Layout {
     }
 }
 
-/// Realizes a spec over a communication network.
+/// Realizes a spec over a communication network, sequentially — the one
+/// call from an [`HSpec`] to a [`ClusterGraph`].
 ///
 /// Every `H`-edge is wired with `links_per_edge` distinct `G`-links whose
 /// endpoint machines are chosen uniformly inside each cluster (so parallel
@@ -125,34 +126,18 @@ impl std::str::FromStr for Layout {
 ///
 /// Panics if `links_per_edge == 0` or the spec is empty.
 pub fn realize(h: &HSpec, layout: Layout, links_per_edge: usize, seed: u64) -> ClusterGraph {
-    realize_with(h, layout, links_per_edge, seed, &ParallelConfig::serial())
+    let par = ParallelConfig::serial();
+    let (n_machines, runs, assignment) = realize_runs(h, layout, links_per_edge, seed, &par);
+    assemble(n_machines, &runs, assignment, &par).0
 }
 
-/// [`realize`] with the whole pipeline — intra-cluster wiring generation,
-/// machine-edge canonicalization ([`CommGraph::from_edge_runs_with`]) and
-/// the `ClusterGraph` build ([`ClusterGraph::build_with`]) — sharded over
-/// `par`'s threads; the realized instance is a pure function of
-/// `(spec, layout, links, seed)` — never of the thread count.
-pub fn realize_with(
-    h: &HSpec,
-    layout: Layout,
-    links_per_edge: usize,
-    seed: u64,
-    par: &ParallelConfig,
-) -> ClusterGraph {
-    let (n_machines, runs, assignment) = realize_runs(h, layout, links_per_edge, seed, par);
-    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
-        .expect("layout produces valid graph");
-    ClusterGraph::build_with(comm, assignment, par).expect("clusters are connected by construction")
-}
-
-/// The raw generation half of [`realize_with`]: the machine count, the
+/// The raw generation half of [`realize`]: the machine count, the
 /// per-shard machine-edge runs (intra-cluster wiring sharded by cluster
 /// rows, plus inter-cluster link runs sharded by `H`-edge ranges) and the
 /// machine→cluster assignment — handed straight to
-/// [`CommGraph::from_edge_runs_with`] without concatenating into one edge
-/// `Vec`. The logical edge sequence is a pure function of
-/// `(spec, layout, links, seed)`.
+/// [`cgc_net::CommGraph::from_edge_runs_with`] without concatenating into
+/// one edge `Vec`. The logical edge sequence is a pure function of
+/// `(spec, layout, links, seed)`, never of the thread count.
 ///
 /// # Panics
 ///
@@ -222,22 +207,6 @@ pub fn realize_runs(
     }
     let assignment: Vec<usize> = (0..n_machines).map(|i| i / m).collect();
     (n_machines, runs, assignment)
-}
-
-/// The communication network and machine→cluster assignment [`realize`]
-/// feeds to [`ClusterGraph::build`] — exposed so benches can time and
-/// differential-test the build itself on real realized instances.
-pub fn realize_network(
-    h: &HSpec,
-    layout: Layout,
-    links_per_edge: usize,
-    seed: u64,
-) -> (CommGraph, Vec<usize>) {
-    let par = ParallelConfig::serial();
-    let (n_machines, runs, assignment) = realize_runs(h, layout, links_per_edge, seed, &par);
-    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), &par)
-        .expect("layout produces valid graph");
-    (comm, assignment)
 }
 
 #[cfg(test)]

@@ -14,6 +14,13 @@
 //!                                  CommGraph ──▶ ClusterGraph::build_with
 //! ```
 //!
+//! Rows shard one of two ways: [`ShardedEdgeSource::from_rows`] cuts
+//! equal row counts, and [`ShardedEdgeSource::from_row_tasks_weighted`]
+//! balances by expected per-row work and can split hub rows; both keep
+//! each shard's output as one run. The last two steps are one tail, the
+//! crate-private `assemble`: every generated instance ends in it, through
+//! [`crate::WorkloadSpec::build_timed`] or [`crate::realize`].
+//!
 //! Generators in this crate derive one RNG stream per *row* (source
 //! vertex) from the master seed, so a row's edges are a pure function of
 //! `(seed, row)`. That makes parallel generation trivially deterministic:
@@ -30,7 +37,10 @@
 //! in place.
 
 use crate::layouts::HSpec;
-use cgc_net::{canonical_edges, map_reduce_on, ParallelConfig, ShardPlan};
+use cgc_cluster::ClusterGraph;
+use cgc_net::{canonical_edges, map_reduce_on, CommGraph, ParallelConfig, ShardPlan};
+use std::ops::Range;
+use std::time::Instant;
 
 /// Per-shard edge runs: the intermediate product of every sharded
 /// generator, handed to the canonicalizing sinks without being
@@ -57,70 +67,30 @@ impl ShardedEdgeSource {
     /// configured threads (contiguous row blocks of equal *count*),
     /// keeping each shard's output as its own run in ascending row order.
     /// `row` must be pure — the runs are a pure function of `(n, row)`,
-    /// never of the thread count. Pass [`Self::from_rows_weighted`] when
-    /// per-row work is skewed.
+    /// never of the thread count. Pass [`Self::from_row_tasks_weighted`]
+    /// when per-row work is skewed.
     pub fn from_rows(
         n: usize,
         par: &ParallelConfig,
         row: impl Fn(usize, &mut Vec<(usize, usize)>) + Sync,
     ) -> Self {
-        Self::from_rows_weighted(n, par, None, row)
-    }
-
-    /// [`Self::from_rows`] with contiguous row blocks balanced by
-    /// `weights` (expected per-row work) instead of row count, so a heavy
-    /// head — the hubs of a power-law weight sequence, the long early
-    /// rows of a G(n, p) upper triangle — does not serialize shard 0. The
-    /// shard bounds are a pure function of `(weights, thread count)`, and
-    /// the logical output is the ascending-row concatenation either way.
-    pub fn from_rows_weighted(
-        n: usize,
-        par: &ParallelConfig,
-        weights: Option<&[f64]>,
-        row: impl Fn(usize, &mut Vec<(usize, usize)>) + Sync,
-    ) -> Self {
-        let plan = match weights {
-            None => ShardPlan::even(n, par.threads()),
-            Some(w) => {
-                assert_eq!(w.len(), n, "one weight per row");
-                // Scale the float weights onto a fixed-point prefix so the
-                // generic balanced-prefix cut applies; the scale only
-                // affects the (output-invisible) shard bounds.
-                let total: f64 = w.iter().sum();
-                let scale = if total > 0.0 {
-                    ((1u64 << 32) as f64) / total
-                } else {
-                    0.0
-                };
-                let mut prefix = Vec::with_capacity(n + 1);
-                prefix.push(0usize);
-                let mut acc = 0usize;
-                for &x in w {
-                    acc += (x * scale) as usize;
-                    prefix.push(acc);
-                }
-                ShardPlan::from_prefix(&prefix, par.threads())
+        Self::collect(n, &ShardPlan::even(n, par.threads()), |range, run| {
+            for u in range {
+                row(u, run);
             }
-        };
-        let runs = map_reduce_on(
-            &plan,
-            |range| {
-                let mut run = Vec::new();
-                for u in range {
-                    row(u, &mut run);
-                }
-                vec![run]
-            },
-            |acc: &mut Vec<Vec<(usize, usize)>>, part| acc.extend(part),
-        );
-        ShardedEdgeSource { n, runs }
+        })
     }
 
-    /// [`Self::from_rows_weighted`] with heavy rows split into independent
-    /// column-range **tasks** — the generator-side half of hub-proof
-    /// sharding. Row `u` becomes `k_u = ceil(w_u / quantum)` tasks (at
-    /// least 1; rows at or under the quantum stay whole), and `task(u, j,
-    /// k_u, &mut run)` runs once per task in ascending `(row, j)` order
+    /// [`Self::from_rows`] with contiguous blocks balanced by `weights`
+    /// (expected per-row work) instead of row count, so a heavy head —
+    /// the hubs of a power-law weight sequence, the long early rows of a
+    /// G(n, p) upper triangle — does not serialize shard 0.
+    ///
+    /// Heavy rows also split into independent column-range **tasks** —
+    /// the generator-side half of hub-proof sharding. Row `u` becomes
+    /// `k_u = ceil(w_u / quantum)` tasks (at least 1; rows at or under the
+    /// quantum stay whole, and `quantum = 0` splits no row), and `task(u,
+    /// j, k_u, &mut run)` runs once per task in ascending `(row, j)` order
     /// across shards, so a single hub row's emission spreads over several
     /// workers instead of bounding one shard.
     ///
@@ -144,9 +114,10 @@ impl ShardedEdgeSource {
         task: impl Fn(usize, u32, u32, &mut Vec<(usize, usize)>) + Sync,
     ) -> Self {
         assert_eq!(weights.len(), n, "one weight per row");
-        // Fixed-point per-task weight prefix (the from_rows_weighted
-        // scaling, split evenly over each row's tasks) so the generic
-        // balanced-prefix cut applies to tasks.
+        // Scale the float weights onto a fixed-point per-task prefix (each
+        // row's weight split evenly over its tasks) so the generic
+        // balanced-prefix cut applies; the scale only affects the
+        // (output-invisible) shard bounds.
         let total: f64 = weights.iter().sum();
         let scale = if total > 0.0 {
             ((1u64 << 32) as f64) / total
@@ -170,14 +141,25 @@ impl ShardedEdgeSource {
             }
         }
         let plan = ShardPlan::from_prefix(&prefix, par.threads());
-        let tasks = &tasks;
+        Self::collect(n, &plan, |range, run| {
+            for &(u, j, k) in &tasks[range] {
+                task(u, j, k, run);
+            }
+        })
+    }
+
+    /// Runs `emit(range, &mut run)` once per shard of `plan`, keeping each
+    /// shard's output as its own run, in shard order.
+    fn collect(
+        n: usize,
+        plan: &ShardPlan,
+        emit: impl Fn(Range<usize>, &mut Vec<(usize, usize)>) + Sync,
+    ) -> Self {
         let runs = map_reduce_on(
-            &plan,
+            plan,
             |range| {
                 let mut run = Vec::new();
-                for &(u, j, k) in &tasks[range] {
-                    task(u, j, k, &mut run);
-                }
+                emit(range, &mut run);
                 vec![run]
             },
             |acc: &mut Vec<Vec<(usize, usize)>>, part| acc.extend(part),
@@ -185,21 +167,9 @@ impl ShardedEdgeSource {
         ShardedEdgeSource { n, runs }
     }
 
-    /// Vertex count of the graph the edges live on.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Total edges across all runs (before any deduplication).
     pub fn total_edges(&self) -> usize {
         self.runs.iter().map(Vec::len).sum()
-    }
-
-    /// The per-shard runs, in logical order.
-    #[inline]
-    pub fn runs(&self) -> &[Vec<(usize, usize)>] {
-        &self.runs
     }
 
     /// The runs as borrowed slices — the shape
@@ -244,6 +214,26 @@ impl ShardedEdgeSource {
     }
 }
 
+/// The one tail from machine-edge runs to a graph: canonicalize `runs`
+/// into a [`CommGraph`] ([`CommGraph::from_edge_runs_with`]), then build
+/// the [`ClusterGraph`] over `assignment` ([`ClusterGraph::build_with`]).
+/// Returns the graph with the wall clock of the two phases, in seconds.
+pub(crate) fn assemble(
+    n_machines: usize,
+    runs: &ShardedEdgeSource,
+    assignment: Vec<usize>,
+    par: &ParallelConfig,
+) -> (ClusterGraph, f64, f64) {
+    let t = Instant::now();
+    let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
+        .expect("generated networks are valid by construction");
+    let canonicalize_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let graph = ClusterGraph::build_with(comm, assignment, par)
+        .expect("clusters are connected by construction");
+    (graph, canonicalize_secs, t.elapsed().as_secs_f64())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,11 +265,12 @@ mod tests {
         let reference =
             ShardedEdgeSource::from_rows(100, &ParallelConfig::serial(), kernel).concat();
         for threads in [2, 4, 9] {
-            let got = ShardedEdgeSource::from_rows_weighted(
+            let got = ShardedEdgeSource::from_row_tasks_weighted(
                 100,
                 &ParallelConfig::with_threads(threads),
-                Some(&weights),
-                kernel,
+                &weights,
+                0.0,
+                |u, _, _, out| kernel(u, out),
             )
             .concat();
             assert_eq!(got, reference, "threads={threads}");

@@ -17,18 +17,13 @@ use cgc_net::ParallelConfig;
 /// The square of a conflict graph: `{u, v}` is an edge of `G²` when their
 /// distance in `G` is 1 or 2.
 pub fn square_spec(g: &HSpec) -> HSpec {
-    square_spec_with(g, &ParallelConfig::serial())
-}
-
-/// [`square_spec`] with the per-row 2-neighborhood expansion sharded over
-/// `par`'s threads; the result is a pure function of `g`, independent of
-/// the thread count.
-pub fn square_spec_with(g: &HSpec, par: &ParallelConfig) -> HSpec {
-    square_runs(g, par).into_hspec(par)
+    let par = ParallelConfig::serial();
+    square_runs(g, &par).into_hspec(&par)
 }
 
 /// The raw per-shard edge runs of the square expansion — the generation
-/// half of [`square_spec_with`], before canonicalization.
+/// half of [`square_spec`], before canonicalization; a pure function of
+/// `g`, independent of the thread count.
 pub(crate) fn square_runs(g: &HSpec, par: &ParallelConfig) -> ShardedEdgeSource {
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); g.n];
     for &(u, v) in &g.edges {
@@ -39,7 +34,7 @@ pub(crate) fn square_runs(g: &HSpec, par: &ParallelConfig) -> ShardedEdgeSource 
     // Row u touches its whole 2-neighborhood; its degree is the cheap
     // proxy that keeps hub rows from serializing one shard.
     let weights: Vec<f64> = adj.iter().map(|a| a.len() as f64 + 1.0).collect();
-    ShardedEdgeSource::from_rows_weighted(g.n, par, Some(&weights), move |u, out| {
+    ShardedEdgeSource::from_row_tasks_weighted(g.n, par, &weights, 0.0, move |u, _, _, out| {
         let mut reach: Vec<usize> = adj[u].clone();
         for &w in &adj[u] {
             reach.extend_from_slice(&adj[w]);

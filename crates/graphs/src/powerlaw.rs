@@ -73,14 +73,16 @@ pub fn power_law_weights(cfg: &PowerLawConfig) -> Vec<f64> {
     w
 }
 
-/// Samples a Chung–Lu power-law spec; deterministic in `(cfg, seed)` and
-/// independent of the thread count in `par`.
-pub fn power_law_spec(cfg: &PowerLawConfig, seed: u64, par: &ParallelConfig) -> HSpec {
-    power_law_runs(cfg, seed, par).into_hspec(par)
+/// Samples a Chung–Lu power-law spec sequentially; deterministic in
+/// `(cfg, seed)`.
+pub fn power_law_spec(cfg: &PowerLawConfig, seed: u64) -> HSpec {
+    let par = ParallelConfig::serial();
+    power_law_runs(cfg, seed, &par).into_hspec(&par)
 }
 
 /// The raw per-shard edge runs of a Chung–Lu sample — the generation half
-/// of [`power_law_spec`], before canonicalization.
+/// of [`power_law_spec`], before canonicalization; independent of the
+/// thread count in `par`.
 pub(crate) fn power_law_runs(
     cfg: &PowerLawConfig,
     seed: u64,
@@ -173,7 +175,7 @@ mod tests {
             exponent: 2.5,
             avg_degree: 8.0,
         };
-        let h = power_law_spec(&cfg, 7, &ParallelConfig::serial());
+        let h = power_law_spec(&cfg, 7);
         let expect = cfg.avg_degree * cfg.n as f64 / 2.0;
         let m = h.edges.len() as f64;
         assert!(
@@ -189,7 +191,7 @@ mod tests {
             exponent: 2.2,
             avg_degree: 6.0,
         };
-        let h = power_law_spec(&cfg, 3, &ParallelConfig::serial());
+        let h = power_law_spec(&cfg, 3);
         let deg = degrees(&h);
         let max = *deg.iter().max().unwrap();
         let avg = deg.iter().sum::<usize>() as f64 / cfg.n as f64;
@@ -210,9 +212,10 @@ mod tests {
             exponent: 2.5,
             avg_degree: 7.0,
         };
-        let reference = power_law_spec(&cfg, 11, &ParallelConfig::serial());
+        let reference = power_law_spec(&cfg, 11);
         for threads in [2, 4, 8] {
-            let got = power_law_spec(&cfg, 11, &ParallelConfig::with_threads(threads));
+            let par = ParallelConfig::with_threads(threads);
+            let got = power_law_runs(&cfg, 11, &par).into_hspec(&par);
             assert_eq!(got, reference, "threads={threads}");
         }
     }
@@ -220,9 +223,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let cfg = PowerLawConfig::default();
-        let par = ParallelConfig::serial();
-        assert_eq!(power_law_spec(&cfg, 5, &par), power_law_spec(&cfg, 5, &par));
-        assert_ne!(power_law_spec(&cfg, 5, &par), power_law_spec(&cfg, 6, &par));
+        assert_eq!(power_law_spec(&cfg, 5), power_law_spec(&cfg, 5));
+        assert_ne!(power_law_spec(&cfg, 5), power_law_spec(&cfg, 6));
     }
 
     #[test]

@@ -20,18 +20,20 @@ use crate::pipeline::ShardedEdgeSource;
 use cgc_net::{ParallelConfig, SeedStream};
 use rand::RngExt;
 
-/// Samples a random geometric spec; deterministic in `(n, radius, seed)`
-/// and independent of the thread count in `par`.
+/// Samples a random geometric spec sequentially; deterministic in
+/// `(n, radius, seed)`.
 ///
 /// # Panics
 ///
 /// Panics if `n == 0` or `radius` is not in `(0, 1]`.
-pub fn geometric_spec(n: usize, radius: f64, seed: u64, par: &ParallelConfig) -> HSpec {
-    geometric_runs(n, radius, seed, par).into_hspec(par)
+pub fn geometric_spec(n: usize, radius: f64, seed: u64) -> HSpec {
+    let par = ParallelConfig::serial();
+    geometric_runs(n, radius, seed, &par).into_hspec(&par)
 }
 
 /// The raw per-shard edge runs of a geometric sample — the generation
-/// half of [`geometric_spec`], before canonicalization.
+/// half of [`geometric_spec`], before canonicalization; independent of
+/// the thread count in `par`.
 ///
 /// # Panics
 ///
@@ -123,7 +125,7 @@ mod tests {
     fn degrees_concentrate_around_n_pi_r_squared() {
         let n = 3000;
         let r = radius_for_avg_degree(n, 9.0);
-        let h = geometric_spec(n, r, 5, &ParallelConfig::serial());
+        let h = geometric_spec(n, r, 5);
         let avg = 2.0 * h.edges.len() as f64 / n as f64;
         // Boundary effects depress the average a little below 9.
         assert!((5.0..11.0).contains(&avg), "avg degree {avg}");
@@ -133,7 +135,7 @@ mod tests {
     fn grid_scan_matches_brute_force() {
         let n = 250;
         let r = 0.13;
-        let h = geometric_spec(n, r, 9, &ParallelConfig::serial());
+        let h = geometric_spec(n, r, 9);
         // Re-derive the points exactly as the generator does.
         let mut rng = SeedStream::new(9).rng_for(0x5247_4730, 0);
         let pts: Vec<(f64, f64)> = (0..n)
@@ -153,29 +155,23 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_graph() {
-        let reference = geometric_spec(900, 0.06, 13, &ParallelConfig::serial());
+        let reference = geometric_spec(900, 0.06, 13);
         for threads in [2, 4, 8] {
-            let got = geometric_spec(900, 0.06, 13, &ParallelConfig::with_threads(threads));
+            let par = ParallelConfig::with_threads(threads);
+            let got = geometric_runs(900, 0.06, 13, &par).into_hspec(&par);
             assert_eq!(got, reference, "threads={threads}");
         }
     }
 
     #[test]
     fn deterministic_in_seed_and_sensitive_to_it() {
-        let par = ParallelConfig::serial();
-        assert_eq!(
-            geometric_spec(300, 0.1, 2, &par),
-            geometric_spec(300, 0.1, 2, &par)
-        );
-        assert_ne!(
-            geometric_spec(300, 0.1, 2, &par),
-            geometric_spec(300, 0.1, 3, &par)
-        );
+        assert_eq!(geometric_spec(300, 0.1, 2), geometric_spec(300, 0.1, 2));
+        assert_ne!(geometric_spec(300, 0.1, 2), geometric_spec(300, 0.1, 3));
     }
 
     #[test]
     fn radius_one_is_near_complete() {
-        let h = geometric_spec(40, 1.0, 1, &ParallelConfig::serial());
+        let h = geometric_spec(40, 1.0, 1);
         // Unit square diameter is sqrt(2) > 1, so not complete, but dense.
         assert!(h.edges.len() > 40 * 39 / 4, "edges {}", h.edges.len());
     }
@@ -183,6 +179,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "radius must be in")]
     fn zero_radius_rejected() {
-        geometric_spec(10, 0.0, 1, &ParallelConfig::serial());
+        geometric_spec(10, 0.0, 1);
     }
 }

@@ -32,21 +32,22 @@
 //! [`crate::pipeline`]): generate per-shard edge runs → canonicalize →
 //! [`cgc_net::CommGraph::from_edge_runs_with`] →
 //! [`ClusterGraph::build_with`], all sharded over the caller's
-//! [`ParallelConfig`] with thread-count-independent output.
-//! [`WorkloadSpec::build_timed`] reports the per-phase wall clock as
-//! [`SetupTimings`].
+//! [`ParallelConfig`] with thread-count-independent output. There is one
+//! builder per job: [`WorkloadSpec::build_timed`] builds under an
+//! executor and reports the per-phase wall clock as [`SetupTimings`],
+//! [`WorkloadSpec::build`] is its serial shorthand, and
+//! [`WorkloadSpec::conflict_spec`] stops at the canonical `H`.
 
 use crate::adversarial::bottleneck_runs;
 use crate::contraction::contraction_runs;
 use crate::gnp::gnp_runs;
 use crate::layouts::{realize_runs, HSpec, Layout};
-use crate::pipeline::ShardedEdgeSource;
+use crate::pipeline::{assemble, ShardedEdgeSource};
 use crate::planted::{cabal_runs, mixture_runs, planted_cliques_runs, MixtureConfig, PlantedInfo};
 use crate::power::square_runs;
 use crate::powerlaw::{power_law_runs, PowerLawConfig};
 use crate::rgg::geometric_runs;
 use cgc_cluster::{ClusterGraph, ParallelConfig};
-use cgc_net::CommGraph;
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -384,7 +385,7 @@ impl WorkloadSpec {
     /// canonicalization — the generation stage of the pipeline. `None`
     /// for the families that construct their [`ClusterGraph`] directly
     /// (`bottleneck`, `contraction`).
-    fn conflict_runs_with(
+    fn conflict_runs(
         &self,
         par: &ParallelConfig,
     ) -> Option<(ShardedEdgeSource, Option<PlantedInfo>)> {
@@ -437,46 +438,32 @@ impl WorkloadSpec {
     }
 
     /// The conflict-graph spec (`H`) plus planted ground truth, before
-    /// layout realization. `None` for `bottleneck`/`contraction`, which
-    /// construct their [`ClusterGraph`]s directly.
-    pub fn conflict_spec_with(&self, par: &ParallelConfig) -> Option<(HSpec, Option<PlantedInfo>)> {
-        self.conflict_runs_with(par)
+    /// layout realization, with generation and canonicalization sharded
+    /// over `par`'s threads (the result never depends on the count).
+    /// `None` for `bottleneck`/`contraction`, which go straight from
+    /// machine-edge runs to their [`ClusterGraph`]s.
+    pub fn conflict_spec(&self, par: &ParallelConfig) -> Option<(HSpec, Option<PlantedInfo>)> {
+        self.conflict_runs(par)
             .map(|(src, info)| (src.into_hspec(par), info))
     }
 
-    /// [`Self::conflict_spec_with`] under the sequential executor.
-    pub fn conflict_spec(&self) -> Option<(HSpec, Option<PlantedInfo>)> {
-        self.conflict_spec_with(&ParallelConfig::serial())
+    /// [`Self::build_timed`] under the sequential executor, keeping only
+    /// the graph.
+    pub fn build(&self) -> ClusterGraph {
+        self.build_timed(&ParallelConfig::serial()).0
     }
 
-    /// Builds the instance: generator plus layout realization. The whole
-    /// pipeline — generation, canonicalization, `ClusterGraph` build —
-    /// shards over `par`'s threads; the result is a pure function of the
-    /// spec, never of the thread count.
+    /// Builds the instance: generator plus layout realization, with the
+    /// planted ground truth (for families that have one) and the
+    /// per-phase [`SetupTimings`] — the generate / canonicalize / build
+    /// split the roadmap's setup bottleneck is tracked by. The whole
+    /// pipeline shards over `par`'s threads; the result is a pure function
+    /// of the spec, never of the thread count.
     ///
     /// # Panics
     ///
     /// Panics when the family parameters violate a generator precondition
     /// (e.g. `p` outside `[0, 1]`, `beta ≤ 2`, an empty spec).
-    pub fn build_with(&self, par: &ParallelConfig) -> ClusterGraph {
-        self.build_with_info(par).0
-    }
-
-    /// [`Self::build_with`] under the sequential executor.
-    pub fn build(&self) -> ClusterGraph {
-        self.build_with(&ParallelConfig::serial())
-    }
-
-    /// Builds the instance and returns the planted ground truth alongside
-    /// (for families that have one).
-    pub fn build_with_info(&self, par: &ParallelConfig) -> (ClusterGraph, Option<PlantedInfo>) {
-        let (graph, info, _) = self.build_timed(par);
-        (graph, info)
-    }
-
-    /// [`Self::build_with_info`] also reporting per-phase [`SetupTimings`]
-    /// — the generate / canonicalize / build split the roadmap's setup
-    /// bottleneck is tracked by.
     pub fn build_timed(
         &self,
         par: &ParallelConfig,
@@ -500,7 +487,7 @@ impl WorkloadSpec {
             _ => {
                 let t = Instant::now();
                 let (src, info) = self
-                    .conflict_runs_with(par)
+                    .conflict_runs(par)
                     .expect("generator families have conflict runs");
                 generate_secs += t.elapsed().as_secs_f64();
                 let t = Instant::now();
@@ -513,17 +500,10 @@ impl WorkloadSpec {
                 (n, runs, assignment, info)
             }
         };
-        let t = Instant::now();
-        let comm = CommGraph::from_edge_runs_with(n_machines, &runs.run_slices(), par)
-            .expect("generated networks are valid by construction");
-        canonicalize_secs += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let graph = ClusterGraph::build_with(comm, assignment, par)
-            .expect("clusters are connected by construction");
-        let build_secs = t.elapsed().as_secs_f64();
+        let (graph, ingest_secs, build_secs) = assemble(n_machines, &runs, assignment, par);
         let timings = SetupTimings {
             generate_secs,
-            canonicalize_secs,
+            canonicalize_secs: canonicalize_secs + ingest_secs,
             build_secs,
             total_secs: total_start.elapsed().as_secs_f64(),
             threads: par.threads(),
@@ -805,7 +785,7 @@ mod tests {
         let g = spec.build();
         assert_eq!(g.n_vertices(), 5);
         assert_eq!(g.dilation(), 5);
-        assert!(spec.conflict_spec().is_none());
+        assert!(spec.conflict_spec(&ParallelConfig::serial()).is_none());
         assert!("bottleneck:clusters=5,path=6,seed=0,layout=star3"
             .parse::<WorkloadSpec>()
             .is_err());
@@ -824,7 +804,7 @@ mod tests {
         let g = spec.build();
         assert_eq!(g.n_machines(), 144);
         assert!(g.n_vertices() >= 144 / 8);
-        assert!(spec.conflict_spec().is_none());
+        assert!(spec.conflict_spec(&ParallelConfig::serial()).is_none());
         // Seeds reach the blob growth (unlike bottleneck, seeds are live).
         assert_ne!(spec.with_seed(10).build(), g);
         assert!("contraction:side=12,lo=3,hi=8,seed=9,layout=star3"
@@ -865,8 +845,8 @@ mod tests {
 
     #[test]
     fn planted_info_travels_with_the_build() {
-        let (g, info) =
-            WorkloadSpec::planted_cliques(3, 8, 5).build_with_info(&ParallelConfig::serial());
+        let (g, info, _) =
+            WorkloadSpec::planted_cliques(3, 8, 5).build_timed(&ParallelConfig::serial());
         let info = info.expect("planted families carry ground truth");
         assert_eq!(info.cliques.len(), 3);
         assert_eq!(g.n_vertices(), 24);

@@ -1,6 +1,6 @@
 //! Differential suite for the sharded generation-to-graph edge pipeline.
 //!
-//! Pins the PR's two contracts:
+//! Pins three contracts:
 //!
 //! 1. **Skip walk ≡ sweep.** The `O(m)` skip-walk G(n, p) sampler draws
 //!    from per-row RNG substreams, so its instances differ from the old
@@ -15,9 +15,11 @@
 //!    produces an identical `HSpec` and an identical built `ClusterGraph`
 //!    (full struct equality via the `PartialEq` derives) at threads
 //!    {1, 2, 4, 8}.
+//! 3. **Pinned instances.** One digest over every family-matrix and
+//!    benchmark instance fails if any generated instance changes.
 
 use cgc_cluster::ParallelConfig;
-use cgc_graphs::{gnp_spec, gnp_spec_with, HSpec, WorkloadSpec};
+use cgc_graphs::{gnp_spec, HSpec, WorkloadSpec};
 use cgc_net::SeedStream;
 use rand::RngExt;
 
@@ -98,11 +100,10 @@ fn skip_walk_is_seed_deterministic_and_thread_independent() {
     assert_eq!(gnp_spec(300, 0.06, 5), reference);
     assert_ne!(gnp_spec(300, 0.06, 6), reference);
     for threads in [2, 4, 8] {
-        assert_eq!(
-            gnp_spec_with(300, 0.06, 5, &ParallelConfig::with_threads(threads)),
-            reference,
-            "threads={threads}"
-        );
+        let (got, _) = WorkloadSpec::gnp(300, 0.06, 5)
+            .conflict_spec(&ParallelConfig::with_threads(threads))
+            .expect("gnp has a conflict spec");
+        assert_eq!(got, reference, "threads={threads}");
     }
 }
 
@@ -133,12 +134,90 @@ fn family_matrix() -> Vec<WorkloadSpec> {
     ]
 }
 
+/// The instances the benchmark colors, in order: solve-sparse, the four
+/// serve-mixed hot specs, and churn's base instance.
+const BENCHMARK_SPECS: [&str; 6] = [
+    "gnp:n=2000,p=0.008,seed=3,layout=star3",
+    "gnp:n=800,p=0.02,seed=1,layout=star3",
+    "powerlaw:n=800,beta=2.5,avg=16,seed=2,layout=star3",
+    "cabal:c=6,k=50,anti=3,ext=4,seed=3,layout=star3",
+    "mixture:c=6,k=50,anti=0.04,ext=3,bg=500,bgp=0.03,seed=4,layout=star3",
+    "gnp:n=4000,p=0.004,seed=1,layout=star3",
+];
+
+/// FNV-1a over every built instance of [`family_matrix`] and
+/// [`BENCHMARK_SPECS`], as little-endian `u64` words: the machine count,
+/// the network's edges, the assignment, each support tree (size,
+/// (machine, parent) pairs, height), each `H`-edge with its multiplicity,
+/// and the planted cliques and sparse set (each length, then members).
+const INSTANCE_DIGEST: u64 = 0x2dff_74a9_eb7b_4a07;
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, x: usize) {
+        for byte in (x as u64).to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+#[test]
+fn instances_are_pinned() {
+    let specs: Vec<WorkloadSpec> = family_matrix()
+        .into_iter()
+        .chain(BENCHMARK_SPECS.iter().map(|s| s.parse().unwrap()))
+        .collect();
+    for threads in [1, 2] {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for spec in &specs {
+            let (g, info, _) = spec.build_timed(&ParallelConfig::with_threads(threads));
+            h.word(g.n_machines());
+            for (a, b) in g.comm().edges() {
+                h.word(a);
+                h.word(b);
+            }
+            for &c in g.assignment() {
+                h.word(c);
+            }
+            for v in 0..g.n_vertices() {
+                let tree = g.support(v);
+                h.word(tree.size());
+                for (&m, &p) in tree.machines.iter().zip(tree.parents) {
+                    h.word(m);
+                    h.word(p);
+                }
+                h.word(tree.height);
+            }
+            for ((u, v), &mult) in g.h_edges().zip(g.h_edge_multiplicities()) {
+                h.word(u);
+                h.word(v);
+                h.word(mult as usize);
+            }
+            if let Some(info) = info {
+                for clique in &info.cliques {
+                    h.word(clique.len());
+                    for &x in clique {
+                        h.word(x);
+                    }
+                }
+                h.word(info.sparse.len());
+                for &x in &info.sparse {
+                    h.word(x);
+                }
+            }
+        }
+        assert_eq!(h.0, INSTANCE_DIGEST, "threads={threads}: {:#x}", h.0);
+    }
+}
+
 #[test]
 fn every_family_generates_an_identical_hspec_at_any_thread_count() {
     for spec in family_matrix() {
-        let reference = spec.conflict_spec_with(&ParallelConfig::serial());
+        let reference = spec.conflict_spec(&ParallelConfig::serial());
         for threads in [2, 4, 8] {
-            let got = spec.conflict_spec_with(&ParallelConfig::with_threads(threads));
+            let got = spec.conflict_spec(&ParallelConfig::with_threads(threads));
             assert_eq!(got, reference, "{spec} threads={threads}");
         }
         if let Some((h, _)) = reference {
@@ -154,9 +233,9 @@ fn every_family_generates_an_identical_hspec_at_any_thread_count() {
 #[test]
 fn every_family_builds_an_identical_cluster_graph_at_any_thread_count() {
     for spec in family_matrix() {
-        let (reference, ref_info) = spec.build_with_info(&ParallelConfig::serial());
+        let (reference, ref_info, _) = spec.build_timed(&ParallelConfig::serial());
         for threads in [2, 4, 8] {
-            let (got, info) = spec.build_with_info(&ParallelConfig::with_threads(threads));
+            let (got, info, _) = spec.build_timed(&ParallelConfig::with_threads(threads));
             assert_eq!(got, reference, "{spec} threads={threads}");
             assert_eq!(info, ref_info, "{spec} threads={threads}: planted info");
         }
@@ -164,16 +243,15 @@ fn every_family_builds_an_identical_cluster_graph_at_any_thread_count() {
 }
 
 #[test]
-fn build_timed_reproduces_build_with_info() {
+fn build_timed_reproduces_build() {
     for spec in [
         "gnp:n=200,p=0.05,seed=3",
         "contraction:side=10,lo=2,hi=6,seed=4",
     ] {
         let spec: WorkloadSpec = spec.parse().unwrap();
-        let (a, ia) = spec.build_with_info(&ParallelConfig::serial());
         let (b, ib, t) = spec.build_timed(&ParallelConfig::with_threads(4));
-        assert_eq!(a, b, "{spec}");
-        assert_eq!(ia, ib, "{spec}");
+        assert_eq!(spec.build(), b, "{spec}");
+        assert_eq!(spec.build_timed(&ParallelConfig::serial()).1, ib, "{spec}");
         assert_eq!(t.threads, 4);
         assert!(t.total_secs >= t.generate_secs + t.canonicalize_secs + t.build_secs - 1e-9);
     }

@@ -24,9 +24,7 @@
 //! * [`PaletteBits`] — one owned set with the full query surface;
 //! * [`BitsScratch`] — a reusable [`PaletteBits`] behind a `const`
 //!   constructor, so hot loops (and `thread_local!` per-worker scratch)
-//!   reset it in `O(q/64)` with **zero allocations** once warm;
-//! * [`BitMatrix`] — a flat `rows × ⌈q/64⌉` matrix (one allocation total,
-//!   not one per row).
+//!   reset it in `O(q/64)` with **zero allocations** once warm.
 //!
 //! The same word layout doubles as a **vertex mask** (bit `v` set =
 //! member): [`pack_flags_into`], [`andnot_into`], [`complement_into`] and
@@ -62,7 +60,7 @@ fn free_word(words: &[u64], i: usize, q: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Raw row kernels (shared by PaletteBits, BitMatrix and flat matrices).
+// Raw row kernels (shared by PaletteBits and flat matrices).
 // ---------------------------------------------------------------------------
 
 /// Marks element `c` in a raw row.
@@ -417,60 +415,6 @@ impl BitsScratch {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BitMatrix: rows × ⌈q/64⌉ in one flat allocation.
-// ---------------------------------------------------------------------------
-
-/// A flat bit-matrix: `rows` packed `[q]`-subsets in a single `Vec<u64>`
-/// (row `r` = words `[r·⌈q/64⌉, (r+1)·⌈q/64⌉)`), replacing
-/// `Vec<Vec<bool>>` probe tables with one allocation total.
-#[derive(Debug, Clone)]
-pub struct BitMatrix {
-    words: Vec<u64>,
-    words_per_row: usize,
-    q: usize,
-}
-
-impl BitMatrix {
-    /// An all-free matrix of `rows` subsets of `[q]`.
-    pub fn new(rows: usize, q: usize) -> Self {
-        let words_per_row = words_for(q);
-        BitMatrix {
-            words: vec![0; rows * words_per_row],
-            words_per_row,
-            q,
-        }
-    }
-
-    /// Universe size `q`.
-    #[inline]
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// The packed words of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u64] {
-        &self.words[r * self.words_per_row..(r + 1) * self.words_per_row]
-    }
-
-    /// Marks `(r, c)`.
-    #[inline]
-    pub fn mark(&mut self, r: usize, c: usize) {
-        debug_assert!(c < self.q);
-        set_bit(
-            &mut self.words[r * self.words_per_row..(r + 1) * self.words_per_row],
-            c,
-        );
-    }
-
-    /// Whether `(r, c)` is marked.
-    #[inline]
-    pub fn is_marked(&self, r: usize, c: usize) -> bool {
-        test_bit(self.row(r), c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,22 +558,6 @@ mod tests {
         for_each_set(&comp, |v| comp_elems.push(v));
         let want_comp: Vec<usize> = (0..150).filter(|v| v % 6 != 0).collect();
         assert_eq!(comp_elems, want_comp);
-    }
-
-    #[test]
-    fn bit_matrix_rows_are_independent() {
-        let mut m = BitMatrix::new(4, 70);
-        m.mark(0, 0);
-        m.mark(1, 69);
-        m.mark(3, 64);
-        assert!(m.is_marked(0, 0) && !m.is_marked(0, 69));
-        assert!(m.is_marked(1, 69) && !m.is_marked(1, 0));
-        assert!(m.is_marked(3, 64));
-        assert_eq!(count_marked(m.row(2)), 0);
-        assert_eq!(first_free(m.row(1), 70), Some(0));
-        assert_eq!(count_free(m.row(1), 70), 69);
-        assert_eq!(nth_free(m.row(3), 70, 63), Some(63));
-        assert_eq!(nth_free(m.row(3), 70, 64), Some(65));
     }
 
     #[test]

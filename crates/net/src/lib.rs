@@ -50,7 +50,7 @@ pub mod par;
 pub mod rng;
 
 pub use bandwidth::{CostMeter, CostReport, PhaseCost};
-pub use bits::{BitMatrix, BitsScratch, PaletteBits};
+pub use bits::{BitsScratch, PaletteBits};
 pub use delta::{DeltaBatch, DeltaEffect};
 pub use error::NetError;
 pub use graph::{canonical_edges, csr_from_canonical_edges, BfsScratch, CommGraph, MachineId};

@@ -22,7 +22,7 @@
 //! cargo run --release --example contracted_flow_network
 //! ```
 
-use cluster_coloring::cluster::par::for_each_part;
+use cluster_coloring::net::par::for_each_part;
 use cluster_coloring::prelude::*;
 
 fn main() {

@@ -50,7 +50,7 @@ fn main() {
     // Color the conflict structure; the Appendix A overhead multiplies
     // the network rounds by congestion × dilation.
     let (h, congestion) = vg.as_cluster_instance();
-    let mut net = ClusterNet::with_log_budget(&h, 32);
+    let mut net = ClusterNet::with_log_budget_parallel(&h, 32, ParallelConfig::from_env());
     let run = color_cluster_graph_with(
         &mut net,
         &Params::laptop(h.n_vertices()),

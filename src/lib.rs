@@ -81,8 +81,8 @@ pub mod prelude {
     };
     pub use cgc_decomp::{acd_oracle, compute_acd, AcdParams};
     pub use cgc_graphs::{
-        bottleneck_instance, cabal_spec, gnp_spec, mixture_spec, realize, square_spec, HSpec,
-        Layout, MixtureConfig, WorkloadFamily, WorkloadSpec,
+        cabal_spec, gnp_spec, mixture_spec, realize, square_spec, HSpec, Layout, MixtureConfig,
+        WorkloadFamily, WorkloadSpec,
     };
     pub use cgc_net::{CommGraph, CostMeter, CostReport, SeedStream};
     pub use cgc_sketch::{approx_count_neighbors, CountingParams, Fingerprint};

@@ -4,7 +4,7 @@
 use cluster_coloring::prelude::*;
 
 fn run(h: &ClusterGraph, seed: u64, beta: u64) -> RunResult {
-    let mut net = ClusterNet::with_log_budget(h, beta);
+    let mut net = ClusterNet::with_log_budget_parallel(h, beta, ParallelConfig::from_env());
     color_cluster_graph_with(
         &mut net,
         &Params::laptop(h.n_vertices()),

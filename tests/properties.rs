@@ -15,7 +15,7 @@ proptest! {
     #[test]
     fn driver_always_outputs_total_proper_coloring(spec in arb_spec(), seed in any::<u64>()) {
         let h = realize(&spec, Layout::Singleton, 1, 1);
-        let mut net = ClusterNet::with_log_budget(&h, 32);
+        let mut net = ClusterNet::with_log_budget_parallel(&h, 32, ParallelConfig::from_env());
         let params = Params::laptop(h.n_vertices());
         let run = color_cluster_graph_with(&mut net, &params, seed, DriverOptions::default());
         prop_assert!(run.coloring.is_total());

@@ -88,7 +88,7 @@ fn virtual_overlay_coloring_is_proper_with_congestion_accounting() {
     let vg = VirtualGraph::distance2(base);
     let (h, congestion) = vg.as_cluster_instance();
     assert!(congestion >= 1);
-    let mut net = ClusterNet::with_log_budget(&h, 32);
+    let mut net = ClusterNet::with_log_budget_parallel(&h, 32, ParallelConfig::from_env());
     let run = color_cluster_graph_with(
         &mut net,
         &Params::laptop(h.n_vertices()),
