@@ -382,9 +382,8 @@ impl<'a> ClusterNet<'a> {
     /// each worker writes a disjoint contiguous part and `f` is pure
     /// (`Fn + Sync`). The output starts as `T::default()` and each element
     /// is overwritten once. Used by the driver for its per-phase
-    /// eligibility masks, by the session's read-only palette queries and
-    /// by the fingerprint engine's per-row summaries — free of meter
-    /// charges, like any local recomputation.
+    /// eligibility masks and by the session's read-only palette queries —
+    /// free of meter charges, like any local recomputation.
     pub fn par_vertex_map<T: Clone + Default + Send>(
         &self,
         f: impl Fn(VertexId) -> T + Sync,
@@ -403,11 +402,13 @@ impl<'a> ClusterNet<'a> {
     /// vertex with `row` set to `T::default()`, writing the vertex's own
     /// row of its shard's part. The palette bit-rows of the exact-palette
     /// trial loop (`cgc_core::trycolor::palette_trial_rounds`, through
-    /// [`Self::par_vertex_fill_words`]) and the fingerprint matrices of
-    /// `cgc_sketch` are built through this (row-mass-weighted plan: those
-    /// fills walk each vertex's CSR row, so a hub must not pin one shard).
-    /// Like the other oracle-view maps, nothing is charged. `out` is
-    /// cleared and resized; warm calls with sufficient capacity never
+    /// [`Self::par_vertex_fill_words`]) are built through this, and so are
+    /// the own-sample matrices of `cgc_sketch` (`FingerprintMatrix::sample`).
+    /// The plan is row-mass-weighted because palette fills walk each
+    /// vertex's CSR row, so a hub must not pin one shard; a fingerprint
+    /// row draws the same `row_len` trials for every vertex and walks no
+    /// CSR row. Like the other oracle-view maps, nothing is charged. `out`
+    /// is cleared and resized; warm calls with sufficient capacity never
     /// allocate.
     pub fn par_vertex_fill_rows<T: Copy + Default + Send>(
         &self,

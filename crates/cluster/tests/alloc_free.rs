@@ -7,9 +7,12 @@
 //! process's [`WorkerPool`], where warm rounds run on the configured
 //! thread count and additionally **spawn no threads** (pool workers are
 //! created once and parked between rounds). Warm
-//! fingerprint rounds (`cgc_sketch`), which allocate their matrices per
+//! fingerprint rounds (`cgc_sketch`), which allocate their matrix per
 //! call by design, must spawn no threads either, and a warm sample makes
-//! exactly one allocation, its matrix.
+//! exactly one allocation, its matrix. A warm round's working set is
+//! pinned too: `approx_count_neighbors` and `buddy_edges` allocate one
+//! `n·t` matrix plus a slack linear in `n + m_H` and one scratch row per
+//! shard, not the two matrices a round once held.
 //!
 //! A counting global allocator tallies every allocation and its bytes;
 //! each case warms the buffers once, snapshots the counter, runs many
@@ -25,8 +28,11 @@
 //! thread, and no sibling test thread can allocate inside a window.
 
 use cgc_cluster::{ClusterGraph, ClusterNet, ParallelConfig, WorkerPool};
+use cgc_decomp::{buddy_edges, BuddyParams};
 use cgc_net::{CommGraph, SeedStream};
-use cgc_sketch::{approx_count_neighbors, CountingParams, FingerprintMatrix};
+use cgc_sketch::{
+    approx_count_neighbors, neighborhood_fingerprints, CountingParams, FingerprintMatrix,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,15 +260,23 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
         min_trials: 96,
     };
     let seeds = SeedStream::new(17);
-    // Every pass of the engine: sampling, gather, metering and estimates
-    // (through the counting primitives) and the per-edge union estimates.
+    let buddy = BuddyParams {
+        xi: 0.3,
+        counting: params,
+    };
+    // Every pass of the engine: sampling with its metering, the aggregate
+    // pass keeping no row (the counting primitive) and every other row,
+    // the union estimates of kept rows, and `buddy_edges`.
     let round = |net: &mut ClusterNet<'_>| {
         let counts = approx_count_neighbors(net, &params, &seeds, 0, |v, u| (v ^ u) & 1 == 0);
-        let own = FingerprintMatrix::sample(net, 64, &seeds, 2);
-        let unions = own
-            .gather(net, |_, _| true)
-            .edge_union_estimates(net, |u, _| u % 2 == 0);
-        (counts, unions, net.meter.report())
+        let kept =
+            neighborhood_fingerprints(net, 64, &seeds, 2, |_, _| true, |v, _| v % 2 == 0).kept;
+        let unions: Vec<Option<f64>> = h
+            .h_edges()
+            .map(|(u, v)| kept.union_estimate(u, v))
+            .collect();
+        let answers: Vec<_> = buddy_edges(net, &buddy, &seeds).iter().collect();
+        (counts, unions, answers, net.meter.report())
     };
     let mut net = ClusterNet::with_parallel(&h, 64, ParallelConfig::with_threads(2));
     assert_eq!(
@@ -283,7 +297,11 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
         "warm fingerprint rounds must not spawn pool threads"
     );
     assert_eq!(last.0, warm.0, "results stay identical across rounds");
-    assert_eq!(last.1, warm.1);
+    assert_eq!((&last.1, &last.2), (&warm.1, &warm.2));
+    assert!(
+        warm.1.iter().any(Option::is_some),
+        "some edge has two kept rows"
+    );
 
     // And the pooled rounds match a sequential runtime's bit for bit.
     let mut seq = ClusterNet::new(&h, 64);
@@ -303,6 +321,48 @@ fn warm_fingerprint_rounds_spawn_no_threads() {
         );
         drop(own);
     }
+}
+
+/// One warm call of `approx_count_neighbors` (which keeps no aggregate
+/// row) and of `buddy_edges` (which keeps the rows of its not-low
+/// vertices, a few on this sparse instance) allocates the round's `n·t`
+/// own matrix, one scratch row per shard, and at most 32 bytes per
+/// vertex and per `H`-edge: the estimates, the answers and the kept rows.
+/// That slack is far below `n·t`, so a second `n·t` matrix cannot hide
+/// in it. Checked at 1 and 2 threads.
+fn warm_fingerprint_rounds_hold_one_matrix() {
+    let spec = "gnp:n=2000,p=0.008,seed=3,layout=star3";
+    let g = spec.parse::<cgc_graphs::WorkloadSpec>().unwrap().build();
+    let params = BuddyParams::default();
+    let (n, t) = (g.n_vertices(), params.counting.trials(g.n_vertices()));
+    let slack = 32 * (n + g.n_h_edges());
+    assert!(4 * slack < n * t, "the slack is far below n·t");
+    let seeds = SeedStream::new(23);
+    for threads in [1usize, 2] {
+        let mut net = ClusterNet::with_parallel(&g, 64, ParallelConfig::with_threads(threads));
+        let bound = (n * t + slack + net.shard_plan().n_shards() * t) as u64;
+        let count = warm_call_bytes(&mut net, |net| {
+            approx_count_neighbors(net, &params.counting, &seeds, 0, |_, _| true).len()
+        });
+        let buddy = warm_call_bytes(&mut net, |net| buddy_edges(net, &params, &seeds).len());
+        for (name, bytes) in [("approx_count_neighbors", count), ("buddy_edges", buddy)] {
+            assert!(
+                bytes <= bound,
+                "{spec}: a warm {name} allocated {bytes} bytes, over one n·t matrix \
+                 ({}) plus slack ({bound}), at {threads} threads",
+                n * t
+            );
+        }
+    }
+}
+
+/// The bytes the second of two calls of `call` allocates: the first
+/// warms the pool.
+fn warm_call_bytes(net: &mut ClusterNet<'_>, call: impl Fn(&mut ClusterNet<'_>) -> usize) -> u64 {
+    call(net);
+    let before = allocated_bytes();
+    std::hint::black_box(call(net));
+    allocated_bytes() - before
 }
 
 /// A clone allocates exactly `approx_heap_bytes()` bytes — the byte
@@ -335,7 +395,7 @@ fn graph_clones_allocate_exactly_their_heap_bytes() {
 /// Runs every case in order on the main thread and reports in the test
 /// harness's format.
 fn main() {
-    let cases: [(&str, fn()); 6] = [
+    let cases: [(&str, fn()); 7] = [
         (
             "neighbor_fold_into_is_allocation_free_when_warm",
             neighbor_fold_into_is_allocation_free_when_warm,
@@ -355,6 +415,10 @@ fn main() {
         (
             "warm_fingerprint_rounds_spawn_no_threads",
             warm_fingerprint_rounds_spawn_no_threads,
+        ),
+        (
+            "warm_fingerprint_rounds_hold_one_matrix",
+            warm_fingerprint_rounds_hold_one_matrix,
         ),
         (
             "graph_clones_allocate_exactly_their_heap_bytes",

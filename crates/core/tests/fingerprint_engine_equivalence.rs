@@ -1,10 +1,12 @@
 //! Fingerprint-engine differential suite: the flat byte-matrix engine of
-//! `cgc_sketch` (sampling, CSR-row gather, metering, estimates and
-//! per-edge union estimates as sharded passes on the worker pool) must
+//! `cgc_sketch` (a sampling pass that meters each own row, and an
+//! aggregate pass that builds, meters and estimates each aggregate in a
+//! per-shard scratch row and keeps the rows its caller asks for, both
+//! sharded on the worker pool; union estimates of kept rows) must
 //! reproduce the `Vec<Fingerprint>` scatter code it replaced — kept below
-//! as a test-local reference — bit for bit: the own and aggregate rows,
-//! `approx_count_neighbors`, the `buddy_edges` answers, and the
-//! `CostReport` each one charges. The almost-clique decomposition built
+//! as a test-local reference — bit for bit: the own rows, the kept
+//! aggregate rows, `approx_count_neighbors`, the `buddy_edges` answers,
+//! and the `CostReport` each one charges. The almost-clique decomposition built
 //! on those answers (`compute_acd`, `acd_oracle`) must equal the
 //! map-based tail it replaced, kept below too: buddy degrees folded
 //! through a `BTreeMap`, a `VecDeque` BFS over a rebuilt adjacency, and
@@ -392,8 +394,10 @@ fn predicate(name: &str, acd: &AlmostCliqueDecomp, v: VertexId, u: VertexId) -> 
 
 const PREDICATES: [&str; 3] = ["all", "parity", "outside-clique"];
 
-/// Own/aggregate rows, the charged sizes and the `CostReport` of one
-/// round equal the reference's, for every predicate and thread count.
+/// Own rows (through `FingerprintMatrix::sample`), every aggregate row
+/// (through a round that keeps them all), the charged sizes and the
+/// `CostReport` of one round equal the reference's, for every predicate
+/// and thread count.
 #[test]
 fn rows_and_charges_match_reference() {
     let mut cliques = 0;
@@ -410,17 +414,54 @@ fn rows_and_charges_match_reference() {
             let want_report = ref_net.meter.report();
             for threads in thread_counts() {
                 let mut net = engine_net(&g, threads);
-                let got = neighborhood_fingerprints(&mut net, t, &seeds, 3, pred);
+                let got = neighborhood_fingerprints(&mut net, t, &seeds, 3, pred, |_, _| true);
+                let own = FingerprintMatrix::sample(&net, t, &seeds, 3);
                 let ctx = format!("{spec} pred={name} threads={threads}");
+                assert_eq!(got.kept.len(), g.n_vertices(), "{ctx}: kept rows");
                 for v in 0..g.n_vertices() {
-                    assert_eq!(got.own.fingerprint(v), want.own[v], "{ctx}: own row {v}");
-                    assert_eq!(got.agg.fingerprint(v), want.agg[v], "{ctx}: agg row {v}");
+                    assert_eq!(own.fingerprint(v), want.own[v], "{ctx}: own row {v}");
+                    assert_eq!(
+                        got.kept.fingerprint(v).as_ref(),
+                        Some(&want.agg[v]),
+                        "{ctx}: agg row {v}"
+                    );
                 }
                 assert_eq!(net.meter.report(), want_report, "{ctx}: cost report");
             }
         }
     }
     assert!(cliques > 0, "the clique predicate must see cliques");
+}
+
+/// A round that keeps no row returns none, and its estimates and
+/// `CostReport` equal the reference's.
+#[test]
+fn keep_nothing_rounds_match_reference() {
+    for spec in INSTANCES {
+        let g = spec.parse::<WorkloadSpec>().unwrap().build();
+        let acd = acd_oracle(&g, 0.25);
+        let t = COUNTING.trials(g.n_vertices());
+        let seeds = SeedStream::new(16);
+        for name in PREDICATES {
+            let pred = |v, u| predicate(name, &acd, v, u);
+            let mut ref_net = ClusterNet::with_log_budget(&g, 32);
+            let want = reference::neighborhood_fingerprints(&mut ref_net, t, &seeds, 5, pred);
+            let want_estimates: Vec<u64> = want
+                .agg
+                .iter()
+                .map(|f| reference::estimate_count(f.maxima()).to_bits())
+                .collect();
+            let want_report = ref_net.meter.report();
+            for threads in thread_counts() {
+                let mut net = engine_net(&g, threads);
+                let got = neighborhood_fingerprints(&mut net, t, &seeds, 5, pred, |_, _| false);
+                let ctx = format!("{spec} pred={name} threads={threads}");
+                assert!(got.kept.is_empty(), "{ctx}: kept rows");
+                assert_eq!(f64_bits(&got.estimates), want_estimates, "{ctx}: estimates");
+                assert_eq!(net.meter.report(), want_report, "{ctx}: cost report");
+            }
+        }
+    }
 }
 
 /// `approx_count_neighbors`: estimates equal to the bit, and equal cost
@@ -589,8 +630,9 @@ fn kernels_match_sort_and_rescan_reference() {
     assert!(checked > 19_000);
 }
 
-/// The matrix passes — metering, one-pass metering and estimates, and
-/// per-edge union estimates — equal the reference applied to each row.
+/// A round's passes — the query metering of the sampling pass, the
+/// aggregate pass's metering and estimates, and the union estimates of
+/// its kept rows — equal the reference applied to each row.
 #[test]
 fn matrix_passes_match_sort_and_rescan_reference() {
     for spec in INSTANCES {
@@ -598,11 +640,17 @@ fn matrix_passes_match_sort_and_rescan_reference() {
         let t = COUNTING.trials(g.n_vertices());
         let seeds = SeedStream::new(14);
         for threads in thread_counts() {
-            let net = engine_net(&g, threads);
+            let mut net = engine_net(&g, threads);
             let own = FingerprintMatrix::sample(&net, t, &seeds, 4);
-            let agg = own.gather(&net, |_, u| u % 3 != 0);
-            let rows: Vec<Fingerprint> = (0..g.n_vertices()).map(|v| agg.fingerprint(v)).collect();
-            let bits = rows
+            let round =
+                neighborhood_fingerprints(&mut net, t, &seeds, 4, |_, u| u % 3 != 0, |_, _| true);
+            let rows: Vec<Fingerprint> = (0..g.n_vertices())
+                .map(|v| round.kept.fingerprint(v).expect("every row kept"))
+                .collect();
+            let query = (0..g.n_vertices())
+                .map(|v| reference::encoded_bits(own.fingerprint(v).maxima()))
+                .max();
+            let response = rows
                 .iter()
                 .map(|f| reference::encoded_bits(f.maxima()))
                 .max();
@@ -611,18 +659,14 @@ fn matrix_passes_match_sort_and_rescan_reference() {
                 .map(|f| reference::estimate_count(f.maxima()).to_bits())
                 .collect();
             let ctx = format!("{spec} threads={threads}");
-            assert_eq!(Some(agg.max_encoded_bits(&net)), bits, "{ctx}: meter");
-            let (got_bits, got_estimates) = agg.meter_and_estimate(&net);
-            assert_eq!(Some(got_bits), bits, "{ctx}: one-pass meter");
-            assert_eq!(f64_bits(&got_estimates), estimates, "{ctx}: estimates");
-            let unions = agg.edge_union_estimates(&net, |u, v| (u + v) % 4 != 0);
-            assert_eq!(unions.len(), g.n_h_edges(), "{ctx}");
-            for ((u, v), got) in g.h_edges().zip(unions) {
-                let want = ((u + v) % 4 != 0)
-                    .then(|| reference::estimate_count(rows[u].merged(&rows[v]).maxima()));
+            assert_eq!(Some(own.query_bits()), query, "{ctx}: query meter");
+            assert_eq!(Some(round.response_bits), response, "{ctx}: response meter");
+            assert_eq!(f64_bits(&round.estimates), estimates, "{ctx}: estimates");
+            for (u, v) in g.h_edges() {
+                let want = reference::estimate_count(rows[u].merged(&rows[v]).maxima());
                 assert_eq!(
-                    got.map(f64::to_bits),
-                    want.map(f64::to_bits),
+                    round.kept.union_estimate(u, v).map(f64::to_bits),
+                    Some(want.to_bits()),
                     "{ctx}: ({u}, {v})"
                 );
             }

@@ -10,6 +10,7 @@
 //! the thresholds of Lemma 5.8.
 
 use cgc_cluster::{ClusterGraph, ClusterNet, VertexId};
+use cgc_net::par::{fill_sharded, ShardPlan};
 use cgc_net::SeedStream;
 use cgc_sketch::{neighborhood_fingerprints, CountingParams, NeighborhoodFingerprints};
 
@@ -64,10 +65,11 @@ impl BuddyAnswers<'_> {
 
 /// Computes the buddy answer for every `H`-edge.
 ///
-/// Charges: one degree-estimation fingerprint round, one neighborhood
-/// fingerprint round, and one link exchange of encoded fingerprints
-/// (Lemma 5.8: `O(ξ^{-2})` rounds total, realized here as pipelined
-/// sub-rounds of the same primitives).
+/// Charges one neighborhood fingerprint round over all neighbors, whose
+/// estimates are the degree estimates and whose aggregates are the
+/// neighborhoods' fingerprints, and one link exchange of encoded
+/// aggregates (Lemma 5.8: `O(ξ^{-2})` rounds total, realized here as
+/// pipelined sub-rounds of the same primitives).
 pub fn buddy_edges<'g>(
     net: &mut ClusterNet<'g>,
     params: &BuddyParams,
@@ -76,20 +78,23 @@ pub fn buddy_edges<'g>(
     let delta = net.g.max_degree() as f64;
     let xi_p = params.xi / 3.0; // ξ' = Θ(ξ) as in the lemma's proof
 
-    // Degree estimates d̂(v) ∈ (1 ± ξ'/2) deg(v).
+    // Degree estimates d̂(v) ∈ (1 ± ξ'/2) deg(v). Low-degree vertices,
+    // d̂(v) < (1 − 1.5ξ')Δ, answer No on all incident edges, so only the
+    // other vertices' aggregates are kept.
     let t = params.counting.trials(net.g.n_vertices());
+    let min_degree = (1.0 - 1.5 * xi_p) * delta;
     let NeighborhoodFingerprints {
-        agg,
         response_bits,
-        estimates,
+        kept,
         ..
-    } = neighborhood_fingerprints(net, t, &seeds.child(1), 0, |_, _| true);
-
-    // Low-degree vertices answer No on all incident edges.
-    let low: Vec<bool> = estimates
-        .into_iter()
-        .map(|d| d < (1.0 - 1.5 * xi_p) * delta)
-        .collect();
+    } = neighborhood_fingerprints(
+        net,
+        t,
+        &seeds.child(1),
+        0,
+        |_, _| true,
+        |_, d| d >= min_degree,
+    );
 
     // Joint neighborhoods: the two link machines exchange their clusters'
     // aggregated fingerprints and merge. One link round with compressed
@@ -97,15 +102,18 @@ pub fn buddy_edges<'g>(
     net.charge_link_round(response_bits);
 
     // Friendly edges have |N(u) ∪ N(v)| ≤ (1 + 1.5ξ')Δ (proof of
-    // Lemma 5.8); larger unions mean small intersections.
-    let unions = agg.edge_union_estimates(net, |u, v| !(low[u] || low[v]));
-    BuddyAnswers {
-        g: net.g,
-        answers: unions
-            .into_iter()
-            .map(|joint| joint.is_some_and(|j| j <= (1.0 + 1.5 * xi_p) * delta))
-            .collect(),
-    }
+    // Lemma 5.8); larger unions mean small intersections. Only edges with
+    // two kept endpoints have a union; the edges shard evenly.
+    let max_union = (1.0 + 1.5 * xi_p) * delta;
+    let mut answers = vec![false; net.g.n_h_edges()];
+    let plan = ShardPlan::even(answers.len(), net.parallel().threads());
+    fill_sharded(&mut answers, &plan, |start, slots| {
+        let edges = net.g.h_edges_in(start..start + slots.len());
+        for (slot, (u, v)) in slots.iter_mut().zip(edges) {
+            *slot = kept.union_estimate(u, v).is_some_and(|j| j <= max_union);
+        }
+    });
+    BuddyAnswers { g: net.g, answers }
 }
 
 /// Exact friendliness oracle: `|N(u) ∩ N(v)| ≥ (1 − ξ)Δ`.

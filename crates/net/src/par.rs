@@ -714,8 +714,8 @@ pub fn fill_sharded<T: Send>(
 /// shard order** with `merge` — the deterministic reduction used by the
 /// sharded `ClusterGraph::build`, the generators and layout expansion in
 /// `cgc_graphs`, [`crate::canonical_edges`] and the fingerprint engine's
-/// metering. A plan always has at least one shard, so the reduction is
-/// total.
+/// aggregate pass. A plan always has at least one shard, so the reduction
+/// is total.
 pub fn map_reduce_on<T: Send>(
     plan: &ShardPlan,
     work: impl Fn(std::ops::Range<usize>) -> T + Sync,

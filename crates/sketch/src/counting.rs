@@ -6,8 +6,13 @@
 //! the neighbors satisfying the predicate, using the compressed encoding of
 //! Lemma 5.6 for every (partial) aggregate. The estimate follows from
 //! Lemma 5.2 with accuracy `(1 ± ξ)` in `O(ξ^{-2})` rounds.
+//!
+//! A round ([`neighborhood_fingerprints`]) is the engine's two passes:
+//! sampling, which meters the query, then the aggregate pass, which
+//! meters and estimates every aggregate while it is in cache and keeps
+//! only the rows its caller asks for.
 
-use crate::matrix::FingerprintMatrix;
+use crate::matrix::{FingerprintMatrix, KeptRows};
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::SeedStream;
 
@@ -46,14 +51,12 @@ impl CountingParams {
 /// The result of a fingerprint aggregation round.
 #[derive(Debug, Clone)]
 pub struct NeighborhoodFingerprints {
-    /// Each vertex's own sample vector (fingerprint of `{v}`).
-    pub own: FingerprintMatrix,
-    /// Each vertex's aggregate over predicate-satisfying neighbors.
-    pub agg: FingerprintMatrix,
-    /// The largest encoded `agg` row: the charged response size.
+    /// The largest encoded aggregate: the charged response size.
     pub response_bits: u64,
-    /// The Lemma 5.2 estimate of each `agg` row.
+    /// The Lemma 5.2 estimate of each vertex's aggregate.
     pub estimates: Vec<f64>,
+    /// The aggregates of the vertices the round's `keep` chose.
+    pub kept: KeptRows,
 }
 
 /// Aggregates fingerprints over predicate-filtered neighborhoods.
@@ -63,27 +66,23 @@ pub struct NeighborhoodFingerprints {
 /// of `V(v)`). Charges one full aggregation round with the actual
 /// compressed sizes (pipelined if the encoding exceeds the budget): the
 /// query is a single element's vector, the converge-cast carries partial
-/// aggregates. The pass that meters the aggregates also estimates them.
+/// aggregates. `keep(v, estimate)` says whether the caller reads `v`'s
+/// aggregate row after the round; no other row outlives it, so a round
+/// that keeps none holds one `n·t` matrix.
 pub fn neighborhood_fingerprints(
     net: &mut ClusterNet<'_>,
     t: usize,
     seeds: &SeedStream,
     salt: u64,
     pred: impl Fn(VertexId, VertexId) -> bool + Sync,
+    keep: impl Fn(VertexId, f64) -> bool + Sync,
 ) -> NeighborhoodFingerprints {
     let own = FingerprintMatrix::sample(net, t, seeds, salt);
-    let agg = own.gather(net, pred);
-    let query_bits = own.max_encoded_bits(net);
-    let (response_bits, estimates) = agg.meter_and_estimate(net);
-    net.charge_broadcast(query_bits);
-    net.charge_link_round(query_bits);
-    net.charge_converge(response_bits);
-    NeighborhoodFingerprints {
-        own,
-        agg,
-        response_bits,
-        estimates,
-    }
+    let round = own.aggregate(net, pred, keep);
+    net.charge_broadcast(own.query_bits());
+    net.charge_link_round(own.query_bits());
+    net.charge_converge(round.response_bits);
+    round
 }
 
 /// Lemma 5.7: every vertex estimates the number of neighbors satisfying
@@ -96,7 +95,7 @@ pub fn approx_count_neighbors(
     pred: impl Fn(VertexId, VertexId) -> bool + Sync,
 ) -> Vec<f64> {
     let t = params.trials(net.g.n_vertices());
-    neighborhood_fingerprints(net, t, seeds, salt, pred).estimates
+    neighborhood_fingerprints(net, t, seeds, salt, pred, |_, _| false).estimates
 }
 
 #[cfg(test)]
@@ -161,7 +160,7 @@ mod tests {
         let h = clique_h(64);
         let mut net = ClusterNet::with_log_budget(&h, 32);
         let seeds = SeedStream::new(80);
-        neighborhood_fingerprints(&mut net, 128, &seeds, 0, |_, _| true);
+        neighborhood_fingerprints(&mut net, 128, &seeds, 0, |_, _| true, |_, _| false);
         let r = net.meter.report();
         assert!(r.bits > 0);
         assert!(r.h_rounds >= 3);

@@ -15,6 +15,12 @@ use crate::fingerprint::Maximum;
 /// maximum a histogram bin can hold, with sign).
 pub(crate) const HEADER_BITS: u64 = 13;
 
+/// The encoded size of an all-empty row of `trials` trials: the header
+/// and two bits a trial, the least any row of `trials` trials takes.
+pub(crate) fn empty_row_bits(trials: usize) -> u64 {
+    HEADER_BITS + 2 * trials as u64
+}
+
 /// Threshold numerator/denominator from Lemma 5.2: `Z_{K*} ≥ (27/40) t`.
 const THRESH_NUM: usize = 27;
 const THRESH_DEN: usize = 40;
@@ -123,7 +129,7 @@ impl Histogram {
             .enumerate()
             .map(|(b, &c)| u64::from(c) * b.abs_diff(k) as u64)
             .sum();
-        HEADER_BITS + 2 * self.trials as u64 + deviations
+        empty_row_bits(self.trials) + deviations
     }
 
     /// The Lemma 5.2 estimate: `K*` is the first `k` whose prefix count

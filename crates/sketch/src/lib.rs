@@ -14,10 +14,12 @@
 //!   random element (Lemmas 5.3–5.4), which §6 exploits to find anti-edges.
 //!
 //! [`matrix`] is the engine that runs fingerprint rounds on a
-//! [`cgc_cluster::ClusterNet`]: one flat byte matrix per role, each step a
-//! sharded pass over the runtime's shard plan on the process's worker
-//! pool. [`counting`] packages it into
-//! the Lemma 5.7 approximate neighborhood counting primitive.
+//! [`cgc_cluster::ClusterNet`]: one flat `n·t` byte matrix of own samples
+//! per round and two sharded passes over the runtime's shard plan on the
+//! process's worker pool (sample and meter each row; build, meter and
+//! estimate each aggregate in a per-shard scratch row), keeping only the
+//! aggregate rows the caller reads. [`counting`] packages it into the
+//! Lemma 5.7 approximate neighborhood counting primitive.
 
 #![forbid(unsafe_code)]
 
@@ -36,4 +38,4 @@ pub use encode::{decode_maxima, encode_maxima, encoded_bits};
 pub use estimate::estimate_count;
 pub use fingerprint::{Fingerprint, Maximum};
 pub use geometric::sample_geometric;
-pub use matrix::FingerprintMatrix;
+pub use matrix::{FingerprintMatrix, KeptRows};

@@ -1,13 +1,15 @@
-//! The fingerprint engine: one flat `n × t` byte matrix per role.
+//! The fingerprint engine: one flat `n × t` byte matrix per round.
 //!
 //! Row `v` of a [`FingerprintMatrix`] holds vertex `v`'s `t` maxima, each
 //! stored as the byte `y + 1` with 0 meaning empty
 //! ([`crate::geometric::GEOMETRIC_CAP`] = 192 keeps every value in a byte).
-//! A round therefore holds `2·n·t` bytes in two allocations, where a
-//! `Vec<Fingerprint>` per role holds `4·n·t` bytes in `2n` allocations.
+//! A round therefore holds the `n·t` bytes of every vertex's own sample in
+//! one allocation, one scratch row per shard, and only those aggregate
+//! rows its caller keeps ([`KeptRows`]), where a `Vec<Fingerprint>` per
+//! role holds `4·n·t` bytes in `2n` allocations.
 //!
-//! Each step of a fingerprint round is one sharded pass over the
-//! [`ClusterNet`]'s shard plan, on the process's worker pool:
+//! A round is two sharded passes over the [`ClusterNet`]'s shard plan, on
+//! the process's worker pool, and each pass reads a row while it is hot:
 //!
 //! * [`FingerprintMatrix::sample`] — row `v` is drawn from
 //!   `seeds.rng_for(v, salt)`, the stream [`crate::Fingerprint::sample`]
@@ -15,32 +17,36 @@
 //!   512 `u64` in a stack buffer, through the keystream's `fill_bytes`)
 //!   and map to trials by the λ = ½ rule of
 //!   [`crate::geometric::sample_geometric`] — trailing ones, an all-ones
-//!   word continuing into the next — instead of one call per trial;
-//! * [`FingerprintMatrix::gather`] — row `v` of the aggregate is the max
-//!   of the rows of `v`'s neighbors `u` with `pred(v, u)`, one walk of
-//!   `v`'s CSR row;
-//! * [`FingerprintMatrix::max_encoded_bits`] and
-//!   [`FingerprintMatrix::meter_and_estimate`] — per-row metering, alone
-//!   or with the Lemma 5.2 estimates from the same pass;
-//! * [`FingerprintMatrix::edge_union_estimates`] — per-`H`-edge estimates
-//!   of the union of two rows.
+//!   word continuing into the next — instead of one call per trial. Each
+//!   row is metered right after it is drawn: the largest encoded row is
+//!   the round's query size ([`FingerprintMatrix::query_bits`]);
+//! * the aggregate pass of [`crate::neighborhood_fingerprints`] — vertex
+//!   `v`'s aggregate, the max of the rows of its neighbors `u` with
+//!   `pred(v, u)`, is built in the shard's scratch row by one walk of
+//!   `v`'s CSR row, and metered and estimated (Lemma 5.2) in place. A
+//!   vertex with no such neighbor has the all-empty aggregate, answered
+//!   without a histogram. The row is copied out, in vertex order, only
+//!   when the caller's `keep(v, estimate)` asks for it.
 //!
 //! Metering and estimates read a row through one 256-bin value histogram
-//! (the crate's `histogram` module); a union folds `max(row u, row v)`
-//! straight into its histogram.
+//! (the crate's `histogram` module); [`KeptRows::union_estimate`] folds
+//! `max(row u, row v)` straight into its histogram.
 //!
-//! Every pass writes disjoint rows (or takes an order-free max), and each
-//! row is a pure function of its vertex, the seeds and the graph, so the
-//! matrices, estimates and charged bits are bit-identical at any thread
-//! count and to the `Fingerprint` code they replace. No matrix or scratch
-//! row outlives the call that made it.
+//! Every pass writes disjoint rows or takes an order-free max, shard
+//! results join in shard order, and each row is a pure function of its
+//! vertex, the seeds and the graph, so the rows, estimates and charged
+//! bits are bit-identical at any thread count and to the `Fingerprint`
+//! code they replace. No matrix or scratch row outlives the round that
+//! made it, except the rows the caller keeps.
 
+use crate::counting::NeighborhoodFingerprints;
 use crate::fingerprint::Fingerprint;
 use crate::geometric::fill_half_geometric_row;
-use crate::histogram::Histogram;
+use crate::histogram::{empty_row_bits, Histogram};
 use cgc_cluster::{ClusterNet, VertexId};
-use cgc_net::par::{fill_sharded, map_reduce_on, ShardPlan};
+use cgc_net::par::map_reduce_on;
 use cgc_net::SeedStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `n` fingerprints of `t` trials, row-major, one stored byte per maximum
 /// (`y + 1`; 0 = empty).
@@ -49,6 +55,7 @@ pub struct FingerprintMatrix {
     n: usize,
     trials: usize,
     rows: Vec<u8>,
+    query_bits: u64,
 }
 
 /// Raises `acc` to the coordinate-wise max with `row`.
@@ -59,62 +66,111 @@ fn max_into(acc: &mut [u8], row: &[u8]) {
     }
 }
 
+/// A stored row as a [`Fingerprint`] (allocates).
+fn fingerprint_of(row: &[u8]) -> Fingerprint {
+    Fingerprint::from_maxima(row.iter().map(|&y| i16::from(y) - 1).collect())
+}
+
 impl FingerprintMatrix {
     /// Every vertex's own sample vector: row `v` is what
     /// `Fingerprint::sample(&mut seeds.rng_for(v, salt), t)` draws.
     ///
     /// Each row draws its stream's words in bulk into a stack chunk and
-    /// maps them by the rule `sample_geometric(rng, 0.5)` applies, so the
-    /// only allocation is the matrix. A request may draw a few words past
-    /// the row's last trial; the row's stream is dropped after the row.
+    /// maps them by the rule `sample_geometric(rng, 0.5)` applies, then is
+    /// metered into [`Self::query_bits`], so the only allocation is the
+    /// matrix. A request may draw a few words past the row's last trial;
+    /// the row's stream is dropped after the row.
     pub fn sample(net: &ClusterNet<'_>, t: usize, seeds: &SeedStream, salt: u64) -> Self {
+        let n = net.g.n_vertices();
+        // Every row encodes to at least `empty_row_bits(t)`, so the max
+        // may start there; a `t = 0` fill visits no row and reads it.
+        let query_bits = AtomicU64::new(if n == 0 { 0 } else { empty_row_bits(t) });
         let mut rows = Vec::new();
         net.par_vertex_fill_rows(t, &mut rows, |v, row| {
             fill_half_geometric_row(&mut seeds.rng_for(v as u64, salt), row);
+            query_bits.fetch_max(Histogram::of(row).encoded_bits(), Ordering::Relaxed);
         });
         FingerprintMatrix {
-            n: net.g.n_vertices(),
+            n,
             trials: t,
             rows,
+            query_bits: query_bits.into_inner(),
         }
     }
 
-    /// The neighborhood aggregate: row `v` is the max of rows `u` over
-    /// `v`'s distinct neighbors with `pred(v, u)` (empty if none).
+    /// The largest [`crate::encoded_bits`] over all rows (0 with no rows):
+    /// the message size of a round's query, which carries one own row.
+    pub fn query_bits(&self) -> u64 {
+        self.query_bits
+    }
+
+    /// The aggregate pass of a round: for every vertex `v`, the max of
+    /// rows `u` over `v`'s distinct neighbors with `pred(v, u)` (empty if
+    /// none), metered and estimated. The row is kept when `keep(v,
+    /// estimate)`.
     ///
     /// # Panics
     ///
     /// Panics if the matrix does not have one row per vertex of `net`.
-    pub fn gather(
+    pub(crate) fn aggregate(
         &self,
         net: &ClusterNet<'_>,
         pred: impl Fn(VertexId, VertexId) -> bool + Sync,
-    ) -> Self {
-        self.assert_one_row_per_vertex(net);
+        keep: impl Fn(VertexId, f64) -> bool + Sync,
+    ) -> NeighborhoodFingerprints {
+        assert_eq!(self.n, net.g.n_vertices(), "one row per vertex");
         let (offsets, adj) = net.g.adjacency_csr();
-        let mut rows = Vec::new();
-        net.par_vertex_fill_rows(self.trials, &mut rows, |v, row| {
-            for &u in &adj[offsets[v]..offsets[v + 1]] {
-                if pred(v, u) {
-                    max_into(row, self.row(u));
+        let t = self.trials;
+        map_reduce_on(
+            net.shard_plan(),
+            |range| {
+                let mut part = NeighborhoodFingerprints {
+                    response_bits: 0,
+                    estimates: Vec::with_capacity(range.len()),
+                    kept: KeptRows::new(t),
+                };
+                let mut row = vec![0u8; t];
+                for v in range {
+                    let mut from = adj[offsets[v]..offsets[v + 1]]
+                        .iter()
+                        .filter(|&&u| pred(v, u));
+                    let (bits, estimate, filled) = match from.next() {
+                        None => (empty_row_bits(t), 0.0, false),
+                        Some(&first) => {
+                            row.copy_from_slice(self.row(first));
+                            for &u in from {
+                                max_into(&mut row, self.row(u));
+                            }
+                            let h = Histogram::of(&row);
+                            (h.encoded_bits(), h.estimate(), true)
+                        }
+                    };
+                    part.response_bits = part.response_bits.max(bits);
+                    part.estimates.push(estimate);
+                    if keep(v, estimate) {
+                        let kept = &mut part.kept;
+                        kept.vertices.push(v);
+                        if filled {
+                            kept.rows.extend_from_slice(&row);
+                        } else {
+                            kept.rows.resize(kept.rows.len() + t, 0);
+                        }
+                    }
                 }
-            }
-        });
-        FingerprintMatrix {
-            n: self.n,
-            trials: self.trials,
-            rows,
-        }
+                part
+            },
+            |acc, part| {
+                acc.response_bits = acc.response_bits.max(part.response_bits);
+                acc.estimates.extend(part.estimates);
+                acc.kept.vertices.extend(part.kept.vertices);
+                acc.kept.rows.extend(part.kept.rows);
+            },
+        )
     }
 
     /// Number of rows (vertices).
     pub fn n_rows(&self) -> usize {
         self.n
-    }
-
-    /// The passes over `net` index rows by its vertices.
-    fn assert_one_row_per_vertex(&self, net: &ClusterNet<'_>) {
-        assert_eq!(self.n, net.g.n_vertices(), "one row per vertex");
     }
 
     /// Row `v`: its `t` stored maxima.
@@ -126,56 +182,54 @@ impl FingerprintMatrix {
     /// Row `v` as a [`Fingerprint`] (allocates; for tests and callers
     /// that need the `i16` form).
     pub fn fingerprint(&self, v: VertexId) -> Fingerprint {
-        Fingerprint::from_maxima(self.row(v).iter().map(|&y| i16::from(y) - 1).collect())
+        fingerprint_of(self.row(v))
+    }
+}
+
+/// The aggregate rows a round's caller kept, in vertex order, stored like
+/// a [`FingerprintMatrix`]'s rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeptRows {
+    trials: usize,
+    vertices: Vec<VertexId>,
+    rows: Vec<u8>,
+}
+
+impl KeptRows {
+    fn new(trials: usize) -> Self {
+        KeptRows {
+            trials,
+            vertices: Vec::new(),
+            rows: Vec::new(),
+        }
     }
 
-    /// The largest [`crate::encoded_bits`] over all rows (0 with no rows):
-    /// the message size a round carrying these fingerprints is charged.
-    pub fn max_encoded_bits(&self, net: &ClusterNet<'_>) -> u64 {
-        self.assert_one_row_per_vertex(net);
-        map_reduce_on(
-            net.shard_plan(),
-            |range| {
-                range
-                    .map(|v| Histogram::of(self.row(v)).encoded_bits())
-                    .max()
-                    .unwrap_or(0)
-            },
-            |acc, bits| *acc = (*acc).max(bits),
-        )
+    /// Number of kept rows.
+    pub fn len(&self) -> usize {
+        self.vertices.len()
     }
 
-    /// [`Self::max_encoded_bits`] and the Lemma 5.2 estimate of every
-    /// row, from one histogram per row.
-    pub fn meter_and_estimate(&self, net: &ClusterNet<'_>) -> (u64, Vec<f64>) {
-        self.assert_one_row_per_vertex(net);
-        let summaries = net.par_vertex_map(|v| {
-            let h = Histogram::of(self.row(v));
-            (h.encoded_bits(), h.estimate())
-        });
-        let bits = summaries.iter().map(|s| s.0).max().unwrap_or(0);
-        (bits, summaries.into_iter().map(|s| s.1).collect())
+    /// Whether no row was kept.
+    pub fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
     }
 
-    /// For every `H`-edge `(u, v)` of `net.g.h_edges()`, in that order,
-    /// the Lemma 5.2 estimate of the union of rows `u` and `v` when
-    /// `want(u, v)`, else `None`. The edges shard evenly over the pool.
-    pub fn edge_union_estimates(
-        &self,
-        net: &ClusterNet<'_>,
-        want: impl Fn(VertexId, VertexId) -> bool + Sync,
-    ) -> Vec<Option<f64>> {
-        self.assert_one_row_per_vertex(net);
-        let plan = ShardPlan::even(net.g.n_h_edges(), net.parallel().threads());
-        let mut out = vec![None; net.g.n_h_edges()];
-        fill_sharded(&mut out, &plan, |start, slots| {
-            let edges = net.g.h_edges_in(start..start + slots.len());
-            for (slot, (u, v)) in slots.iter_mut().zip(edges) {
-                *slot =
-                    want(u, v).then(|| Histogram::of_union(self.row(u), self.row(v)).estimate());
-            }
-        });
-        out
+    /// Vertex `v`'s aggregate row, if it was kept.
+    fn row(&self, v: VertexId) -> Option<&[u8]> {
+        let i = self.vertices.binary_search(&v).ok()?;
+        Some(&self.rows[i * self.trials..(i + 1) * self.trials])
+    }
+
+    /// Vertex `v`'s aggregate as a [`Fingerprint`], if it was kept
+    /// (allocates).
+    pub fn fingerprint(&self, v: VertexId) -> Option<Fingerprint> {
+        self.row(v).map(fingerprint_of)
+    }
+
+    /// The Lemma 5.2 estimate of the union of the aggregates of `u` and
+    /// `v` (their coordinate-wise max), if both were kept.
+    pub fn union_estimate(&self, u: VertexId, v: VertexId) -> Option<f64> {
+        Some(Histogram::of_union(self.row(u)?, self.row(v)?).estimate())
     }
 }
 
@@ -183,7 +237,6 @@ impl FingerprintMatrix {
 mod tests {
     use super::*;
     use crate::encode::encoded_bits;
-    use crate::estimate::estimate_count;
     use cgc_cluster::{ClusterGraph, ParallelConfig};
     use cgc_net::CommGraph;
 
@@ -193,23 +246,39 @@ mod tests {
         ClusterGraph::singletons(CommGraph::from_edges(n, &edges).unwrap())
     }
 
+    /// The `Fingerprint` code's aggregate of `v`: the merge of its
+    /// neighbors' samples that pass `pred`.
+    fn merged_neighbors(
+        g: &ClusterGraph,
+        seeds: &SeedStream,
+        salt: u64,
+        t: usize,
+        v: VertexId,
+        pred: impl Fn(VertexId, VertexId) -> bool,
+    ) -> Fingerprint {
+        let mut acc = Fingerprint::empty(t);
+        for &u in g.neighbors(v) {
+            if pred(v, u) {
+                acc.merge(&Fingerprint::sample(&mut seeds.rng_for(u as u64, salt), t));
+            }
+        }
+        acc
+    }
+
     #[test]
     fn rows_match_fingerprint_code() {
         let g = wheel(40);
         let seeds = SeedStream::new(3);
         let net = ClusterNet::new(&g, 64);
+        let pred = |v: VertexId, u: VertexId| !(v + u).is_multiple_of(3);
         let own = FingerprintMatrix::sample(&net, 96, &seeds, 5);
-        let agg = own.gather(&net, |v, u| (v + u) % 3 != 0);
+        let round = own.aggregate(&net, pred, |_, _| true);
+        assert_eq!(round.kept.len(), g.n_vertices());
         for v in 0..g.n_vertices() {
             let fp = Fingerprint::sample(&mut seeds.rng_for(v as u64, 5), 96);
             assert_eq!(own.fingerprint(v), fp);
-            let mut acc = Fingerprint::empty(96);
-            for &u in g.neighbors(v) {
-                if (v + u) % 3 != 0 {
-                    acc.merge(&Fingerprint::sample(&mut seeds.rng_for(u as u64, 5), 96));
-                }
-            }
-            assert_eq!(agg.fingerprint(v), acc, "vertex {v}");
+            let acc = merged_neighbors(&g, &seeds, 5, 96, v, pred);
+            assert_eq!(round.kept.fingerprint(v), Some(acc), "vertex {v}");
         }
     }
 
@@ -217,25 +286,26 @@ mod tests {
     fn passes_are_thread_count_invariant() {
         let g = wheel(75);
         let seeds = SeedStream::new(4);
-        let serial = ClusterNet::new(&g, 64);
-        let own = FingerprintMatrix::sample(&serial, 64, &seeds, 1);
-        let agg = own.gather(&serial, |_, u| u % 2 == 0);
-        let reference = (
-            agg.max_encoded_bits(&serial),
-            agg.meter_and_estimate(&serial),
-            agg.edge_union_estimates(&serial, |u, _| u % 5 != 0),
-        );
+        let pass = |net: &ClusterNet<'_>| {
+            let own = FingerprintMatrix::sample(net, 64, &seeds, 1);
+            let round = own.aggregate(net, |_, u| u % 2 == 0, |v, d| v % 3 != 0 && d >= 1.0);
+            let unions: Vec<Option<u64>> = g
+                .h_edges()
+                .map(|(u, v)| round.kept.union_estimate(u, v).map(f64::to_bits))
+                .collect();
+            (
+                own,
+                round.response_bits,
+                round.estimates,
+                round.kept,
+                unions,
+            )
+        };
+        let reference = pass(&ClusterNet::new(&g, 64));
+        assert!(reference.4.iter().any(Option::is_some));
         for threads in [2usize, 3, 8] {
             let net = ClusterNet::with_parallel(&g, 64, ParallelConfig::with_threads(threads));
-            let own_p = FingerprintMatrix::sample(&net, 64, &seeds, 1);
-            let agg_p = own_p.gather(&net, |_, u| u % 2 == 0);
-            assert_eq!((&own_p, &agg_p), (&own, &agg), "threads={threads}");
-            let got = (
-                agg_p.max_encoded_bits(&net),
-                agg_p.meter_and_estimate(&net),
-                agg_p.edge_union_estimates(&net, |u, _| u % 5 != 0),
-            );
-            assert_eq!(got, reference, "threads={threads}");
+            assert_eq!(pass(&net), reference, "threads={threads}");
         }
     }
 
@@ -244,19 +314,26 @@ mod tests {
         let g = wheel(30);
         let seeds = SeedStream::new(5);
         let net = ClusterNet::new(&g, 64);
-        let agg = FingerprintMatrix::sample(&net, 128, &seeds, 0).gather(&net, |_, _| true);
-        let fps: Vec<Fingerprint> = (0..30).map(|v| agg.fingerprint(v)).collect();
-        let bits = fps.iter().map(|f| encoded_bits(f.maxima())).max();
-        assert_eq!(agg.max_encoded_bits(&net), bits.unwrap());
+        let keep = |v: VertexId, _: f64| v % 4 != 1;
+        let own = FingerprintMatrix::sample(&net, 128, &seeds, 0);
+        let round = own.aggregate(&net, |_, _| true, keep);
+        let fps: Vec<Fingerprint> = (0..30)
+            .map(|v| merged_neighbors(&g, &seeds, 0, 128, v, |_, _| true))
+            .collect();
+        let query = (0..30).map(|v| encoded_bits(own.fingerprint(v).maxima()));
+        assert_eq!(Some(own.query_bits()), query.max());
+        let response = fps.iter().map(|f| encoded_bits(f.maxima())).max();
+        assert_eq!(Some(round.response_bits), response);
         let estimates: Vec<f64> = fps.iter().map(Fingerprint::estimate).collect();
-        assert_eq!(agg.meter_and_estimate(&net), (bits.unwrap(), estimates));
+        assert_eq!(round.estimates, estimates);
         for (v, fp) in fps.iter().enumerate() {
-            assert_eq!(estimate_count(agg.row(v)), fp.estimate(), "row {v}");
+            let want = keep(v, 0.0).then(|| fp.clone());
+            assert_eq!(round.kept.fingerprint(v), want, "row {v}");
         }
-        let unions = agg.edge_union_estimates(&net, |u, _| u != 0);
-        for ((u, v), got) in g.h_edges().zip(unions) {
-            let want = (u != 0).then(|| fps[u].merged(&fps[v]).estimate());
-            assert_eq!(got, want, "edge ({u}, {v})");
+        assert_eq!(round.kept.len(), (0..30).filter(|&v| keep(v, 0.0)).count());
+        for (u, v) in g.h_edges() {
+            let want = (keep(u, 0.0) && keep(v, 0.0)).then(|| fps[u].merged(&fps[v]).estimate());
+            assert_eq!(round.kept.union_estimate(u, v), want, "edge ({u}, {v})");
         }
     }
 
@@ -265,9 +342,18 @@ mod tests {
         let g = wheel(6);
         let net = ClusterNet::new(&g, 64);
         let own = FingerprintMatrix::sample(&net, 16, &SeedStream::new(6), 0);
-        let m = own.gather(&net, |_, _| false);
-        assert!((0..6).all(|v| m.row(v).iter().all(|&y| y == 0)));
-        assert_eq!(m.n_rows(), 6);
-        assert!(m.meter_and_estimate(&net).1.iter().all(|&e| e == 0.0));
+        assert_eq!(own.n_rows(), 6);
+        let round = own.aggregate(&net, |_, _| false, |v, _| v < 3);
+        assert!(round.estimates.iter().all(|&e| e == 0.0));
+        assert_eq!(
+            round.response_bits,
+            encoded_bits(Fingerprint::empty(16).maxima())
+        );
+        assert_eq!(round.kept.len(), 3);
+        assert!((0..3).all(|v| round.kept.row(v).unwrap().iter().all(|&y| y == 0)));
+        assert_eq!(round.kept.row(3), None);
+        let none = own.aggregate(&net, |_, _| true, |_, _| false);
+        assert!(none.kept.is_empty());
+        assert!(none.estimates.iter().all(|&e| e >= 1.0));
     }
 }
