@@ -17,8 +17,10 @@ pub const GEOMETRIC_CAP: u16 = 192;
 ///
 /// For `λ = 1/2` this uses the trailing-zeros trick on a uniform 64-bit
 /// word (plus extension words below the cap) and costs O(1) expected time.
-/// [`crate::FingerprintMatrix::sample`] maps bulk-drawn words by the same
-/// rule, so its rows equal per-trial draws.
+/// [`crate::FingerprintMatrix::sample`] maps bulk-drawn words to the same
+/// values, so its rows equal per-trial draws: a chunk whose words all
+/// have a low half that is not all ones goes through a branch-free map of
+/// those halves, and any other chunk through this rule word by word.
 ///
 /// # Panics
 ///
@@ -65,9 +67,13 @@ const ROW_CHUNK_BYTES: usize = 4 * BULK_RUN_BYTES;
 /// order, drawing the words in bulk: each request takes the words the
 /// row's remaining trials need, rounded up to whole direct runs of the
 /// keystream ([`BULK_RUN_BYTES`]), through [`Rng::fill_bytes`] into a
-/// stack chunk, and the chunk's words are mapped in order by the rule
-/// `sample_geometric` applies. The rng may be left past the row's last
-/// word, so it must be dropped after the row.
+/// stack chunk. A chunk that starts a trial is mapped one word a trial by
+/// [`map_low_halves`], which reads only each word's low half; when some
+/// mapped low half is all ones (probability about 2^−32 a word), or the
+/// chunk starts inside a trial, the chunk is mapped again word by word by
+/// the rule `sample_geometric` applies, the only code that handles values
+/// of 32 or more and extension words. The rng may be left past the row's
+/// last word, so it must be dropped after the row.
 pub(crate) fn fill_half_geometric_row(rng: &mut impl Rng, row: &mut [u8]) {
     let mut chunk = [0u8; ROW_CHUNK_BYTES];
     let (mut filled, mut heads) = (0, 0);
@@ -77,6 +83,10 @@ pub(crate) fn fill_half_geometric_row(rng: &mut impl Rng, row: &mut [u8]) {
             .min(ROW_CHUNK_BYTES);
         let chunk = &mut chunk[..bytes];
         rng.fill_bytes(chunk);
+        if heads == 0 && map_low_halves(chunk, &mut row[filled..]) {
+            filled = row.len().min(filled + bytes / 8);
+            continue;
+        }
         let mut words = chunk
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")));
@@ -100,6 +110,29 @@ pub(crate) fn fill_half_geometric_row(rng: &mut impl Rng, row: &mut [u8]) {
             break;
         }
     }
+}
+
+/// Maps the little-endian words of `words` to `row`, one word a trial,
+/// as far as both reach, and returns whether every mapped word's low
+/// half `lo` is not all ones; the bytes written are then the row's
+/// values. Such a word's trailing ones are those of `lo`, `k < 32`, and
+/// its stored byte `k + 1` is read without a branch: `low`, the lowest
+/// zero bit of `lo` as a one, is `2^k`, which an `f32` holds exactly
+/// with exponent field `127 + k`. An all-ones `lo` gives `low = 0`, and
+/// the wrapping subtraction a byte that is not used.
+fn map_low_halves(words: &[u8], row: &mut [u8]) -> bool {
+    let mut long = false;
+    for (y, w) in row.iter_mut().zip(words.chunks_exact(8)) {
+        let lo = u32::from_le_bytes(w[..4].try_into().expect("four bytes"));
+        let x = !lo;
+        let low = x & x.wrapping_neg();
+        // Through `i32`, which converts to `f32` in one SSE2 instruction;
+        // bit 31 lands in the sign, which the mask drops.
+        let exponent = (((low as i32) as f32).to_bits() >> 23) & 0xff;
+        *y = (exponent as u8).wrapping_sub(126);
+        long |= lo == u32::MAX;
+    }
+    !long
 }
 
 #[cfg(test)]
@@ -169,20 +202,29 @@ mod tests {
         }
     }
 
-    /// `(i, r)`: trial `i` starts with `r` all-ones words.
-    type Runs = &'static [(usize, usize)];
+    /// `(i, words)`: trial `i` starts with `words`.
+    type Runs = &'static [(usize, &'static [u64])];
 
-    /// A row's word stream in which trial `i` of each `(i, r)` in `runs`
-    /// starts with `r` all-ones words (followed by the word that ends it
-    /// when `r` < 3; three reach the cap), and every other word is drawn
-    /// from a seeded stream; then a chunk of spare words.
+    /// Whether a trial that starts with `words` needs another word: they
+    /// are all ones and fewer than the three that reach the cap.
+    fn open(words: &[u64]) -> bool {
+        words.len() < 3 && words.iter().all(|&w| w == u64::MAX)
+    }
+
+    /// A row's word stream in which trial `i` of each `(i, words)` in
+    /// `runs` starts with `words` (followed by a seeded word while the
+    /// trial is [`open`]), and every other word is drawn from a seeded
+    /// stream; then a chunk of spare words.
     fn script(t: usize, runs: Runs) -> Vec<u64> {
         let mut filler = SeedStream::new(5).rng_for(0, 0);
         let mut words = Vec::new();
         for i in 0..t {
-            let r = runs.iter().find(|run| run.0 == i).map_or(0, |run| run.1);
-            words.extend(std::iter::repeat_n(u64::MAX, r));
-            if r < 3 {
+            let first = runs
+                .iter()
+                .find(|run| run.0 == i)
+                .map_or(&[][..], |run| run.1);
+            words.extend_from_slice(first);
+            if open(first) {
                 words.push(filler.next_u64());
             }
         }
@@ -190,41 +232,147 @@ mod tests {
         words
     }
 
-    /// An all-ones word has probability 2^−64 per trial, so no seeded
-    /// stream reaches the extension words: script them. The bulk row must
-    /// equal per-trial `sample_geometric` over the same words.
+    /// `t` trials, each drawn by `sample_geometric` from `rng`, as stored
+    /// bytes.
+    fn per_trial(rng: &mut impl Rng, t: usize) -> Vec<u8> {
+        (0..t)
+            .map(|_| sample_geometric(rng, 0.5) as u8 + 1)
+            .collect()
+    }
+
+    /// All ones: a trial that goes on into the next word.
+    const ONES: u64 = u64::MAX;
+    /// Low halves of all ones under high halves that are not, values 32,
+    /// 32 and 63: words only the word-by-word rule maps.
+    const LOW_32: u64 = 0x0000_0000_FFFF_FFFF;
+    const HIGH_32: u64 = 0xFFFF_FFFE_FFFF_FFFF;
+    const ONES_63: u64 = 0x7FFF_FFFF_FFFF_FFFF;
+    /// The last word of a chunk.
+    const LAST: usize = ROW_CHUNK_WORDS - 1;
+
+    /// An all-ones word has probability 2^−64 per trial, and a word with
+    /// 32 trailing ones 2^−33, so no seeded stream reaches the extension
+    /// words or the long low halves: script them. With no extension word
+    /// before it, trial `i` is word `i`, so a 600-trial row's first chunk
+    /// holds trials `0..512` and its second starts at trial 512. The bulk
+    /// row must equal per-trial `sample_geometric` over the same words.
     #[test]
     fn bulk_rows_follow_extension_words() {
-        let cases: [(&str, usize, Runs); 7] = [
-            ("one alone", 600, &[(5, 1)]),
-            ("two, then three (the cap)", 600, &[(10, 2), (20, 3)]),
-            ("three, then one more", 600, &[(30, 3), (31, 1)]),
-            ("last word of a chunk", 600, &[(ROW_CHUNK_WORDS - 1, 1)]),
-            ("two across a chunk end", 600, &[(ROW_CHUNK_WORDS - 1, 2)]),
-            ("a row's last trial", 600, &[(599, 1)]),
+        let cases: [(&str, usize, Runs); 13] = [
+            ("one alone", 600, &[(5, &[ONES])]),
+            (
+                "two, then three (the cap)",
+                600,
+                &[(10, &[ONES, ONES]), (20, &[ONES, ONES, ONES])],
+            ),
+            (
+                "three, then one more",
+                600,
+                &[(30, &[ONES, ONES, ONES]), (31, &[ONES])],
+            ),
+            ("last word of a chunk", 600, &[(LAST, &[ONES])]),
+            ("two across a chunk end", 600, &[(LAST, &[ONES, ONES])]),
+            ("a row's last trial", 600, &[(599, &[ONES])]),
             (
                 "last trial at a chunk end",
                 ROW_CHUNK_WORDS,
-                &[(ROW_CHUNK_WORDS - 1, 2)],
+                &[(LAST, &[ONES, ONES])],
+            ),
+            (
+                "long low halves at a chunk's first word",
+                600,
+                &[(0, &[LOW_32]), (ROW_CHUNK_WORDS, &[HIGH_32])],
+            ),
+            (
+                "long low halves at a chunk's last word",
+                600,
+                &[(LAST, &[ONES_63]), (599, &[LOW_32])],
+            ),
+            (
+                "a long low half in a row's last trial",
+                600,
+                &[(599, &[HIGH_32])],
+            ),
+            (
+                "a long low half ending an extension",
+                600,
+                &[(40, &[ONES, ONES_63]), (41, &[LOW_32])],
+            ),
+            (
+                "one long low half a chunk",
+                1200,
+                &[(7, &[LOW_32]), (700, &[HIGH_32]), (1199, &[ONES_63])],
+            ),
+            (
+                "a long low half after a chunk that ends a trial open",
+                600,
+                &[(LAST, &[ONES]), (ROW_CHUNK_WORDS, &[ONES_63])],
             ),
         ];
         for (what, t, runs) in cases {
             let words = script(t, runs);
             let mut row = vec![0u8; t];
             fill_half_geometric_row(&mut Script(words.iter()), &mut row);
-            let mut per_trial = Script(words.iter());
-            let want: Vec<u8> = (0..t)
-                .map(|_| sample_geometric(&mut per_trial, 0.5) as u8 + 1)
-                .collect();
-            assert_eq!(row, want, "{what}");
-            for &(i, r) in runs {
-                let least = (64 * r).min(usize::from(GEOMETRIC_CAP)) + 1;
-                assert!(
-                    usize::from(row[i]) >= least,
-                    "{what}: trial {i} reads {}",
-                    row[i]
-                );
+            assert_eq!(row, per_trial(&mut Script(words.iter()), t), "{what}");
+            for &(i, first) in runs {
+                let ones: u32 = first.iter().map(|w| w.trailing_ones()).sum();
+                let least = ones.min(u32::from(GEOMETRIC_CAP)) + 1;
+                if open(first) {
+                    assert!(
+                        u32::from(row[i]) >= least,
+                        "{what}: trial {i} reads {}",
+                        row[i]
+                    );
+                } else {
+                    assert_eq!(u32::from(row[i]), least, "{what}: trial {i}");
+                }
             }
+        }
+    }
+
+    /// Seeded rows, whose chunks the branch-free map takes, against
+    /// per-trial draws from the same stream: lengths at and around one
+    /// direct run and one chunk, the benchmark's 2,281 and a whole 4,096.
+    #[test]
+    fn bulk_rows_equal_per_trial_draws() {
+        let seeds = SeedStream::new(21);
+        for t in [1, 63, 64, 65, 511, 512, 513, 2281, 4096] {
+            for stream in 0..64 {
+                let mut row = vec![0u8; t];
+                fill_half_geometric_row(&mut seeds.rng_for(stream, t as u64), &mut row);
+                let want = per_trial(&mut seeds.rng_for(stream, t as u64), t);
+                assert_eq!(row, want, "t = {t}, stream {stream}");
+            }
+        }
+    }
+
+    /// The branch-free map takes a seeded chunk, writing each word's
+    /// trailing ones plus one, and refuses a chunk with one long low half
+    /// among the words it maps, but not one past the row's end.
+    #[test]
+    fn word_map_takes_seeded_chunks_and_refuses_long_low_halves() {
+        let mut rng = SeedStream::new(22).rng_for(0, 0);
+        let mut chunk = [0u8; ROW_CHUNK_BYTES];
+        rng.fill_bytes(&mut chunk);
+        let words: Vec<u64> = chunk
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+            .collect();
+        let mut row = [0u8; ROW_CHUNK_WORDS];
+        assert!(map_low_halves(&chunk, &mut row), "a seeded chunk");
+        let want: Vec<u8> = words.iter().map(|w| w.trailing_ones() as u8 + 1).collect();
+        assert_eq!(row[..], want[..]);
+        for (at, word) in [(0, LOW_32), (300, HIGH_32), (ROW_CHUNK_WORDS - 1, ONES_63)] {
+            let mut long = chunk;
+            long[8 * at..8 * at + 8].copy_from_slice(&word.to_le_bytes());
+            assert!(
+                !map_low_halves(&long, &mut row),
+                "long low half at word {at}"
+            );
+            assert!(
+                map_low_halves(&long, &mut row[..at]),
+                "long low half past a row of {at}"
+            );
         }
     }
 }

@@ -7,7 +7,9 @@
 //! which the median minimizes and which sums bin by bin. So one pass over
 //! the `t` maxima fills 256 bins (bin = the stored byte `y + 1`, 0 =
 //! empty, so `y ∈ −1..=254`) and both answers follow from the bins, with
-//! no sort and no rescan per candidate `k`.
+//! no sort and no rescan per candidate `k`. A row that only needs
+//! metering and whose median bin is 1 or 2, as a sampled own row's is,
+//! skips the bins: [`low_median_bits`] sums it in closed form.
 
 use crate::fingerprint::Maximum;
 
@@ -19,6 +21,45 @@ pub(crate) const HEADER_BITS: u64 = 13;
 /// and two bits a trial, the least any row of `trials` trials takes.
 pub(crate) fn empty_row_bits(trials: usize) -> u64 {
     HEADER_BITS + 2 * trials as u64
+}
+
+/// The encoded size of a byte row whose median bin is 1 or 2, from one
+/// pass that reads only the sum `S = Σ b` and the counts `c₀, c₁, c₂` of
+/// bins 0, 1 and 2; `None` for any other row, which
+/// [`Histogram::encoded_bits`] meters.
+///
+/// With `r = ⌊t/2⌋`, the median bin is 1 when `c₀ ≤ r < c₀ + c₁` and 2
+/// when `c₀ + c₁ ≤ r < c₀ + c₁ + c₂`, and then the deviations sum in
+/// closed form: `Σ|b − 1| = S − t + 2c₀` and `Σ|b − 2| = S − 2t + 4c₀ +
+/// 2c₁`. An own row (one geometric(½) draw a trial, no empty bin) has its
+/// median there except with probability `e^{−Θ(t)}`. The pass runs in
+/// 128-byte blocks with a `u16` sum and `u8` counts, which no block of
+/// bytes overflows, so its lanes stay narrow.
+pub(crate) fn low_median_bits(row: &[u8]) -> Option<u64> {
+    let (mut sum, mut c0, mut c1, mut c2) = (0u64, 0u64, 0u64, 0u64);
+    for block in row.chunks(128) {
+        let (mut s, mut b0, mut b1, mut b2) = (0u16, 0u8, 0u8, 0u8);
+        for &b in block {
+            s += u16::from(b);
+            b0 += u8::from(b == 0);
+            b1 += u8::from(b == 1);
+            b2 += u8::from(b == 2);
+        }
+        sum += u64::from(s);
+        c0 += u64::from(b0);
+        c1 += u64::from(b1);
+        c2 += u64::from(b2);
+    }
+    let t = row.len() as u64;
+    let rank = t / 2;
+    let deviations = if c0 <= rank && rank < c0 + c1 {
+        sum + 2 * c0 - t
+    } else if c0 + c1 <= rank && rank < c0 + c1 + c2 {
+        sum + 4 * c0 + 2 * c1 - 2 * t
+    } else {
+        return None;
+    };
+    Some(empty_row_bits(row.len()) + deviations)
 }
 
 /// Threshold numerator/denominator from Lemma 5.2: `Z_{K*} ≥ (27/40) t`.
@@ -164,7 +205,9 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometric::GEOMETRIC_CAP;
+    use crate::geometric::{sample_geometric, GEOMETRIC_CAP};
+    use cgc_net::SeedStream;
+    use rand::Rng;
 
     /// The Lemma 5.2 formula at `(Z_{K*}, t, K*)`.
     fn lemma(z: u32, t: u32, k: i32) -> f64 {
@@ -216,12 +259,99 @@ mod tests {
             ("no trials", vec![], 13, 0, 0.0),
         ];
         for (name, row, bits, k, est) in cases {
+            closed_form_agrees(&row, name);
             let wide: Vec<i16> = row.iter().map(|&b| i16::from(b) - 1).collect();
             for h in [Histogram::of(&row), Histogram::of(&wide)] {
                 assert_eq!(h.encoded_bits(), bits, "{name}: bits");
                 assert_eq!(h.baseline(), k, "{name}: baseline");
                 assert_eq!(h.estimate().to_bits(), est.to_bits(), "{name}: estimate");
             }
+        }
+    }
+
+    /// Checks [`low_median_bits`] on `row` against the histogram: `Some`
+    /// exactly when the median bin is 1 or 2, and then the encoded size.
+    /// Returns the median bin.
+    fn closed_form_agrees(row: &[u8], what: &str) -> usize {
+        let h = Histogram::of(row);
+        let median = h.median_bin();
+        let want = matches!(median, 1 | 2).then(|| h.encoded_bits());
+        assert_eq!(low_median_bits(row), want, "{what}: median bin {median}");
+        median
+    }
+
+    /// Rows of every length around the 128-byte blocks, own-row-like
+    /// (one geometric(½) draw a trial), shifted up to move the median
+    /// past bin 2, and with empty trials mixed in as aggregates and
+    /// partial rows have them.
+    #[test]
+    fn closed_form_meter_matches_histogram() {
+        let seeds = SeedStream::new(31);
+        let mut medians = [0usize; 4];
+        for t in [1, 2, 3, 127, 128, 129, 255, 256, 257, 2281, 4096] {
+            for (empty_eighths, shift) in [(0, 0), (0, 1), (0, 2), (2, 0), (4, 0), (5, 1), (7, 0)] {
+                for stream in 0..4 {
+                    let mut rng = seeds.rng_for(stream, t as u64);
+                    let row: Vec<u8> = (0..t)
+                        .map(|_| {
+                            let y = sample_geometric(&mut rng, 0.5) as u8 + 1 + shift;
+                            if rng.next_u32() % 8 < empty_eighths {
+                                0
+                            } else {
+                                y
+                            }
+                        })
+                        .collect();
+                    let what = format!("t = {t}, {empty_eighths}/8 empty, shift {shift}");
+                    let median = closed_form_agrees(&row, &what);
+                    if let Some(seen) = medians.get_mut(median) {
+                        *seen += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            medians.iter().all(|&seen| seen > 0),
+            "median bins 0..=3: {medians:?}"
+        );
+    }
+
+    /// The median's edges: rank `⌊t/2⌋` at the first or last trial of bin
+    /// 1 or 2, high bytes beside a low median, and whole blocks at the cap
+    /// and at 255, the largest block sums.
+    #[test]
+    fn closed_form_meter_at_the_edges() {
+        let cap = GEOMETRIC_CAP as u8 + 1;
+        let runs = |parts: &[(u8, usize)]| -> Vec<u8> {
+            parts
+                .iter()
+                .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
+                .collect()
+        };
+        let cases: [(&str, Vec<u8>, usize); 12] = [
+            ("rank at bin 1's first trial", runs(&[(0, 2), (1, 2)]), 1),
+            ("rank at bin 0's last trial", runs(&[(0, 3), (1, 1)]), 0),
+            ("rank at bin 1's last trial", runs(&[(1, 3), (2, 1)]), 1),
+            ("rank at bin 2's first trial", runs(&[(1, 2), (2, 2)]), 2),
+            (
+                "rank at bin 2's last trial",
+                runs(&[(0, 1), (1, 1), (2, 1), (3, 2)]),
+                2,
+            ),
+            ("rank at bin 3's first trial", runs(&[(2, 2), (3, 2)]), 3),
+            ("bin 1 under the cap", runs(&[(1, 65), (cap, 63)]), 1),
+            ("bin 2 under 255s", runs(&[(0, 1), (2, 64), (255, 63)]), 2),
+            ("a block at the cap", runs(&[(cap, 128)]), usize::from(cap)),
+            ("a row at the cap", runs(&[(cap, 4096)]), usize::from(cap)),
+            ("a row of 255s", runs(&[(255, 4096)]), 255),
+            (
+                "bin 2 over whole blocks of 1 and the cap",
+                runs(&[(1, 1000), (2, 1), (cap, 999)]),
+                2,
+            ),
+        ];
+        for (what, row, median) in cases {
+            assert_eq!(closed_form_agrees(&row, what), median, "{what}");
         }
     }
 

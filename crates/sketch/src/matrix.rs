@@ -17,9 +17,16 @@
 //!   512 `u64` in a stack buffer, through the keystream's `fill_bytes`)
 //!   and map to trials by the λ = ½ rule of
 //!   [`crate::geometric::sample_geometric`] — trailing ones, an all-ones
-//!   word continuing into the next — instead of one call per trial. Each
-//!   row is metered right after it is drawn: the largest encoded row is
-//!   the round's query size ([`FingerprintMatrix::query_bits`]);
+//!   word continuing into the next — instead of one call per trial. A
+//!   chunk is mapped by one branch-free loop over its words' low halves
+//!   (a value below 32 is the exponent of one exact `f32`), and only a
+//!   chunk with an all-ones low half (about 2^−32 a word) or one that
+//!   starts inside a trial goes word by word through the rule itself.
+//!   Each row is metered right after it is drawn, in closed form from
+//!   its sum and three bin counts when its median bin is 1 or 2 (nearly
+//!   always, for one draw a trial), else from its value histogram: the
+//!   largest encoded row is the round's query size
+//!   ([`FingerprintMatrix::query_bits`]);
 //! * the aggregate pass of [`crate::neighborhood_fingerprints`] — vertex
 //!   `v`'s aggregate, the max of the rows of its neighbors `u` with
 //!   `pred(v, u)`, is built in the shard's scratch row by one walk of
@@ -29,7 +36,8 @@
 //!   when the caller's `keep(v, estimate)` asks for it.
 //!
 //! Metering and estimates read a row through one 256-bin value histogram
-//! (the crate's `histogram` module); [`KeptRows::union_estimate`] folds
+//! (the crate's `histogram` module), except the own rows whose median bin
+//! the closed form covers; [`KeptRows::union_estimate`] folds
 //! `max(row u, row v)` straight into its histogram.
 //!
 //! Every pass writes disjoint rows or takes an order-free max, shard
@@ -42,7 +50,7 @@
 use crate::counting::NeighborhoodFingerprints;
 use crate::fingerprint::Fingerprint;
 use crate::geometric::fill_half_geometric_row;
-use crate::histogram::{empty_row_bits, Histogram};
+use crate::histogram::{empty_row_bits, low_median_bits, Histogram};
 use cgc_cluster::{ClusterNet, VertexId};
 use cgc_net::par::map_reduce_on;
 use cgc_net::SeedStream;
@@ -76,10 +84,14 @@ impl FingerprintMatrix {
     /// `Fingerprint::sample(&mut seeds.rng_for(v, salt), t)` draws.
     ///
     /// Each row draws its stream's words in bulk into a stack chunk and
-    /// maps them by the rule `sample_geometric(rng, 0.5)` applies, then is
-    /// metered into [`Self::query_bits`], so the only allocation is the
-    /// matrix. A request may draw a few words past the row's last trial;
-    /// the row's stream is dropped after the row.
+    /// maps them to the values `sample_geometric(rng, 0.5)` draws: a
+    /// branch-free loop over the words' low halves, or, for a chunk it
+    /// refuses, that rule word by word. The row is then metered into
+    /// [`Self::query_bits`]: from its byte sum and the counts of bins 0, 1
+    /// and 2 when its median bin is 1 or 2, else from its value
+    /// histogram, to the same size. So the only allocation is the matrix.
+    /// A request may draw a few words past the row's last trial; the
+    /// row's stream is dropped after the row.
     pub fn sample(net: &ClusterNet<'_>, t: usize, seeds: &SeedStream, salt: u64) -> Self {
         let n = net.g.n_vertices();
         // Every row encodes to at least `empty_row_bits(t)`, so the max
@@ -88,7 +100,8 @@ impl FingerprintMatrix {
         let mut rows = Vec::new();
         net.par_vertex_fill_rows(t, &mut rows, |v, row| {
             fill_half_geometric_row(&mut seeds.rng_for(v as u64, salt), row);
-            query_bits.fetch_max(Histogram::of(row).encoded_bits(), Ordering::Relaxed);
+            let bits = low_median_bits(row).unwrap_or_else(|| Histogram::of(row).encoded_bits());
+            query_bits.fetch_max(bits, Ordering::Relaxed);
         });
         FingerprintMatrix {
             n,
